@@ -13,6 +13,10 @@ plain circle start.
 The zero root is never iterated: low-order exactly-zero coefficients are
 stripped symbolically, so v = 0 sits exactly on every disc boundary
 |lam + v| = lam and cannot generate false violations.
+
+53-bit locus sweeps run in hardware floats, with an mpmath tie-break where
+a float |.| lands within a few ulps of a trim or disc threshold, so their
+output is identical to solving each sample with find_roots at 53 bits.
 """
 
 from __future__ import annotations
@@ -606,6 +610,39 @@ def _collapse_hardware(rows, w):
     return out
 
 
+# libm and mpmath may round |.| an ulp (or a subnormal ulp) apart; within
+# _TIE_BAND relative plus _TIE_FLOOR of a threshold, mpmath decides
+_TIE_BAND, _TIE_FLOOR = 2.0 ** -48, 2.0 ** -1060
+
+
+def _trim(mags, prec):
+    """(index of the top |c| above 2^-(prec-12) max |c|, or -1; near-tie flag)."""
+    thresh = max(mags, default=0.0) * 2.0 ** -(prec - 12)
+    band = thresh * _TIE_BAND + _TIE_FLOOR
+    hi = len(mags) - 1
+    tie = False
+    while hi >= 0 and mags[hi] <= thresh:
+        tie = tie or mags[hi] >= thresh - band
+        hi -= 1
+    return hi, tie or (hi >= 0 and mags[hi] <= thresh + band)
+
+
+def _solve_hardware(coeffs, prec):
+    """Trim, deflate and solve float coefficients: (top kept index, zero
+    multiplicity, unsorted roots, converged)."""
+    mags = [abs(c) for c in coeffs]
+    hi, tie = _trim(mags, prec)
+    if tie:
+        with mp.workprec(MIN_PRECISION):
+            hi, _ = _trim([float(abs(mpc(c))) for c in coeffs], prec)
+    cs = coeffs[: hi + 1]
+    zero_mult = _deflate(cs, True)
+    if len(cs) < 2:
+        return hi, zero_mult, [], True
+    roots, ok = _aberth_hardware(cs)
+    return hi, zero_mult, roots, ok
+
+
 @dataclass
 class LocusCurve:
     """Roots of the non-fixed variable as the swept one walks |lam + x| = lam."""
@@ -649,6 +686,9 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     are recorded as gaps, never errors.  Each root is flagged when it lies
     inside |lam + root| < lam; deflated zero roots appear as exact zeros and
     are never flagged.
+
+    At 53 bits samples are solved in hardware floats, with an mpmath
+    tie-break at the trim and flag thresholds: the same curve as find_roots.
     """
     if not isinstance(p, ExactBiPoly):
         raise TypeError("expected ExactBiPoly")
@@ -664,42 +704,51 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
 
     work = p if swept == "b" else p.transposed()
     generic_degree = work.degree_a
-    rows = _hardware_rows(work) if precision_bits <= MIN_PRECISION else None
+    # below 53 bits, ComplexPoint rejects the precision at the first sample
+    rows = _hardware_rows(work) if precision_bits == MIN_PRECISION else None
 
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
-    points = []
-    flags = []
-    gaps = []
+    points, flags, gaps = [], [], []
     for theta in thetas:
+        w = _half_angle_circle(lam, theta)
         if rows is not None:
-            coeffs = _collapse_hardware(rows, _half_angle_circle(lam, theta))
-            cps = [as_complex_point(c) for c in coeffs]
+            coeffs = _collapse_hardware(rows, w)
+            sample = (_locus_sample_hardware(coeffs, lam, generic_degree)
+                      or _locus_sample([as_complex_point(c) for c in coeffs],
+                                       lam, precision_bits, generic_degree))
         else:
-            w = _half_angle_circle(lam, theta)
-            cps = work.coefficients_in_a(
-                ComplexPoint(w.real, w.imag, precision_bits))
-        sample_points, sample_flags, gap = _locus_sample(cps, lam, precision_bits, generic_degree)
-        points.append(sample_points)
-        flags.append(sample_flags)
-        gaps.append(gap)
+            cps = work.coefficients_in_a(ComplexPoint(w.real, w.imag, precision_bits))
+            sample = _locus_sample(cps, lam, precision_bits, generic_degree)
+        for out, part in zip((points, flags, gaps), sample):
+            out.append(part)
     return LocusCurve(lam, thetas, points, flags, gaps)
 
 
+def _locus_sample_hardware(coeffs, lam, generic_degree):
+    """_locus_sample at 53 bits in floats (_finalize only converts and sorts
+    the float roots); None on a non-finite coefficient or root."""
+    if not math.isfinite(sum(map(abs, coeffs))):
+        return None
+    hi, zero_mult, roots, ok = _solve_hardware(coeffs, MIN_PRECISION)
+    roots.sort(key=lambda z: (z.real, z.imag))
+    dists = [abs(lam + z) for z in roots]
+    if not math.isfinite(sum(dists)):
+        return None
+    flags = [False] * zero_mult + [d < lam for d in dists]
+    for k, (z, d) in enumerate(zip(roots, dists), zero_mult):
+        if abs(d - lam) <= lam * _TIE_BAND + _TIE_FLOOR:
+            with mp.workprec(MIN_PRECISION):
+                flags[k] = abs(mpf(lam) + mpc(z)) < lam
+    points = [ComplexPoint(0, 0, MIN_PRECISION)] * zero_mult + [
+        ComplexPoint(z.real, z.imag, MIN_PRECISION) for z in roots]
+    return points, flags, hi < generic_degree or not ok
+
+
 def _locus_sample(cps, lam, prec, generic_degree):
-    mags = [float(abs(c)) for c in cps]
-    top = max(mags, default=0.0)
-    if top == 0.0:
-        return [], [], True
-    thresh = top * 2.0 ** -(prec - 12)
-    hi = len(cps) - 1
-    while hi >= 0 and mags[hi] <= thresh:
-        hi -= 1
+    hi, _ = _trim([float(abs(c)) for c in cps], prec)
     gap = hi < generic_degree
     coeffs = cps[: hi + 1]
-    zero_mult = 0
-    while coeffs and coeffs[0].is_zero:
-        coeffs.pop(0)
-        zero_mult += 1
+    zero_mult = _deflate(coeffs, False)
     sample_points = [ComplexPoint(0, 0, prec)] * zero_mult
     if len(coeffs) >= 2:
         try:
@@ -744,20 +793,8 @@ def region_endpoint_angle(p, plane, n_scan=1024, precision_bits=MIN_PRECISION):
 
     def indicator(theta):
         coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
-        top = max(abs(c) for c in coeffs)
-        if top == 0.0:
-            return math.inf
-        thresh = top * 2.0 ** -(precision_bits - 12)
-        hi = len(coeffs) - 1
-        while hi >= 0 and abs(coeffs[hi]) <= thresh:
-            hi -= 1
-        cs = coeffs[: hi + 1]
-        while cs and cs[0] == 0:
-            cs.pop(0)
-        if len(cs) < 2:
-            return math.inf
-        roots, _ = _aberth_hardware(cs)
-        return min(abs(1 + r) for r in roots) - 1.0
+        roots = _solve_hardware(coeffs, precision_bits)[2]
+        return min(abs(1 + r) for r in roots) - 1.0 if roots else math.inf
 
     thetas = [math.pi * (j + 1) / (n_scan + 1) for j in range(n_scan)]
     values = [indicator(t) for t in thetas]

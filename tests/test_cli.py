@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -226,6 +227,14 @@ class TestReproduceCommand:
         code, out, err = run(capsys, ["reproduce", "--suite", "k6"])
         assert code == 0
         assert "0 failed" in err
+
+    def test_k6_row_seconds_cover_the_solves(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, ["reproduce", "--suite", "k6", "--json"])
+        wall = time.perf_counter() - t0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0
+        assert sum(r["seconds"] for r in rows) >= 0.8 * wall
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

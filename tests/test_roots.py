@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from relzeros import (
     ComplexPoint,
+    ExactBiPoly,
     ExactUniPoly,
     Multigraph,
     NoViolationRegionError,
@@ -30,6 +33,15 @@ from relzeros import (
     subdivided_univariate,
     trace_locus,
     region_endpoint_angle,
+)
+from relzeros import roots as roots_module
+from relzeros.polycore import as_complex_point
+from relzeros.roots import (
+    NonconvergenceError,
+    _collapse_hardware,
+    _half_angle_circle,
+    _hardware_rows,
+    _locus_sample_hardware,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
 
@@ -323,6 +335,141 @@ class TestLocus:
                 assert z0.real < 0
                 ratio = abs(z0.real) / abs(z0.imag) ** 1.5
                 assert abs(ratio - k_expected) / k_expected < 0.35
+
+
+def reference_locus_sample(coeffs, lam, generic_degree):
+    """A 53-bit locus sample solved through find_roots and flagged in mpmath:
+    the reference the hardware sample path must match bit for bit."""
+    cps = [as_complex_point(c) for c in coeffs]
+    mags = [float(abs(c)) for c in cps]
+    top = max(mags, default=0.0)
+    if top == 0.0:
+        return [], [], True
+    thresh = top * 2.0 ** -41
+    hi = len(cps) - 1
+    while hi >= 0 and mags[hi] <= thresh:
+        hi -= 1
+    gap = hi < generic_degree
+    kept = cps[: hi + 1]
+    zero_mult = 0
+    while kept and kept[0].is_zero:
+        kept.pop(0)
+        zero_mult += 1
+    points = [ComplexPoint(0, 0, 53)] * zero_mult
+    if len(kept) >= 2:
+        try:
+            rs = find_roots(kept, 53)
+        except NonconvergenceError as exc:
+            rs = exc.partial
+            gap = True
+        points = points + rs.roots
+    with mp.workprec(53):
+        lamv = mpf(lam)
+        flags = [abs(lamv + z.to_mpc()) < lamv for z in points]
+    return points, flags, gap
+
+
+def reference_locus(p, swept, lam, n_samples):
+    work = p if swept == "b" else p.transposed()
+    rows = _hardware_rows(work)
+    thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
+    return [reference_locus_sample(_collapse_hardware(rows, _half_angle_circle(lam, t)),
+                                   lam, work.degree_a)
+            for t in thetas]
+
+
+def assert_same_sample(got, want):
+    (got_pts, got_flags, got_gap), (want_pts, want_flags, want_gap) = got, want
+    assert [(z.re, z.im, z.precision) for z in got_pts] == \
+        [(z.re, z.im, z.precision) for z in want_pts]
+    assert got_flags == want_flags
+    assert got_gap == want_gap
+
+
+def assert_matches_reference(p, swept, lam, n_samples):
+    curve = trace_locus(p, swept, lam, n_samples)
+    want = reference_locus(p, swept, float(lam), n_samples)
+    assert len(want) == len(curve.points) == n_samples
+    for got, ref in zip(zip(curve.points, curve.violation_flags, curve.gaps), want):
+        assert_same_sample(got, ref)
+
+
+class TestLocusHardwarePath:
+    @pytest.mark.parametrize("lam", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("swept", ["a", "b"])
+    @pytest.mark.parametrize("case", ["a", "b", "c", "d", "e", "k6"])
+    def test_curves_match_find_roots_reference(self, families, case, swept, lam):
+        assert_matches_reference(families.bipoly(case), swept, lam, 256)
+
+    @pytest.mark.parametrize("coeffs", [[2, 1], [1 - 1j, 1]])
+    def test_exact_boundary_roots_unflagged(self, coeffs):
+        # roots -2 and -1+1j sit exactly on |1 + v| = 1
+        got = _locus_sample_hardware([complex(c) for c in coeffs], 1.0, 1)
+        assert_same_sample(got, reference_locus_sample(coeffs, 1.0, 1))
+        assert got[1] == [False] and got[2] is False
+
+    def test_exact_boundary_through_trace_locus(self):
+        curve = trace_locus(ExactBiPoly({(0, 0): 2, (1, 0): 1}), "b", 1.0, 16)
+        assert all(complex(pts[0]) == -2 and flags == [False]
+                   for pts, flags in zip(curve.points, curve.violation_flags))
+
+    def test_all_zero_collapse_is_gap(self):
+        assert _locus_sample_hardware([0j, 0j, 0j], 1.0, 2) == ([], [], True)
+
+    def test_nonconvergence_is_gap(self, monkeypatch):
+        # one sweep leaves (v-1)(v-2)(v-3)(v-4) unconverged on both paths
+        real = roots_module._aberth_hardware
+        monkeypatch.setattr(roots_module, "_aberth_hardware", lambda cs: real(cs, max_sweeps=1))
+        coeffs = [24 + 0j, -50 + 0j, 35 + 0j, -10 + 0j, 1 + 0j]
+        got = _locus_sample_hardware(coeffs, 1.0, 4)
+        assert_same_sample(got, reference_locus_sample(coeffs, 1.0, 4))
+        assert got[2] is True and len(got[0]) == 4
+
+    def test_flag_tie_follows_mpmath(self):
+        # libm rounds |1 + z| to 1.0000000000000002 here; the correctly
+        # rounded value is below 1, so the root is inside
+        z = -0.18762547461588253 + 0.5831360308769556j
+        got = _locus_sample_hardware([-z, 1 + 0j], 1.0, 1)
+        assert_same_sample(got, reference_locus_sample([-z, 1], 1.0, 1))
+        assert got[1] == [True]
+
+    @pytest.mark.parametrize("coeffs, kept", [
+        # correctly rounded, |c2| is the trim threshold 2^-41 * max|c| and
+        # c2 is dropped (a gap); libm rounds |c2| an ulp above it
+        ([1 + 0j, 1 + 0j, (0.7205243935904774 + 0.6934295914085835j) * 2.0 ** -41], 1),
+        # correctly rounded, |c2| is an ulp above the threshold and c2 is
+        # kept; libm rounds |c2| onto it
+        ([4962666237972.329 + 0j, 1 + 0j, 1.947983696098115 + 1.139439410825926j], 2),
+    ])
+    def test_trim_tie_follows_mpmath(self, coeffs, kept):
+        got = _locus_sample_hardware(coeffs, 1.0, 2)
+        assert_same_sample(got, reference_locus_sample(coeffs, 1.0, 2))
+        assert len(got[0]) == kept and got[2] is (kept < 2)
+
+
+@st.composite
+def bipolys(draw):
+    na = draw(st.integers(1, 5))
+    nb = draw(st.integers(0, 4))
+    coeff = st.integers(-50, 50)
+    terms = {(da, db): draw(coeff) for da in range(na + 1) for db in range(nb + 1)}
+    if draw(st.booleans()):  # zero constant term: an exact zero root
+        terms[(0, 0)] = 0
+    if draw(st.booleans()):  # leading row c*b^k vanishes towards b = 0
+        k = draw(st.integers(0, nb))
+        for db in range(nb + 1):
+            terms[(na, db)] = 0
+        terms[(na, k)] = draw(st.sampled_from([-50, -7, -1, 1, 3, 50]))
+    if not any(terms[(na, db)] for db in range(nb + 1)):
+        terms[(na, nb)] = 1
+    return ExactBiPoly(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=bipolys(), swept=st.sampled_from(["a", "b"]),
+       lam=st.sampled_from([1.0, 0.1, 0.01]), n_samples=st.integers(16, 64))
+def test_random_bipoly_locus_matches_reference(p, swept, lam, n_samples):
+    assert_matches_reference(p, swept, lam, n_samples)
 
 
 class TestRegionEndpoints:
