@@ -256,7 +256,7 @@ class ReproductionReport:
 
 
 class _ReproduceContext:
-    """Caches family polynomials and root sets shared across suite rows."""
+    """Caches family polynomials and root sets (or solve errors) shared across suite rows."""
 
     def __init__(self, precision):
         self.precision = precision
@@ -278,7 +278,12 @@ class _ReproduceContext:
     def family_roots(self, case, p1, p2):
         key = (case, p1, p2)
         if key not in self._roots:
-            self._roots[key] = find_roots(self.family_poly(case, p1, p2), self.precision)
+            try:
+                self._roots[key] = find_roots(self.family_poly(case, p1, p2), self.precision)
+            except Exception as exc:  # solve once; every row of the family fails with it
+                self._roots[key] = exc
+        if isinstance(self._roots[key], Exception):
+            raise self._roots[key]
         return self._roots[key]
 
 

@@ -5,10 +5,15 @@ updated with a Newton step corrected by mutual repulsion, starting from a
 circle of radius (|c0/cn|)^(1/n) with angular offsets (2*pi*k + 0.7)/n.
 A root stops iterating once its correction is below 2^-(prec-10)*(1+|z|)
 or once |p(z)| provably sits inside the rounding noise of the evaluation
-itself, at which point further sweeps cannot improve it.  High-precision
-runs are warm-started from a hardware (53-bit) pass; the result is checked
-by the 256/512-bit agreement tests, and a failed stage falls back to the
-plain circle start.
+itself, at which point further sweeps cannot improve it.  Above 53 bits
+(and at 53 bits when coefficients overflow floats) the iteration runs in
+fixed point on Python integers, with the same stop rules: coefficients
+become exact Gaussian integers, roots are integer pairs at a scale of 2^F,
+fine enough to hold the smallest root to the precision plus guard bits,
+and each product is shifted back to that scale.  It is warm-started from a hardware (53-bit) pass, and
+a failed warm start falls back to the plain circle start.  Output roots are
+rounded to the precision and their error radii come from an independent
+mpmath residual.
 
 The zero root is never iterated: low-order exactly-zero coefficients are
 stripped symbolically, so v = 0 sits exactly on every disc boundary
@@ -197,64 +202,96 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
     return z, False
 
 
-def _aberth_mp(coeffs, starts, prec, max_sweeps=MAX_SWEEPS):
-    with mp.workprec(prec):
-        cs = [c.to_mpc() if isinstance(c, ComplexPoint) else mpc(c) for c in coeffs]
-        n = len(cs) - 1
-        if starts is None:
-            r = (abs(cs[0]) / abs(cs[-1])) ** (mpf(1) / n)
-            z = [r * mp.exp(mpc(0, (2 * mp.pi * k + mpf("0.7")) / n)) for k in range(n)]
-        else:
-            z = [mpc(s) for s in starts]
-        tol = mpf(2) ** (-(prec - 10))
-        noise = (2 * n + 2) * mpf(2) ** (-prec)
-        bump = mp.ldexp(1, -(prec // 2))
-        converged = [False] * n
-        for _ in range(max_sweeps):
-            done = True
-            for k in range(n):
-                if converged[k]:
-                    continue
-                zk = z[k]
-                az = abs(zk)
-                pv = cs[-1]
-                dv = mpc(0)
-                em = abs(cs[-1])
-                for c in reversed(cs[:-1]):
-                    dv = dv * zk + pv
-                    pv = pv * zk + c
-                    em = em * az + abs(c)
-                if abs(pv) <= noise * em:
-                    converged[k] = True
-                    continue
-                if dv == 0:
-                    z[k] = zk + mpc(3, 2) * (1 + az) * bump
-                    done = False
-                    continue
-                w = pv / dv
-                s = mpc(0)
-                collided = False
-                for j in range(n):
-                    if j != k:
-                        d = zk - z[j]
-                        if d == 0:
-                            collided = True
-                            break
-                        s += 1 / d
-                if collided:
-                    z[k] = zk + mpc(3, 2) * (1 + az) * bump
-                    done = False
-                    continue
-                den = 1 - w * s
-                delta = w if den == 0 else w / den
-                z[k] = zk - delta
-                if abs(delta) < tol * (1 + abs(z[k])):
-                    converged[k] = True
+def _gaussian_integers(coeffs):
+    """coeffs times one power of two, as exact (re, im) integer pairs (a
+    common factor does not move the roots); None if one is not finite."""
+    if isinstance(coeffs[0], int):
+        return [(c, 0) for c in coeffs]
+    parts = [x._mpf_ for c in coeffs for x in (c.re, c.im)]
+    if any(exp and not man for _, man, exp, _ in parts):
+        return None
+    low = min(exp for _, man, exp, _ in parts if man)
+    vals = [(-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in parts]
+    return list(zip(vals[::2], vals[1::2]))
+
+
+def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
+    """Aberth on Gaussian integers: each root is an (x, y) pair standing for
+    (x + iy) / 2^F, and every product is rounded back to that scale."""
+    n = len(gauss) - 1
+    # every |z| > 2^-small (Fujiwara's bound on 1/z, 2^(b-1) <= |c| < 2^(b+1)), so even the
+    # smallest root keeps prec bits plus guard bits for the n roundings of a Horner pass
+    bits = [max(abs(x), abs(y)).bit_length() for x, y in gauss]
+    small = 1 + max(0, max(-((bits[0] - b - 2) // i) for i, b in enumerate(bits) if i and b))
+    F = prec + 8 + 2 * n.bit_length() + small
+    one = 1 << F
+    cs = [(a << F, b << F, math.isqrt(a * a + b * b) << F) for a, b in reversed(gauss)]
+    top, rest = cs[0], cs[1:]
+    if starts is None:
+        with mp.workprec(F):
+            r = (mpf(cs[-1][2]) / top[2]) ** (mpf(1) / n)
+            starts = [r * mp.expj((2 * mp.pi * k + mpf("0.7")) / n) for k in range(n)]
+    zx = [int(mp.ldexp(s.real, F)) for s in starts]
+    zy = [int(mp.ldexp(s.imag, F)) for s in starts]
+    noise = 2 * n + 2
+    converged = [False] * n
+    done = False
+    for _ in range(max_sweeps):
+        done = True
+        for k in range(n):
+            if converged[k]:
+                continue
+            x, y = zx[k], zy[k]
+            az = math.isqrt(x * x + y * y)
+            px, py, em = top
+            dx = dy = 0
+            for a, b, m in rest:
+                dx, dy = ((dx * x - dy * y) >> F) + px, ((dx * y + dy * x) >> F) + py
+                px, py = ((px * x - py * y) >> F) + a, ((px * y + py * x) >> F) + b
+                em = (em * az >> F) + m
+            t = noise * em >> prec
+            if px * px + py * py <= t * t:
+                converged[k] = True
+                continue
+            q = dx * dx + dy * dy
+            hits = 0
+            sx = sy = 0
+            for ux, uy in zip(zx, zy):
+                ex, ey = x - ux, y - uy
+                d = ex * ex + ey * ey
+                if d:
+                    sx += (ex << 2 * F) // d
+                    sy -= (ey << 2 * F) // d
                 else:
-                    done = False
-            if done:
-                return z, True
-        return z, False
+                    hits += 1
+            if q == 0 or hits > 1:
+                bump = (one + az) >> (prec // 2)
+                zx[k], zy[k] = x + 3 * bump, y + 2 * bump
+                done = False
+                continue
+            wx = ((px * dx + py * dy) << F) // q
+            wy = ((py * dx - px * dy) << F) // q
+            rx = one - ((wx * sx - wy * sy) >> F)
+            ry = -((wx * sy + wy * sx) >> F)
+            d = rx * rx + ry * ry
+            if d:
+                wx, wy = ((wx * rx + wy * ry) << F) // d, ((wy * rx - wx * ry) << F) // d
+            zx[k], zy[k] = x - wx, y - wy
+            t = (one + math.isqrt(zx[k] ** 2 + zy[k] ** 2)) >> (prec - 10)
+            converged[k] = wx * wx + wy * wy < t * t
+            done = done and converged[k]
+        if done:
+            break
+    # round each root to prec bits of its larger part, as one complex value:
+    # the guard bits' noise goes, so a real root comes out real and a root
+    # with a short dyadic expansion exact
+    out = []
+    with mp.workprec(prec):
+        for x, y in zip(zx, zy):
+            g = max(max(abs(x), abs(y)).bit_length() - prec, 0)
+            half = (1 << g) >> 1
+            out.append(mpc(mpf(((x + half) >> g, g - F)), mpf(((y + half) >> g, g - F))))
+    return out, done
 
 
 def _finalize(coeffs, roots_mpc, zero_mult, prec, converged):
@@ -315,9 +352,12 @@ def find_roots(p, precision_bits=None):
         if hw_ok:
             starts = hw_roots
 
-    roots, ok = _aberth_mp(coeffs, starts, prec)
+    gauss = _gaussian_integers(coeffs)
+    if gauss is None:  # inf or nan: nothing converges, as in mpmath
+        return _finalize(coeffs, [mpc("nan", "nan")] * n, zero_mult, prec, False)
+    roots, ok = _aberth_fixed(gauss, starts, prec)
     if not ok and starts is not None:
-        roots, ok = _aberth_mp(coeffs, None, prec)
+        roots, ok = _aberth_fixed(gauss, None, prec)
     return _finalize(coeffs, roots, zero_mult, prec, ok)
 
 

@@ -11,7 +11,9 @@ from relzeros import (
     shifted_power,
     subdivide,
 )
+from relzeros import cli
 from relzeros.cli import main
+from relzeros.roots import NonconvergenceError
 
 
 def run(capsys, argv):
@@ -235,6 +237,21 @@ class TestReproduceCommand:
         rows = [json.loads(line) for line in out.splitlines()]
         assert code == 0
         assert sum(r["seconds"] for r in rows) >= 0.8 * wall
+
+    def test_failed_solve_runs_once_per_family(self, capsys, monkeypatch):
+        calls = []
+
+        def failing(poly, precision):
+            calls.append(precision)
+            raise NonconvergenceError("no convergence after 500 sweeps at 256 bits")
+
+        monkeypatch.setattr(cli, "find_roots", failing)
+        code, out, _ = run(capsys, ["reproduce", "--suite", "k6", "--json"])
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 1 and calls == [256]
+        assert len(rows) == 2
+        assert all(not r["pass"] and r["computed"] == "error: no convergence after "
+                   "500 sweeps at 256 bits" for r in rows)
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

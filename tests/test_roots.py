@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from relzeros import (
     ComplexPoint,
@@ -37,6 +37,7 @@ from relzeros import (
 from relzeros import roots as roots_module
 from relzeros.polycore import as_complex_point
 from relzeros.roots import (
+    MAX_SWEEPS,
     NonconvergenceError,
     _collapse_hardware,
     _half_angle_circle,
@@ -167,6 +168,286 @@ class TestFindRoots:
         assert data["zero_multiplicity"] == 3
         assert len(data["roots"]) == 3
         assert set(data["roots"][0]) == {"re", "im", "err"}
+
+
+# The mpmath Aberth loop the Gaussian-integer loop replaced, kept verbatim:
+# the reference every multiprecision solve must match within error radii.
+def reference_aberth_mp(coeffs, starts, prec, max_sweeps=MAX_SWEEPS):
+    with mp.workprec(prec):
+        cs = [c.to_mpc() if isinstance(c, ComplexPoint) else mpc(c) for c in coeffs]
+        n = len(cs) - 1
+        if starts is None:
+            r = (abs(cs[0]) / abs(cs[-1])) ** (mpf(1) / n)
+            z = [r * mp.exp(mpc(0, (2 * mp.pi * k + mpf("0.7")) / n)) for k in range(n)]
+        else:
+            z = [mpc(s) for s in starts]
+        tol = mpf(2) ** (-(prec - 10))
+        noise = (2 * n + 2) * mpf(2) ** (-prec)
+        bump = mp.ldexp(1, -(prec // 2))
+        converged = [False] * n
+        for _ in range(max_sweeps):
+            done = True
+            for k in range(n):
+                if converged[k]:
+                    continue
+                zk = z[k]
+                az = abs(zk)
+                pv = cs[-1]
+                dv = mpc(0)
+                em = abs(cs[-1])
+                for c in reversed(cs[:-1]):
+                    dv = dv * zk + pv
+                    pv = pv * zk + c
+                    em = em * az + abs(c)
+                if abs(pv) <= noise * em:
+                    converged[k] = True
+                    continue
+                if dv == 0:
+                    z[k] = zk + mpc(3, 2) * (1 + az) * bump
+                    done = False
+                    continue
+                w = pv / dv
+                s = mpc(0)
+                collided = False
+                for j in range(n):
+                    if j != k:
+                        d = zk - z[j]
+                        if d == 0:
+                            collided = True
+                            break
+                        s += 1 / d
+                if collided:
+                    z[k] = zk + mpc(3, 2) * (1 + az) * bump
+                    done = False
+                    continue
+                den = 1 - w * s
+                delta = w if den == 0 else w / den
+                z[k] = zk - delta
+                if abs(delta) < tol * (1 + abs(z[k])):
+                    converged[k] = True
+                else:
+                    done = False
+            if done:
+                return z, True
+        return z, False
+
+
+def reference_find_roots(p, prec, warm=True):
+    """find_roots above 53 bits (or with no hardware pass) with
+    reference_aberth_mp in place of the Gaussian-integer loop (warm=False:
+    the circle start only)."""
+    coeffs, exact_ints = roots_module._normalize_coefficients(p)
+    zero_mult = roots_module._deflate(coeffs, exact_ints)
+    if len(coeffs) < 2:
+        return roots_module.RootSet(zero_mult, [], [], prec)
+    hardware = roots_module._to_hardware(coeffs)
+    starts = None
+    if hardware is not None and warm:
+        hw_roots, hw_ok = roots_module._aberth_hardware(hardware)
+        if hw_ok:
+            starts = hw_roots
+    roots, ok = reference_aberth_mp(coeffs, starts, prec)
+    if not ok and starts is not None:
+        roots, ok = reference_aberth_mp(coeffs, None, prec)
+    return roots_module._finalize(coeffs, roots, zero_mult, prec, ok)
+
+
+def assert_roots_match(got, want, coeffs=None):
+    """Each root of got lies within the larger of the two error radii of a
+    distinct root of want.  Matched as multisets: _finalize sorts by (re, im),
+    so a conjugate pair swaps places when the last bit of its real part moves.
+
+    With coeffs, each root encloses max(radius, noise_radius) and the two
+    enclosures may add up: the radii are floating residuals, which read 0 at
+    an exact root and stay below an ulp of a large one, not rigorous discs."""
+    assert got.zero_multiplicity == want.zero_multiplicity
+    assert got.precision == want.precision and len(got.roots) == len(want.roots)
+    prec = got.precision
+    with mp.workprec(prec + 64):
+        free = [(z.to_mpc(), e) for z, e in zip(want.roots, want.error_radii)]
+        for z, e in zip(got.roots, got.error_radii):
+            z = z.to_mpc()
+            d, i = min((abs(z - w), i) for i, (w, _) in enumerate(free))
+            w, f = free.pop(i)
+            bound = max(e, f) if coeffs is None else (
+                max(e, noise_radius(coeffs, z, prec)) + max(f, noise_radius(coeffs, w, prec)))
+            assert d <= bound, (complex(z), d, e, f)
+
+
+def noise_radius(p, z, prec):
+    """n|p(z)/p'(z)| with |p(z)| at the stop rule's noise bound
+    (2n+2) 2^-prec sum |c_i| |z|^i: how far from a root the rule may stop."""
+    coeffs, exact_ints = roots_module._normalize_coefficients(p)
+    roots_module._deflate(coeffs, exact_ints)
+    cs = [c.to_mpc() if isinstance(c, ComplexPoint) else mpc(c) for c in coeffs]
+    n = len(cs) - 1
+    em = sum(abs(c) * abs(z) ** i for i, c in enumerate(cs))
+    dp = sum(i * c * z ** (i - 1) for i, c in enumerate(cs) if i)
+    return n * (2 * n + 2) * mpf(2) ** -prec * em / abs(dp) if dp else mpf("inf")
+
+
+def expand_roots(roots, prec, lead=1):
+    """Low-to-high ComplexPoint coefficients of lead * prod (v - r), rounded at prec bits."""
+    coeffs = [ComplexPoint(lead, 0, prec)]
+    for r in roots:
+        shifted = [ComplexPoint(0, 0, prec)] + coeffs
+        coeffs = [s - r * c for s, c in zip(shifted, coeffs + [ComplexPoint(0, 0, prec)])]
+    return coeffs
+
+
+class TestGaussianIntegerLoop:
+    @pytest.mark.parametrize("case, p1, p2, prec", [
+        ("b", 1, 7, 256), ("d", 1, 9, 256), ("b", 11, 1, 256), ("d", 15, 1, 256),
+        ("b", 1, 7, 512), ("b", 1, 7, 1024),
+    ])
+    def test_family_members_match_reference(self, families, case, p1, p2, prec):
+        poly = families.poly(case, p1, p2)
+        got = families.roots(case, p1, p2, prec)
+        want = reference_find_roots(poly, prec)
+        assert_roots_match(got, want)
+        exact = list(poly.coeffs[poly.low_order_zeros():])
+        assert disc_verdict(got, 1, exact) == disc_verdict(want, 1, exact)
+
+    def test_mixed_scale_roots(self):
+        tiny = ComplexPoint("1e-20", "0.5e-20", 128)
+        coeffs = expand_roots([tiny, ComplexPoint(1, 0, 128), ComplexPoint(-2, 0, 128),
+                               ComplexPoint(0, 3, 128)], 128)
+        got = find_roots(coeffs, 128)
+        assert_roots_match(got, reference_find_roots(coeffs, 128))
+        with mp.workprec(128):
+            assert min(abs(z.to_mpc() - tiny.to_mpc()) for z in got.roots) < mpf(2) ** -128
+
+    @pytest.mark.parametrize("prec", [128, 256, 512])
+    @pytest.mark.parametrize("coeffs", [
+        [3, 4, 1], [7, 8, 2, 1], [13, 17, 5, 1], [1, 1, 1, 1],  # (v + 1) * q(v)
+    ])
+    def test_dyadic_boundary_root_comes_out_exact(self, coeffs, prec):
+        # v = -1 lies on |1/2 + v| = 1/2, which only an exact root (zero
+        # residual, checked in rationals) decides: guard-bit noise in either
+        # part would leave it ambiguous at every precision
+        rs = find_roots(coeffs, prec)
+        assert any(z == -1 and e == 0 for z, e in zip(rs.roots, rs.error_radii))
+        assert disc_verdict(rs, 0.5, coeffs) == "holds"
+
+    def test_coefficients_overflowing_floats_at_53_bits(self):
+        # (v - 1)(v - 2) * 10^400: no hardware pass, the integer loop runs at 53 bits
+        coeffs = [2 * 10 ** 400, -3 * 10 ** 400, 10 ** 400]
+        got = find_roots(coeffs, 53)
+        assert_roots_match(got, reference_find_roots(coeffs, 53))
+        assert all(abs(complex(z) - w) < 1e-13 for z, w in zip(got.roots, (1, 2)))
+
+    def test_sweep_cap_raises_with_partial(self, families, monkeypatch):
+        real = roots_module._aberth_fixed
+        monkeypatch.setattr(roots_module, "_aberth_fixed",
+                            lambda gauss, starts, prec: real(gauss, starts, prec, max_sweeps=1))
+        with pytest.raises(NonconvergenceError) as exc:
+            find_roots(families.poly("b", 1, 7), 256)
+        partial = exc.value.partial
+        assert partial.precision == 256 and partial.degree == families.poly("b", 1, 7).degree
+        assert len(partial.error_radii) == len(partial.roots) > 0
+
+    def test_failed_warm_start_falls_back_to_circle_start(self, monkeypatch):
+        real = roots_module._aberth_fixed
+        calls = []
+
+        def warm_start_fails(gauss, starts, prec):
+            calls.append(starts is None)
+            return real(gauss, starts, prec, max_sweeps=0 if starts is not None else MAX_SWEEPS)
+
+        monkeypatch.setattr(roots_module, "_aberth_fixed", warm_start_fails)
+        got = find_roots(K4_UNIVARIATE, 128)
+        assert calls == [False, True]
+        assert_roots_match(got, reference_find_roots(K4_UNIVARIATE, 128, warm=False))
+
+    def test_colliding_starts_are_bumped_apart(self):
+        # equal warm starts (a double root in floats): the first of the two
+        # is moved by the bump (3+2i)(1+|z|)2^-(prec//2), not a Newton step,
+        # and the loop still ends on distinct roots
+        cubic = [(-6, 0), (11, 0), (-6, 0), (1, 0)]  # (v - 1)(v - 2)(v - 3)
+        starts = [0.5, 0.5, 3j]
+        roots, ok = roots_module._aberth_fixed(cubic, starts, 128, max_sweeps=1)
+        with mp.workprec(128):
+            bumped = mpf("0.5") + mpc(3, 2) * mpf("1.5") * mpf(2) ** -64
+            assert abs(roots[0] - bumped) < mpf(2) ** -120
+            assert roots[1] != mpf("0.5")
+        roots, ok = roots_module._aberth_fixed(cubic, starts, 128)
+        assert ok
+        assert sorted(round(float(z.real), 12) for z in roots) == [1, 2, 3]
+
+    @pytest.mark.parametrize("prec", [128, 256, 512, 1024])
+    def test_root_below_the_precision_comes_out_exact(self, prec):
+        # the only root, -2^-400, lies below 2^-prec: the fixed-point grid
+        # must hold it to prec significant bits, not round it to 0
+        for rs in (find_roots([1, 2 ** 400], prec), reference_find_roots([1, 2 ** 400], prec)):
+            assert [(z.re, z.im) for z in rs.roots] == [(-mpf(2) ** -400, 0)]
+        assert lambda_star_univariate(ExactUniPoly([1, 2 ** 400])) == mpf(2) ** -401
+
+    @pytest.mark.parametrize("factors, tiny, precs", [
+        # 1/(3 * 2^248): within 2^20 of the grid step 2^-(prec + 12) at 256 bits
+        ([[-1, 3 * 2 ** 248], [1, 1], [-2, 1]], lambda: [1 / (3 * mpf(2) ** 248)],
+         [256, 512, 1024]),
+        ([[1, 0, 3 * 2 ** 300], [-3, 1]],
+         lambda: [mpc(0, s) / mp.sqrt(3 * mpf(2) ** 300) for s in (1, -1)], [512, 1024]),
+        ([[-1, 3 * 2 ** 500], [1, 0, 1]], lambda: [1 / (3 * mpf(2) ** 500)], [512, 1024]),
+    ])
+    def test_tiny_roots_keep_relative_accuracy(self, factors, tiny, precs):
+        coeffs = [1]
+        for f in factors:
+            coeffs = [sum(coeffs[j] * f[i - j] for j in range(len(coeffs)) if 0 <= i - j < len(f))
+                      for i in range(len(coeffs) + len(f) - 1)]
+        for prec in precs:
+            got = find_roots(coeffs, prec)
+            want = reference_find_roots(coeffs, prec)
+            assert_roots_match(got, want, coeffs)
+            with mp.workprec(prec + 64):
+                for rs in (got, want):
+                    for r in tiny():
+                        err = min(abs(z.to_mpc() - r) for z in rs.roots)
+                        assert err <= mpf(2) ** -(prec - 20) * abs(r), (prec, err / abs(r))
+
+    def test_non_finite_coefficient_never_converges(self):
+        with pytest.raises(NonconvergenceError) as exc:
+            find_roots([ComplexPoint(math.nan, 0), ComplexPoint(1, 0), ComplexPoint(1, 0)], 53)
+        assert [z.re != z.re for z in exc.value.partial.roots] == [True, True]
+
+
+@st.composite
+def integer_polys(draw):
+    coeffs = draw(st.lists(st.integers(-2 ** 90, 2 ** 90), min_size=3, max_size=15))
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or -1
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=integer_polys(), prec=st.sampled_from([128, 256]))
+def test_random_integer_poly_matches_reference(coeffs, prec):
+    assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
+
+
+@st.composite
+def dyadic_root_polys(draw):
+    def dyadic(low, high):
+        return st.builds(lambda m, e: ComplexPoint(0, 0, 128) + m * mpf(2) ** e,
+                         st.integers(-2 ** 20, 2 ** 20), st.integers(low, high))
+
+    def root(low, high):
+        return st.builds(lambda re, im: re + ComplexPoint(0, 1, 128) * im,
+                         dyadic(low, high), dyadic(low, high))
+
+    roots = draw(st.lists(root(-24, 4), min_size=2, max_size=8))
+    if draw(st.booleans()):  # a planted double root
+        roots.append(roots[0])
+    if draw(st.booleans()):  # a root about 1e-20 next to ones of order 1
+        roots.append(draw(root(-90, -60)))
+    lead = draw(st.integers(1, 2 ** 30)) * mpf(2) ** draw(st.integers(-40, 40))
+    return expand_roots(roots, 128, lead)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=dyadic_root_polys())
+def test_random_dyadic_poly_matches_reference(coeffs):
+    assert_roots_match(find_roots(coeffs, 128), reference_find_roots(coeffs, 128), coeffs)
 
 
 class TestMinDiscDistance:
