@@ -29,10 +29,6 @@ from .polycore import (
     ExactBiPoly,
     ExactUniPoly,
     as_complex_point,
-    bipoly_as_poly_in_a,
-    eval_complex,
-    poly_add,
-    poly_mul,
     shifted_power,
 )
 from .reliability import (

@@ -15,19 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass
 
 from mpmath import mp
 
 from . import reference
-from .multigraph import (
-    GraphParseError,
-    is_series_parallel,
-    k4_two_class,
-    k6_disjoint_triangles,
-    parse_graph,
-)
+from .multigraph import GraphParseError, is_series_parallel, parse_graph
 from .polycore import ExactBiPoly, ExactUniPoly, shifted_power
 from .reliability import (
     ClassCountError,
@@ -40,18 +32,11 @@ from .reliability import (
 from .roots import (
     NonconvergenceError,
     UndecidableDiscError,
-    analytic_disc_margin,
     bc_lambda_holds_univariate,
     disc_verdict,
-    estimate_branch_coefficients,
-    find_minimal_k,
     find_roots,
-    kth_root_branch,
-    lambda_star_univariate,
     min_disc_distance,
-    min_disc_root,
     multivariate_bc_property,
-    region_endpoint_angle,
     trace_locus,
 )
 
@@ -82,12 +67,6 @@ def _int_field(text, what):
     return value
 
 
-def _family_case_poly(case):
-    if case == "k6":
-        return connected_subgraph_poly(k6_disjoint_triangles())
-    return connected_subgraph_poly(k4_two_class(case))
-
-
 def resolve_spec(spec):
     """Spec string -> (kind, polynomial, description); kind 'uni' or 'bi'."""
     head = spec.split(":", 1)[0]
@@ -111,7 +90,7 @@ def _resolve_family(spec):
         case = parts[1]
         if case not in "abcde" or len(case) != 1:
             raise FamilySpecError("k4 case must be one of a, b, c, d, e")
-        bi = _family_case_poly(case)
+        bi = reference.family_bipoly(case)
         if len(parts) == 2:
             if sub is not None:
                 raise FamilySpecError("sub= needs explicit p1 and p2")
@@ -127,7 +106,7 @@ def _resolve_family(spec):
     if head == "k6":
         if len(parts) not in (1, 3):
             raise FamilySpecError("expected k6 or k6:<p1>:<p2>")
-        bi = _family_case_poly("k6")
+        bi = reference.family_bipoly("k6")
         if len(parts) == 1:
             return "bi", bi, "k6"
         p1 = _int_field(parts[1], "p1")
@@ -191,13 +170,10 @@ def _cmd_roots(args):
 
 
 def _cmd_locus(args):
-    if args.case == "k6":
-        bi = _family_case_poly("k6")
-    elif args.case in ("a", "b", "c", "d", "e"):
-        bi = _family_case_poly(args.case)
-    else:
+    if args.case not in ("a", "b", "c", "d", "e", "k6"):
         raise FamilySpecError("case must be one of a, b, c, d, e, k6")
-    curve = trace_locus(bi, args.sweep, args.lam, args.samples, args.precision)
+    curve = trace_locus(reference.family_bipoly(args.case), args.sweep, args.lam,
+                        args.samples, args.precision)
     curve.to_csv(args.out)
     print("samples=%d roots=%d violations=%d gaps=%d -> %s"
           % (len(curve.theta_samples),
@@ -227,271 +203,19 @@ def _cmd_check(args):
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# Reproduction suites
-
-
-@dataclass
-class ReproductionReport:
-    item: str
-    reference: str
-    expected: str
-    computed: str
-    difference: float
-    tolerance: float
-    passed: bool
-    seconds: float
-
-    def to_json(self):
-        return {
-            "item": self.item,
-            "reference": self.reference,
-            "expected": self.expected,
-            "computed": self.computed,
-            "difference": self.difference,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "seconds": round(self.seconds, 4),
-        }
-
-
-class _ReproduceContext:
-    """Caches family polynomials and root sets (or solve errors) shared across suite rows."""
-
-    def __init__(self, precision):
-        self.precision = precision
-        self._bi = {}
-        self._uni = {}
-        self._roots = {}
-
-    def bipoly(self, case):
-        if case not in self._bi:
-            self._bi[case] = _family_case_poly(case)
-        return self._bi[case]
-
-    def family_poly(self, case, p1, p2):
-        key = (case, p1, p2)
-        if key not in self._uni:
-            self._uni[key] = two_class_specialize(self.bipoly(case), p1, p2)
-        return self._uni[key]
-
-    def family_roots(self, case, p1, p2):
-        key = (case, p1, p2)
-        if key not in self._roots:
-            try:
-                self._roots[key] = find_roots(self.family_poly(case, p1, p2), self.precision)
-            except Exception as exc:  # solve once; every row of the family fails with it
-                self._roots[key] = exc
-        if isinstance(self._roots[key], Exception):
-            raise self._roots[key]
-        return self._roots[key]
-
-
-def _row(item, ref_label, expected_str, fn):
-    t0 = time.perf_counter()
-    try:
-        computed_str, diff, tol = fn()
-        passed = diff <= tol
-    except Exception as exc:  # report the row, never kill the suite
-        computed_str, diff, tol, passed = "error: %s" % exc, float("inf"), 0.0, False
-    return ReproductionReport(item, ref_label, expected_str, computed_str,
-                              diff, tol, passed, time.perf_counter() - t0)
-
-
-def _suite_table1(ctx):
-    rows = []
-    for case, fam in (("b", "1p"), ("b", "p1"), ("d", "1p"), ("d", "p1")):
-        for p, expected in zip(reference.TABLE1_P_RANGE, reference.TABLE1_MIN_DISC[(case, fam)]):
-            p1, p2 = (1, p) if fam == "1p" else (p, 1)
-            item = ("table1-%s-1-p%d" % (case, p)) if fam == "1p" else ("table1-%s-p%d-1" % (case, p))
-
-            def fn(case=case, p1=p1, p2=p2, expected=expected):
-                md = float(min_disc_distance(ctx.family_roots(case, p1, p2), 1))
-                return "%.7f" % md, abs(md - expected), 1e-6
-
-            rows.append(_row(item, "published min |1+v| for k4:%s:%d:%d" % (case, p1, p2),
-                             "%.6f" % expected, fn))
-
-    def fn_scan():
-        violations = [p for p in range(16, reference.D_P1_FIRST_VIOLATION + 1)
-                      if float(min_disc_distance(ctx.family_roots("d", p, 1), 1)) < 1 - 1e-6]
-        ok = violations == [reference.D_P1_FIRST_VIOLATION]
-        return "first at p=%s" % (violations[:1] or ["none"])[0], 0.0 if ok else float("inf"), 0.0
-
-    rows.append(_row("table1-d-p1-first-violation",
-                     "published first violating p in k4:d:p:1",
-                     "first at p=%d" % reference.D_P1_FIRST_VIOLATION, fn_scan))
-    return rows
-
-
-def _root_rows(ctx, item_prefix, ref_label, family, expected_root, expected_mod,
-               root_tol, mod_tol):
-    # the first row pays for the (cached) solve; a failed solve fails the row
-    def fn_root():
-        z, _ = min_disc_root(ctx.family_roots(*family), 1, positive_imag=True)
-        diff = abs(complex(z) - expected_root)
-        return "%.6f%+.6fi" % (float(z.re), float(z.im)), diff, root_tol
-
-    def fn_mod():
-        _, d = min_disc_root(ctx.family_roots(*family), 1, positive_imag=True)
-        return "%.6f" % float(d), abs(float(d) - expected_mod), mod_tol
-
-    return [
-        _row(item_prefix + "-root", ref_label,
-             "%.6f%+.6fi" % (expected_root.real, expected_root.imag), fn_root),
-        _row(item_prefix + "-modulus", ref_label, "%.6f" % expected_mod, fn_mod),
-    ]
-
-
-def _suite_section4(ctx):
-    rows = []
-    for (case, p1, p2), (root, modulus) in reference.NAMED_ROOTS.items():
-        rows.extend(_root_rows(ctx, "sec4-%s-%d-%d" % (case, p1, p2),
-                               "published counterexample root of k4:%s:%d:%d" % (case, p1, p2),
-                               (case, p1, p2), root, modulus, 1e-5, 1e-6))
-    s = reference.CONSTRUCTION_S
-    for (p1, p2), ref in reference.CONSTRUCTIONS.items():
-        prefix = "sec4-construction-%d-%d" % (p1, p2)
-        label = "published simple-planar construction from k4:b:%d:%d" % (p1, p2)
-
-        def v1_of(p1=p1, p2=p2):
-            return min_disc_root(ctx.family_roots("b", p1, p2), 1, positive_imag=True)[0]
-
-        def fn_v1(v1_of=v1_of, ref=ref):
-            v1 = v1_of()
-            return ("%.12f%+.12fi" % (float(v1.re), float(v1.im)),
-                    abs(complex(v1) - ref["v1"]), 1e-9)
-
-        def fn_k(v1_of=v1_of, ref=ref):
-            k = find_minimal_k(v1_of(), s)
-            return "k=%d" % k, float(abs(k - ref["k"])), 0.0
-
-        def fn_vk(v1_of=v1_of, ref=ref):
-            vk = kth_root_branch(v1_of(), ref["k"])
-            return ("%.12f%+.12fi" % (float(vk.re), float(vk.im)),
-                    abs(complex(vk) - ref["vk"]), 1e-9)
-
-        def fn_scaled(v1_of=v1_of, ref=ref):
-            vk = kth_root_branch(v1_of(), ref["k"])
-            m = float(abs(1 + s * vk))
-            return "%.12f" % m, abs(m - ref["scaled_modulus"]), 1e-9
-
-        rows.append(_row(prefix + "-v1", label,
-                         "%.12f%+.12fi" % (ref["v1"].real, ref["v1"].imag), fn_v1))
-        rows.append(_row(prefix + "-k", label, "k=%d" % ref["k"], fn_k))
-        rows.append(_row(prefix + "-vk", label,
-                         "%.12f%+.12fi" % (ref["vk"].real, ref["vk"].imag), fn_vk))
-        rows.append(_row(prefix + "-scaled-modulus", label,
-                         "%.12f" % ref["scaled_modulus"], fn_scaled))
-    rows.extend(_suite_k6(ctx))
-    return rows
-
-
-def _suite_k6(ctx):
-    rows = []
-    for (p1, p2), (root, modulus) in reference.K6_ROOT.items():
-        rows.extend(_root_rows(ctx, "k6-%d-%d" % (p1, p2),
-                               "published counterexample root of k6:%d:%d" % (p1, p2),
-                               ("k6", p1, p2), root, modulus, 1e-5, 1e-5))
-    return rows
-
-
-def _suite_endpoints(ctx):
-    rows = []
-    for (case, plane), expected in reference.ENDPOINT_ANGLES.items():
-        def fn(case=case, plane=plane, expected=expected):
-            ep = region_endpoint_angle(ctx.bipoly(case), plane)
-            return "%.6f" % ep.angle_fraction, abs(ep.angle_fraction - expected), 1e-5
-
-        rows.append(_row("s2-endpoint-%s-%s-plane" % (case, plane),
-                         "published endpoint angle, case %s, %s-plane" % (case, plane),
-                         "%.6f" % expected, fn))
-    memo = {}
-
-    def expansion_for(case, hint, key):
-        if key not in memo:
-            memo[key] = estimate_branch_coefficients(ctx.bipoly(case), hint)
-        return memo[key]
-
-    for case in "abcde":
-        for idx, (hint, kind, lead, sub) in enumerate(reference.BRANCH_EXPANSIONS[case]):
-            prefix = "s2-branch-%s-%d" % (case, idx)
-            label = "published root-branch expansion, case %s, branch %d" % (case, idx)
-            key = (case, idx)
-
-            def fn_kind(case=case, hint=hint, key=key, kind=kind):
-                e = expansion_for(case, hint, key)
-                return e.kind, 0.0 if e.kind == kind else float("inf"), 0.0
-
-            def fn_lead(case=case, hint=hint, key=key, lead=lead):
-                c = complex(expansion_for(case, hint, key).leading)
-                return "%.6g" % c.real, abs(c - complex(lead)), 5e-4 * abs(complex(lead))
-
-            def fn_sub(case=case, hint=hint, key=key, sub=sub):
-                c = complex(expansion_for(case, hint, key).subleading)
-                return ("%.6g%+.6gi" % (c.real, c.imag),
-                        abs(c - complex(sub)), 5e-4 * abs(complex(sub)))
-
-            rows.append(_row(prefix + "-kind", label, kind, fn_kind))
-            rows.append(_row(prefix + "-leading", label, "%.6g" % complex(lead).real, fn_lead))
-            rows.append(_row(prefix + "-subleading", label,
-                             "%.6g%+.6gi" % (complex(sub).real, complex(sub).imag), fn_sub))
-            if kind == "analytic":
-                def fn_margin(case=case, hint=hint, key=key):
-                    m = float(analytic_disc_margin(expansion_for(case, hint, key)))
-                    return "%.6g" % m, 0.0 if m > 0 else float("inf"), 0.0
-
-                rows.append(_row(prefix + "-margin-positive", label, "> 0", fn_margin))
-    return rows
-
-
-def _suite_lambda_star(ctx):
-    rows = []
-    for n, expected in reference.LAMBDA_STAR_CYCLES.items():
-        def fn(n=n, expected=expected):
-            poly = ExactUniPoly([0] * (n - 1) + [n, 1])
-            val = float(lambda_star_univariate(poly))
-            return "%.9f" % val, abs(val - expected), 1e-9
-
-        rows.append(_row("lambda-star-cycle-%d" % n,
-                         "published lambda-star of the %d-cycle" % n, "%.9f" % expected, fn))
-    for n, expected in reference.LAMBDA_STAR_BUNDLES.items():
-        def fn(n=n, expected=expected):
-            val = float(lambda_star_univariate(shifted_power(n)))
-            return ("inf" if val == float("inf") else "%.9f" % val,
-                    abs(val - expected), 1e-9)
-
-        rows.append(_row("lambda-star-bundle-%d" % n,
-                         "published lambda-star of the %d-edge bundle" % n,
-                         "%.9f" % expected, fn))
-    return rows
-
-
-_SUITES = {
-    "table1": ("_suite_table1",),
-    "section4": ("_suite_section4",),
-    "section2-endpoints": ("_suite_endpoints",),
-    "k6": ("_suite_k6",),
-    "lambda-star": ("_suite_lambda_star",),
-    "all": ("_suite_table1", "_suite_section4", "_suite_endpoints", "_suite_lambda_star"),
-}
-
-
 def _cmd_reproduce(args):
-    ctx = _ReproduceContext(args.precision)
-    rows = []
-    for name in _SUITES[args.suite]:
-        rows.extend(globals()[name](ctx))
-    failed = [r for r in rows if not r.passed]
+    families = reference.Families(args.precision)
+    rows = [row.run(families) for row in reference.suite_rows(args.suite)]
+    failed = [r for r in rows if not r["pass"]]
     if args.json:
         for r in rows:
-            print(json.dumps(r.to_json()))
+            print(json.dumps(r))
     else:
-        width = max(len(r.item) for r in rows)
+        width = max(len(r["item"]) for r in rows)
         for r in rows:
             print("%-*s  expected %-22s computed %-22s %s  (%.2fs)"
-                  % (width, r.item, r.expected, r.computed,
-                     "pass" if r.passed else "FAIL", r.seconds))
+                  % (width, r["item"], r["expected"], r["computed"],
+                     "pass" if r["pass"] else "FAIL", r["seconds"]))
     print("%d rows, %d failed" % (len(rows), len(failed)), file=sys.stderr)
     return 1 if failed else EXIT_OK
 
@@ -526,7 +250,7 @@ def build_parser():
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("reproduce", help="run a published-values regression suite")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    p.add_argument("--suite", required=True, choices=sorted(reference.SUITES))
     p.add_argument("--precision", type=int, default=256)
     p.add_argument("--json", action="store_true", help="JSON-lines output")
     p.set_defaults(func=_cmd_reproduce)

@@ -404,32 +404,3 @@ def shifted_power(p):
         return ExactUniPoly()
     return ExactUniPoly([0] + [comb(p, k) for k in range(1, p + 1)])
 
-
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    return p * q
-
-
-def eval_complex(p, z, w=None):
-    """Evaluate a polynomial at complex point(s) at the points' precision.
-
-    Univariate polynomials take one point; bivariate take z for a and w
-    for b.
-    """
-    if isinstance(p, ExactUniPoly):
-        return p.evaluate(z)
-    if isinstance(p, ExactBiPoly):
-        if w is None:
-            raise ValueError("bivariate evaluation needs both a and b values")
-        return p.evaluate(z, w)
-    raise TypeError("expected ExactUniPoly or ExactBiPoly")
-
-
-def bipoly_as_poly_in_a(p, b0):
-    """Coefficients c_k(b0) of a^k after fixing b = b0, low to high."""
-    if not isinstance(p, ExactBiPoly):
-        raise TypeError("expected ExactBiPoly")
-    return p.coefficients_in_a(b0)

@@ -5,56 +5,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from relzeros import (
-    connected_subgraph_poly,
-    find_roots,
-    k4_two_class,
-    k6_disjoint_triangles,
-    trace_locus,
-    two_class_specialize,
-)
-
-REPRO_PRECISION = 256
+from relzeros import trace_locus
+from relzeros.reference import Families
 
 # sample counts per disc scale: the case-d violation window shrinks like
 # ~0.07*lam in theta, so small lam needs a denser open grid
 LOCUS_SAMPLES = {1.0: 4096, 0.1: 8192, 0.01: 65536}
 
 
-class FamilyCache:
-    """Shared polynomial / root-set cache so suites do not recompute."""
-
-    def __init__(self):
-        self._bi = {}
-        self._uni = {}
-        self._roots = {}
-
-    def bipoly(self, case):
-        if case not in self._bi:
-            g = k6_disjoint_triangles() if case == "k6" else k4_two_class(case)
-            self._bi[case] = connected_subgraph_poly(g)
-        return self._bi[case]
-
-    def poly(self, case, p1, p2):
-        key = (case, p1, p2)
-        if key not in self._uni:
-            self._uni[key] = two_class_specialize(self.bipoly(case), p1, p2)
-        return self._uni[key]
-
-    def roots(self, case, p1, p2, precision=REPRO_PRECISION):
-        key = (case, p1, p2, precision)
-        if key not in self._roots:
-            self._roots[key] = find_roots(self.poly(case, p1, p2), precision)
-        return self._roots[key]
-
-    def all_cached_root_sets(self):
-        return [((c, p1, p2), self._uni[(c, p1, p2)], rs)
-                for (c, p1, p2, _), rs in self._roots.items()]
-
-
 @pytest.fixture(scope="session")
 def families():
-    return FamilyCache()
+    """Family polynomials and root sets at the reproduction precision, shared by all tests."""
+    return Families()
 
 
 class LocusCache:

@@ -1,5 +1,7 @@
 """Acceptance suite: one test (or small group) per criterion, each printing
-a pass/fail line.  Tolerances are pinned here and nowhere else."""
+a pass/fail line.  Criteria 2-8 run the reproduction rows of
+relzeros.reference, where their published values and tolerances are pinned;
+`relzeros reproduce` prints the same rows."""
 
 import itertools
 import random
@@ -11,23 +13,13 @@ from relzeros import (
     ComplexPoint,
     ExactBiPoly,
     ExactUniPoly,
-    analytic_disc_margin,
     connected_subgraph_poly,
-    estimate_branch_coefficients,
-    eval_complex,
-    find_minimal_k,
     find_roots,
     has_k4_topological_minor,
     is_series_parallel,
     k4_two_class,
-    kth_root_branch,
-    lambda_star_univariate,
-    min_disc_distance,
-    min_disc_root,
     parallel_expand,
     reduce_sp_value,
-    region_endpoint_angle,
-    shifted_power,
     subdivided_univariate,
     two_class_specialize,
 )
@@ -54,95 +46,51 @@ def test_01_exact_polynomial_regression(families):
     note(1, "K4 univariate, five two-class cases, and K6 match coefficient-for-coefficient")
 
 
+def assert_rows(families, rows):
+    """Run reproduction rows (the ones `relzeros reproduce` prints); all must pass."""
+    results = [row.run(families) for row in rows]
+    failed = [r for r in results if not r["pass"]]
+    assert not failed, failed
+    return results
+
+
 def test_02_table1_reproduction(families):
-    checked = 0
-    for (case, fam), values in reference.TABLE1_MIN_DISC.items():
-        for p, expected in zip(reference.TABLE1_P_RANGE, values):
-            p1, p2 = (1, p) if fam == "1p" else (p, 1)
-            md = float(min_disc_distance(families.roots(case, p1, p2), 1))
-            assert abs(md - expected) <= 1e-6, (case, p1, p2, md, expected)
-            if expected == 1:
-                assert md >= 1 - 1e-6
-            checked += 1
-    violations = [p for p in range(16, 31)
-                  if float(min_disc_distance(families.roots("d", p, 1), 1)) < 1 - 1e-6]
-    assert violations == [30], violations
-    note(2, "%d table rows within 1e-6; d-family scan 16..30 first violates at p=30" % checked)
+    results = assert_rows(families, reference.table1_rows())
+    note(2, "%d table rows within 1e-6; d-family scan 16..30 first violates at p=30"
+         % (len(results) - 1))
 
 
 def test_03_named_counterexample_roots(families):
-    for (case, p1, p2), (root, modulus) in reference.NAMED_ROOTS.items():
-        rs = families.roots(case, p1, p2)
-        pts = [complex(z) for z in rs.roots]
-        for target in (root, root.conjugate()):
-            assert min(abs(z - target) for z in pts) <= 1e-5, (case, p1, p2, target)
-        _, d = min_disc_root(rs, 1, positive_imag=True)
-        assert abs(float(d) - modulus) <= 1e-6, (case, p1, p2, float(d), modulus)
+    assert_rows(families, reference.named_root_rows())
     note(3, "all four named roots present to 1e-5 with quoted |1+v| to 1e-6")
 
 
 def test_04_simple_planar_construction(families):
-    s = reference.CONSTRUCTION_S
-    for (p1, p2), ref in reference.CONSTRUCTIONS.items():
-        rs = families.roots("b", p1, p2)
-        v1, _ = min_disc_root(rs, 1, positive_imag=True)
-        assert abs(complex(v1) - ref["v1"]) <= 1e-9, (p1, p2, complex(v1))
-        k = find_minimal_k(v1, s)
-        assert k == ref["k"], (p1, p2, k)
-        vk = kth_root_branch(v1, k)
-        with mp.workprec(rs.precision):
-            m = abs(1 + s * vk.to_mpc())
-        assert abs(float(m) - ref["scaled_modulus"]) <= 1e-9, (p1, p2, float(m))
+    assert_rows(families, reference.construction_rows())
     note(4, "k=58 and k=36 minimal exponents with |1+2*v_k| to 1e-9")
 
 
 def test_05_k6_counterexample(families):
-    poly = families.poly("k6", 1, 6)
-    assert poly.degree == 60
-    rs = families.roots("k6", 1, 6)
-    (root, modulus), = reference.K6_ROOT.values()
-    pts = [complex(z) for z in rs.roots]
-    for target in (root, root.conjugate()):
-        assert min(abs(z - target) for z in pts) <= 1e-5
-    _, d = min_disc_root(rs, 1, positive_imag=True)
-    assert abs(float(d) - modulus) <= 1e-5
+    assert families.poly("k6", 1, 6).degree == 60
+    assert_rows(families, reference.k6_rows())
     note(5, "degree-60 specialization has the quoted root and |1+v| = 0.960375")
 
 
 def test_06_region_endpoints(families):
-    for (case, plane), expected in reference.ENDPOINT_ANGLES.items():
-        ep = region_endpoint_angle(families.bipoly(case), plane)
-        assert abs(ep.angle_fraction - expected) <= 1e-5, (case, plane, ep.angle_fraction)
+    assert_rows(families, reference.endpoint_rows())
     note(6, "all four endpoint angles within 1e-5")
 
 
 def test_07_branch_expansions(families):
-    margins = []
-    for case in "abcde":
-        for hint, kind, lead, sub in reference.BRANCH_EXPANSIONS[case]:
-            exp = estimate_branch_coefficients(families.bipoly(case), hint)
-            assert exp.kind == kind, (case, hint, exp.kind)
-            got_lead = complex(exp.leading)
-            got_sub = complex(exp.subleading)
-            assert abs(got_lead - complex(lead)) <= 5e-4 * abs(complex(lead)), (case, hint)
-            assert abs(got_sub - complex(sub)) <= 5e-4 * abs(complex(sub)), (case, hint)
-            if kind == "analytic":
-                margin = float(analytic_disc_margin(exp))
-                assert margin > 0, (case, hint, margin)
-                margins.append(margin)
-    assert len(margins) == 6
+    results = assert_rows(families, reference.branch_rows())
+    assert sum(r["item"].endswith("-margin-positive") for r in results) == 6
     note(7, "all published expansion coefficients to 3 significant figures; "
             "6 analytic margins positive")
 
 
-def test_08_lambda_star_cycles_and_multi_bundles():
-    for n in range(3, 11):
-        poly = ExactUniPoly([0] * (n - 1) + [n, 1])
-        got = float(lambda_star_univariate(poly))
-        assert abs(got - n / 2) <= 1e-9, (n, got)
-    for n in range(2, 7):
-        got = float(lambda_star_univariate(shifted_power(n)))
-        assert abs(got - 1.0) <= 1e-9, (n, got)
+def test_08_lambda_star_cycles_and_multi_bundles(families):
+    assert_rows(families, [row for row in reference.lambda_star_rows()
+                           if row.item != "lambda-star-bundle-1"])
     note(8, "cycles n=3..10 give n/2 and bundles n=2..6 give 1, each to 1e-9")
 
 
@@ -150,11 +98,12 @@ def test_08_lambda_star_cycles_and_multi_bundles():
     "stated expectation 1 for the single-edge bundle is unattainable: its "
     "only zero v=0 lies on the boundary of every disc |lam+v| < lam, so no "
     "lam is constrained and the defined supremum is +inf"))
-def test_08_lambda_star_single_edge_bundle():
-    got = float(lambda_star_univariate(shifted_power(1)))
-    if abs(got - 1.0) > 1e-9:
-        fail_note(8, "single-edge bundle gives %r, stated expectation 1" % got)
-    assert abs(got - 1.0) <= 1e-9
+def test_08_lambda_star_single_edge_bundle(families):
+    row, = [row for row in reference.lambda_star_rows() if row.item == "lambda-star-bundle-1"]
+    result = row.run(families)
+    if not result["pass"]:
+        fail_note(8, "single-edge bundle gives %s, stated expectation 1" % result["computed"])
+    assert result["pass"]
 
 
 def test_09i_reduction_calculus_vs_enumeration():
@@ -168,9 +117,9 @@ def test_09i_reduction_calculus_vs_enumeration():
         got = reduce_sp_value(g, [per_class[c] for _, _, c in g.edges])
         poly = connected_subgraph_poly(g)
         if isinstance(poly, ExactBiPoly):
-            want = eval_complex(poly, wa, wb)
+            want = poly.evaluate(wa, wb)
         else:
-            want = eval_complex(poly, per_class[g.class_labels()[0]])
+            want = poly.evaluate(per_class[g.class_labels()[0]])
         assert abs(got - want) <= mpf(2) ** -40 * abs(want), g
         checked += 1
     note("9i", "%d random series-parallel graphs: reduction = enumeration to 2^-40" % checked)
@@ -246,7 +195,8 @@ def test_09iv_specialize_vs_expanded_enumeration(families):
 
 
 def test_09v_conjugate_closure_and_root_sums(families):
-    instances = [("b", 1, 7), ("b", 6, 1), ("d", 1, 9), ("d", 30, 1), ("k6", 1, 6)]
+    # the named and K6 roots' conjugates are checked here, not by their rows
+    instances = list(reference.NAMED_ROOTS) + [("k6", p1, p2) for p1, p2 in reference.K6_ROOT]
     for (case, fam), _ in reference.TABLE1_MIN_DISC.items():
         for p in reference.TABLE1_P_RANGE:
             instances.append((case, 1, p) if fam == "1p" else (case, p, 1))

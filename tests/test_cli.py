@@ -1,5 +1,6 @@
 import json
 import time
+import traceback
 
 import pytest
 
@@ -11,7 +12,7 @@ from relzeros import (
     shifted_power,
     subdivide,
 )
-from relzeros import cli
+from relzeros import reference
 from relzeros.cli import main
 from relzeros.roots import NonconvergenceError
 
@@ -146,6 +147,12 @@ class TestRootsCommand:
         code, out, _ = run(capsys, ["roots", "cycle:6", "--lambda", "3.5", "--precision", "64"])
         assert code == 10
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exits_2(self, capsys, lam):
+        code, out, err = run(capsys, ["roots", "cycle:3", "--lambda", lam])
+        assert code == 2 and out == ""
+        assert "finite and positive" in err
+
 
 class TestLocusCommand:
     def test_case_b_finds_violations(self, capsys, tmp_path):
@@ -176,6 +183,13 @@ class TestLocusCommand:
     def test_unknown_case(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["locus", "q", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_nan_lambda_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(capsys, ["locus", "b", "--lambda", "nan", "--samples", "64",
+                                    "--out", str(out_path)])
+        assert code == 2 and not out_path.exists()
+        assert "finite and positive" in err
 
 
 class TestCheckCommand:
@@ -245,13 +259,38 @@ class TestReproduceCommand:
             calls.append(precision)
             raise NonconvergenceError("no convergence after 500 sweeps at 256 bits")
 
-        monkeypatch.setattr(cli, "find_roots", failing)
+        monkeypatch.setattr(reference, "find_roots", failing)
         code, out, _ = run(capsys, ["reproduce", "--suite", "k6", "--json"])
         rows = [json.loads(line) for line in out.splitlines()]
         assert code == 1 and calls == [256]
         assert len(rows) == 2
         assert all(not r["pass"] and r["computed"] == "error: no convergence after "
                    "500 sweeps at 256 bits" for r in rows)
+
+    def test_remembered_failure_traceback_does_not_grow(self, monkeypatch):
+        def failing(poly, precision):
+            raise NonconvergenceError("no convergence")
+
+        monkeypatch.setattr(reference, "find_roots", failing)
+        families = reference.Families()
+        depths = []
+        for _ in range(3):
+            with pytest.raises(NonconvergenceError) as exc:
+                families.roots("b", 1, 6)
+            depths.append(len(traceback.extract_tb(exc.value.__traceback__)))
+        assert depths[1] == depths[2]
+
+    def test_suite_composition_without_solving(self, monkeypatch):
+        def no_solve(poly, precision):
+            raise AssertionError("listing a suite must not solve")
+
+        monkeypatch.setattr(reference, "find_roots", no_solve)
+        items = {name: [row.item for row in reference.suite_rows(name)]
+                 for name in reference.SUITES}
+        assert items["all"] == (items["table1"] + items["section4"]
+                                + items["section2-endpoints"] + items["lambda-star"])
+        assert len(items["all"]) == len(set(items["all"])) == 107
+        assert set(items["k6"]) <= set(items["section4"])
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,10 +8,6 @@ from relzeros import (
     ExactBiPoly,
     ExactUniPoly,
     as_complex_point,
-    bipoly_as_poly_in_a,
-    eval_complex,
-    poly_add,
-    poly_mul,
     shifted_power,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
@@ -122,24 +118,20 @@ class TestShiftedPower:
 
 class TestEvaluation:
     def test_k4_at_zero_and_one(self):
-        assert eval_complex(K4_UNIVARIATE, ComplexPoint(0, 0)).is_zero
-        assert eval_complex(K4_UNIVARIATE, ComplexPoint(1, 0)) == ComplexPoint(38, 0)
+        assert K4_UNIVARIATE.evaluate(ComplexPoint(0, 0)).is_zero
+        assert K4_UNIVARIATE.evaluate(ComplexPoint(1, 0)) == ComplexPoint(38, 0)
 
     def test_bipoly_at_origin(self):
         z = ComplexPoint(0, 0)
-        assert eval_complex(CASE_POLYS["b"], z, z).is_zero
-
-    def test_bivariate_needs_both_points(self):
-        with pytest.raises(ValueError):
-            eval_complex(CASE_POLYS["b"], ComplexPoint(1, 0))
+        assert CASE_POLYS["b"].evaluate(z, z).is_zero
 
     def test_case_d_collapse_at_b_zero_is_a_cubed(self):
-        coeffs = bipoly_as_poly_in_a(CASE_POLYS["d"], ComplexPoint(0, 0))
+        coeffs = CASE_POLYS["d"].coefficients_in_a(ComplexPoint(0, 0))
         assert [c.is_zero for c in coeffs] == [True, True, True, False]
         assert coeffs[3] == ComplexPoint(1, 0)
 
     def test_case_b_collapse_at_b_one(self):
-        coeffs = bipoly_as_poly_in_a(CASE_POLYS["b"], ComplexPoint(1, 0))
+        coeffs = CASE_POLYS["b"].coefficients_in_a(ComplexPoint(1, 0))
         assert [complex(c) for c in coeffs] == [5, 18, 15]
 
     def test_collapse_in_b_matches_transpose(self):
@@ -185,7 +177,3 @@ class TestExactBiPoly:
         assert data["vars"] == ["a", "b"]
         assert ExactBiPoly.from_json(data) == p
         assert all(isinstance(t[2], str) for t in data["terms"])
-
-    def test_module_level_wrappers(self):
-        assert poly_add(V, V) == 2 * V
-        assert poly_mul(V, V) == V * V

@@ -16,7 +16,6 @@ from relzeros import (
     complete_graph,
     connected_subgraph_poly,
     cycle_graph,
-    eval_complex,
     k4_two_class,
     parallel_bundle_graph,
     parallel_expand,
@@ -134,7 +133,7 @@ class TestReliabilityTransforms:
         for _ in range(5):
             va = ComplexPoint(rng.uniform(-2, 2), rng.uniform(-2, 2), 128)
             vb = ComplexPoint(rng.uniform(-2, 2), rng.uniform(-2, 2), 128)
-            direct = eval_complex(poly, va, vb)
+            direct = poly.evaluate(va, vb)
             via_r = C_from_reliability({0: va, 1: vb}, poly)
             assert abs(direct - via_r) <= mpf(2) ** -90 * (1 + abs(direct))
 
@@ -236,7 +235,7 @@ class TestReductionOracle:
         g = cycle_graph(3)
         v = ComplexPoint("0.8", "0.3", 128)
         got = reduce_sp_value(g, [v, v, v])
-        want = eval_complex(connected_subgraph_poly(g), v)
+        want = connected_subgraph_poly(g).evaluate(v)
         assert abs(got - want) <= mpf(2) ** -100 * abs(want)
 
     def test_random_sp_graphs_match_enumeration(self):
@@ -249,10 +248,10 @@ class TestReductionOracle:
             got = reduce_sp_value(g, [per_class[c] for _, _, c in g.edges])
             poly = connected_subgraph_poly(g)
             if isinstance(poly, ExactBiPoly):
-                want = eval_complex(poly, wa, wb)
+                want = poly.evaluate(wa, wb)
             else:
                 only = g.class_labels()[0]
-                want = eval_complex(poly, per_class[only])
+                want = poly.evaluate(per_class[only])
             assert abs(got - want) <= mpf(2) ** -40 * abs(want)
 
     def test_non_sp_graph_raises(self):

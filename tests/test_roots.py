@@ -534,6 +534,27 @@ class TestLambdaStar:
         assert lambda_star_univariate(ExactUniPoly([0, 1])) == mpf("inf")
 
 
+CYCLE3 = ExactUniPoly([0, 0, 3, 1])  # root -3 lies inside |lam + v| < lam for every lam > 1.5
+LAMBDA_CHECKS = {
+    "min_disc_distance": lambda lam: min_disc_distance(find_roots(CYCLE3, 64), lam),
+    "min_disc_root": lambda lam: min_disc_root(find_roots(CYCLE3, 64), lam),
+    "disc_verdict": lambda lam: disc_verdict(find_roots(CYCLE3, 64), lam),
+    "bc_lambda_holds_univariate": lambda lam: bc_lambda_holds_univariate(CYCLE3, lam),
+    "trace_locus": lambda lam: trace_locus(CASE_POLYS["b"], "b", lam, 16),
+}
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0, -1])
+@pytest.mark.parametrize("fn", sorted(LAMBDA_CHECKS))
+def test_lambda_must_be_finite_and_positive(fn, lam):
+    with pytest.raises(ValueError, match="finite and positive"):
+        LAMBDA_CHECKS[fn](lam)
+
+
+def test_huge_finite_lambda_still_decides():
+    assert bc_lambda_holds_univariate(CYCLE3, 1e300) is False
+
+
 class TestSubdivisionRootScaling:
     def test_scaling_on_random_instances(self):
         rng = random.Random(424242)
