@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from . import reference
 from .multigraph import GraphParseError, is_series_parallel, parse_graph
@@ -32,6 +32,7 @@ from .reliability import (
 from .roots import (
     NonconvergenceError,
     UndecidableDiscError,
+    _positive_lambda,
     bc_lambda_holds_univariate,
     disc_verdict,
     find_roots,
@@ -123,14 +124,17 @@ def _resolve_family(spec):
     raise FamilySpecError("unknown family %r" % head)
 
 
-def _resolve_file(path):
+def _read_graph(path):
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise FamilySpecError("cannot read %r: %s" % (path, exc)) from None
-    g = parse_graph(text)
-    poly = connected_subgraph_poly(g)
+    return parse_graph(text)
+
+
+def _resolve_file(path):
+    poly = connected_subgraph_poly(_read_graph(path))
     kind = "bi" if isinstance(poly, ExactBiPoly) else "uni"
     return kind, poly, path
 
@@ -142,6 +146,8 @@ def _cmd_poly(args):
 
 
 def _cmd_roots(args):
+    with mp.workprec(args.precision):  # the message prints lam at this precision
+        _positive_lambda(mpf(args.lam))
     kind, poly, desc = resolve_spec(args.spec)
     if kind != "uni":
         raise CapabilityError("roots needs a univariate polynomial; "
@@ -185,12 +191,7 @@ def _cmd_locus(args):
 
 
 def _cmd_check(args):
-    try:
-        with open(args.path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FamilySpecError("cannot read %r: %s" % (args.path, exc)) from None
-    g = parse_graph(text)
+    g = _read_graph(args.path)
     sp = is_series_parallel(g)
     print("series-parallel: %s" % ("true" if sp else "false"))
     try:

@@ -170,60 +170,70 @@ def is_connected(g):
     return comps == 1
 
 
-def is_series_parallel(g):
-    """Series-parallel test by reduction to edgelessness.
+def _sp_reductions(g):
+    """Yield series-parallel reduction steps on g, in a fixed order.
 
-    Repeats, in fixed order scanned to a fixpoint: (i) delete loops,
-    (ii) delete degree-0/1 vertices, (iii) merge a parallel edge pair,
-    (iv) suppress a degree-2 vertex.  The graph is series-parallel iff no
-    edges survive; disconnected graphs are handled componentwise by the
-    same rules.
+    Each step is the first that applies of: ("loop", e) for the lowest-id
+    loop; ("pendant", e) for the edge of the lowest vertex of degree 1;
+    ("isolated", v) for the lowest vertex of degree 0; ("parallel", keep,
+    drop) for the first repeated endpoint pair in edge-id order; and
+    ("series", keep, drop) for the lowest vertex of degree 2, whose lower
+    edge id is kept and now joins the two outer ends.  Every step but
+    "isolated" removes one edge and every step but "loop" and "parallel"
+    one vertex.  Stops when no edge is left or no step applies.  The order
+    is fixed because weighted reductions round differently in another one.
     """
-    edges = {i: (u, v) for i, (u, v, _) in enumerate(g.edges)}
+    edges = {i: (u, v) for i, (u, v, _) in enumerate(g.edges)}  # id order
     vertices = set(range(g.num_vertices))
-    while True:
-        loops = [e for e, (u, v) in edges.items() if u == v]
-        if loops:
-            for e in loops:
-                del edges[e]
+    while edges:
+        loop = next((e for e, (u, v) in edges.items() if u == v), None)
+        if loop is not None:
+            del edges[loop]
+            yield ("loop", loop)
             continue
-
-        deg = {v: 0 for v in vertices}
-        for u, v in edges.values():
-            deg[u] += 1
-            deg[v] += 1
-
-        low = [v for v in sorted(vertices) if deg[v] <= 1]
-        if low:
-            v0 = low[0]
-            vertices.discard(v0)
-            for e in [e for e, (u, v) in edges.items() if u == v0 or v == v0]:
-                del edges[e]
+        incident = {v: [] for v in vertices}
+        for e, (u, v) in edges.items():
+            incident[u].append(e)
+            incident[v].append(e)
+        lowest = {}
+        for v in sorted(vertices):
+            lowest.setdefault(len(incident[v]), v)
+        if 1 in lowest:
+            e, = incident[lowest[1]]
+            del edges[e]
+            vertices.discard(lowest[1])
+            yield ("pendant", e)
             continue
-
+        if 0 in lowest:
+            vertices.discard(lowest[0])
+            yield ("isolated", lowest[0])
+            continue
         seen = {}
-        merged = False
-        for e in sorted(edges):
-            u, v = edges[e]
-            key = (u, v) if u <= v else (v, u)
+        for e, (u, v) in edges.items():
+            key = (min(u, v), max(u, v))
             if key in seen:
                 del edges[e]
-                merged = True
+                yield ("parallel", seen[key], e)
                 break
             seen[key] = e
-        if merged:
-            continue
+        else:
+            if 2 not in lowest:
+                return
+            mid = lowest[2]
+            e1, e2 = incident[mid]
+            a, b = (x for e in (e1, e2) for x in edges[e] if x != mid)
+            edges[e1] = (a, b)
+            del edges[e2]
+            vertices.discard(mid)
+            yield ("series", e1, e2)
 
-        deg2 = next((v for v in sorted(vertices) if deg[v] == 2), None)
-        if deg2 is None:
-            break
-        e1, e2 = sorted(e for e, (u, v) in edges.items() if u == deg2 or v == deg2)
-        a = edges[e1][0] if edges[e1][1] == deg2 else edges[e1][1]
-        b = edges[e2][0] if edges[e2][1] == deg2 else edges[e2][1]
-        del edges[e2]
-        edges[e1] = (a, b)
-        vertices.discard(deg2)
-    return not edges
+
+def is_series_parallel(g):
+    """Series-parallel test: True iff the reductions delete every edge.
+
+    Disconnected graphs are handled componentwise by the same rules.
+    """
+    return sum(step[0] != "isolated" for step in _sp_reductions(g)) == g.num_edges
 
 
 class MinorOracleLimitError(ValueError):

@@ -19,7 +19,7 @@ from math import comb
 
 from mpmath import mp, mpc
 
-from .multigraph import Multigraph, is_connected
+from .multigraph import Multigraph, _sp_reductions, is_connected
 from .polycore import (
     ComplexPoint,
     ExactBiPoly,
@@ -327,68 +327,29 @@ def reduce_sp_value(g, edge_weights):
     remains.  Works exactly on series-parallel multigraphs and serves as
     the independent cross-check of the enumeration engine.
     """
-    weights = [as_complex_point(w) for w in edge_weights]
-    if len(weights) != g.num_edges:
+    w = [as_complex_point(x) for x in edge_weights]
+    if len(w) != g.num_edges:
         raise ValueError("need one weight per edge")
-    prec = max([w.precision for w in weights] or [53])
-    edges = {i: (u, v) for i, (u, v, _) in enumerate(g.edges)}
-    w = {i: weights[i] for i in edges}
-    vertices = set(range(g.num_vertices))
+    prec = max([x.precision for x in w] or [53])
     factor = ComplexPoint(1, 0, prec)
-
-    while edges:
-        loops = [e for e, (u, v) in edges.items() if u == v]
-        if loops:
-            e = loops[0]
-            factor = factor * (1 + w[e])
-            del edges[e], w[e]
-            continue
-
-        deg = {v: 0 for v in vertices}
-        for u, v in edges.values():
-            deg[u] += 1
-            deg[v] += 1
-
-        pendant = next((v for v in sorted(vertices) if deg[v] == 1), None)
-        if pendant is not None:
-            e = next(e for e, (u, v) in edges.items() if u == pendant or v == pendant)
-            factor = factor * w[e]
-            del edges[e], w[e]
-            vertices.discard(pendant)
-            continue
-
-        isolated = next((v for v in sorted(vertices) if deg[v] == 0), None)
-        if isolated is not None:
+    edges_left, vertices_left = g.num_edges, g.num_vertices
+    for kind, e, *drop in _sp_reductions(g):
+        if kind == "isolated":
             raise DisconnectedGraphError("reduction exposed an isolated vertex")
-
-        seen = {}
-        pair = None
-        for e in sorted(edges):
-            u, v = edges[e]
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
-                pair = (seen[key], e)
-                break
-            seen[key] = e
-        if pair:
-            e1, e2 = pair
-            w[e1] = parallel_reduce([w[e1], w[e2]])
-            del edges[e2], w[e2]
-            continue
-
-        deg2 = next((v for v in sorted(vertices) if deg[v] == 2), None)
-        if deg2 is None:
-            raise NotSeriesParallelError("graph did not reduce to a single vertex")
-        e1, e2 = sorted(e for e, (u, v) in edges.items() if u == deg2 or v == deg2)
-        a = edges[e1][0] if edges[e1][1] == deg2 else edges[e1][1]
-        b = edges[e2][0] if edges[e2][1] == deg2 else edges[e2][1]
-        red = series_reduce([w[e1], w[e2]])
-        factor = factor * red.prefactor
-        w[e1] = red.effective_weight
-        edges[e1] = (a, b)
-        del edges[e2], w[e2]
-        vertices.discard(deg2)
-
-    if len(vertices) != 1:
-        raise DisconnectedGraphError("reduction left %d isolated vertices" % len(vertices))
+        if kind == "loop":
+            factor = factor * (1 + w[e])
+        elif kind == "pendant":
+            factor = factor * w[e]
+        elif kind == "parallel":
+            w[e] = parallel_reduce([w[e], w[drop[0]]])
+        else:
+            red = series_reduce([w[e], w[drop[0]]])
+            factor = factor * red.prefactor
+            w[e] = red.effective_weight
+        edges_left -= 1
+        vertices_left -= kind in ("pendant", "series")
+    if edges_left:
+        raise NotSeriesParallelError("graph did not reduce to a single vertex")
+    if vertices_left > 1:
+        raise DisconnectedGraphError("reduction left %d isolated vertices" % vertices_left)
     return factor

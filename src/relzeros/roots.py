@@ -1041,12 +1041,11 @@ def multivariate_bc_property(g):
     """Whether no multivariate weight choice inside the discs kills C_G.
 
     Exactly the series-parallel graphs have the property, so the decision
-    is is_series_parallel on the loop-stripped graph.  Disconnected input
-    is rejected (its polynomial is identically zero).
+    is is_series_parallel (loops never matter to either).  Disconnected
+    input is rejected (its polynomial is identically zero).
     """
     if not isinstance(g, Multigraph):
         raise TypeError("expected a Multigraph")
-    stripped = Multigraph(g.num_vertices, tuple(e for e in g.edges if e[0] != e[1]))
-    if not is_connected(stripped):
+    if not is_connected(g):
         raise DisconnectedGraphError("multivariate property undefined for disconnected graphs")
-    return is_series_parallel(stripped)
+    return is_series_parallel(g)

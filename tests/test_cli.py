@@ -12,7 +12,7 @@ from relzeros import (
     shifted_power,
     subdivide,
 )
-from relzeros import reference
+from relzeros import cli, reference
 from relzeros.cli import main
 from relzeros.roots import NonconvergenceError
 
@@ -151,6 +151,13 @@ class TestRootsCommand:
     def test_non_finite_lambda_exits_2(self, capsys, lam):
         code, out, err = run(capsys, ["roots", "cycle:3", "--lambda", lam])
         assert code == 2 and out == ""
+        assert "finite and positive" in err
+
+    def test_bad_lambda_rejected_before_solving(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "find_roots", lambda *args: calls.append(args))
+        code, out, err = run(capsys, ["roots", "cycle:3", "--lambda", "nan"])
+        assert code == 2 and out == "" and calls == []
         assert "finite and positive" in err
 
 
