@@ -1,0 +1,106 @@
+"""Record benchmark medians of one or more checkouts in a BENCH_<n>.json.
+
+    python3 scripts/record_bench.py BENCH_6.json parent=../parent change=.
+
+Each LABEL=DIR names a checkout of this repository.  For every workload in
+BENCHMARK.json and every seed (1-3 unless --seeds gives others), each
+checkout in turn runs
+
+    python3 bench/run.py --workload W --seed S --seconds T --trace 0
+
+where T is the run_seconds of BENCHMARK.json.  The checkout that runs
+first alternates from seed to seed, so that a slow stretch of a shared
+host does not fall on one side only.  The file gets, per label: the seeds
+and run length, the commit, whether src/ or bench/ had uncommitted
+changes, the line count of the Python files under src/, every run's
+end-to-end metrics and checks, and per workload the median of each
+end-to-end metric.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(checkout, *args):
+    return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def describe(checkout, seeds, seconds):
+    return {
+        "seeds": seeds,
+        "seconds": seconds,
+        "commit": git(checkout, "rev-parse", "HEAD"),
+        "uncommitted_changes": bool(git(checkout, "status", "--porcelain", "--", "src", "bench")),
+        "src_lines": sum(len(f.read_text().splitlines())
+                         for f in sorted((checkout / "src").rglob("*.py"))),
+        "runs": {},
+    }
+
+
+def run_bench(checkout, workload, seed, seconds):
+    """One untraced benchmark run: its end-to-end metrics and checks."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or len(lines) < 2:
+        raise RuntimeError("bench/run.py failed in %s (exit %d): %s"
+                           % (checkout, proc.returncode, proc.stderr[-2000:]))
+    result = json.loads(lines[-1])
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def medians(runs):
+    names = runs[0]["metrics"]
+    return {name: statistics.median(r["metrics"][name] for r in runs) for name in names}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("out", type=Path, help="the BENCH_<n>.json to write")
+    p.add_argument("checkouts", nargs="+", metavar="LABEL=DIR")
+    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = p.parse_args(argv)
+
+    sides = []
+    for spec in args.checkouts:
+        label, sep, path = spec.partition("=")
+        if not sep or not label:
+            p.error("expected LABEL=DIR, got %r" % spec)
+        sides.append((label, Path(path).resolve()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
+    record = {label: describe(checkout, args.seeds, seconds) for label, checkout in sides}
+
+    for workload in workloads:
+        for i, seed in enumerate(args.seeds):
+            turn = sides[i % len(sides):] + sides[:i % len(sides)]
+            for label, checkout in turn:
+                run = run_bench(checkout, workload, seed, seconds)
+                record[label]["runs"].setdefault(workload, []).append(run)
+                print("%s %s seed %d: %s" % (label, workload, seed, json.dumps(run)), flush=True)
+    for side in record.values():
+        side["median"] = {w: medians(runs) for w, runs in side["runs"].items()}
+
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

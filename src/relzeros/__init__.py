@@ -40,13 +40,10 @@ from .reliability import (
     SeriesCancellationError,
     SeriesReductionResult,
     ZeroEdgeWeightError,
-    C_from_reliability,
     connected_subgraph_poly,
     parallel_reduce,
     reduce_sp_value,
-    reliability_from_C,
     series_reduce,
-    series_reduce_potts,
     subdivided_univariate,
     two_class_specialize,
 )

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import reference
 from .multigraph import GraphParseError, is_series_parallel, parse_graph
@@ -146,8 +146,7 @@ def _cmd_poly(args):
 
 
 def _cmd_roots(args):
-    with mp.workprec(args.precision):  # the message prints lam at this precision
-        _positive_lambda(mpf(args.lam))
+    _positive_lambda(args.lam)
     kind, poly, desc = resolve_spec(args.spec)
     if kind != "uni":
         raise CapabilityError("roots needs a univariate polynomial; "

@@ -1,10 +1,17 @@
 """Connected-spanning-subgraph polynomials and the reduction calculus.
 
-The enumeration engine walks the edge-subset lattice depth-first with a
-union-find connectivity state, pruning branches that can no longer connect
-and closing already-connected subtrees with the binomial count of their
-free completions.  Every counted subset is a connected spanning subgraph;
-there is no deletion-contraction shortcut to share failure modes with.
+The enumeration engine is a dynamic program over the edges in a greedy
+order: each next edge brings in the fewest vertices not yet seen, lowest
+id first.  A state is the partition of the active frontier into the
+components that the chosen edges form, with labels numbered by first
+appearance.  A vertex leaves the frontier after its last edge, and a state
+dies when a component closes while another remains; the graph is checked
+connected first, so once the frontier empties every vertex has been seen.
+Each state carries its exact two-class counts packed into one integer:
+the count of a^k0 b^k1 sits at bit (k0*(m1+1) + k1)*(m+1), where m1 is
+the number of class-b edges.  No count reaches 2^m, so sums never carry
+and taking an edge is a left shift.  The edge count stays capped at
+MAX_ENUMERATION_EDGES.
 
 The large families are never enumerated directly: compute the base graph's
 two-class polynomial (at most 15 edges) and substitute a = (1+v)^p1 - 1,
@@ -15,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from mpmath import mp, mpc
 
@@ -74,56 +80,76 @@ def connected_subgraph_poly(g):
     if len(labels) > 2:
         raise ClassCountError("at most 2 weight classes supported, got %d" % len(labels))
 
-    n = g.num_vertices
     cls = [0 if len(labels) < 2 or c == labels[0] else 1 for _, _, c in g.edges]
-    ends = [(u, v) for u, v, _ in g.edges]
-    # remaining edges of each class from position i onward
-    rem0 = [0] * (m + 1)
-    rem1 = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        rem0[i] = rem0[i + 1] + (cls[i] == 0)
-        rem1[i] = rem1[i + 1] + (cls[i] == 1)
+    m1 = sum(cls)
+    width = m + 1  # bits per packed coefficient: none reaches 2^m
+    shift = ((m1 + 1) * width, width)  # taking a class-0 / class-1 edge
+    order = _frontier_order(g)
+    last = {}
+    for step, e in enumerate(order):
+        u, v, _ = g.edges[e]
+        last[u] = last[v] = step
 
-    counts = {}
+    frontier = []
+    states = {b"": 1}
+    for step, e in enumerate(order):
+        u, v, _ = g.edges[e]
+        fresh = b""
+        for x in (u, v):
+            if x not in frontier:
+                frontier.append(x)
+                fresh += bytes([255 - len(fresh)])  # above every canonical label
+        pu, pv = frontier.index(u), frontier.index(v)
+        keep = [j for j, x in enumerate(frontier) if last[x] != step]
+        gone = [j for j, x in enumerate(frontier) if last[x] == step]
+        frontier = [frontier[j] for j in keep]
+        s = shift[cls[e]]
+        projected = {}
+        nxt = {}
+        for key, counts in states.items():
+            key += fresh
+            taken = key.replace(key[pv:pv + 1], key[pu:pu + 1])
+            for raw, c in ((key, counts), (taken, counts << s)):
+                if raw not in projected:
+                    projected[raw] = _retire(raw, keep, gone)
+                out = projected[raw]
+                if out is not None:
+                    nxt[out] = nxt.get(out, 0) + c
+        states = nxt
 
-    def find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def walk(i, parent, ncomp, k0, k1):
-        if ncomp == 1:
-            # every completion stays connected: binomial closure
-            r0, r1 = rem0[i], rem1[i]
-            for t0 in range(r0 + 1):
-                c0 = comb(r0, t0)
-                for t1 in range(r1 + 1):
-                    key = (k0 + t0, k1 + t1)
-                    counts[key] = counts.get(key, 0) + c0 * comb(r1, t1)
-            return
-        if i == m or ncomp - 1 > m - i:
-            return
-        walk(i + 1, parent, ncomp, k0, k1)
-        u, v = ends[i]
-        ru, rv = find(parent, u), find(parent, v)
-        nk0 = k0 + (cls[i] == 0)
-        nk1 = k1 + (cls[i] == 1)
-        if ru == rv:
-            walk(i + 1, parent, ncomp, nk0, nk1)
-        else:
-            child = list(parent)
-            child[ru] = rv
-            walk(i + 1, child, ncomp - 1, nk0, nk1)
-
-    walk(0, list(range(n)), max(n, 1), 0, 0)
-
+    packed = states.get(b"", 0)
+    mask = (1 << width) - 1
     if len(labels) == 2:
-        return ExactBiPoly(counts)
-    out = [0] * (m + 1)
-    for (k0, _), c in counts.items():
-        out[k0] += c
-    return ExactUniPoly(out)
+        return ExactBiPoly({(k0, k1): packed >> (k0 * (m1 + 1) + k1) * width & mask
+                            for k0 in range(m - m1 + 1) for k1 in range(m1 + 1)})
+    return ExactUniPoly([packed >> k * width & mask for k in range(m + 1)])
+
+
+def _frontier_order(g):
+    """Edge ids, each next the one that brings in the fewest unseen vertices
+    (lowest id on ties), so the frontier stays small."""
+    seen = set()
+    left = list(range(g.num_edges))
+    order = []
+    while left:
+        e = min(left, key=lambda i: len(set(g.edges[i][:2]) - seen))
+        left.remove(e)
+        order.append(e)
+        seen.update(g.edges[e][:2])
+    return order
+
+
+def _retire(raw, keep, gone):
+    """The state after the frontier positions in ``gone`` retire, labels
+    renumbered by first appearance; None if a component closed too early."""
+    kept = bytes([raw[j] for j in keep])
+    if all(raw[j] in kept for j in gone):
+        labels = {}
+        return bytes([labels.setdefault(x, len(labels)) for x in kept])
+    # a component closed: valid only as the last one (the graph is connected)
+    if kept or raw.count(raw[0]) != len(raw):
+        return None
+    return b""
 
 
 def two_class_specialize(p, p1, p2):
@@ -148,59 +174,6 @@ def two_class_specialize(p, p1, p2):
     for (da, db), c in sorted(p.terms.items()):
         acc = acc + apow[da] * bpow[db] * c
     return acc
-
-
-def _poly_and_labels(target, values):
-    """Resolve a Multigraph or polynomial plus a per-class value map."""
-    if isinstance(target, Multigraph):
-        poly = connected_subgraph_poly(target)
-    elif isinstance(target, (ExactUniPoly, ExactBiPoly)):
-        poly = target
-    else:
-        raise TypeError("expected a Multigraph, ExactUniPoly, or ExactBiPoly")
-    labels = sorted(values)
-    want = 1 if isinstance(poly, ExactUniPoly) else 2
-    if len(labels) != want:
-        raise ValueError("need weights for exactly %d class(es), got %d" % (want, len(labels)))
-    return poly, labels
-
-
-def reliability_from_C(p_values, target):
-    """All-terminal reliability R from the connectivity polynomial C.
-
-    R(p) = [prod over edges of (1-p_e)] * C(p / (1-p)), evaluated with the
-    per-class probabilities in p_values (a map class-label -> value).
-    ``target`` is a Multigraph (enumerated on the fly) or a precomputed C
-    polynomial; edge counts per class are read off the polynomial degrees.
-    """
-    poly, labels = _poly_and_labels(target, p_values)
-    vals = [as_complex_point(p_values[l]) for l in labels]
-    prec = max(v.precision for v in vals)
-    for v in vals:
-        if v == 1:
-            raise ValueError("probability 1 is a pole of the p/(1-p) transform")
-    if isinstance(poly, ExactUniPoly):
-        p = vals[0]
-        factor = (1 - p) ** poly.degree
-        return factor * poly.evaluate(
-            ComplexPoint((p / (1 - p)).re, (p / (1 - p)).im, prec))
-    pa, pb = vals
-    factor = (1 - pa) ** poly.degree_a * (1 - pb) ** poly.degree_b
-    return factor * poly.evaluate(pa / (1 - pa), pb / (1 - pb))
-
-
-def C_from_reliability(v_values, target):
-    """Inverse transform: C(v) = [prod of (1+v_e)] * R(v / (1+v))."""
-    poly, labels = _poly_and_labels(target, v_values)
-    vals = [as_complex_point(v_values[l]) for l in labels]
-    for v in vals:
-        if v == -1:
-            raise ValueError("weight -1 is a pole of the v/(1+v) transform")
-    probs = {l: v / (1 + v) for l, v in zip(labels, vals)}
-    r = reliability_from_C(probs, poly)
-    if isinstance(poly, ExactUniPoly):
-        return (1 + vals[0]) ** poly.degree * r
-    return (1 + vals[0]) ** poly.degree_a * (1 + vals[1]) ** poly.degree_b * r
 
 
 def parallel_reduce(ws):
@@ -244,32 +217,6 @@ def series_reduce(ws):
         pref = prod * recip
     return SeriesReductionResult(ComplexPoint.from_mpc(eff, prec),
                                  ComplexPoint.from_mpc(pref, prec))
-
-
-def series_reduce_potts(q, ws):
-    """Series reduction at Potts coupling q: q / (prod(1 + q/w_i) - 1).
-
-    Converges to series_reduce(ws).effective_weight as q -> 0.
-    """
-    q = as_complex_point(q)
-    ws = [as_complex_point(w) for w in ws]
-    if not ws:
-        raise ValueError("need at least one weight")
-    if q == 0:
-        raise ValueError("q must be nonzero; use series_reduce for the q -> 0 limit")
-    prec = max([q.precision] + [w.precision for w in ws])
-    with mp.workprec(prec):
-        qc = q.to_mpc()
-        acc = mpc(1)
-        for w in ws:
-            z = w.to_mpc()
-            if z == 0:
-                raise ZeroEdgeWeightError("zero weight in series chain")
-            acc *= 1 + qc / z
-        den = acc - 1
-        if den == 0:
-            raise SeriesCancellationError("Potts series denominator vanishes")
-        return ComplexPoint.from_mpc(qc / den, prec)
 
 
 @dataclass(frozen=True)

@@ -361,11 +361,13 @@ def find_roots(p, precision_bits=None):
     return _finalize(coeffs, roots, zero_mult, prec, ok)
 
 
-def _positive_lambda(lam):
-    """lam itself; ValueError unless it is finite and positive (nan is neither)."""
-    if not (mp.isfinite(lam) and lam > 0):
-        raise ValueError("lambda must be finite and positive, got %s" % lam)
-    return lam
+def _positive_lambda(lam, convert=mpf):
+    """convert(lam); ValueError, quoting lam as given, unless that is finite
+    and positive (nan is neither)."""
+    value = convert(lam)
+    if not (mp.isfinite(value) and value > 0):
+        raise ValueError("lambda must be finite and positive, got %s" % (lam,))
+    return value
 
 
 def min_disc_distance(root_set, lam):
@@ -375,7 +377,7 @@ def min_disc_distance(root_set, lam):
     """
     prec = root_set.precision
     with mp.workprec(prec):
-        lamv = _positive_lambda(mpf(lam))
+        lamv = _positive_lambda(lam)
         best = lamv if root_set.zero_multiplicity > 0 else None
         for z in root_set.roots:
             d = abs(lamv + z.to_mpc())
@@ -394,7 +396,7 @@ def min_disc_root(root_set, lam=1, positive_imag=False):
     """
     prec = root_set.precision
     with mp.workprec(prec):
-        lamv = _positive_lambda(mpf(lam))
+        lamv = _positive_lambda(lam)
         best = None
         best_d = None
         for z in root_set.roots:
@@ -540,7 +542,7 @@ def disc_verdict(root_set, lam, exact_coeffs=None):
     """'violated' (some root certified inside), 'holds', or 'ambiguous'."""
     prec = root_set.precision
     with mp.workprec(prec):
-        lamv = _positive_lambda(mpf(lam))
+        lamv = _positive_lambda(lam)
     ambiguous = False
     for z, e in zip(root_set.roots, root_set.error_radii):
         status = _disc_status(z, e, lamv, prec, exact_coeffs)
@@ -566,7 +568,7 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
         raise ZeroPolynomialError("polynomial is identically zero")
     _deflate(coeffs, exact_ints)
     with mp.workprec(64):
-        lamv = _positive_lambda(mpf(lam))
+        lamv = _positive_lambda(lam)
     if exact_ints:
         coeffs, circle_orders = _strip_circle_factors(coeffs)
         if circle_orders and lamv > 1:
@@ -739,7 +741,7 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
         raise ValueError("need at least 16 samples")
     if not p:
         raise ZeroPolynomialError("polynomial is identically zero")
-    lam = _positive_lambda(float(lam))
+    lam = _positive_lambda(lam, float)
 
     work = p if swept == "b" else p.transposed()
     generic_degree = work.degree_a

@@ -153,6 +153,13 @@ class TestRootsCommand:
         assert code == 2 and out == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("precision", ["64", "256"])
+    def test_bad_lambda_quoted_as_given(self, capsys, precision):
+        code, out, err = run(capsys, ["roots", "cycle:3", "--lambda", "-0.1",
+                                      "--precision", precision])
+        assert code == 2 and out == ""
+        assert err == "error: lambda must be finite and positive, got -0.1\n"
+
     def test_bad_lambda_rejected_before_solving(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "find_roots", lambda *args: calls.append(args))

@@ -12,7 +12,6 @@ from relzeros import (
     ExactBiPoly,
     ExactUniPoly,
     Multigraph,
-    C_from_reliability,
     complete_graph,
     connected_subgraph_poly,
     cycle_graph,
@@ -21,13 +20,13 @@ from relzeros import (
     parallel_expand,
     parallel_reduce,
     reduce_sp_value,
-    reliability_from_C,
     series_reduce,
-    series_reduce_potts,
     shifted_power,
+    subdivide,
     subdivided_univariate,
     two_class_specialize,
 )
+from relzeros.reliability import MAX_ENUMERATION_EDGES
 from refdata import CASE_POLYS, K4_UNIVARIATE
 from util_graphs import random_sp_multigraph, uniform_class
 
@@ -80,6 +79,49 @@ class TestEnumeration:
             assert p.coefficient(n - 1) == trees
             assert p.degree == p_edges(n)
 
+    def test_doubled_dense_graph_at_the_cap(self):
+        # K5 in two classes plus two parallel edges: 12 edges, 24 once doubled
+        g = Multigraph(5, tuple((u, v, (u + v) % 2) for u, v, _ in complete_graph(5).edges)
+                       + ((0, 1, 0), (2, 4, 1)))
+        doubled = uniform_class(parallel_expand(g, 2))
+        assert doubled.num_edges == MAX_ENUMERATION_EDGES
+        p = connected_subgraph_poly(doubled)
+        assert p == two_class_specialize(connected_subgraph_poly(g), 2, 2)
+        assert p.low_order_zeros() == 4
+        assert p.coefficient(4) == matrix_tree_count(doubled)
+
+    def test_subdivided_k4_at_the_cap(self):
+        g = subdivide(complete_graph(4), 4)
+        assert g.num_edges == MAX_ENUMERATION_EDGES
+        assert connected_subgraph_poly(g) == subdivided_univariate(K4_UNIVARIATE, 6, 4).poly
+
+
+def matrix_tree_count(g):
+    """Spanning trees of g: the reduced Laplacian's determinant, in Fractions."""
+    n = g.num_vertices
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for u, v, _ in g.edges:
+        if u != v:
+            lap[u][u] += 1
+            lap[v][v] += 1
+            lap[u][v] -= 1
+            lap[v][u] -= 1
+    m = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for col in range(n - 1):
+        pivot = next((r for r in range(col, n - 1) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n - 1):
+            f = m[r][col] / m[col][col]
+            for k in range(col, n - 1):
+                m[r][k] -= f * m[col][k]
+    return int(det)
+
 
 def p_edges(n):
     return n * (n - 1) // 2
@@ -106,36 +148,24 @@ class TestSpecialize:
             two_class_specialize(CASE_POLYS["a"], 0, 1)
 
 
+def reliability(g, p):
+    """All-terminal reliability at edge probability p, exactly from C:
+    sum over k of c_k p^k (1-p)^(m-k), i.e. (1-p)^m C(p/(1-p))."""
+    m = g.num_edges
+    return sum(c * p ** k * (1 - p) ** (m - k)
+               for k, c in enumerate(connected_subgraph_poly(g).coeffs))
+
+
 class TestReliabilityTransforms:
     def test_single_edge(self):
-        g = parallel_bundle_graph(1)
-        r = reliability_from_C({0: ComplexPoint("0.3", 0, 128)}, g)
-        assert abs(r - ComplexPoint("0.3", 0, 128)) < mpf(2) ** -100
+        assert reliability(parallel_bundle_graph(1), Fraction(3, 10)) == Fraction(3, 10)
 
     def test_triangle_at_half(self):
-        g = cycle_graph(3)
-        r = reliability_from_C({0: ComplexPoint("0.5", 0, 128)}, g)
-        assert abs(r - ComplexPoint("0.5", 0, 128)) < mpf(2) ** -100
+        # 3 two-edge trees and the full triangle, of 8 equally likely subsets
+        assert reliability(cycle_graph(3), Fraction(1, 2)) == Fraction(1, 2)
 
     def test_zero_probability(self):
-        r = reliability_from_C({0: ComplexPoint(0, 0)}, complete_graph(4))
-        assert r.is_zero
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            reliability_from_C({0: ComplexPoint(1, 0)}, cycle_graph(3))
-        with pytest.raises(ValueError):
-            C_from_reliability({0: ComplexPoint(-1, 0)}, cycle_graph(3))
-
-    def test_round_trip_reproduces_polynomial_value(self):
-        rng = random.Random(99)
-        poly = connected_subgraph_poly(k4_two_class("c"))
-        for _ in range(5):
-            va = ComplexPoint(rng.uniform(-2, 2), rng.uniform(-2, 2), 128)
-            vb = ComplexPoint(rng.uniform(-2, 2), rng.uniform(-2, 2), 128)
-            direct = poly.evaluate(va, vb)
-            via_r = C_from_reliability({0: va, 1: vb}, poly)
-            assert abs(direct - via_r) <= mpf(2) ** -90 * (1 + abs(direct))
+        assert reliability(complete_graph(4), Fraction(0)) == 0
 
 
 class TestReductions:
@@ -171,24 +201,6 @@ class TestReductions:
             series_reduce([ComplexPoint(1, 0), ComplexPoint(0, 0)])
         with pytest.raises(SeriesCancellationError):
             series_reduce([ComplexPoint(1, 0), ComplexPoint(-1, 0)])
-
-    def test_potts_examples(self):
-        got = series_reduce_potts(ComplexPoint(2, 0), [ComplexPoint(1, 0)] * 2)
-        assert abs(complex(got) - 0.25) < 1e-14
-        v = ComplexPoint("1.7", "0.4", 128)
-        got = series_reduce_potts(ComplexPoint(1, 0, 128), [v])
-        assert abs(got - v) < mpf(2) ** -100
-
-    def test_potts_small_q_limit(self):
-        v = ComplexPoint("2.5", "-0.5", 128)
-        q = ComplexPoint("1e-8", 0, 128)
-        potts = series_reduce_potts(q, [v, v])
-        series = series_reduce([v, v]).effective_weight
-        assert abs(potts - series) / abs(series) < 1e-6
-
-    def test_potts_q_zero_rejected(self):
-        with pytest.raises(ValueError):
-            series_reduce_potts(ComplexPoint(0, 0), [ComplexPoint(1, 0)])
 
 
 class TestSubdividedUnivariate:
