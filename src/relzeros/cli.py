@@ -182,7 +182,7 @@ def _cmd_locus(args):
     curve.to_csv(args.out)
     print("samples=%d roots=%d violations=%d gaps=%d -> %s"
           % (len(curve.theta_samples),
-             sum(len(pts) for pts in curve.points),
+             sum(len(roots) for roots in curve.roots),
              curve.violation_count(),
              curve.gap_count(),
              args.out))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from mpmath import mp, mpc
 
@@ -31,7 +32,6 @@ from .polycore import (
     ExactBiPoly,
     ExactUniPoly,
     as_complex_point,
-    shifted_power,
 )
 
 MAX_ENUMERATION_EDGES = 24
@@ -157,23 +157,23 @@ def two_class_specialize(p, p1, p2):
 
     The result equals the connected-subgraph polynomial of the graph with
     class-a edges replaced by p1 parallel copies and class-b edges by p2.
+    With u = 1 + v it is q(u^p1, u^p2) for q(x, y) = p(x - 1, y - 1): each
+    term of q lands on one power of u, and a Taylor shift u = v + 1 ends.
     """
     if not isinstance(p, ExactBiPoly):
         raise TypeError("expected ExactBiPoly")
     if not (isinstance(p1, int) and isinstance(p2, int) and p1 >= 1 and p2 >= 1):
         raise ValueError("multiplicities must be integers >= 1")
-    a = shifted_power(p1)
-    b = shifted_power(p2)
-    apow = [ExactUniPoly([1])]
-    for _ in range(p.degree_a):
-        apow.append(apow[-1] * a)
-    bpow = [ExactUniPoly([1])]
-    for _ in range(p.degree_b):
-        bpow.append(bpow[-1] * b)
-    acc = ExactUniPoly()
-    for (da, db), c in sorted(p.terms.items()):
-        acc = acc + apow[da] * bpow[db] * c
-    return acc
+    cs = [0] * (p1 * p.degree_a + p2 * p.degree_b + 1)
+    for (da, db), c in p.terms.items():
+        for i in range(da + 1):
+            ci = (-1) ** (da - i) * comb(da, i) * c
+            for j in range(db + 1):
+                cs[p1 * i + p2 * j] += (-1) ** (db - j) * comb(db, j) * ci
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += cs[j + 1]
+    return ExactUniPoly(cs)
 
 
 def parallel_reduce(ws):

@@ -22,6 +22,8 @@ stripped symbolically, so v = 0 sits exactly on every disc boundary
 53-bit locus sweeps run in hardware floats, with an mpmath tie-break where
 a float |.| lands within a few ulps of a trim or disc threshold, so their
 output is identical to solving each sample with find_roots at 53 bits.
+Their roots stay Python complex in the LocusCurve; a ComplexPoint is built
+only when the curve's points are read.
 """
 
 from __future__ import annotations
@@ -154,21 +156,22 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
     z = [r * cmath.exp(1j * (2 * math.pi * k + 0.7) / n) for k in range(n)]
     tol = 2.0 ** -(MIN_PRECISION - 10)
     noise = (2 * n + 2) * 2.0 ** -MIN_PRECISION
+    top, top_mag = cs[-1], abs(cs[-1])
+    rest = [(c, abs(c)) for c in reversed(cs[:-1])]
     converged = [False] * n
     for _ in range(max_sweeps):
         done = True
-        for k in range(n):
+        for k, zk in enumerate(z):
             if converged[k]:
                 continue
-            zk = z[k]
             az = abs(zk)
-            pv = cs[-1]
+            pv = top
             dv = 0.0
-            em = abs(cs[-1])
-            for c in reversed(cs[:-1]):
+            em = top_mag
+            for c, m in rest:
                 dv = dv * zk + pv
                 pv = pv * zk + c
-                em = em * az + abs(c)
+                em = em * az + m
             if abs(pv) <= noise * em:
                 converged[k] = True
                 continue
@@ -179,9 +182,9 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
             w = pv / dv
             s = 0.0
             collided = False
-            for j in range(n):
+            for j, zj in enumerate(z):
                 if j != k:
-                    d = zk - z[j]
+                    d = zk - zj
                     if d == 0:
                         collided = True
                         break
@@ -643,11 +646,8 @@ def _hardware_rows(bipoly):
 def _collapse_hardware(rows, w):
     out = []
     for row in rows:
-        if row is None:
-            out.append(0.0 + 0.0j)
-            continue
-        acc = 0.0 + 0.0j
-        for c in reversed(row):
+        acc = 0j
+        for c in reversed(row or ()):
             acc = acc * w + c
         out.append(acc)
     return out
@@ -686,15 +686,28 @@ def _solve_hardware(coeffs, prec):
     return hi, zero_mult, roots, ok
 
 
+def _as_points(roots):
+    """One sample's roots as ComplexPoints; a hardware root is a 53-bit complex."""
+    return [ComplexPoint(z.real, z.imag, MIN_PRECISION) if isinstance(z, complex) else z
+            for z in roots]
+
+
 @dataclass
 class LocusCurve:
-    """Roots of the non-fixed variable as the swept one walks |lam + x| = lam."""
+    """Roots of the non-fixed variable as the swept one walks |lam + x| = lam.
+
+    roots keeps hardware-solved roots as complex, the rest as ComplexPoint;
+    points shows them all as ComplexPoints, built on each read."""
 
     lam: float
     theta_samples: list
-    points: list
+    roots: list
     violation_flags: list
     gaps: list
+
+    @property
+    def points(self):
+        return [_as_points(pts) for pts in self.roots]
 
     def violation_count(self):
         return sum(flag for flags in self.violation_flags for flag in flags)
@@ -704,20 +717,17 @@ class LocusCurve:
 
     def to_csv(self, destination):
         """One 'theta,re,im,violation' row per (sample, root) pair."""
-        close = False
-        if hasattr(destination, "write"):
-            fh = destination
-        else:
-            fh = open(destination, "w")
-            close = True
+        fh = destination if hasattr(destination, "write") else open(destination, "w")
         try:
             fh.write("theta,re,im,violation\n")
-            for theta, pts, flags in zip(self.theta_samples, self.points, self.violation_flags):
-                for z, flag in zip(pts, flags):
+            for theta, roots, flags in zip(self.theta_samples, self.roots, self.violation_flags):
+                for z, flag in zip(roots, flags):
+                    z = complex(z)
+                    # + 0.0 turns a float -0.0 into 0.0, as an mpf (unsigned zero) prints it
                     fh.write("%.12g,%.15g,%.15g,%d\n"
-                             % (theta, float(z.re), float(z.im), int(flag)))
+                             % (theta, z.real + 0.0, z.imag + 0.0, int(flag)))
         finally:
-            if close:
+            if fh is not destination:
                 fh.close()
 
 
@@ -749,25 +759,25 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     rows = _hardware_rows(work) if precision_bits == MIN_PRECISION else None
 
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
-    points, flags, gaps = [], [], []
+    roots, flags, gaps = [], [], []
     for theta in thetas:
         w = _half_angle_circle(lam, theta)
         if rows is not None:
             coeffs = _collapse_hardware(rows, w)
-            sample = (_locus_sample_hardware(coeffs, lam, generic_degree)
+            sample = (_locus_sample_floats(coeffs, lam, generic_degree)
                       or _locus_sample([as_complex_point(c) for c in coeffs],
                                        lam, precision_bits, generic_degree))
         else:
             cps = work.coefficients_in_a(ComplexPoint(w.real, w.imag, precision_bits))
             sample = _locus_sample(cps, lam, precision_bits, generic_degree)
-        for out, part in zip((points, flags, gaps), sample):
+        for out, part in zip((roots, flags, gaps), sample):
             out.append(part)
-    return LocusCurve(lam, thetas, points, flags, gaps)
+    return LocusCurve(lam, thetas, roots, flags, gaps)
 
 
-def _locus_sample_hardware(coeffs, lam, generic_degree):
-    """_locus_sample at 53 bits in floats (_finalize only converts and sorts
-    the float roots); None on a non-finite coefficient or root."""
+def _locus_sample_floats(coeffs, lam, generic_degree):
+    """_locus_sample at 53 bits in floats, roots left as complex (_finalize only
+    converts and sorts them); None on a non-finite coefficient or root."""
     if not math.isfinite(sum(map(abs, coeffs))):
         return None
     hi, zero_mult, roots, ok = _solve_hardware(coeffs, MIN_PRECISION)
@@ -780,9 +790,13 @@ def _locus_sample_hardware(coeffs, lam, generic_degree):
         if abs(d - lam) <= lam * _TIE_BAND + _TIE_FLOOR:
             with mp.workprec(MIN_PRECISION):
                 flags[k] = abs(mpf(lam) + mpc(z)) < lam
-    points = [ComplexPoint(0, 0, MIN_PRECISION)] * zero_mult + [
-        ComplexPoint(z.real, z.imag, MIN_PRECISION) for z in roots]
-    return points, flags, hi < generic_degree or not ok
+    return [0j] * zero_mult + roots, flags, hi < generic_degree or not ok
+
+
+def _locus_sample_hardware(coeffs, lam, generic_degree):
+    """_locus_sample_floats with its roots as LocusCurve.points shows them."""
+    sample = _locus_sample_floats(coeffs, lam, generic_degree)
+    return sample and (_as_points(sample[0]),) + sample[1:]
 
 
 def _locus_sample(cps, lam, prec, generic_degree):
