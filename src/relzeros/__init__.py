@@ -36,7 +36,6 @@ from .reliability import (
     DisconnectedGraphError,
     EnumerationLimitError,
     NotSeriesParallelError,
-    ScaledUniPoly,
     SeriesCancellationError,
     SeriesReductionResult,
     ZeroEdgeWeightError,

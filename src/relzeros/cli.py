@@ -20,7 +20,7 @@ from mpmath import mp
 
 from . import reference
 from .multigraph import GraphParseError, is_series_parallel, parse_graph
-from .polycore import ExactBiPoly, ExactUniPoly, shifted_power
+from .polycore import ExactBiPoly, cycle_poly, shifted_power
 from .reliability import (
     ClassCountError,
     DisconnectedGraphError,
@@ -101,7 +101,7 @@ def _resolve_family(spec):
         poly = two_class_specialize(bi, p1, p2)
         desc = "k4:%s:%d:%d" % (case, p1, p2)
         if sub is not None:
-            poly = subdivided_univariate(poly, poly.degree, sub).poly
+            poly = subdivided_univariate(poly, poly.degree, sub)
             desc += ":sub=%d" % sub
         return "uni", poly, desc
     if head == "k6":
@@ -118,8 +118,7 @@ def _resolve_family(spec):
             raise FamilySpecError("expected %s:<n>" % head)
         n = _int_field(parts[1], "n")
         if head == "cycle":
-            # C of the n-cycle: n*v^(n-1) + v^n, valid down to the loop n=1
-            return "uni", ExactUniPoly([0] * (n - 1) + [n, 1]), "cycle:%d" % n
+            return "uni", cycle_poly(n), "cycle:%d" % n
         return "uni", shifted_power(n), "bundle:%d" % n
     raise FamilySpecError("unknown family %r" % head)
 

@@ -49,9 +49,6 @@ class ComplexPoint:
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
-    def conjugate(self):
-        return ComplexPoint(self.re, -self.im, self.precision)
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -74,11 +71,6 @@ class ComplexPoint:
         with mp.workprec(prec):
             return ComplexPoint(self.re - other.re, self.im - other.im, prec)
 
-    def __rsub__(self, other):
-        other, prec = self._promote(other)
-        with mp.workprec(prec):
-            return ComplexPoint(other.re - self.re, other.im - self.im, prec)
-
     def __mul__(self, other):
         other, prec = self._promote(other)
         with mp.workprec(prec):
@@ -92,19 +84,6 @@ class ComplexPoint:
         with mp.workprec(prec):
             z = self.to_mpc() / other.to_mpc()
         return ComplexPoint.from_mpc(z, prec)
-
-    def __rtruediv__(self, other):
-        other, prec = self._promote(other)
-        with mp.workprec(prec):
-            z = other.to_mpc() / self.to_mpc()
-        return ComplexPoint.from_mpc(z, prec)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise TypeError("only nonnegative integer powers are supported")
-        with mp.workprec(self.precision):
-            z = self.to_mpc() ** exponent
-        return ComplexPoint.from_mpc(z, self.precision)
 
     def __abs__(self):
         with mp.workprec(self.precision):
@@ -190,19 +169,6 @@ class ExactUniPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return ExactUniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = ExactUniPoly([other])
-        if not isinstance(other, ExactUniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return ExactUniPoly([c * other for c in self.coeffs])
@@ -219,26 +185,6 @@ class ExactUniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("only nonnegative integer powers are supported")
-        result = ExactUniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shifted(self, k):
-        """Multiply by v^k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if not self.coeffs:
-            return self
-        return ExactUniPoly((0,) * k + self.coeffs)
-
     def evaluate(self, z):
         """Horner evaluation at a ComplexPoint, at the point's precision."""
         z = as_complex_point(z)
@@ -252,10 +198,6 @@ class ExactUniPoly:
 
     def to_json(self):
         return {"var": "v", "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([int(c) for c in data["coeffs"]])
 
     def __repr__(self):
         if not self.coeffs:
@@ -304,36 +246,6 @@ class ExactBiPoly:
     def __eq__(self, other):
         return isinstance(other, ExactBiPoly) and self.terms == other.terms
 
-    def __add__(self, other):
-        if not isinstance(other, ExactBiPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return ExactBiPoly(out)
-
-    def __neg__(self):
-        return ExactBiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactBiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ExactBiPoly({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, ExactBiPoly):
-            return NotImplemented
-        out = {}
-        for (da, db), c in self.terms.items():
-            for (ea, eb), d in other.terms.items():
-                key = (da + ea, db + eb)
-                out[key] = out.get(key, 0) + c * d
-        return ExactBiPoly(out)
-
-    __rmul__ = __mul__
-
     def coefficients_in_a(self, b0):
         """Collapse b at the numeric point b0: coefficients of a^k, low to high.
 
@@ -361,10 +273,6 @@ class ExactBiPoly:
                 out.append(ComplexPoint.from_mpc(acc, prec))
         return out
 
-    def coefficients_in_b(self, a0):
-        """Collapse a at the numeric point a0: coefficients of b^k, low to high."""
-        return self.transposed().coefficients_in_a(a0)
-
     def transposed(self):
         """Swap the roles of a and b."""
         return ExactBiPoly({(db, da): c for (da, db), c in self.terms.items()})
@@ -385,10 +293,6 @@ class ExactBiPoly:
         triples = sorted(self.terms.items())
         return {"vars": ["a", "b"], "terms": [[da, db, str(c)] for (da, db), c in triples]}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({(int(da), int(db)): int(c) for da, db, c in data["terms"]})
-
     def __repr__(self):
         if not self.terms:
             return "ExactBiPoly(0)"
@@ -404,3 +308,8 @@ def shifted_power(p):
         return ExactUniPoly()
     return ExactUniPoly([0] + [comb(p, k) for k in range(1, p + 1)])
 
+
+
+def cycle_poly(n):
+    """C of the n-cycle, n*v^(n-1) + v^n, for n >= 1 (n = 1 is the loop, 1 + v)."""
+    return ExactUniPoly([0] * (n - 1) + [n, 1])

@@ -17,7 +17,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .multigraph import k4_two_class, k6_disjoint_triangles
-from .polycore import ExactUniPoly, shifted_power
+from .polycore import cycle_poly, shifted_power
 from .reliability import connected_subgraph_poly, two_class_specialize
 from .roots import (
     analytic_disc_margin,
@@ -360,9 +360,8 @@ def _lambda_star(families, poly, expected):
 
 
 def lambda_star_rows():
-    # C of the n-cycle is n*v^(n-1) + v^n; the n-edge bundle's is (1+v)^n - 1
     return ([Row("lambda-star-cycle-%d" % n, "published lambda-star of the %d-cycle" % n,
-                 "%.9f" % expected, _lambda_star, (ExactUniPoly([0] * (n - 1) + [n, 1]), expected))
+                 "%.9f" % expected, _lambda_star, (cycle_poly(n), expected))
              for n, expected in LAMBDA_STAR_CYCLES.items()]
             + [Row("lambda-star-bundle-%d" % n, "published lambda-star of the %d-edge bundle" % n,
                    "%.9f" % expected, _lambda_star, (shifted_power(n), expected))

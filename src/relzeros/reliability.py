@@ -21,7 +21,6 @@ b = (1+v)^p2 - 1 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from mpmath import mp, mpc
@@ -219,33 +218,11 @@ def series_reduce(ws):
                                  ComplexPoint.from_mpc(pref, prec))
 
 
-@dataclass(frozen=True)
-class ScaledUniPoly:
-    """An ExactUniPoly times an exact rational scale.
-
-    subdivided_univariate keeps exactness this way; the scale is 1 whenever
-    the input degree is at most the edge count (always true for a graph's
-    own C polynomial).  Root locations never depend on the scale.
-    """
-    scale: Fraction
-    poly: ExactUniPoly
-
-    @property
-    def degree(self):
-        return self.poly.degree
-
-    def evaluate(self, z):
-        z = as_complex_point(z)
-        val = self.poly.evaluate(z)
-        with mp.workprec(z.precision):
-            s = mp.mpf(self.scale.numerator) / self.scale.denominator
-            return ComplexPoint.from_mpc(val.to_mpc() * s, z.precision)
-
-
 def subdivided_univariate(p, num_edges, s):
     """C of the uniform s-subdivision: s^m * v^((s-1)m) * p(v/s), m = num_edges.
 
     Nonzero roots of the output are exactly s times the nonzero roots of p.
+    The degree of p may not exceed num_edges, as for any graph's own C.
     """
     if not isinstance(p, ExactUniPoly):
         raise TypeError("expected ExactUniPoly")
@@ -253,17 +230,12 @@ def subdivided_univariate(p, num_edges, s):
         raise ValueError("num_edges must be an integer >= 1")
     if not (isinstance(s, int) and s >= 1):
         raise ValueError("subdivision factor must be an integer >= 1")
-    if s == 1:
-        return ScaledUniPoly(Fraction(1), p)
-    if not p:
-        return ScaledUniPoly(Fraction(1), p)
-    d = p.degree
+    if p.degree > num_edges:
+        raise ValueError("degree %d exceeds the %d edges" % (p.degree, num_edges))
+    if s == 1 or not p:
+        return p
     shift = (s - 1) * num_edges
-    if d <= num_edges:
-        coeffs = [0] * shift + [c * s ** (num_edges - k) for k, c in enumerate(p.coeffs)]
-        return ScaledUniPoly(Fraction(1), ExactUniPoly(coeffs))
-    coeffs = [0] * shift + [c * s ** (d - k) for k, c in enumerate(p.coeffs)]
-    return ScaledUniPoly(Fraction(1, s ** (d - num_edges)), ExactUniPoly(coeffs))
+    return ExactUniPoly([0] * shift + [c * s ** (num_edges - k) for k, c in enumerate(p.coeffs)])
 
 
 def reduce_sp_value(g, edge_weights):

@@ -22,8 +22,8 @@ stripped symbolically, so v = 0 sits exactly on every disc boundary
 53-bit locus sweeps run in hardware floats, with an mpmath tie-break where
 a float |.| lands within a few ulps of a trim or disc threshold, so their
 output is identical to solving each sample with find_roots at 53 bits.
-Their roots stay Python complex in the LocusCurve; a ComplexPoint is built
-only when the curve's points are read.
+A LocusCurve keeps its roots as Python complex at every precision; above
+53 bits they are rounded only after the disc test at full precision.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .polycore import (
     ExactUniPoly,
     as_complex_point,
 )
-from .reliability import DisconnectedGraphError, ScaledUniPoly
+from .reliability import DisconnectedGraphError
 
 AUTO_HIGH_PRECISION = 256
 MAX_DECISION_PRECISION = 1024
@@ -98,8 +98,6 @@ class RootSet:
 
 def _normalize_coefficients(p):
     """-> (low-to-high coefficient list, exact_ints flag), leading zeros trimmed."""
-    if isinstance(p, ScaledUniPoly):
-        p = p.poly
     if isinstance(p, ExactUniPoly):
         return list(p.coeffs), True
     if isinstance(p, (list, tuple)):
@@ -112,7 +110,7 @@ def _normalize_coefficients(p):
         while cs and cs[-1].is_zero:
             cs.pop()
         return cs, False
-    raise TypeError("expected ExactUniPoly, ScaledUniPoly, or a coefficient sequence")
+    raise TypeError("expected ExactUniPoly or a coefficient sequence")
 
 
 def _deflate(coeffs, exact_ints):
@@ -140,14 +138,17 @@ def _auto_precision(coeffs, degree):
     return MIN_PRECISION
 
 
-def _to_hardware(coeffs):
+def _solve_floats(coeffs):
+    """_aberth_hardware on the coefficients as floats; None where they or the
+    iteration leave the float range (abs() raises OverflowError on a complex
+    whose parts are finite but whose modulus is not)."""
     try:
-        out = [complex(c) for c in coeffs]
+        cs = [complex(c) for c in coeffs]
+        if all(math.isfinite(abs(c)) for c in cs):
+            return _aberth_hardware(cs)
     except (OverflowError, TypeError):
-        return None
-    if any(cmath.isinf(c) or cmath.isnan(c) for c in out):
-        return None
-    return out
+        pass
+    return None
 
 
 def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
@@ -346,10 +347,10 @@ def find_roots(p, precision_bits=None):
     if n == 0:
         return RootSet(zero_mult, [], [], prec)
 
-    hardware = _to_hardware(coeffs)
+    hardware = _solve_floats(coeffs)
     starts = None
     if hardware is not None:
-        hw_roots, hw_ok = _aberth_hardware(hardware)
+        hw_roots, hw_ok = hardware
         if prec <= MIN_PRECISION:
             return _finalize(coeffs, [mpc(z) for z in hw_roots], zero_mult, prec, hw_ok)
         if hw_ok:
@@ -686,28 +687,18 @@ def _solve_hardware(coeffs, prec):
     return hi, zero_mult, roots, ok
 
 
-def _as_points(roots):
-    """One sample's roots as ComplexPoints; a hardware root is a 53-bit complex."""
-    return [ComplexPoint(z.real, z.imag, MIN_PRECISION) if isinstance(z, complex) else z
-            for z in roots]
-
-
 @dataclass
 class LocusCurve:
     """Roots of the non-fixed variable as the swept one walks |lam + x| = lam.
 
-    roots keeps hardware-solved roots as complex, the rest as ComplexPoint;
-    points shows them all as ComplexPoints, built on each read."""
+    roots holds each sample's roots as Python complex, flagged in
+    violation_flags at the precision of the sweep."""
 
     lam: float
     theta_samples: list
     roots: list
     violation_flags: list
     gaps: list
-
-    @property
-    def points(self):
-        return [_as_points(pts) for pts in self.roots]
 
     def violation_count(self):
         return sum(flag for flags in self.violation_flags for flag in flags)
@@ -722,7 +713,6 @@ class LocusCurve:
             fh.write("theta,re,im,violation\n")
             for theta, roots, flags in zip(self.theta_samples, self.roots, self.violation_flags):
                 for z, flag in zip(roots, flags):
-                    z = complex(z)
                     # + 0.0 turns a float -0.0 into 0.0, as an mpf (unsigned zero) prints it
                     fh.write("%.12g,%.15g,%.15g,%d\n"
                              % (theta, z.real + 0.0, z.imag + 0.0, int(flag)))
@@ -776,13 +766,17 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
 
 
 def _locus_sample_floats(coeffs, lam, generic_degree):
-    """_locus_sample at 53 bits in floats, roots left as complex (_finalize only
-    converts and sorts them); None on a non-finite coefficient or root."""
-    if not math.isfinite(sum(map(abs, coeffs))):
+    """_locus_sample at 53 bits in floats (_finalize only converts and sorts
+    the roots); None on a non-finite coefficient or root, or on a modulus
+    that overflows a float."""
+    try:
+        if not math.isfinite(sum(map(abs, coeffs))):
+            return None
+        hi, zero_mult, roots, ok = _solve_hardware(coeffs, MIN_PRECISION)
+        roots.sort(key=lambda z: (z.real, z.imag))
+        dists = [abs(lam + z) for z in roots]
+    except OverflowError:
         return None
-    hi, zero_mult, roots, ok = _solve_hardware(coeffs, MIN_PRECISION)
-    roots.sort(key=lambda z: (z.real, z.imag))
-    dists = [abs(lam + z) for z in roots]
     if not math.isfinite(sum(dists)):
         return None
     flags = [False] * zero_mult + [d < lam for d in dists]
@@ -793,29 +787,23 @@ def _locus_sample_floats(coeffs, lam, generic_degree):
     return [0j] * zero_mult + roots, flags, hi < generic_degree or not ok
 
 
-def _locus_sample_hardware(coeffs, lam, generic_degree):
-    """_locus_sample_floats with its roots as LocusCurve.points shows them."""
-    sample = _locus_sample_floats(coeffs, lam, generic_degree)
-    return sample and (_as_points(sample[0]),) + sample[1:]
-
-
 def _locus_sample(cps, lam, prec, generic_degree):
+    """One sample solved by find_roots and flagged at prec; roots as complex."""
     hi, _ = _trim([float(abs(c)) for c in cps], prec)
     gap = hi < generic_degree
     coeffs = cps[: hi + 1]
     zero_mult = _deflate(coeffs, False)
-    sample_points = [ComplexPoint(0, 0, prec)] * zero_mult
+    roots = []
     if len(coeffs) >= 2:
         try:
-            rs = find_roots(coeffs, prec)
+            roots = find_roots(coeffs, prec).roots
         except NonconvergenceError as exc:
-            rs = exc.partial
+            roots = exc.partial.roots
             gap = True
-        sample_points = sample_points + rs.roots
     with mp.workprec(prec):
         lamv = mpf(lam)
-        sample_flags = [abs(lamv + z.to_mpc()) < lamv for z in sample_points]
-    return sample_points, sample_flags, gap
+        flags = [abs(lamv + z.to_mpc()) < lamv for z in roots]
+    return [0j] * zero_mult + [complex(z) for z in roots], [False] * zero_mult + flags, gap
 
 
 @dataclass(frozen=True)
@@ -826,35 +814,41 @@ class RegionEndpoint:
     angle_fraction: float
 
 
-def region_endpoint_angle(p, plane, n_scan=1024, precision_bits=MIN_PRECISION):
+_ENDPOINT_SCAN = 1024
+
+
+def region_endpoint_angle(p, plane):
     """Angle fraction of the violation-region endpoint in the given plane.
 
-    Sweeps the plane's own variable along the unit circle over theta in
-    (0, pi) and bisects the sign change of min over the other variable's
-    nonzero roots of |1 + root| - 1.  At the crossing both variables sit
-    on their circles, so the swept angle is the endpoint angle.  Analytic
-    cases show no sign change and raise NoViolationRegionError.
+    Sweeps the plane's own variable along the unit circle at _ENDPOINT_SCAN
+    points of theta in (0, pi), solved in 53-bit floats, and bisects the
+    sign change of min over the other variable's nonzero roots of
+    |1 + root| - 1.  At the crossing both variables sit on their circles,
+    so the swept angle is the endpoint angle.  Analytic cases show no sign
+    change and raise NoViolationRegionError.
     """
     if not isinstance(p, ExactBiPoly):
         raise TypeError("expected ExactBiPoly")
     if plane not in ("a", "b"):
         raise ValueError("plane must be 'a' or 'b'")
-    if n_scan < 512:
-        raise ValueError("scan needs at least 512 samples")
+    overflow = "coefficients overflow the scan's working range"
     work = p.transposed() if plane == "a" else p
     rows = _hardware_rows(work)
     if rows is None:
-        raise ValueError("coefficients overflow the scan's working range")
+        raise ValueError(overflow)
 
     def indicator(theta):
         coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
-        roots = _solve_hardware(coeffs, precision_bits)[2]
-        return min(abs(1 + r) for r in roots) - 1.0 if roots else math.inf
+        try:
+            roots = _solve_hardware(coeffs, MIN_PRECISION)[2]
+            return min(abs(1 + r) for r in roots) - 1.0 if roots else math.inf
+        except OverflowError:  # a finite complex whose modulus is not
+            raise ValueError(overflow) from None
 
-    thetas = [math.pi * (j + 1) / (n_scan + 1) for j in range(n_scan)]
+    thetas = [math.pi * (j + 1) / (_ENDPOINT_SCAN + 1) for j in range(_ENDPOINT_SCAN)]
     values = [indicator(t) for t in thetas]
     crossing = None
-    for i in range(n_scan - 1):
+    for i in range(_ENDPOINT_SCAN - 1):
         if values[i] < 0 <= values[i + 1]:
             crossing = i
     if crossing is None:
@@ -906,21 +900,24 @@ def analytic_disc_margin(expansion):
 
 
 _BRANCH_SCALES = ("1e-3", "1e-4", "1e-5")
+_BRANCH_PRECISION = 128
+_BRANCH_CLUSTER_RADIUS = 0.1
 
 
-def estimate_branch_coefficients(p, leading_hint, precision_bits=128, cluster_radius=0.1):
+def estimate_branch_coefficients(p, leading_hint):
     """Fit the expansion of the root branch a(b) with a/b nearest leading_hint.
 
-    Tracks the branch at b = 1e-3, 1e-4, 1e-5 (real positive).  A cluster
-    of two roots is treated as a conjugate/sign pair: their half-difference
-    identifies the subleading exponent by log-ratio fit (threshold 1.75
-    between b^2 and b^(3/2)); a single root is fitted by exact three-scale
-    interpolation.  Estimates from different scale pairs must agree to
-    three significant digits or BranchFitError is raised.
+    Tracks the roots with |a/b - leading_hint| <= 0.1 at b = 1e-3, 1e-4,
+    1e-5 (real positive), solved at 128 bits.  A cluster of two roots is
+    treated as a conjugate/sign pair: their half-difference identifies the
+    subleading exponent by log-ratio fit (threshold 1.75 between b^2 and
+    b^(3/2)); a single root is fitted by exact three-scale interpolation.
+    Estimates from different scale pairs must agree to three significant
+    digits or BranchFitError is raised.
     """
     if not isinstance(p, ExactBiPoly):
         raise TypeError("expected ExactBiPoly")
-    prec = precision_bits
+    prec = _BRANCH_PRECISION
     hint = complex(as_complex_point(leading_hint))
     with mp.workprec(prec):
         scales = [mpf(s) for s in _BRANCH_SCALES]
@@ -937,7 +934,7 @@ def estimate_branch_coefficients(p, leading_hint, precision_bits=128, cluster_ra
         rs = find_roots(coeffs, prec)
         with mp.workprec(prec):
             sel = [z.to_mpc() for z in rs.roots
-                   if abs(z.to_mpc() / b0 - hint) <= cluster_radius]
+                   if abs(z.to_mpc() / b0 - hint) <= _BRANCH_CLUSTER_RADIUS]
             sel.sort(key=pair_order, reverse=True)
         if not sel:
             raise BranchFitError("no root with a/b near %r at b=%s" % (hint, b0))

@@ -1,11 +1,16 @@
-"""LocusCurve keeps 53-bit hardware roots as complex and builds ComplexPoints on read."""
+"""LocusCurve keeps its roots as Python complex at every precision.
+
+A 53-bit sweep builds no ComplexPoint, and every sweep writes the CSV that
+storing each root as a ComplexPoint wrote.
+"""
 
 import io
 import math
 
 import pytest
+from mpmath import mp, mpf
 
-from relzeros import ComplexPoint, ExactBiPoly, LocusCurve, trace_locus
+from relzeros import ComplexPoint, ExactBiPoly, LocusCurve, find_roots, trace_locus
 from relzeros.cli import main
 from relzeros.polycore import as_complex_point
 from relzeros.reference import family_bipoly
@@ -28,10 +33,11 @@ def constructions(monkeypatch):
 
 
 def parent_style_csv(curve):
-    """The CSV as written when every root was stored as a ComplexPoint."""
+    """The CSV as written when every root was stored as a 53-bit ComplexPoint."""
     out = ["theta,re,im,violation\n"]
-    for theta, pts, flags in zip(curve.theta_samples, curve.points, curve.violation_flags):
-        for z, flag in zip(pts, flags):
+    for theta, roots, flags in zip(curve.theta_samples, curve.roots, curve.violation_flags):
+        for z, flag in zip(roots, flags):
+            z = ComplexPoint(z.real, z.imag)
             out.append("%.12g,%.15g,%.15g,%d\n" % (theta, float(z.re), float(z.im), int(flag)))
     return "".join(out)
 
@@ -48,8 +54,6 @@ def test_hardware_sweep_builds_no_complex_point(constructions, case):
     assert curve.violation_count() > 0 and curve.gap_count() == 0
     csv_text(curve)
     assert constructions == []
-    points = curve.points
-    assert len(constructions) == sum(map(len, curve.roots)) == sum(map(len, points))
     assert all(isinstance(z, complex) for roots in curve.roots for z in roots)
 
 
@@ -58,7 +62,7 @@ def test_locus_command_builds_no_complex_point(constructions, tmp_path, capsys):
     assert main(["locus", "d", "--samples", "64", "--out", str(out)]) == 0
     assert constructions == []
     curve = trace_locus(family_bipoly("d"), "b", 1.0, 64)
-    assert "roots=%d " % sum(map(len, curve.points)) in capsys.readouterr().out
+    assert "roots=%d " % sum(map(len, curve.roots)) in capsys.readouterr().out
     assert out.read_text() == parent_style_csv(curve)
 
 
@@ -70,11 +74,17 @@ def test_csv_matches_complex_point_formatting(case, swept, lam, n_samples):
     assert csv_text(curve) == parent_style_csv(curve)
 
 
-def test_points_match_the_stored_roots():
-    curve = trace_locus(CASE_POLYS["d"], "b", 0.1, 64)
-    for roots, pts in zip(curve.roots, curve.points):
-        assert [(z.re, z.im, z.precision) for z in pts] == \
-            [(z.real, z.imag, 53) for z in roots]
+def test_roots_above_53_bits_are_complex_flagged_at_full_precision():
+    p, lam, prec = CASE_POLYS["d"], 0.1, 80
+    curve = trace_locus(p, "b", lam, 32, prec)
+    assert curve.gap_count() == 0
+    for theta, roots, flags in zip(curve.theta_samples, curve.roots, curve.violation_flags):
+        w = _half_angle_circle(lam, theta)
+        rs = find_roots(p.coefficients_in_a(ComplexPoint(w.real, w.imag, prec)), prec)
+        zeros = rs.zero_multiplicity
+        assert roots == [0j] * zeros + [complex(z) for z in rs.roots]
+        with mp.workprec(prec):
+            assert flags == [False] * zeros + [abs(mpf(lam) + z.to_mpc()) < lam for z in rs.roots]
 
 
 def test_negative_zero_prints_as_zero():
@@ -87,21 +97,23 @@ def test_negative_zero_prints_as_zero():
 
 def test_non_finite_sample_falls_back_to_complex_points():
     # |1e308 * w| + 1e307 overflows a float where |w| = |e^(i theta) - 1|
-    # is near 2, though every coefficient is finite: those samples are
-    # solved through find_roots and keep ComplexPoint roots (on this grid
-    # no |coefficient| itself overflows, which raises OverflowError)
+    # is near 2, though every coefficient is finite; on this grid |1e308 * w|
+    # itself does too, where abs() raises OverflowError.  Those samples are
+    # solved on ComplexPoints through _locus_sample, the rest in floats.
     p = ExactBiPoly({(0, 1): 10 ** 308, (1, 0): 10 ** 307})
-    curve = trace_locus(p, "b", 1.0, 16)
-    kinds = {type(roots[0]) for roots in curve.roots if roots}
-    assert kinds == {complex, ComplexPoint}
+    curve = trace_locus(p, "b", 1.0, 64)
     rows = _hardware_rows(p)
+    seen = set()
     for theta, roots, flags, gap in zip(curve.theta_samples, curve.roots,
                                         curve.violation_flags, curve.gaps):
-        if roots and isinstance(roots[0], ComplexPoint):
-            coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
-            assert not math.isfinite(sum(map(abs, coeffs)))
+        coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
+        try:
+            kind = "finite" if math.isfinite(sum(map(abs, coeffs))) else "inf"
+        except OverflowError:
+            kind = "overflow"
+        seen.add(kind)
+        if kind != "finite":
             want = _locus_sample([as_complex_point(c) for c in coeffs], 1.0, 53, 1)
-            assert [(z.re, z.im, z.precision) for z in roots] == \
-                [(z.re, z.im, z.precision) for z in want[0]]
-            assert (flags, gap) == want[1:]
+            assert (roots, flags, gap) == want
+    assert seen == {"finite", "inf", "overflow"}
     assert csv_text(curve) == parent_style_csv(curve)

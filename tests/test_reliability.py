@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from relzeros import (
     ClassCountError,
@@ -93,7 +93,7 @@ class TestEnumeration:
     def test_subdivided_k4_at_the_cap(self):
         g = subdivide(complete_graph(4), 4)
         assert g.num_edges == MAX_ENUMERATION_EDGES
-        assert connected_subgraph_poly(g) == subdivided_univariate(K4_UNIVARIATE, 6, 4).poly
+        assert connected_subgraph_poly(g) == subdivided_univariate(K4_UNIVARIATE, 6, 4)
 
 
 def matrix_tree_count(g):
@@ -205,35 +205,23 @@ class TestReductions:
 
 class TestSubdividedUnivariate:
     def test_identity(self):
-        out = subdivided_univariate(K4_UNIVARIATE, 6, 1)
-        assert out.poly == K4_UNIVARIATE
-        assert out.scale == 1
+        assert subdivided_univariate(K4_UNIVARIATE, 6, 1) == K4_UNIVARIATE
 
     def test_doubled_edge_to_square(self):
         c2 = ExactUniPoly([0, 2, 1])
-        out = subdivided_univariate(c2, 2, 2)
-        assert out.scale == 1
-        assert out.poly == ExactUniPoly([0, 0, 0, 4, 1])
+        assert subdivided_univariate(c2, 2, 2) == ExactUniPoly([0, 0, 0, 4, 1])
 
     def test_k4_subdivision_matches_enumeration(self):
         out = subdivided_univariate(K4_UNIVARIATE, 6, 2)
         from relzeros import complete_graph, subdivide
-        direct = connected_subgraph_poly(subdivide(complete_graph(4), 2))
-        assert out.scale == 1
-        assert out.poly == direct
+        assert out == connected_subgraph_poly(subdivide(complete_graph(4), 2))
 
-    def test_rational_scale_when_degree_exceeds_edges(self):
-        p = ExactUniPoly([1, 0, 1])  # degree 2, declared 1 edge
-        out = subdivided_univariate(p, 1, 3)
-        # s^m v^((s-1)m) p(v/s) = 3 v^2 (1 + v^2/9) = (9v^2 + v^4) / 3
-        assert out.scale == Fraction(1, 3)
-        assert out.poly == ExactUniPoly([0, 0, 9, 0, 1])
-        z = ComplexPoint("0.7", "0.2", 128)
-        lhs = out.evaluate(z)
-        with mp.workprec(128):
-            zc = z.to_mpc()
-            rhs = 3 * zc ** 2 * (1 + (zc / 3) ** 2)
-            assert abs(lhs.to_mpc() - rhs) < mpf(2) ** -100
+    def test_degree_above_edge_count_rejected(self):
+        # a graph's C has degree at most its edge count
+        p = ExactUniPoly([1, 0, 1])
+        for s in (1, 3):
+            with pytest.raises(ValueError, match="exceeds"):
+                subdivided_univariate(p, 1, s)
 
     def test_validation(self):
         with pytest.raises(ValueError):

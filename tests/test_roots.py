@@ -42,7 +42,7 @@ from relzeros.roots import (
     _collapse_hardware,
     _half_angle_circle,
     _hardware_rows,
-    _locus_sample_hardware,
+    _locus_sample_floats,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
 
@@ -158,9 +158,30 @@ class TestFindRoots:
                 assert d <= el + eh + mpf(2) ** -200
 
     def test_scaled_poly_accepted(self):
+        # the subdivision's C: the roots of K4's C, scaled by 2
         scaled = subdivided_univariate(K4_UNIVARIATE, 6, 2)
         rs = find_roots(scaled, 128)
         assert rs.degree == 12
+
+    @pytest.mark.parametrize("prec", [53, 128])
+    def test_modulus_overflowing_a_float_is_solved_in_fixed_point(self, prec):
+        # both parts are floats, |c0| is not: the float pass cannot take abs()
+        rs = find_roots([complex(1.5e308, 1.5e308), 1.0], prec)
+        assert [(z.re, z.im) for z in rs.roots] == [(mpf(-1.5e308), mpf(-1.5e308))]
+
+    @pytest.mark.xfail(strict=True, reason="the Horner bound overflows to inf at 53 bits, so "
+                       "the start circle passes the noise test and is returned as converged")
+    def test_huge_coefficients_enclose_the_true_roots(self):
+        b, c = 10 ** 290, 10 ** 300
+        with mp.workprec(2048):
+            disc = mp.sqrt(mpf(b) ** 2 - 4 * c)
+            true_roots = [(-b + disc) / 2, (-b - disc) / 2]  # about -1e10 and -1e290
+            try:
+                rs = find_roots(ExactUniPoly([c, b, 1]), 53)
+            except NonconvergenceError:
+                return
+            for r in true_roots:
+                assert any(abs(r - z.to_mpc()) <= e for z, e in zip(rs.roots, rs.error_radii))
 
     def test_json_shape(self):
         rs = find_roots(ExactUniPoly([0, 0, 0, 16, 15, 6, 1]), 128)
@@ -240,12 +261,10 @@ def reference_find_roots(p, prec, warm=True):
     zero_mult = roots_module._deflate(coeffs, exact_ints)
     if len(coeffs) < 2:
         return roots_module.RootSet(zero_mult, [], [], prec)
-    hardware = roots_module._to_hardware(coeffs)
+    hardware = roots_module._solve_floats(coeffs) if warm else None
     starts = None
-    if hardware is not None and warm:
-        hw_roots, hw_ok = roots_module._aberth_hardware(hardware)
-        if hw_ok:
-            starts = hw_roots
+    if hardware is not None and hardware[1]:
+        starts = hardware[0]
     roots, ok = reference_aberth_mp(coeffs, starts, prec)
     if not ok and starts is not None:
         roots, ok = reference_aberth_mp(coeffs, None, prec)
@@ -596,8 +615,8 @@ class TestLocus:
     def test_zero_roots_reported_unflagged(self):
         curve = trace_locus(CASE_POLYS["d"], "b", 1.0, 64)
         # collapsed case-d polynomial keeps an exact zero root for every b
-        for pts, flags in zip(curve.points, curve.violation_flags):
-            zero_flags = [f for z, f in zip(pts, flags) if z.is_zero]
+        for roots, flags in zip(curve.roots, curve.violation_flags):
+            zero_flags = [f for z, f in zip(roots, flags) if z == 0]
             assert zero_flags and not any(zero_flags)
 
     def test_sample_count_validation(self):
@@ -614,7 +633,7 @@ class TestLocus:
         assert lines[0] == "theta,re,im,violation"
         row = lines[1].split(",")
         assert len(row) == 4 and row[3] in ("0", "1")
-        total_points = sum(len(p) for p in curve.points)
+        total_points = sum(len(p) for p in curve.roots)
         assert len(lines) == 1 + total_points
 
     def test_half_power_signature(self, locus):
@@ -629,9 +648,8 @@ class TestLocus:
                              - math.sin(3 * math.pi / 4) * sub.imag) / abs(lead) ** 1.5
             for lam in (1.0, 0.1, 0.01):
                 curve = locus.curve(case, lam)
-                flagged = [complex(z)
-                           for pts, fl in zip(curve.points, curve.violation_flags)
-                           for z, f in zip(pts, fl) if f]
+                flagged = [z for roots, fl in zip(curve.roots, curve.violation_flags)
+                           for z, f in zip(roots, fl) if f]
                 assert flagged
                 z0 = flagged[0]
                 assert z0.real < 0
@@ -681,9 +699,10 @@ def reference_locus(p, swept, lam, n_samples):
 
 
 def assert_same_sample(got, want):
-    (got_pts, got_flags, got_gap), (want_pts, want_flags, want_gap) = got, want
-    assert [(z.re, z.im, z.precision) for z in got_pts] == \
-        [(z.re, z.im, z.precision) for z in want_pts]
+    """got's complex roots are want's 53-bit ComplexPoints, bit for bit."""
+    (got_roots, got_flags, got_gap), (want_pts, want_flags, want_gap) = got, want
+    assert all(isinstance(z, complex) for z in got_roots)
+    assert got_roots == [complex(z) for z in want_pts]
     assert got_flags == want_flags
     assert got_gap == want_gap
 
@@ -691,8 +710,8 @@ def assert_same_sample(got, want):
 def assert_matches_reference(p, swept, lam, n_samples):
     curve = trace_locus(p, swept, lam, n_samples)
     want = reference_locus(p, swept, float(lam), n_samples)
-    assert len(want) == len(curve.points) == n_samples
-    for got, ref in zip(zip(curve.points, curve.violation_flags, curve.gaps), want):
+    assert len(want) == len(curve.roots) == n_samples
+    for got, ref in zip(zip(curve.roots, curve.violation_flags, curve.gaps), want):
         assert_same_sample(got, ref)
 
 
@@ -706,24 +725,24 @@ class TestLocusHardwarePath:
     @pytest.mark.parametrize("coeffs", [[2, 1], [1 - 1j, 1]])
     def test_exact_boundary_roots_unflagged(self, coeffs):
         # roots -2 and -1+1j sit exactly on |1 + v| = 1
-        got = _locus_sample_hardware([complex(c) for c in coeffs], 1.0, 1)
+        got = _locus_sample_floats([complex(c) for c in coeffs], 1.0, 1)
         assert_same_sample(got, reference_locus_sample(coeffs, 1.0, 1))
         assert got[1] == [False] and got[2] is False
 
     def test_exact_boundary_through_trace_locus(self):
         curve = trace_locus(ExactBiPoly({(0, 0): 2, (1, 0): 1}), "b", 1.0, 16)
-        assert all(complex(pts[0]) == -2 and flags == [False]
-                   for pts, flags in zip(curve.points, curve.violation_flags))
+        assert all(roots == [-2] and flags == [False]
+                   for roots, flags in zip(curve.roots, curve.violation_flags))
 
     def test_all_zero_collapse_is_gap(self):
-        assert _locus_sample_hardware([0j, 0j, 0j], 1.0, 2) == ([], [], True)
+        assert _locus_sample_floats([0j, 0j, 0j], 1.0, 2) == ([], [], True)
 
     def test_nonconvergence_is_gap(self, monkeypatch):
         # one sweep leaves (v-1)(v-2)(v-3)(v-4) unconverged on both paths
         real = roots_module._aberth_hardware
         monkeypatch.setattr(roots_module, "_aberth_hardware", lambda cs: real(cs, max_sweeps=1))
         coeffs = [24 + 0j, -50 + 0j, 35 + 0j, -10 + 0j, 1 + 0j]
-        got = _locus_sample_hardware(coeffs, 1.0, 4)
+        got = _locus_sample_floats(coeffs, 1.0, 4)
         assert_same_sample(got, reference_locus_sample(coeffs, 1.0, 4))
         assert got[2] is True and len(got[0]) == 4
 
@@ -731,7 +750,7 @@ class TestLocusHardwarePath:
         # libm rounds |1 + z| to 1.0000000000000002 here; the correctly
         # rounded value is below 1, so the root is inside
         z = -0.18762547461588253 + 0.5831360308769556j
-        got = _locus_sample_hardware([-z, 1 + 0j], 1.0, 1)
+        got = _locus_sample_floats([-z, 1 + 0j], 1.0, 1)
         assert_same_sample(got, reference_locus_sample([-z, 1], 1.0, 1))
         assert got[1] == [True]
 
@@ -744,7 +763,7 @@ class TestLocusHardwarePath:
         ([4962666237972.329 + 0j, 1 + 0j, 1.947983696098115 + 1.139439410825926j], 2),
     ])
     def test_trim_tie_follows_mpmath(self, coeffs, kept):
-        got = _locus_sample_hardware(coeffs, 1.0, 2)
+        got = _locus_sample_floats(coeffs, 1.0, 2)
         assert_same_sample(got, reference_locus_sample(coeffs, 1.0, 2))
         assert len(got[0]) == kept and got[2] is (kept < 2)
 
@@ -789,8 +808,11 @@ class TestRegionEndpoints:
     def test_validation(self):
         with pytest.raises(ValueError):
             region_endpoint_angle(CASE_POLYS["b"], "z")
-        with pytest.raises(ValueError):
-            region_endpoint_angle(CASE_POLYS["b"], "a", n_scan=100)
+
+    def test_modulus_overflowing_a_float_is_rejected(self):
+        # finite float coefficients whose collapse has |c| above the float range
+        with pytest.raises(ValueError, match="overflow the scan's working range"):
+            region_endpoint_angle(ExactBiPoly({(0, 1): 10 ** 308, (1, 0): 10 ** 307}), "b")
 
 
 class TestBranchEstimation:
