@@ -8,25 +8,35 @@ checkout in turn runs
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-where T is the run_seconds of BENCHMARK.json.  The checkout that runs
-first alternates from seed to seed, so that a slow stretch of a shared
+where T is the run_seconds of BENCHMARK.json.  Then each checkout in turn
+times three runs of
+
+    python3 -m relzeros reproduce --suite all --json
+
+with its own src/ on PYTHONPATH.  The checkout that runs first alternates
+from seed to seed and from run to run, so that a slow stretch of a shared
 host does not fall on one side only.  The file gets, per label: the seeds
 and run length, the commit, whether src/ or bench/ had uncommitted
 changes, the line count of the Python files under src/, every run's
-end-to-end metrics and checks, and per workload the median of each
-end-to-end metric.
+end-to-end metrics and checks, per workload the median of each
+end-to-end metric, and each reproduce run's wall seconds and exit code,
+with the median seconds and the exit codes seen.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPRODUCE = ["-m", "relzeros", "reproduce", "--suite", "all", "--json"]
+REPRODUCE_RUNS = 3
 
 
 def git(checkout, *args):
@@ -43,6 +53,7 @@ def describe(checkout, seeds, seconds):
         "src_lines": sum(len(f.read_text().splitlines())
                          for f in sorted((checkout / "src").rglob("*.py"))),
         "runs": {},
+        "reproduce": {"command": "relzeros " + " ".join(REPRODUCE[2:]), "runs": []},
     }
 
 
@@ -63,6 +74,20 @@ def run_bench(checkout, workload, seed, seconds):
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def run_reproduce(checkout):
+    """Wall seconds and exit code of one reproduce run of the checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *REPRODUCE], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    return {"seconds": time.perf_counter() - start, "exit_code": proc.returncode}
+
+
+def turns(sides, i):
+    """The checkouts in running order for the i-th round: the first rotates."""
+    return sides[i % len(sides):] + sides[:i % len(sides)]
 
 
 def medians(runs):
@@ -90,13 +115,20 @@ def main(argv=None):
 
     for workload in workloads:
         for i, seed in enumerate(args.seeds):
-            turn = sides[i % len(sides):] + sides[:i % len(sides)]
-            for label, checkout in turn:
+            for label, checkout in turns(sides, i):
                 run = run_bench(checkout, workload, seed, seconds)
                 record[label]["runs"].setdefault(workload, []).append(run)
                 print("%s %s seed %d: %s" % (label, workload, seed, json.dumps(run)), flush=True)
+    for i in range(REPRODUCE_RUNS):
+        for label, checkout in turns(sides, i):
+            run = run_reproduce(checkout)
+            record[label]["reproduce"]["runs"].append(run)
+            print("%s reproduce: %s" % (label, json.dumps(run)), flush=True)
     for side in record.values():
         side["median"] = {w: medians(runs) for w, runs in side["runs"].items()}
+        reproduce = side["reproduce"]
+        reproduce["median_s"] = statistics.median(r["seconds"] for r in reproduce["runs"])
+        reproduce["exit_codes"] = sorted({r["exit_code"] for r in reproduce["runs"]})
 
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -4,7 +4,9 @@ Polynomials carry arbitrary-precision integer coefficients; the instances
 this library targets reach coefficients near 10^27 and degree 93, far past
 what doubles or 64-bit integers can hold exactly.  Rounding enters only
 when a polynomial is evaluated at a :class:`ComplexPoint`, which records
-the working precision (in bits) of its arithmetic.
+the working precision (in bits) of its arithmetic.  Exact helpers on
+low-to-high coefficient lists shift the variable by +-1 and divide out the
+shifted cyclotomic factors, whose roots lie exactly on |1 + v| = 1.
 """
 
 from __future__ import annotations
@@ -309,7 +311,104 @@ def shifted_power(p):
     return ExactUniPoly([0] + [comb(p, k) for k in range(1, p + 1)])
 
 
+def taylor_shift(coeffs, s):
+    """Low-to-high coefficients of p(x + s) for s = 1 or -1, from those of
+    p, by repeated exact additions; p(x - 1) is p(-x) shifted by +1 at -x."""
+    cs = list(coeffs)
+    if s < 0:
+        cs[1::2] = [-c for c in cs[1::2]]
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += cs[j + 1]
+    if s < 0:
+        cs[1::2] = [-c for c in cs[1::2]]
+    return cs
+
 
 def cycle_poly(n):
     """C of the n-cycle, n*v^(n-1) + v^n, for n >= 1 (n = 1 is the loop, 1 + v)."""
     return ExactUniPoly([0] * (n - 1) + [n, 1])
+
+
+def _exact_divide_monic(num, den):
+    """Quotient of exact integer polynomials if den divides num, else None.
+
+    den must be monic; coefficients are low-to-high.
+    """
+    dn, dd = len(num) - 1, len(den) - 1
+    if dd > dn:
+        return None
+    rem = list(num)
+    quot = [0] * (dn - dd + 1)
+    for i in range(dn - dd, -1, -1):
+        c = rem[i + dd]
+        if c:
+            quot[i] = c
+            for j in range(dd + 1):
+                rem[i + j] -= c * den[j]
+    if any(rem):
+        return None
+    return quot
+
+
+_PHI_SIEVE = [0, 1]
+
+
+def _circle_factor_orders(max_degree):
+    """Orders m whose shifted cyclotomic has degree phi(m) <= max_degree.
+
+    phi(m) >= sqrt(m/2), so scanning m <= 2*max_degree^2 + 2 is exhaustive.
+    """
+    global _PHI_SIEVE
+    limit = 2 * max_degree * max_degree + 2
+    if len(_PHI_SIEVE) <= limit:
+        phi = list(range(limit + 1))
+        for p in range(2, limit + 1):
+            if phi[p] == p:  # prime
+                for k in range(p, limit + 1, p):
+                    phi[k] -= phi[k] // p
+        _PHI_SIEVE = phi
+    return [m for m in range(2, limit + 1) if _PHI_SIEVE[m] <= max_degree]
+
+
+_SHIFTED_CYCLOTOMIC = {1: (0, 1)}
+
+
+def _shifted_cyclotomic(m):
+    """The monic integer factor of (1+v)^m - 1 whose roots are the shifted
+    primitive m-th roots of unity, v = -1 + e^(2*pi*i*k/m), gcd(k, m) = 1."""
+    if m not in _SHIFTED_CYCLOTOMIC:
+        coeffs = list(shifted_power(m).coeffs)
+        for d in range(1, m):
+            if m % d == 0:
+                coeffs = _exact_divide_monic(coeffs, list(_shifted_cyclotomic(d)))
+        _SHIFTED_CYCLOTOMIC[m] = tuple(coeffs)
+    return _SHIFTED_CYCLOTOMIC[m]
+
+
+def strip_circle_factors(coeffs):
+    """Divide out shifted-cyclotomic factors (multiplicity included).
+
+    Their nonzero roots sit exactly on |1 + v| = 1, i.e. Re(1/v) = -1/2,
+    so they lie strictly inside |lam + v| < lam exactly when lam > 1; this
+    settles boundary roots that no finite working precision could.  Returns
+    (reduced coefficients, list of stripped orders m).
+    """
+    out = list(coeffs)
+    stripped = []
+    at_one = sum(out)
+    for m in _circle_factor_orders(len(out) - 1):
+        while len(out) > 1:
+            factor = _shifted_cyclotomic(m)
+            if len(factor) > len(out):
+                break
+            f_at_one = sum(factor)
+            if at_one and f_at_one and at_one % f_at_one:
+                break
+            quot = _exact_divide_monic(out, list(factor))
+            if quot is None:
+                break
+            out = quot
+            at_one = sum(out)
+            stripped.append(m)
+    return out, stripped

@@ -31,6 +31,7 @@ from .polycore import (
     ExactBiPoly,
     ExactUniPoly,
     as_complex_point,
+    taylor_shift,
 )
 
 MAX_ENUMERATION_EDGES = 24
@@ -169,10 +170,7 @@ def two_class_specialize(p, p1, p2):
             ci = (-1) ** (da - i) * comb(da, i) * c
             for j in range(db + 1):
                 cs[p1 * i + p2 * j] += (-1) ** (db - j) * comb(db, j) * ci
-    for i in range(len(cs) - 1):
-        for j in range(len(cs) - 2, i - 1, -1):
-            cs[j] += cs[j + 1]
-    return ExactUniPoly(cs)
+    return ExactUniPoly(taylor_shift(cs, 1))
 
 
 def parallel_reduce(ws):

@@ -1,19 +1,28 @@
 """Root finding and forbidden-disc analysis for connectivity polynomials.
 
 The root engine is simultaneous (Aberth-style) iteration: every root is
-updated with a Newton step corrected by mutual repulsion, starting from a
-circle of radius (|c0/cn|)^(1/n) with angular offsets (2*pi*k + 0.7)/n.
-A root stops iterating once its correction is below 2^-(prec-10)*(1+|z|)
-or once |p(z)| provably sits inside the rounding noise of the evaluation
-itself, at which point further sweeps cannot improve it.  Above 53 bits
-(and at 53 bits when coefficients overflow floats) the iteration runs in
-fixed point on Python integers, with the same stop rules: coefficients
-become exact Gaussian integers, roots are integer pairs at a scale of 2^F,
-fine enough to hold the smallest root to the precision plus guard bits,
-and each product is shifted back to that scale.  It is warm-started from a hardware (53-bit) pass, and
-a failed warm start falls back to the plain circle start.  Output roots are
-rounded to the precision and their error radii come from an independent
-mpmath residual.
+updated with a Newton step corrected by mutual repulsion.  In hardware
+floats it starts from a circle of radius (|c0/cn|)^(1/n) with angular
+offsets (2*pi*k + 0.7)/n.  A root stops iterating once its correction is
+below 2^-(prec-10)*(1+|z|) or once |p(z)| provably sits inside the
+rounding noise of the evaluation itself, at which point further sweeps
+cannot improve it.  Above 53 bits (and at 53 bits when the float pass
+gives no result) the iteration runs in fixed point on Python integers,
+with the same stop rules: coefficients become exact Gaussian integers,
+roots are integer pairs at a scale of 2^F, fine enough to hold the
+smallest root (and past 2^prec the reciprocal of the largest) to the
+precision plus guard bits, and each product is shifted back to that scale.
+
+The fixed-point loop is warm-started from a float solve.  For exact
+integer coefficients that solve runs in u = 1 + v on the Taylor shift
+q(u) = p(u - 1), with q's exact zero roots started at v = -1: the family
+members' roots crowd |1 + v| = 1, so q's coefficients span a few bits
+where p's span dozens, and the float roots land next to the true ones.
+Other coefficients are solved in v.  A failed float solve falls back to
+one start circle per edge of the upper hull of (i, log|c_i|), which is
+the single circle above whenever that hull is one segment.  Output roots
+are rounded to the precision and their error radii come from an
+independent mpmath residual.
 
 The zero root is never iterated: low-order exactly-zero coefficients are
 stripped symbolically, so v = 0 sits exactly on every disc boundary
@@ -42,6 +51,8 @@ from .polycore import (
     ExactBiPoly,
     ExactUniPoly,
     as_complex_point,
+    strip_circle_factors,
+    taylor_shift,
 )
 from .reliability import DisconnectedGraphError
 
@@ -141,14 +152,36 @@ def _auto_precision(coeffs, degree):
 def _solve_floats(coeffs):
     """_aberth_hardware on the coefficients as floats; None where they or the
     iteration leave the float range (abs() raises OverflowError on a complex
-    whose parts are finite but whose modulus is not)."""
+    whose parts are finite but whose modulus is not, and a Horner bound
+    sum |c| |z|^k of inf lets the noise test pass any point)."""
     try:
         cs = [complex(c) for c in coeffs]
         if all(math.isfinite(abs(c)) for c in cs):
-            return _aberth_hardware(cs)
+            z, ok = _aberth_hardware(cs)
+            top, bound = max(map(abs, z)), 0.0
+            for c in reversed(cs):
+                bound = bound * top + abs(c)
+            if math.isfinite(bound):
+                return z, ok
     except (OverflowError, TypeError):
         pass
     return None
+
+
+def _shifted_starts(coeffs):
+    """Float starts for exact integer coefficients, solved in u = 1 + v,
+    where roots near |1 + v| = 1 leave q(u) = p(u - 1) a far smaller
+    coefficient spread than p; None if the float solve fails.  q's exact
+    zero roots start at v = -1 (left in, they shrink the start circle's
+    radius |q0/qn|^(1/n) to 0)."""
+    q = taylor_shift(coeffs, -1)
+    starts = [-1.0] * _deflate(q, True)
+    if len(q) > 1:
+        hardware = _solve_floats(q)
+        if hardware is None or not hardware[1]:
+            return None
+        starts += [u - 1 for u in hardware[0]]
+    return starts
 
 
 def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
@@ -224,17 +257,32 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
     (x + iy) / 2^F, and every product is rounded back to that scale."""
     n = len(gauss) - 1
     # every |z| > 2^-small (Fujiwara's bound on 1/z, 2^(b-1) <= |c| < 2^(b+1)), so even the
-    # smallest root keeps prec bits plus guard bits for the n roundings of a Horner pass
+    # smallest root keeps prec bits plus guard bits for the n roundings of a Horner pass;
+    # every |z| < 2^big, and past 2^prec the grid must also hold 1/z to keep w*s accurate
     bits = [max(abs(x), abs(y)).bit_length() for x, y in gauss]
     small = 1 + max(0, max(-((bits[0] - b - 2) // i) for i, b in enumerate(bits) if i and b))
-    F = prec + 8 + 2 * n.bit_length() + small
+    big = 1 + max(-((bits[n] - b - 2) // (n - i)) for i, b in enumerate(bits[:n]) if b)
+    F = prec + 8 + 2 * n.bit_length() + small + max(0, big - prec)
     one = 1 << F
     cs = [(a << F, b << F, math.isqrt(a * a + b * b) << F) for a, b in reversed(gauss)]
     top, rest = cs[0], cs[1:]
     if starts is None:
+        # one circle per edge i..j of the upper hull of (i, log|c_i|), radius
+        # |c_i/c_j|^(1/(j-i)), for the j - i roots of about that modulus
+        mags = [m for _, _, m in reversed(cs)]
+        logs = {i: math.log(m) for i, m in enumerate(mags) if m}
+        hull = []
+        for j in logs:
+            while len(hull) > 1 and ((logs[hull[-1]] - logs[hull[-2]]) * (j - hull[-2])
+                                     <= (logs[j] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
+                hull.pop()
+            hull.append(j)
+        starts = []
         with mp.workprec(F):
-            r = (mpf(cs[-1][2]) / top[2]) ** (mpf(1) / n)
-            starts = [r * mp.expj((2 * mp.pi * k + mpf("0.7")) / n) for k in range(n)]
+            for i, j in zip(hull, hull[1:]):
+                r = (mpf(mags[i]) / mags[j]) ** (mpf(1) / (j - i))
+                starts += [r * mp.expj((2 * mp.pi * k + mpf("0.7")) / (j - i))
+                           for k in range(j - i)]
     zx = [int(mp.ldexp(s.real, F)) for s in starts]
     zy = [int(mp.ldexp(s.imag, F)) for s in starts]
     noise = 2 * n + 2
@@ -347,14 +395,17 @@ def find_roots(p, precision_bits=None):
     if n == 0:
         return RootSet(zero_mult, [], [], prec)
 
-    hardware = _solve_floats(coeffs)
     starts = None
-    if hardware is not None:
-        hw_roots, hw_ok = hardware
-        if prec <= MIN_PRECISION:
-            return _finalize(coeffs, [mpc(z) for z in hw_roots], zero_mult, prec, hw_ok)
-        if hw_ok:
-            starts = hw_roots
+    if exact_ints and prec > MIN_PRECISION:
+        starts = _shifted_starts(coeffs)
+    else:
+        hardware = _solve_floats(coeffs)
+        if hardware is not None:
+            hw_roots, hw_ok = hardware
+            if prec <= MIN_PRECISION:
+                return _finalize(coeffs, [mpc(z) for z in hw_roots], zero_mult, prec, hw_ok)
+            if hw_ok:
+                starts = hw_roots
 
     gauss = _gaussian_integers(coeffs)
     if gauss is None:  # inf or nan: nothing converges, as in mpmath
@@ -418,90 +469,6 @@ def _mpf_to_fraction(x):
     sign, man, exp, _ = x._mpf_
     f = Fraction(man) * Fraction(2) ** exp
     return -f if sign else f
-
-
-def _exact_divide_monic(num, den):
-    """Quotient of exact integer polynomials if den divides num, else None.
-
-    den must be monic; coefficients are low-to-high.
-    """
-    dn, dd = len(num) - 1, len(den) - 1
-    if dd > dn:
-        return None
-    rem = list(num)
-    quot = [0] * (dn - dd + 1)
-    for i in range(dn - dd, -1, -1):
-        c = rem[i + dd]
-        if c:
-            quot[i] = c
-            for j in range(dd + 1):
-                rem[i + j] -= c * den[j]
-    if any(rem):
-        return None
-    return quot
-
-
-_PHI_SIEVE = [0, 1]
-
-
-def _circle_factor_orders(max_degree):
-    """Orders m whose shifted cyclotomic has degree phi(m) <= max_degree.
-
-    phi(m) >= sqrt(m/2), so scanning m <= 2*max_degree^2 + 2 is exhaustive.
-    """
-    global _PHI_SIEVE
-    limit = 2 * max_degree * max_degree + 2
-    if len(_PHI_SIEVE) <= limit:
-        phi = list(range(limit + 1))
-        for p in range(2, limit + 1):
-            if phi[p] == p:  # prime
-                for k in range(p, limit + 1, p):
-                    phi[k] -= phi[k] // p
-        _PHI_SIEVE = phi
-    return [m for m in range(2, limit + 1) if _PHI_SIEVE[m] <= max_degree]
-
-
-_SHIFTED_CYCLOTOMIC = {1: (0, 1)}
-
-
-def _shifted_cyclotomic(m):
-    """The monic integer factor of (1+v)^m - 1 whose roots are the shifted
-    primitive m-th roots of unity, v = -1 + e^(2*pi*i*k/m), gcd(k, m) = 1."""
-    if m not in _SHIFTED_CYCLOTOMIC:
-        coeffs = [0] + [math.comb(m, k) for k in range(1, m + 1)]
-        for d in range(1, m):
-            if m % d == 0:
-                coeffs = _exact_divide_monic(coeffs, list(_shifted_cyclotomic(d)))
-        _SHIFTED_CYCLOTOMIC[m] = tuple(coeffs)
-    return _SHIFTED_CYCLOTOMIC[m]
-
-
-def _strip_circle_factors(coeffs):
-    """Divide out shifted-cyclotomic factors (multiplicity included).
-
-    Their nonzero roots sit exactly on |1 + v| = 1, i.e. Re(1/v) = -1/2,
-    so they lie strictly inside |lam + v| < lam exactly when lam > 1; this
-    settles boundary roots that no finite working precision could.  Returns
-    (reduced coefficients, list of stripped orders m).
-    """
-    out = list(coeffs)
-    stripped = []
-    at_one = sum(out)
-    for m in _circle_factor_orders(len(out) - 1):
-        while len(out) > 1:
-            factor = _shifted_cyclotomic(m)
-            if len(factor) > len(out):
-                break
-            f_at_one = sum(factor)
-            if at_one and f_at_one and at_one % f_at_one:
-                break
-            quot = _exact_divide_monic(out, list(factor))
-            if quot is None:
-                break
-            out = quot
-            at_one = sum(out)
-            stripped.append(m)
-    return out, stripped
 
 
 def _is_exact_root(int_coeffs, z):
@@ -574,7 +541,7 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
     with mp.workprec(64):
         lamv = _positive_lambda(lam)
     if exact_ints:
-        coeffs, circle_orders = _strip_circle_factors(coeffs)
+        coeffs, circle_orders = strip_circle_factors(coeffs)
         if circle_orders and lamv > 1:
             return False
         if len(coeffs) <= 1:
@@ -789,7 +756,10 @@ def _locus_sample_floats(coeffs, lam, generic_degree):
 
 def _locus_sample(cps, lam, prec, generic_degree):
     """One sample solved by find_roots and flagged at prec; roots as complex."""
-    hi, _ = _trim([float(abs(c)) for c in cps], prec)
+    mags = [float(abs(c)) for c in cps]
+    if math.inf in mags:  # a |c| above the float range: an inf threshold trims every c
+        mags = [abs(c) for c in cps]
+    hi, _ = _trim(mags, prec)
     gap = hi < generic_degree
     coeffs = cps[: hi + 1]
     zero_mult = _deflate(coeffs, False)

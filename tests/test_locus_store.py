@@ -117,3 +117,23 @@ def test_non_finite_sample_falls_back_to_complex_points():
             assert (roots, flags, gap) == want
     assert seen == {"finite", "inf", "overflow"}
     assert csv_text(curve) == parent_style_csv(curve)
+
+
+def test_sample_whose_modulus_overflows_keeps_its_root():
+    # where the float collapse of 1e308 b + 1e307 a has finite parts but a
+    # modulus above the float range, the trim compares mpf magnitudes: the
+    # sample keeps its one root a = -10 b instead of trimming every c
+    p = ExactBiPoly({(0, 1): 10 ** 308, (1, 0): 10 ** 307})
+    curve = trace_locus(p, "b", 1.0, 64)
+    rows = _hardware_rows(p)
+    overflowing = []
+    for j, theta in enumerate(curve.theta_samples):
+        w = _half_angle_circle(1.0, theta)
+        c0 = _collapse_hardware(rows, w)[0]
+        re, im = c0.real, c0.imag
+        if math.isfinite(re) and math.isfinite(im) and math.hypot(re, im) == math.inf:
+            overflowing.append(j)
+            assert not curve.gaps[j]
+            [root] = curve.roots[j]
+            assert abs(root + 10 * w) <= 1e-14 * abs(10 * w)
+    assert overflowing == [23, 24, 39, 40]

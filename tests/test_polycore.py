@@ -10,6 +10,7 @@ from relzeros import (
     as_complex_point,
     shifted_power,
 )
+from relzeros.polycore import taylor_shift
 from refdata import CASE_POLYS, K4_UNIVARIATE
 
 V = ExactUniPoly([0, 1])
@@ -117,6 +118,24 @@ class TestShiftedPower:
             a, b = shifted_power(p), shifted_power(q)
             composed = a + b + a * b
             assert composed == shifted_power(p + q)
+
+
+class TestTaylorShift:
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_matches_evaluation(self, s):
+        rng = random.Random(7)
+        for n in range(9):
+            p = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(n)]
+            q = taylor_shift(p, s)
+            assert len(q) == len(p)
+            for x in range(-4, 5):
+                assert (sum(c * x ** k for k, c in enumerate(q))
+                        == sum(c * (x + s) ** k for k, c in enumerate(p)))
+
+    def test_shifts_undo_each_other(self):
+        coeffs = list(K4_UNIVARIATE.coeffs)
+        assert taylor_shift(taylor_shift(coeffs, -1), 1) == coeffs
+        assert taylor_shift(shifted_power(5).coeffs, -1) == [-1, 0, 0, 0, 0, 1]
 
 
 class TestEvaluation:

@@ -169,8 +169,8 @@ class TestFindRoots:
         rs = find_roots([complex(1.5e308, 1.5e308), 1.0], prec)
         assert [(z.re, z.im) for z in rs.roots] == [(mpf(-1.5e308), mpf(-1.5e308))]
 
-    @pytest.mark.xfail(strict=True, reason="the Horner bound overflows to inf at 53 bits, so "
-                       "the start circle passes the noise test and is returned as converged")
+    @pytest.mark.xfail(strict=True, reason="the roots come out right, but a 53-bit radius is "
+                       "a residual of the rounded coefficients, not an enclosure")
     def test_huge_coefficients_enclose_the_true_roots(self):
         b, c = 10 ** 290, 10 ** 300
         with mp.workprec(2048):
@@ -182,6 +182,59 @@ class TestFindRoots:
                 return
             for r in true_roots:
                 assert any(abs(r - z.to_mpc()) <= e for z, e in zip(rs.roots, rs.error_radii))
+
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_huge_coefficients_give_the_true_roots(self, prec):
+        # roots 280 orders of magnitude apart: the float pass gives no result
+        # (its Horner bound is inf), and the fixed-point loop starts on one
+        # circle per root modulus instead of one circle between them
+        b, c = 10 ** 290, 10 ** 300
+        with mp.workprec(2048):
+            disc = mp.sqrt(mpf(b) ** 2 - 4 * c)
+            true_roots = [(-b + disc) / 2, (-b - disc) / 2]
+            rs = find_roots(ExactUniPoly([c, b, 1]), prec)
+            for r in true_roots:
+                assert min(abs(r - z.to_mpc()) for z in rs.roots) <= mpf(2) ** -(prec - 2) * abs(r)
+
+    def test_simple_root_at_minus_one_is_found_once(self):
+        # q(u) = p(u - 1) has the root u = 0: deflated, it starts one root
+        # at v = -1; left in, it would shrink the start circle to u = 0
+        rs = find_roots([6, 6, -2, 4, 6], 128)
+        assert len(rs.roots) == 4
+        assert len({(z.re, z.im) for z in rs.roots}) == 4
+        assert [z for z in rs.roots if z == -1] == [-1]
+
+    def test_integer_member_starts_from_the_shifted_float_solve(self, families, monkeypatch):
+        # in u = 1 + v the member's float solve lands next to every root;
+        # in v its 53-bit roots are off by about 0.1-0.3
+        real = roots_module._aberth_fixed
+        seen = []
+
+        def record(gauss, starts, prec):
+            roots, ok = real(gauss, starts, prec)
+            seen.append((starts, roots))
+            return roots, ok
+
+        monkeypatch.setattr(roots_module, "_aberth_fixed", record)
+        find_roots(families.poly("d", 16, 1), 256)
+        [(starts, roots)] = seen
+        for z in roots:
+            assert min(abs(complex(z) - s) for s in starts) <= 1e-9 * (1 + abs(complex(z)))
+
+    def test_failed_shifted_solve_falls_back_to_circle_start(self, monkeypatch):
+        # (v - 1)(v - 2) * 10^400: q(u) overflows floats, so no float start
+        real = roots_module._aberth_fixed
+        calls = []
+
+        def record(gauss, starts, prec):
+            calls.append(starts)
+            return real(gauss, starts, prec)
+
+        monkeypatch.setattr(roots_module, "_aberth_fixed", record)
+        coeffs = [2 * 10 ** 400, -3 * 10 ** 400, 10 ** 400]
+        got = find_roots(coeffs, 128)
+        assert calls == [None]
+        assert_roots_match(got, reference_find_roots(coeffs, 128, warm=False))
 
     def test_json_shape(self):
         rs = find_roots(ExactUniPoly([0, 0, 0, 16, 15, 6, 1]), 128)
@@ -441,6 +494,37 @@ def integer_polys(draw):
 @settings(max_examples=60, deadline=None)
 @given(coeffs=integer_polys(), prec=st.sampled_from([128, 256]))
 def test_random_integer_poly_matches_reference(coeffs, prec):
+    assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
+
+
+def multiply(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def circle_hugging_polys(draw):
+    """Integer polynomials shaped like the family members: (v + 1)^m, then
+    A(1 + v)^k - B with B/A near 1 (k roots near |1 + v| = 1), then a random
+    integer factor, whose zero constant term plants a zero root."""
+    coeffs = [1]
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = multiply(coeffs, [1, 1])
+    k = draw(st.integers(1, 8))
+    a = draw(st.integers(2 ** 21, 2 ** 40))
+    b = a + draw(st.integers(-2 ** 20, 2 ** 20))
+    coeffs = multiply(coeffs, [a - b] + [a * math.comb(k, i) for i in range(1, k + 1)])
+    tail = draw(st.lists(st.integers(-2 ** 30, 2 ** 30), min_size=1, max_size=6))
+    tail[-1] = tail[-1] or 1
+    return multiply(coeffs, tail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=circle_hugging_polys(), prec=st.sampled_from([128, 256]))
+def test_circle_hugging_integer_poly_matches_reference(coeffs, prec):
     assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
 
 
