@@ -386,7 +386,7 @@ def _shifted_cyclotomic(m):
     return _SHIFTED_CYCLOTOMIC[m]
 
 
-def strip_circle_factors(coeffs):
+def _strip_circle_factors(coeffs):
     """Divide out shifted-cyclotomic factors (multiplicity included).
 
     Their nonzero roots sit exactly on |1 + v| = 1, i.e. Re(1/v) = -1/2,

@@ -18,11 +18,14 @@ integer coefficients that solve runs in u = 1 + v on the Taylor shift
 q(u) = p(u - 1), with q's exact zero roots started at v = -1: the family
 members' roots crowd |1 + v| = 1, so q's coefficients span a few bits
 where p's span dozens, and the float roots land next to the true ones.
-Other coefficients are solved in v.  A failed float solve falls back to
-one start circle per edge of the upper hull of (i, log|c_i|), which is
-the single circle above whenever that hull is one segment.  Output roots
-are rounded to the precision and their error radii come from an
-independent mpmath residual.
+Other coefficients are solved in v, where their roots (branch fits, locus
+samples) need fewer sweeps.  A failed float solve falls back to one start
+circle per edge of the upper hull of (i, log|c_i|), which is the single
+circle above whenever that hull is one segment.  Output roots are rounded
+to the precision and their error radii come from an independent mpmath
+residual, or from an exact Gaussian-integer one where mpmath would round
+an integer coefficient or finds p'(z) = 0 (that radius is 0 at an exact
+root).
 
 The zero root is never iterated: low-order exactly-zero coefficients are
 stripped symbolically, so v = 0 sits exactly on every disc boundary
@@ -51,7 +54,7 @@ from .polycore import (
     ExactBiPoly,
     ExactUniPoly,
     as_complex_point,
-    strip_circle_factors,
+    _strip_circle_factors,
     taylor_shift,
 )
 from .reliability import DisconnectedGraphError
@@ -152,17 +155,12 @@ def _auto_precision(coeffs, degree):
 def _solve_floats(coeffs):
     """_aberth_hardware on the coefficients as floats; None where they or the
     iteration leave the float range (abs() raises OverflowError on a complex
-    whose parts are finite but whose modulus is not, and a Horner bound
-    sum |c| |z|^k of inf lets the noise test pass any point)."""
+    whose parts are finite but whose modulus is not, and _aberth_hardware
+    where its Horner bound sum |c| |z|^k overflows)."""
     try:
         cs = [complex(c) for c in coeffs]
         if all(math.isfinite(abs(c)) for c in cs):
-            z, ok = _aberth_hardware(cs)
-            top, bound = max(map(abs, z)), 0.0
-            for c in reversed(cs):
-                bound = bound * top + abs(c)
-            if math.isfinite(bound):
-                return z, ok
+            return _aberth_hardware(cs)
     except (OverflowError, TypeError):
         pass
     return None
@@ -207,6 +205,8 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
                 pv = pv * zk + c
                 em = em * az + m
             if abs(pv) <= noise * em:
+                if em == math.inf:  # a bound of inf would pass any point
+                    raise OverflowError("Horner bound overflows a float")
                 converged[k] = True
                 continue
             if dv == 0:
@@ -346,21 +346,42 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
     return out, done
 
 
+def _exact_radius(coeffs, z):
+    """n |p(z)| / |p'(z)| from p(z) and p'(z) in exact Gaussian integers (z is
+    dyadic): 0 at an exact root, inf where only p'(z) vanishes."""
+    gauss = _gaussian_integers(coeffs)
+    if gauss is None or not mp.isfinite(z):
+        return mpf("inf")
+    parts = [x._mpf_ for x in (z.real, z.imag)]
+    t = max(0, -min((exp for _, man, exp, _ in parts if man), default=0))
+    # z = (x + iy) / 2^t, and step s of Horner's rule is scaled by 2^(t*s)
+    x, y = [(-man if sign else man) << (exp + t) for sign, man, exp, _ in parts]
+    (px, py), dx, dy = gauss[-1], 0, 0
+    for s, (a, b) in enumerate(reversed(gauss[:-1]), 1):
+        dx, dy = dx * x - dy * y + px, dx * y + dy * x + py
+        px, py = px * x - py * y + (a << t * s), px * y + py * x + (b << t * s)
+    if not (px or py):
+        return mpf(0)
+    if not (dx or dy):
+        return mpf("inf")
+    return mp.ldexp((len(coeffs) - 1) * mp.hypot(px, py) / mp.hypot(dx, dy), -t)
+
+
 def _finalize(coeffs, roots_mpc, zero_mult, prec, converged):
     with mp.workprec(prec):
         cs = [c.to_mpc() if isinstance(c, ComplexPoint) else mpc(c) for c in coeffs]
         n = len(cs) - 1
+        # mpc() rounds an integer wider than prec bits, so its residual would
+        # be another polynomial's: dv stays 0 and the residual is exact
+        wide = isinstance(coeffs[0], int) and max(map(abs, coeffs)).bit_length() > prec
         entries = []
         for zk in roots_mpc:
             pv = cs[-1]
             dv = mpc(0)
-            for c in reversed(cs[:-1]):
+            for c in () if wide else reversed(cs[:-1]):
                 dv = dv * zk + pv
                 pv = pv * zk + c
-            if dv == 0:
-                err = mpf("inf")
-            else:
-                err = n * abs(pv) / abs(dv)
+            err = n * abs(pv) / abs(dv) if dv else _exact_radius(coeffs, zk)
             entries.append((zk, err))
         entries.sort(key=lambda t: (t[0].real, t[0].imag))
     rs = RootSet(
@@ -471,18 +492,6 @@ def _mpf_to_fraction(x):
     return -f if sign else f
 
 
-def _is_exact_root(int_coeffs, z):
-    if not (mp.isfinite(z.re) and mp.isfinite(z.im)):
-        return False
-    xr = _mpf_to_fraction(z.re)
-    xi = _mpf_to_fraction(z.im)
-    ar = Fraction(0)
-    ai = Fraction(0)
-    for c in reversed(int_coeffs):
-        ar, ai = ar * xr - ai * xi + c, ar * xi + ai * xr
-    return ar == 0 and ai == 0
-
-
 def _disc_status(z, err, lam, prec, exact_coeffs=None):
     """Membership of z in the open disc |lam + v| < lam.
 
@@ -494,7 +503,7 @@ def _disc_status(z, err, lam, prec, exact_coeffs=None):
     with mp.workprec(prec):
         zc = z.to_mpc()
         m = abs(lam + zc)
-        if err == 0 and exact_coeffs is not None and _is_exact_root(exact_coeffs, z):
+        if err == 0 and exact_coeffs is not None and _exact_radius(exact_coeffs, zc) == 0:
             lamf = _mpf_to_fraction(lam)
             xr = _mpf_to_fraction(z.re)
             xi = _mpf_to_fraction(z.im)
@@ -541,7 +550,7 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
     with mp.workprec(64):
         lamv = _positive_lambda(lam)
     if exact_ints:
-        coeffs, circle_orders = strip_circle_factors(coeffs)
+        coeffs, circle_orders = _strip_circle_factors(coeffs)
         if circle_orders and lamv > 1:
             return False
         if len(coeffs) <= 1:
@@ -719,12 +728,8 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     roots, flags, gaps = [], [], []
     for theta in thetas:
         w = _half_angle_circle(lam, theta)
-        if rows is not None:
-            coeffs = _collapse_hardware(rows, w)
-            sample = (_locus_sample_floats(coeffs, lam, generic_degree)
-                      or _locus_sample([as_complex_point(c) for c in coeffs],
-                                       lam, precision_bits, generic_degree))
-        else:
+        sample = rows and _locus_sample_floats(_collapse_hardware(rows, w), lam, generic_degree)
+        if not sample:  # a float collapse that leaves the float range is redone exactly
             cps = work.coefficients_in_a(ComplexPoint(w.real, w.imag, precision_bits))
             sample = _locus_sample(cps, lam, precision_bits, generic_degree)
         for out, part in zip((roots, flags, gaps), sample):

@@ -127,6 +127,16 @@ class TestRootsCommand:
         code, _, err = run(capsys, ["roots", str(path), "--lambda", "2.0"])
         assert code == 4
 
+    def test_two_loops_put_a_double_root_at_the_disc_centre(self, capsys, tmp_path):
+        # each loop multiplies C by (1 + v): v = -1 twice, exact, radius 0
+        path = tmp_path / "loops.graph"
+        path.write_text("vertices 2\n0 1 1\n0 0 1\n0 0 1\n")
+        code, out, _ = run(capsys, ["roots", str(path)])
+        assert code == 10
+        data = json.loads(out)
+        assert data["violation"] is True
+        assert [(r["re"], r["err"]) for r in data["roots"]] == [("-1.0", "0.0")] * 2
+
     def test_bivariate_rejected(self, capsys):
         code, _, _ = run(capsys, ["roots", "k4:b"])
         assert code == 3

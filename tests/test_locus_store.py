@@ -12,7 +12,6 @@ from mpmath import mp, mpf
 
 from relzeros import ComplexPoint, ExactBiPoly, LocusCurve, find_roots, trace_locus
 from relzeros.cli import main
-from relzeros.polycore import as_complex_point
 from relzeros.reference import family_bipoly
 from relzeros.roots import _collapse_hardware, _half_angle_circle, _hardware_rows, _locus_sample
 from refdata import CASE_POLYS
@@ -99,22 +98,24 @@ def test_non_finite_sample_falls_back_to_complex_points():
     # |1e308 * w| + 1e307 overflows a float where |w| = |e^(i theta) - 1|
     # is near 2, though every coefficient is finite; on this grid |1e308 * w|
     # itself does too, where abs() raises OverflowError.  Those samples are
-    # solved on ComplexPoints through _locus_sample, the rest in floats.
+    # collapsed again on ComplexPoints and solved through _locus_sample, the
+    # rest in floats.
     p = ExactBiPoly({(0, 1): 10 ** 308, (1, 0): 10 ** 307})
     curve = trace_locus(p, "b", 1.0, 64)
     rows = _hardware_rows(p)
     seen = set()
     for theta, roots, flags, gap in zip(curve.theta_samples, curve.roots,
                                         curve.violation_flags, curve.gaps):
-        coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
+        w = _half_angle_circle(1.0, theta)
+        coeffs = _collapse_hardware(rows, w)
         try:
             kind = "finite" if math.isfinite(sum(map(abs, coeffs))) else "inf"
         except OverflowError:
             kind = "overflow"
         seen.add(kind)
         if kind != "finite":
-            want = _locus_sample([as_complex_point(c) for c in coeffs], 1.0, 53, 1)
-            assert (roots, flags, gap) == want
+            cps = p.coefficients_in_a(ComplexPoint(w.real, w.imag, 53))
+            assert (roots, flags, gap) == _locus_sample(cps, 1.0, 53, 1)
     assert seen == {"finite", "inf", "overflow"}
     assert csv_text(curve) == parent_style_csv(curve)
 
@@ -137,3 +138,15 @@ def test_sample_whose_modulus_overflows_keeps_its_root():
             [root] = curve.roots[j]
             assert abs(root + 10 * w) <= 1e-14 * abs(10 * w)
     assert overflowing == [23, 24, 39, 40]
+
+
+def test_sample_whose_float_collapse_overflows_keeps_its_root():
+    # samples 25-38 collapse to a part of -inf in floats; collapsed exactly,
+    # every sample of the curve has its one root a = -10 b and none is a gap
+    p = ExactBiPoly({(0, 1): 10 ** 308, (1, 0): 10 ** 307})
+    curve = trace_locus(p, "b", 1.0, 64)
+    assert curve.gap_count() == 0
+    for theta, roots in zip(curve.theta_samples, curve.roots):
+        w = _half_angle_circle(1.0, theta)
+        [root] = roots
+        assert abs(root + 10 * w) <= 1e-14 * abs(10 * w)

@@ -169,17 +169,14 @@ class TestFindRoots:
         rs = find_roots([complex(1.5e308, 1.5e308), 1.0], prec)
         assert [(z.re, z.im) for z in rs.roots] == [(mpf(-1.5e308), mpf(-1.5e308))]
 
-    @pytest.mark.xfail(strict=True, reason="the roots come out right, but a 53-bit radius is "
-                       "a residual of the rounded coefficients, not an enclosure")
     def test_huge_coefficients_enclose_the_true_roots(self):
+        # coefficients wider than 53 bits: the radii come from the exact
+        # residual, not from one of the coefficients rounded to 53 bits
         b, c = 10 ** 290, 10 ** 300
         with mp.workprec(2048):
             disc = mp.sqrt(mpf(b) ** 2 - 4 * c)
             true_roots = [(-b + disc) / 2, (-b - disc) / 2]  # about -1e10 and -1e290
-            try:
-                rs = find_roots(ExactUniPoly([c, b, 1]), 53)
-            except NonconvergenceError:
-                return
+            rs = find_roots(ExactUniPoly([c, b, 1]), 53)
             for r in true_roots:
                 assert any(abs(r - z.to_mpc()) <= e for z, e in zip(rs.roots, rs.error_radii))
 
@@ -203,6 +200,15 @@ class TestFindRoots:
         assert len(rs.roots) == 4
         assert len({(z.re, z.im) for z in rs.roots}) == 4
         assert [z for z in rs.roots if z == -1] == [-1]
+
+    @pytest.mark.parametrize("coeffs, m", [([1, 2, 1], 2), ([1, 3, 3, 1], 3), ([2, 5, 4, 1], 2)])
+    def test_multiple_root_at_minus_one_is_exact(self, coeffs, m):
+        # (v + 1)^m: every copy starts, and stays, at v = -1 exactly, where
+        # p'(-1) = 0 too; the exact residual gives radius 0, not inf
+        for prec in (128, 256):
+            rs = find_roots(coeffs, prec)
+            assert [e for z, e in zip(rs.roots, rs.error_radii) if z == -1] == [0] * m
+            assert all(mp.isfinite(e) for e in rs.error_radii)
 
     def test_integer_member_starts_from_the_shifted_float_solve(self, families, monkeypatch):
         # in u = 1 + v the member's float solve lands next to every root;
@@ -326,7 +332,7 @@ def reference_find_roots(p, prec, warm=True):
 
 def assert_roots_match(got, want, coeffs=None):
     """Each root of got lies within the larger of the two error radii of a
-    distinct root of want.  Matched as multisets: _finalize sorts by (re, im),
+    distinct root of want; no radius may be inf.  Matched as multisets: _finalize sorts by (re, im),
     so a conjugate pair swaps places when the last bit of its real part moves.
 
     With coeffs, each root encloses max(radius, noise_radius) and the two
@@ -334,6 +340,7 @@ def assert_roots_match(got, want, coeffs=None):
     an exact root and stay below an ulp of a large one, not rigorous discs."""
     assert got.zero_multiplicity == want.zero_multiplicity
     assert got.precision == want.precision and len(got.roots) == len(want.roots)
+    assert all(mp.isfinite(e) for e in got.error_radii + want.error_radii)
     prec = got.precision
     with mp.workprec(prec + 64):
         free = [(z.to_mpc(), e) for z, e in zip(want.roots, want.error_radii)]
@@ -594,6 +601,12 @@ class TestDiscDecision:
             assert bc_lambda_holds_univariate(shifted_power(n), 1)
             assert bc_lambda_holds_univariate(shifted_power(n), 0.75)
             assert not bc_lambda_holds_univariate(shifted_power(n), 1.5)
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_double_root_at_minus_one_violates(self, prec):
+        # (v + 1)^2: v = -1 is the centre of |1 + v| < 1, decided exactly
+        assert not bc_lambda_holds_univariate([1, 2, 1], 1, prec)
+        assert bc_lambda_holds_univariate([1, 2, 1], 0.5, prec)
 
     def test_b13_family_with_exact_circle_roots_holds(self, families):
         # the 3-bundles force roots exactly at -1 + e^(2*pi*i*k/3)
