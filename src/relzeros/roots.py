@@ -496,9 +496,9 @@ def _disc_status(z, err, lam, prec, exact_coeffs=None):
     """Membership of z in the open disc |lam + v| < lam.
 
     Returns 'inside', 'not_inside', or 'ambiguous'.  A residual-zero root
-    of an exact-integer polynomial is verified in rational arithmetic and
-    decided exactly (dyadic floats permit it), which settles roots sitting
-    exactly on the boundary.
+    of an exact-integer polynomial is verified by _exact_radius and decided
+    in rational arithmetic (dyadic floats permit it), which settles roots
+    sitting exactly on the boundary.
     """
     with mp.workprec(prec):
         zc = z.to_mpc()

@@ -355,13 +355,17 @@ def assert_roots_match(got, want, coeffs=None):
 
 def noise_radius(p, z, prec):
     """n|p(z)/p'(z)| with |p(z)| at the stop rule's noise bound
-    (2n+2) 2^-prec sum |c_i| |z|^i: how far from a root the rule may stop."""
+    (2n+2) 2^-prec sum |c_i| |z|^i: how far from a root the rule may stop.
+    0 at a root where p(z) evaluates to 0, as on a multiple root, whose
+    p'(z) is 0 too."""
     coeffs, exact_ints = roots_module._normalize_coefficients(p)
     roots_module._deflate(coeffs, exact_ints)
     cs = [c.to_mpc() if isinstance(c, ComplexPoint) else mpc(c) for c in coeffs]
     n = len(cs) - 1
     em = sum(abs(c) * abs(z) ** i for i, c in enumerate(cs))
     dp = sum(i * c * z ** (i - 1) for i, c in enumerate(cs) if i)
+    if not dp and not sum(c * z ** i for i, c in enumerate(cs)):
+        return mpf(0)
     return n * (2 * n + 2) * mpf(2) ** -prec * em / abs(dp) if dp else mpf("inf")
 
 
