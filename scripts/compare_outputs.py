@@ -1,0 +1,108 @@
+"""Check that two checkouts of this repository print the same outputs.
+
+    python3 scripts/compare_outputs.py PARENT CHANGE
+
+In each checkout, with that checkout's own src/ on PYTHONPATH and a fresh
+working directory, it runs
+
+    relzeros reproduce --suite all --json       (rows compared without "seconds")
+    relzeros roots SPEC [OPTIONS]               (for each entry of ROOTS)
+    relzeros locus CASE --precision P --out F   (CASE in b, d, k6; P in 53, 80)
+
+and compares stdout, stderr, exit code and, for locus, the CSV written.
+It prints every difference and exits 1 if there is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOTS = [
+    ["k4:d:30:1"],
+    ["k4:d:16:1", "--precision", "53"],
+    ["k4:b:1:7", "--precision", "53"],
+    ["k4:c:1:4", "--precision", "128"],
+    ["k4:d:1:9:sub=3"],
+    ["k6:20:20"],
+    ["bundle:5", "--lambda", "2"],
+    ["cycle:3", "--lambda", "-0.1"],
+]
+LOCUS = [(case, prec) for case in ("b", "d", "k6") for prec in (53, 80)]
+
+
+def relzeros(checkout, workdir, *args):
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-m", "relzeros", *args], cwd=workdir, env=env,
+                          capture_output=True, text=True)
+    return {"exit_code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
+def outputs(checkout):
+    """Every compared output of one checkout, keyed by the command that made it."""
+    out = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        key = "reproduce --suite all --json"
+        run = relzeros(checkout, workdir, *key.split())
+        rows = [json.loads(line) for line in run.pop("stdout").splitlines()]
+        for row in rows:
+            row.pop("seconds", None)
+        out[key] = dict(run, rows=rows)
+        for args in ROOTS:
+            out["roots " + " ".join(args)] = relzeros(checkout, workdir, "roots", *args)
+        for case, prec in LOCUS:
+            args = ["locus", case, "--precision", str(prec), "--out", "locus.csv"]
+            run = relzeros(checkout, workdir, *args)
+            csv = Path(workdir, "locus.csv")
+            run["csv"] = csv.read_text() if csv.exists() else None
+            csv.unlink(missing_ok=True)
+            out[" ".join(args[:-2])] = run
+    return out
+
+
+def differences(key, old, new):
+    for field in old.keys() | new.keys():
+        a, b = old.get(field), new.get(field)
+        if a == b:
+            continue
+        if field == "rows":
+            if len(a) != len(b):
+                yield "%s: %d rows -> %d rows" % (key, len(a), len(b))
+            for i, (ra, rb) in enumerate(zip(a, b)):
+                if ra != rb:
+                    yield "%s: row %d\n  - %s\n  + %s" % (key, i, json.dumps(ra), json.dumps(rb))
+        elif isinstance(a, str) and isinstance(b, str):
+            la, lb = a.splitlines() + ["<end>"], b.splitlines() + ["<end>"]
+            i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), None)
+            if i is None:
+                yield "%s: %s differs in line endings only" % (key, field)
+                continue
+            j = next((j for j, (x, y) in enumerate(zip(la[i], lb[i])) if x != y),
+                     min(len(la[i]), len(lb[i])))
+            start = max(0, j - 60)
+            yield ("%s: %s differs at line %d, column %d\n  - %s\n  + %s"
+                   % (key, field, i + 1, j + 1, la[i][start:j + 60], lb[i][start:j + 60]))
+        else:
+            yield "%s: %s %r -> %r" % (key, field, a, b)
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    args = p.parse_args(argv)
+    old, new = outputs(args.parent.resolve()), outputs(args.change.resolve())
+    found = [d for key in old for d in differences(key, old[key], new[key])]
+    for d in found:
+        print(d)
+    print("%d commands compared, %d differences" % (len(old), len(found)))
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

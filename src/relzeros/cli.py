@@ -101,7 +101,7 @@ def _resolve_family(spec):
         poly = two_class_specialize(bi, p1, p2)
         desc = "k4:%s:%d:%d" % (case, p1, p2)
         if sub is not None:
-            poly = subdivided_univariate(poly, poly.degree, sub)
+            poly = subdivided_univariate(poly, sub)
             desc += ":sub=%d" % sub
         return "uni", poly, desc
     if head == "k6":

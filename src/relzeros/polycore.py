@@ -22,9 +22,9 @@ class ComplexPoint:
     """A complex value pinned to an explicit binary working precision.
 
     Arithmetic between two points runs at the larger of their precisions
-    and the result keeps that precision.  Strings and wide integers are
-    rounded to the requested precision on construction; floats and mpf
-    values are exact already.
+    and the result keeps that precision.  Strings, wide integers and mpf
+    values with more mantissa bits than the requested precision are rounded
+    to it on construction; floats are exact at any precision.
     """
 
     __slots__ = ("re", "im", "precision")
@@ -107,9 +107,14 @@ class ComplexPoint:
 
 
 def as_complex_point(value, precision=MIN_PRECISION):
-    """Coerce numbers, strings, mpf/mpc, or complex into a ComplexPoint."""
+    """Coerce numbers, strings, mpf/mpc, or complex into a ComplexPoint.
+
+    An mpf or mpc whose mantissa is wider than precision keeps its width,
+    so no bit of it is rounded away."""
     if isinstance(value, ComplexPoint):
         return value
+    if isinstance(value, (mpf, mpc)):
+        precision = max(precision, value.real.bc, value.imag.bc)
     if isinstance(value, (complex, mpc)):
         return ComplexPoint(value.real, value.imag, precision)
     if isinstance(value, (int, float, str, mpf)):
@@ -386,26 +391,37 @@ def _shifted_cyclotomic(m):
     return _SHIFTED_CYCLOTOMIC[m]
 
 
+_CYCLOTOMIC_AT_TWO = {1: 1}
+
+
+def _cyclotomic_at_two(m):
+    """Phi_m(2), the coefficient sum of _shifted_cyclotomic(m), without
+    building that factor: 2^m - 1 is the product of Phi_d(2) over d | m."""
+    if m not in _CYCLOTOMIC_AT_TWO:
+        value = (1 << m) - 1
+        for d in range(1, m):
+            if m % d == 0:
+                value //= _cyclotomic_at_two(d)
+        _CYCLOTOMIC_AT_TWO[m] = value
+    return _CYCLOTOMIC_AT_TWO[m]
+
+
 def _strip_circle_factors(coeffs):
     """Divide out shifted-cyclotomic factors (multiplicity included).
 
     Their nonzero roots sit exactly on |1 + v| = 1, i.e. Re(1/v) = -1/2,
     so they lie strictly inside |lam + v| < lam exactly when lam > 1; this
-    settles boundary roots that no finite working precision could.  Returns
-    (reduced coefficients, list of stripped orders m).
+    settles boundary roots that no finite working precision could.  A factor
+    divides only if its value at v = 1 divides p(1), so only orders that
+    pass that integer test get their factor built.  Returns (reduced
+    coefficients, list of stripped orders m).
     """
     out = list(coeffs)
     stripped = []
     at_one = sum(out)
     for m in _circle_factor_orders(len(out) - 1):
-        while len(out) > 1:
-            factor = _shifted_cyclotomic(m)
-            if len(factor) > len(out):
-                break
-            f_at_one = sum(factor)
-            if at_one and f_at_one and at_one % f_at_one:
-                break
-            quot = _exact_divide_monic(out, list(factor))
+        while len(out) > 1 and at_one % _cyclotomic_at_two(m) == 0:
+            quot = _exact_divide_monic(out, list(_shifted_cyclotomic(m)))
             if quot is None:
                 break
             out = quot

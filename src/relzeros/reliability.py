@@ -216,24 +216,21 @@ def series_reduce(ws):
                                  ComplexPoint.from_mpc(pref, prec))
 
 
-def subdivided_univariate(p, num_edges, s):
-    """C of the uniform s-subdivision: s^m * v^((s-1)m) * p(v/s), m = num_edges.
+def subdivided_univariate(p, s):
+    """C of the uniform s-subdivision: s^m * v^((s-1)m) * p(v/s).
 
-    Nonzero roots of the output are exactly s times the nonzero roots of p.
-    The degree of p may not exceed num_edges, as for any graph's own C.
+    m, the edge count, is the degree of p: a connected graph's full edge
+    set connects it, so its C has degree exactly its edge count.  Nonzero
+    roots of the output are exactly s times the nonzero roots of p.
     """
     if not isinstance(p, ExactUniPoly):
         raise TypeError("expected ExactUniPoly")
-    if not (isinstance(num_edges, int) and num_edges >= 1):
-        raise ValueError("num_edges must be an integer >= 1")
     if not (isinstance(s, int) and s >= 1):
         raise ValueError("subdivision factor must be an integer >= 1")
-    if p.degree > num_edges:
-        raise ValueError("degree %d exceeds the %d edges" % (p.degree, num_edges))
     if s == 1 or not p:
         return p
-    shift = (s - 1) * num_edges
-    return ExactUniPoly([0] * shift + [c * s ** (num_edges - k) for k, c in enumerate(p.coeffs)])
+    m = p.degree
+    return ExactUniPoly([0] * ((s - 1) * m) + [c * s ** (m - k) for k, c in enumerate(p.coeffs)])
 
 
 def reduce_sp_value(g, edge_weights):

@@ -43,7 +43,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
@@ -62,6 +61,7 @@ from .reliability import DisconnectedGraphError
 AUTO_HIGH_PRECISION = 256
 MAX_DECISION_PRECISION = 1024
 MAX_SWEEPS = 500
+MAX_K = 10000
 
 
 class ZeroPolynomialError(ValueError):
@@ -115,39 +115,24 @@ def _normalize_coefficients(p):
     if isinstance(p, ExactUniPoly):
         return list(p.coeffs), True
     if isinstance(p, (list, tuple)):
-        seq = list(p)
-        if seq and all(isinstance(c, int) for c in seq):
-            while seq and seq[-1] == 0:
-                seq.pop()
-            return seq, True
-        cs = [as_complex_point(c) for c in seq]
-        while cs and cs[-1].is_zero:
+        exact_ints = all(isinstance(c, int) for c in p)
+        cs = list(p) if exact_ints else [as_complex_point(c) for c in p]
+        while cs and cs[-1] == 0:
             cs.pop()
-        return cs, False
+        return cs, exact_ints
     raise TypeError("expected ExactUniPoly or a coefficient sequence")
 
 
-def _deflate(coeffs, exact_ints):
+def _deflate(coeffs):
     zero_mult = 0
-    while coeffs and (coeffs[0] == 0 if exact_ints else coeffs[0].is_zero):
+    while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
         zero_mult += 1
     return zero_mult
 
 
-def _coefficient_magnitude(c):
-    if isinstance(c, int):
-        return abs(c)
-    try:
-        return float(abs(c))
-    except OverflowError:
-        return math.inf
-
-
 def _auto_precision(coeffs, degree):
-    if degree > 50:
-        return AUTO_HIGH_PRECISION
-    if max(_coefficient_magnitude(c) for c in coeffs) > 1e15:
+    if degree > 50 or max(abs(c) for c in coeffs) > 1e15:
         return AUTO_HIGH_PRECISION
     return MIN_PRECISION
 
@@ -173,7 +158,7 @@ def _shifted_starts(coeffs):
     zero roots start at v = -1 (left in, they shrink the start circle's
     radius |q0/qn|^(1/n) to 0)."""
     q = taylor_shift(coeffs, -1)
-    starts = [-1.0] * _deflate(q, True)
+    starts = [-1.0] * _deflate(q)
     if len(q) > 1:
         hardware = _solve_floats(q)
         if hardware is None or not hardware[1]:
@@ -209,11 +194,6 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
                     raise OverflowError("Horner bound overflows a float")
                 converged[k] = True
                 continue
-            if dv == 0:
-                z[k] = zk + (0.75 + 0.5j) * (1 + az) * 2.0 ** -26
-                done = False
-                continue
-            w = pv / dv
             s = 0.0
             collided = False
             for j, zj in enumerate(z):
@@ -223,10 +203,11 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
                         collided = True
                         break
                     s += 1 / d
-            if collided:
+            if dv == 0 or collided:
                 z[k] = zk + (0.75 + 0.5j) * (1 + az) * 2.0 ** -26
                 done = False
                 continue
+            w = pv / dv
             den = 1 - w * s
             delta = w if den == 0 else w / den
             z[k] = zk - delta
@@ -239,16 +220,27 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
     return z, False
 
 
+def _dyadic(xs):
+    """Finite mpfs as integers at their lowest common exponent: (ints, e)
+    with xs[i] = ints[i] * 2^e (e = 0 if all are zero); None if one is inf
+    or nan."""
+    parts = [x._mpf_ for x in xs]
+    if any(exp and not man for _, man, exp, _ in parts):
+        return None
+    low = min((exp for _, man, exp, _ in parts if man), default=0)
+    return [(-man if sign else man) << (exp - low) if man else 0
+            for sign, man, exp, _ in parts], low
+
+
 def _gaussian_integers(coeffs):
     """coeffs times one power of two, as exact (re, im) integer pairs (a
     common factor does not move the roots); None if one is not finite."""
     if isinstance(coeffs[0], int):
         return [(c, 0) for c in coeffs]
-    parts = [x._mpf_ for c in coeffs for x in (c.re, c.im)]
-    if any(exp and not man for _, man, exp, _ in parts):
+    dyadic = _dyadic([x for c in coeffs for x in (c.re, c.im)])
+    if dyadic is None:
         return None
-    low = min(exp for _, man, exp, _ in parts if man)
-    vals = [(-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in parts]
+    vals, _ = dyadic
     return list(zip(vals[::2], vals[1::2]))
 
 
@@ -350,12 +342,13 @@ def _exact_radius(coeffs, z):
     """n |p(z)| / |p'(z)| from p(z) and p'(z) in exact Gaussian integers (z is
     dyadic): 0 at an exact root, inf where only p'(z) vanishes."""
     gauss = _gaussian_integers(coeffs)
-    if gauss is None or not mp.isfinite(z):
+    dyadic = _dyadic([z.real, z.imag])
+    if gauss is None or dyadic is None:
         return mpf("inf")
-    parts = [x._mpf_ for x in (z.real, z.imag)]
-    t = max(0, -min((exp for _, man, exp, _ in parts if man), default=0))
+    (x, y), low = dyadic
     # z = (x + iy) / 2^t, and step s of Horner's rule is scaled by 2^(t*s)
-    x, y = [(-man if sign else man) << (exp + t) for sign, man, exp, _ in parts]
+    t = max(0, -low)
+    x, y = x << (low + t), y << (low + t)
     (px, py), dx, dy = gauss[-1], 0, 0
     for s, (a, b) in enumerate(reversed(gauss[:-1]), 1):
         dx, dy = dx * x - dy * y + px, dx * y + dy * x + py
@@ -406,7 +399,7 @@ def find_roots(p, precision_bits=None):
     coeffs, exact_ints = _normalize_coefficients(p)
     if not coeffs:
         raise ZeroPolynomialError("polynomial is identically zero")
-    zero_mult = _deflate(coeffs, exact_ints)
+    zero_mult = _deflate(coeffs)
     n = len(coeffs) - 1
     if n + zero_mult < 1:
         raise ValueError("degree must be at least 1")
@@ -486,29 +479,20 @@ def min_disc_root(root_set, lam=1, positive_imag=False):
         return best, best_d
 
 
-def _mpf_to_fraction(x):
-    sign, man, exp, _ = x._mpf_
-    f = Fraction(man) * Fraction(2) ** exp
-    return -f if sign else f
-
-
 def _disc_status(z, err, lam, prec, exact_coeffs=None):
     """Membership of z in the open disc |lam + v| < lam.
 
     Returns 'inside', 'not_inside', or 'ambiguous'.  A residual-zero root
     of an exact-integer polynomial is verified by _exact_radius and decided
-    in rational arithmetic (dyadic floats permit it), which settles roots
-    sitting exactly on the boundary.
+    in integers (lam and z are dyadic), which settles roots sitting exactly
+    on the boundary.
     """
     with mp.workprec(prec):
         zc = z.to_mpc()
         m = abs(lam + zc)
         if err == 0 and exact_coeffs is not None and _exact_radius(exact_coeffs, zc) == 0:
-            lamf = _mpf_to_fraction(lam)
-            xr = _mpf_to_fraction(z.re)
-            xi = _mpf_to_fraction(z.im)
-            inside = (lamf + xr) ** 2 + xi ** 2 < lamf ** 2
-            return "inside" if inside else "not_inside"
+            (r, x, y), _ = _dyadic([lam, z.re, z.im])
+            return "inside" if (r + x) ** 2 + y * y < r * r else "not_inside"
         e = err if err > 0 else mp.ldexp(1 + abs(zc), -(prec - 8))
         slack = mp.ldexp(lam + abs(zc) + 1, -(prec - 12))
         if m + e + slack < lam:
@@ -546,7 +530,7 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
     coeffs, exact_ints = _normalize_coefficients(p)
     if not coeffs:
         raise ZeroPolynomialError("polynomial is identically zero")
-    _deflate(coeffs, exact_ints)
+    _deflate(coeffs)
     with mp.workprec(64):
         lamv = _positive_lambda(lam)
     if exact_ints:
@@ -647,16 +631,16 @@ def _trim(mags, prec):
     return hi, tie or (hi >= 0 and mags[hi] <= thresh + band)
 
 
-def _solve_hardware(coeffs, prec):
-    """Trim, deflate and solve float coefficients: (top kept index, zero
-    multiplicity, unsorted roots, converged)."""
+def _solve_hardware(coeffs):
+    """Trim, deflate and solve float coefficients at 53 bits: (top kept
+    index, zero multiplicity, unsorted roots, converged)."""
     mags = [abs(c) for c in coeffs]
-    hi, tie = _trim(mags, prec)
+    hi, tie = _trim(mags, MIN_PRECISION)
     if tie:
         with mp.workprec(MIN_PRECISION):
-            hi, _ = _trim([float(abs(mpc(c))) for c in coeffs], prec)
+            hi, _ = _trim([float(abs(mpc(c))) for c in coeffs], MIN_PRECISION)
     cs = coeffs[: hi + 1]
-    zero_mult = _deflate(cs, True)
+    zero_mult = _deflate(cs)
     if len(cs) < 2:
         return hi, zero_mult, [], True
     roots, ok = _aberth_hardware(cs)
@@ -744,7 +728,7 @@ def _locus_sample_floats(coeffs, lam, generic_degree):
     try:
         if not math.isfinite(sum(map(abs, coeffs))):
             return None
-        hi, zero_mult, roots, ok = _solve_hardware(coeffs, MIN_PRECISION)
+        hi, zero_mult, roots, ok = _solve_hardware(coeffs)
         roots.sort(key=lambda z: (z.real, z.imag))
         dists = [abs(lam + z) for z in roots]
     except OverflowError:
@@ -767,7 +751,7 @@ def _locus_sample(cps, lam, prec, generic_degree):
     hi, _ = _trim(mags, prec)
     gap = hi < generic_degree
     coeffs = cps[: hi + 1]
-    zero_mult = _deflate(coeffs, False)
+    zero_mult = _deflate(coeffs)
     roots = []
     if len(coeffs) >= 2:
         try:
@@ -815,7 +799,7 @@ def region_endpoint_angle(p, plane):
     def indicator(theta):
         coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
         try:
-            roots = _solve_hardware(coeffs, MIN_PRECISION)[2]
+            roots = _solve_hardware(coeffs)[2]
             return min(abs(1 + r) for r in roots) - 1.0 if roots else math.inf
         except OverflowError:  # a finite complex whose modulus is not
             raise ValueError(overflow) from None
@@ -1007,7 +991,7 @@ def kth_root_branch(v1, k):
         return ComplexPoint.from_mpc(r - 1, prec)
 
 
-def find_minimal_k(v1, s, k_max=10000):
+def find_minimal_k(v1, s):
     """Smallest k with |1/s + v_k| < 1/s for v_k = -1 + (1+v1)^(1/k)."""
     v1 = as_complex_point(v1)
     if not isinstance(s, int) or s < 1:
@@ -1018,11 +1002,11 @@ def find_minimal_k(v1, s, k_max=10000):
     with mp.workprec(prec):
         logw = mp.log(1 + v1.to_mpc())
         target = mpf(1) / s
-        for k in range(1, k_max + 1):
+        for k in range(1, MAX_K + 1):
             vk = mp.exp(logw / k) - 1
             if abs(target + vk) < target:
                 return k
-    raise ValueError("no k <= %d brings the root inside |1/%d + v| < 1/%d" % (k_max, s, s))
+    raise ValueError("no k <= %d brings the root inside |1/%d + v| < 1/%d" % (MAX_K, s, s))
 
 
 def multivariate_bc_property(g):

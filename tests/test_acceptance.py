@@ -137,7 +137,7 @@ def test_09ii_subdivision_root_scaling():
         if p.degree < 1:
             continue
         s = rng.randint(2, 5)
-        out = subdivided_univariate(p, p.degree, s)
+        out = subdivided_univariate(p, s)
         base = find_roots(p, 128)
         scaled = find_roots(out, 128)
         assert scaled.zero_multiplicity == base.zero_multiplicity + (s - 1) * p.degree

@@ -10,7 +10,14 @@ from relzeros import (
     as_complex_point,
     shifted_power,
 )
-from relzeros.polycore import taylor_shift
+from relzeros.polycore import (
+    _circle_factor_orders,
+    _cyclotomic_at_two,
+    _exact_divide_monic,
+    _shifted_cyclotomic,
+    _strip_circle_factors,
+    taylor_shift,
+)
 from refdata import CASE_POLYS, K4_UNIVARIATE
 
 V = ExactUniPoly([0, 1])
@@ -136,6 +143,68 @@ class TestTaylorShift:
         coeffs = list(K4_UNIVARIATE.coeffs)
         assert taylor_shift(taylor_shift(coeffs, -1), 1) == coeffs
         assert taylor_shift(shifted_power(5).coeffs, -1) == [-1, 0, 0, 0, 0, 1]
+
+
+def reference_strip_circle_factors(coeffs):
+    """_strip_circle_factors with each candidate factor built before its
+    p(1) divisibility test, as the module did before _cyclotomic_at_two."""
+    out = list(coeffs)
+    stripped = []
+    at_one = sum(out)
+    for m in _circle_factor_orders(len(out) - 1):
+        while len(out) > 1:
+            factor = _shifted_cyclotomic(m)
+            if len(factor) > len(out):
+                break
+            f_at_one = sum(factor)
+            if at_one and f_at_one and at_one % f_at_one:
+                break
+            quot = _exact_divide_monic(out, list(factor))
+            if quot is None:
+                break
+            out = quot
+            at_one = sum(out)
+            stripped.append(m)
+    return out, stripped
+
+
+def nonzero_part(poly):
+    return list(poly.coeffs[poly.low_order_zeros():])
+
+
+class TestCircleFactors:
+    def test_value_at_two_is_the_factor_sum(self):
+        for m in range(1, 121):
+            assert _cyclotomic_at_two(m) == sum(_shifted_cyclotomic(m))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 30])
+    def test_bundles_match_reference(self, n):
+        coeffs = nonzero_part(shifted_power(n))
+        assert _strip_circle_factors(coeffs) == reference_strip_circle_factors(coeffs)
+
+    @pytest.mark.parametrize("p", [1, 3, 8, 16, 30])
+    def test_k4_d_members_match_reference(self, families, p):
+        coeffs = nonzero_part(families.poly("d", p, 1))
+        assert _strip_circle_factors(coeffs) == reference_strip_circle_factors(coeffs)
+
+    def test_products_match_reference(self):
+        # a multiple circle factor times a non-circle one, and p(1) = 0
+        coeffs = nonzero_part(shifted_power(4) * shifted_power(6) * ExactUniPoly([3, 1, 2]))
+        assert _strip_circle_factors(coeffs) == reference_strip_circle_factors(coeffs)
+        coeffs = [-4, 3, 1]  # (v - 1)(v + 4)
+        assert _strip_circle_factors(coeffs) == reference_strip_circle_factors(coeffs)
+
+    def test_k6_20_20(self, families):
+        # the reference takes seconds here (it builds all 579 candidate
+        # factors), so its orders are pinned and the quotient is checked
+        # by multiplying the factors back
+        coeffs = nonzero_part(families.poly("k6", 20, 20))
+        quot, orders = _strip_circle_factors(coeffs)
+        assert orders == [m for m in (2, 4, 5, 10, 20) for _ in range(5)]
+        product = ExactUniPoly(quot)
+        for m in orders:
+            product = product * ExactUniPoly(_shifted_cyclotomic(m))
+        assert product == ExactUniPoly(coeffs)
 
 
 class TestEvaluation:

@@ -1,8 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -114,6 +115,23 @@ class TestFindRoots:
         got = sorted(complex(z).real for z in rs.roots)
         assert abs(got[0] + 1) < 1e-13 and abs(got[1] - 1) < 1e-13
 
+    @pytest.mark.parametrize("part", ["mpf", "mpc"])
+    def test_wide_mpf_and_mpc_coefficients_keep_their_bits(self, part):
+        # rounded to 53 bits, -1/3 would move the root by 1.85e-17
+        with mp.workprec(256):
+            c = -mpf(1) / 3
+            c = c if part == "mpf" else mpc(c, c / 7)
+        point = ComplexPoint(c.real, c.imag, 256)
+        for p in ([c, 1], [c, 3, 1]):
+            got = find_roots(p, 256)
+            want = find_roots([point] + p[1:], 256)
+            assert [(z.re, z.im) for z in got.roots] == [(z.re, z.im) for z in want.roots]
+            assert got.error_radii == want.error_radii
+            assert lambda_star_univariate(p, 256) == lambda_star_univariate([point] + p[1:], 256)
+        root = find_roots([c, 1], 256).roots[0]
+        with mp.workprec(256):
+            assert abs(root.to_mpc() + c) < mpf(2) ** -250
+
     def test_exact_zero_complex_coefficients_deflate(self):
         coeffs = [ComplexPoint(0, 0), ComplexPoint(0, 0), ComplexPoint(2, 1)]
         rs = find_roots(coeffs)
@@ -159,7 +177,7 @@ class TestFindRoots:
 
     def test_scaled_poly_accepted(self):
         # the subdivision's C: the roots of K4's C, scaled by 2
-        scaled = subdivided_univariate(K4_UNIVARIATE, 6, 2)
+        scaled = subdivided_univariate(K4_UNIVARIATE, 2)
         rs = find_roots(scaled, 128)
         assert rs.degree == 12
 
@@ -316,8 +334,8 @@ def reference_find_roots(p, prec, warm=True):
     """find_roots above 53 bits (or with no hardware pass) with
     reference_aberth_mp in place of the Gaussian-integer loop (warm=False:
     the circle start only)."""
-    coeffs, exact_ints = roots_module._normalize_coefficients(p)
-    zero_mult = roots_module._deflate(coeffs, exact_ints)
+    coeffs, _ = roots_module._normalize_coefficients(p)
+    zero_mult = roots_module._deflate(coeffs)
     if len(coeffs) < 2:
         return roots_module.RootSet(zero_mult, [], [], prec)
     hardware = roots_module._solve_floats(coeffs) if warm else None
@@ -358,8 +376,8 @@ def noise_radius(p, z, prec):
     (2n+2) 2^-prec sum |c_i| |z|^i: how far from a root the rule may stop.
     0 at a root where p(z) evaluates to 0, as on a multiple root, whose
     p'(z) is 0 too."""
-    coeffs, exact_ints = roots_module._normalize_coefficients(p)
-    roots_module._deflate(coeffs, exact_ints)
+    coeffs, _ = roots_module._normalize_coefficients(p)
+    roots_module._deflate(coeffs)
     cs = [c.to_mpc() if isinstance(c, ComplexPoint) else mpc(c) for c in coeffs]
     n = len(cs) - 1
     em = sum(abs(c) * abs(z) ** i for i, c in enumerate(cs))
@@ -564,6 +582,59 @@ def test_random_dyadic_poly_matches_reference(coeffs):
     assert_roots_match(find_roots(coeffs, 128), reference_find_roots(coeffs, 128), coeffs)
 
 
+def fraction_disc_inside(z, lam):
+    """The rational test _disc_status made on exact roots before its integer
+    one: (lam + x)^2 + y^2 < lam^2 in Fractions."""
+    def fraction(x):
+        sign, man, exp, _ = x._mpf_
+        f = Fraction(man) * Fraction(2) ** exp
+        return -f if sign else f
+    lamf, x, y = fraction(lam), fraction(z.re), fraction(z.im)
+    return (lamf + x) ** 2 + y ** 2 < lamf ** 2
+
+
+# a^2 + b^2 = c^2, so v = t(a - c + bi) lies on |lam + v| = lam for lam = tc
+TRIPLES = [(1, 0, 1), (0, 1, 1), (3, 4, 5), (4, 3, 5), (5, 12, 13), (8, 15, 17)]
+
+
+@st.composite
+def dyadic_roots_on_and_off_discs(draw):
+    """(x, y, e, lam_int, lam_exp, on_boundary): the root (x + iy) 2^e and
+    lam = lam_int 2^lam_exp, half of the time with the root exactly on the
+    boundary |lam + v| = lam."""
+    e = draw(st.integers(-40, 8))
+    on_boundary = draw(st.booleans())
+    if on_boundary:
+        a, b, c = draw(st.sampled_from(TRIPLES))
+        a *= draw(st.sampled_from([1, -1]))
+        b *= draw(st.sampled_from([1, -1]))
+        t = draw(st.integers(1, 2 ** 20))
+        x, y, lam_int, lam_exp = t * (a - c), t * b, t * c, e
+    else:
+        x, y = draw(st.integers(-2 ** 30, 2 ** 30)), draw(st.integers(-2 ** 30, 2 ** 30))
+        lam_int, lam_exp = draw(st.integers(1, 2 ** 30)), draw(st.integers(-40, 8))
+    assume(x or y)
+    return x, y, e, lam_int, lam_exp, on_boundary
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dyadic_roots_on_and_off_discs())
+def test_exact_root_disc_test_matches_fractions(case):
+    x, y, e, lam_int, lam_exp, on_boundary = case
+    # an integer polynomial whose roots are exactly (x +- iy) 2^e
+    k = max(0, -e)
+    X, Y = x << (e + k), y << (e + k)
+    coeffs = [-X, 2 ** k] if y == 0 else [X * X + Y * Y, -(2 ** (k + 1)) * X, 4 ** k]
+    with mp.workprec(256):
+        lam = mp.ldexp(lam_int, lam_exp)
+        roots = [ComplexPoint(mp.ldexp(x, e), mp.ldexp(s * y, e), 256)
+                 for s in ((1,) if y == 0 else (1, -1))]
+    rs = roots_module.RootSet(0, roots, [mpf(0)] * len(roots), 256)
+    got = disc_verdict(rs, lam, coeffs)
+    assert got == ("violated" if fraction_disc_inside(roots[0], lam) else "holds")
+    assert got == "holds" or not on_boundary
+
+
 class TestMinDiscDistance:
     def test_k4_zero_root_attains_one(self):
         rs = find_roots(K4_UNIVARIATE, 128)
@@ -687,7 +758,7 @@ class TestSubdivisionRootScaling:
             if p.degree < 1:
                 continue
             s = rng.randint(2, 4)
-            out = subdivided_univariate(p, p.degree, s)
+            out = subdivided_univariate(p, s)
             base = find_roots(p, 128)
             scaled = find_roots(out, 128)
             assert scaled.zero_multiplicity == base.zero_multiplicity + (s - 1) * p.degree
@@ -917,6 +988,16 @@ class TestRegionEndpoints:
 
 
 class TestBranchEstimation:
+    @pytest.mark.parametrize("hint, subleading", [(-0.91, 4), (-1.09, -4)])
+    def test_single_root_half_power(self, hint, subleading):
+        # (a + b)^2 - 16 b^3 has the branches a = -b +- 4 b^(3/2); within 0.1
+        # of the hint only one of them, so the single-root fit runs
+        p = ExactBiPoly({(2, 0): 1, (1, 1): 2, (0, 2): 1, (0, 3): -16})
+        exp = estimate_branch_coefficients(p, hint)
+        assert exp.kind == "half-power" and exp.exponent == 1.5
+        assert abs(complex(exp.leading) + 1) < 1e-20
+        assert abs(complex(exp.subleading) - subleading) < 1e-20
+
     def test_case_a(self):
         exp = estimate_branch_coefficients(CASE_POLYS["a"], -1.0)
         assert exp.kind == "analytic" and exp.exponent == 2.0
@@ -969,10 +1050,11 @@ class TestRootBranchConstruction:
         v = ComplexPoint("-0.1", "0.05", 128)
         assert find_minimal_k(v, 2) == 1
 
-    def test_find_minimal_k_not_found(self):
+    def test_find_minimal_k_not_found(self, monkeypatch):
+        monkeypatch.setattr(roots_module, "MAX_K", 50)
         v = ComplexPoint(1, 0, 128)  # spiral starts on the positive axis
-        with pytest.raises(ValueError):
-            find_minimal_k(v, 2, k_max=50)
+        with pytest.raises(ValueError, match="no k <= 50"):
+            find_minimal_k(v, 2)
 
 
 class TestMultivariateProperty:
