@@ -157,8 +157,7 @@ def _cmd_roots(args):
         raise CapabilityError("polynomial of degree %d has no roots to report" % poly.degree)
     rs = find_roots(poly, args.precision)
     md = min_disc_distance(rs, args.lam)
-    exact = list(poly.coeffs[poly.low_order_zeros():])
-    verdict = disc_verdict(rs, args.lam, exact)
+    verdict = disc_verdict(rs, args.lam)
     if verdict == "ambiguous":
         holds = bc_lambda_holds_univariate(poly, args.lam, min(2 * args.precision, 1024))
     else:

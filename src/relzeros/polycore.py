@@ -66,7 +66,8 @@ class ComplexPoint:
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexPoint(-self.re, -self.im, self.precision)
+        with mp.workprec(self.precision):
+            return ComplexPoint(-self.re, -self.im, self.precision)
 
     def __sub__(self, other):
         other, prec = self._promote(other)

@@ -21,6 +21,7 @@ from .polycore import cycle_poly, shifted_power
 from .reliability import connected_subgraph_poly, two_class_specialize
 from .roots import (
     analytic_disc_margin,
+    bc_lambda_holds_univariate,
     estimate_branch_coefficients,
     find_minimal_k,
     find_roots,
@@ -204,7 +205,7 @@ def _min_disc(families, case, p1, p2, expected):
 
 def _first_violation(families):
     violations = [p for p in range(16, D_P1_FIRST_VIOLATION + 1)
-                  if float(min_disc_distance(families.roots("d", p, 1), 1)) < 1 - 1e-6]
+                  if not bc_lambda_holds_univariate(families.poly("d", p, 1), 1)]
     return ("first at p=%s" % (violations[:1] or ["none"])[0],
             0.0 if violations == [D_P1_FIRST_VIOLATION] else float("inf"), 0.0)
 

@@ -22,10 +22,11 @@ Other coefficients are solved in v, where their roots (branch fits, locus
 samples) need fewer sweeps.  A failed float solve falls back to one start
 circle per edge of the upper hull of (i, log|c_i|), which is the single
 circle above whenever that hull is one segment.  Output roots are rounded
-to the precision and their error radii come from an independent mpmath
-residual, or from an exact Gaussian-integer one where mpmath would round
-an integer coefficient or finds p'(z) = 0 (that radius is 0 at an exact
-root).
+to the precision.  Each error radius n|p(z)|/|p'(z)| is a bound, whatever
+the precision: p(z) and p'(z) are evaluated in integers on a grid that
+holds z exactly, with a bound on the truncation error carried beside them.
+It is 0 at an exact root and inf where p'(z) cannot be told from 0, and
+the disc verdicts compare it with the disc in integers.
 
 The zero root is never iterated: low-order exactly-zero coefficients are
 stripped symbolically, so v = 0 sits exactly on every disc boundary
@@ -338,51 +339,45 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
     return out, done
 
 
-def _exact_radius(coeffs, z):
-    """n |p(z)| / |p'(z)| from p(z) and p'(z) in exact Gaussian integers (z is
-    dyadic): 0 at an exact root, inf where only p'(z) vanishes."""
-    gauss = _gaussian_integers(coeffs)
-    dyadic = _dyadic([z.real, z.imag])
+def _radius(gauss, z, prec):
+    """A bound r with a root of p within r of z: n (|p| + e_p) / (|p'| - e_d),
+    rounded up, where p(z) and p'(z) are evaluated in integers at scale 2^t,
+    t >= prec plus guard bits and fine enough to hold z exactly, and e_p,
+    e_d bound their truncation errors, which grow only where a shift drops
+    nonzero bits.  0 at an exact root; inf where |p'(z)| is not bounded away
+    from 0, or where z or a coefficient is not finite (gauss is None)."""
+    dyadic = _dyadic([z.re, z.im])
     if gauss is None or dyadic is None:
         return mpf("inf")
+    n = len(gauss) - 1
     (x, y), low = dyadic
-    # z = (x + iy) / 2^t, and step s of Horner's rule is scaled by 2^(t*s)
-    t = max(0, -low)
+    t = max(prec + 8 + 2 * n.bit_length(), -low)
     x, y = x << (low + t), y << (low + t)
-    (px, py), dx, dy = gauss[-1], 0, 0
-    for s, (a, b) in enumerate(reversed(gauss[:-1]), 1):
-        dx, dy = dx * x - dy * y + px, dx * y + dy * x + py
-        px, py = px * x - py * y + (a << t * s), px * y + py * x + (b << t * s)
-    if not (px or py):
+    az = math.isqrt(x * x + y * y) + 1  # > |z| 2^t
+    mask = (1 << t) - 1
+    px, py = gauss[-1][0] << t, gauss[-1][1] << t
+    dx = dy = ep = ed = 0
+    for a, b in reversed(gauss[:-1]):
+        # Horner's rule for p' and p; e <- ceil(e |z|) (+ e_p for p'),
+        # plus 2 units where the shift drops nonzero bits
+        rx, ry = dx * x - dy * y, dx * y + dy * x
+        ed = -(-ed * az >> t) + ep + (2 if (rx | ry) & mask else 0)
+        dx, dy = (rx >> t) + px, (ry >> t) + py
+        rx, ry = px * x - py * y, px * y + py * x
+        ep = -(-ep * az >> t) + (2 if (rx | ry) & mask else 0)
+        px, py = (rx >> t) + (a << t), (ry >> t) + (b << t)
+    if not (px or py or ep):
         return mpf(0)
-    if not (dx or dy):
+    den = math.isqrt(dx * dx + dy * dy) - ed
+    if den <= 0:
         return mpf("inf")
-    return mp.ldexp((len(coeffs) - 1) * mp.hypot(px, py) / mp.hypot(dx, dy), -t)
+    return mp.fdiv(n * (math.isqrt(px * px + py * py) + 1 + ep), den, prec=53, rounding="u")
 
 
 def _finalize(coeffs, roots_mpc, zero_mult, prec, converged):
-    with mp.workprec(prec):
-        cs = [c.to_mpc() if isinstance(c, ComplexPoint) else mpc(c) for c in coeffs]
-        n = len(cs) - 1
-        # mpc() rounds an integer wider than prec bits, so its residual would
-        # be another polynomial's: dv stays 0 and the residual is exact
-        wide = isinstance(coeffs[0], int) and max(map(abs, coeffs)).bit_length() > prec
-        entries = []
-        for zk in roots_mpc:
-            pv = cs[-1]
-            dv = mpc(0)
-            for c in () if wide else reversed(cs[:-1]):
-                dv = dv * zk + pv
-                pv = pv * zk + c
-            err = n * abs(pv) / abs(dv) if dv else _exact_radius(coeffs, zk)
-            entries.append((zk, err))
-        entries.sort(key=lambda t: (t[0].real, t[0].imag))
-    rs = RootSet(
-        zero_mult,
-        [ComplexPoint.from_mpc(z, prec) for z, _ in entries],
-        [e for _, e in entries],
-        prec,
-    )
+    roots = sorted((ComplexPoint.from_mpc(z, prec) for z in roots_mpc), key=lambda z: (z.re, z.im))
+    gauss = _gaussian_integers(coeffs)
+    rs = RootSet(zero_mult, roots, [_radius(gauss, z, prec) for z in roots], prec)
     if not converged:
         raise NonconvergenceError(
             "no convergence after %d sweeps at %d bits" % (MAX_SWEEPS, prec), partial=rs)
@@ -479,37 +474,33 @@ def min_disc_root(root_set, lam=1, positive_imag=False):
         return best, best_d
 
 
-def _disc_status(z, err, lam, prec, exact_coeffs=None):
-    """Membership of z in the open disc |lam + v| < lam.
-
-    Returns 'inside', 'not_inside', or 'ambiguous'.  A residual-zero root
-    of an exact-integer polynomial is verified by _exact_radius and decided
-    in integers (lam and z are dyadic), which settles roots sitting exactly
-    on the boundary.
-    """
-    with mp.workprec(prec):
-        zc = z.to_mpc()
-        m = abs(lam + zc)
-        if err == 0 and exact_coeffs is not None and _exact_radius(exact_coeffs, zc) == 0:
-            (r, x, y), _ = _dyadic([lam, z.re, z.im])
-            return "inside" if (r + x) ** 2 + y * y < r * r else "not_inside"
-        e = err if err > 0 else mp.ldexp(1 + abs(zc), -(prec - 8))
-        slack = mp.ldexp(lam + abs(zc) + 1, -(prec - 12))
-        if m + e + slack < lam:
-            return "inside"
-        if m - e - slack >= lam:
-            return "not_inside"
+def _disc_status(z, err, lam):
+    """Membership of z's root, within err of z, in the open disc
+    |lam + v| < lam: 'inside', 'not_inside', or 'ambiguous' (also where err
+    is inf), decided in integers (lam, err and z are dyadic)."""
+    dyadic = _dyadic([lam, err, z.re, z.im])
+    if dyadic is None:
         return "ambiguous"
+    (r, e, x, y), _ = dyadic
+    d = (r + x) ** 2 + y * y
+    if e < r and d < (r - e) ** 2:
+        return "inside"
+    if d >= (r + e) ** 2:
+        return "not_inside"
+    return "ambiguous"
 
 
 def disc_verdict(root_set, lam, exact_coeffs=None):
-    """'violated' (some root certified inside), 'holds', or 'ambiguous'."""
-    prec = root_set.precision
-    with mp.workprec(prec):
+    """'violated' (some root certified inside), 'holds', or 'ambiguous'.
+
+    Each root's disc of its error radius is tested exactly against
+    |lam + v| < lam, so a root with radius 0 on the boundary decides.
+    exact_coeffs is accepted for older callers and ignored."""
+    with mp.workprec(root_set.precision):
         lamv = _positive_lambda(lam)
     ambiguous = False
     for z, e in zip(root_set.roots, root_set.error_radii):
-        status = _disc_status(z, e, lamv, prec, exact_coeffs)
+        status = _disc_status(z, e, lamv)
         if status == "inside":
             return "violated"
         if status == "ambiguous":
@@ -539,11 +530,10 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
             return False
         if len(coeffs) <= 1:
             return True
-    exact = coeffs if exact_ints else None
     prec = precision_bits if precision_bits is not None else _auto_precision(coeffs, len(coeffs) - 1)
     while True:
         rs = find_roots(coeffs, prec)
-        verdict = disc_verdict(rs, lam, exact)
+        verdict = disc_verdict(rs, lam)
         if verdict == "violated":
             return False
         if verdict == "holds":

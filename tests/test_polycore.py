@@ -54,6 +54,14 @@ class TestComplexPoint:
         assert complex(3 + z) == complex(5, 2)
         assert complex(3 * z) == complex(6, 6)
 
+    def test_negation_keeps_the_point_precision(self):
+        with mp.workprec(256):
+            c = mpf(1) / 3
+        neg = -ComplexPoint(c, 0, 256)
+        assert neg.precision == 256
+        with mp.workprec(256):
+            assert neg.re + c == 0
+
     def test_zero_test(self):
         z = ComplexPoint(1, -2)
         assert ComplexPoint(0, 0).is_zero

@@ -353,38 +353,19 @@ def assert_roots_match(got, want, coeffs=None):
     distinct root of want; no radius may be inf.  Matched as multisets: _finalize sorts by (re, im),
     so a conjugate pair swaps places when the last bit of its real part moves.
 
-    With coeffs, each root encloses max(radius, noise_radius) and the two
-    enclosures may add up: the radii are floating residuals, which read 0 at
-    an exact root and stay below an ulp of a large one, not rigorous discs."""
+    With coeffs, the two discs may add up: each holds a root, 0 only at an
+    exact one, so two roots near one root of p meet within the sum."""
     assert got.zero_multiplicity == want.zero_multiplicity
     assert got.precision == want.precision and len(got.roots) == len(want.roots)
     assert all(mp.isfinite(e) for e in got.error_radii + want.error_radii)
-    prec = got.precision
-    with mp.workprec(prec + 64):
+    with mp.workprec(got.precision + 64):
         free = [(z.to_mpc(), e) for z, e in zip(want.roots, want.error_radii)]
         for z, e in zip(got.roots, got.error_radii):
             z = z.to_mpc()
             d, i = min((abs(z - w), i) for i, (w, _) in enumerate(free))
             w, f = free.pop(i)
-            bound = max(e, f) if coeffs is None else (
-                max(e, noise_radius(coeffs, z, prec)) + max(f, noise_radius(coeffs, w, prec)))
+            bound = max(e, f) if coeffs is None else e + f
             assert d <= bound, (complex(z), d, e, f)
-
-
-def noise_radius(p, z, prec):
-    """n|p(z)/p'(z)| with |p(z)| at the stop rule's noise bound
-    (2n+2) 2^-prec sum |c_i| |z|^i: how far from a root the rule may stop.
-    0 at a root where p(z) evaluates to 0, as on a multiple root, whose
-    p'(z) is 0 too."""
-    coeffs, _ = roots_module._normalize_coefficients(p)
-    roots_module._deflate(coeffs)
-    cs = [c.to_mpc() if isinstance(c, ComplexPoint) else mpc(c) for c in coeffs]
-    n = len(cs) - 1
-    em = sum(abs(c) * abs(z) ** i for i, c in enumerate(cs))
-    dp = sum(i * c * z ** (i - 1) for i, c in enumerate(cs) if i)
-    if not dp and not sum(c * z ** i for i, c in enumerate(cs)):
-        return mpf(0)
-    return n * (2 * n + 2) * mpf(2) ** -prec * em / abs(dp) if dp else mpf("inf")
 
 
 def expand_roots(roots, prec, lead=1):
@@ -526,6 +507,57 @@ def test_random_integer_poly_matches_reference(coeffs, prec):
     assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
 
 
+def as_fraction(x):
+    """A finite mpf as an exact Fraction."""
+    sign, man, exp, _ = x._mpf_
+    f = Fraction(man) * Fraction(2) ** exp
+    return -f if sign else f
+
+
+def fraction_residual(coeffs, z):
+    """p(z) for integer coefficients at a dyadic z, exactly, as a Fraction pair."""
+    x, y = as_fraction(z.re), as_fraction(z.im)
+    px = py = Fraction(0)
+    for c in reversed(coeffs):
+        px, py = px * x - py * y + c, px * y + py * x
+    return px, py
+
+
+def test_radii_enclose_the_high_precision_roots():
+    # all 2,380 roots at 128 and 256 bits lie within their radii of a
+    # 1024-bit root, and a radius is 0 only where p(z) = 0 exactly
+    rng = random.Random(3)
+    outside = []
+    for _ in range(150):
+        coeffs = [rng.randint(-2 ** 90, 2 ** 90) for _ in range(rng.randint(2, 14) + 1)]
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = coeffs[-1] or -1
+        ref = find_roots(coeffs, 1024)
+        assert all(mp.isfinite(f) for f in ref.error_radii)
+        for prec in (128, 256):
+            rs = find_roots(coeffs, prec)
+            with mp.workprec(1100):
+                for z, e in zip(rs.roots, rs.error_radii):
+                    if e == 0:
+                        assert fraction_residual(coeffs, z) == (0, 0)
+                    zc = z.to_mpc()
+                    if min(abs(zc - w.to_mpc()) - f for w, f in zip(ref.roots, ref.error_radii)) > e:
+                        outside.append((coeffs, prec, complex(z), e))
+    assert outside == []
+
+
+def test_radius_bounds_the_truncation_error():
+    # z = X 2^-T just above sqrt(2), so fine that the grid 2^-T must hold it,
+    # with X^2 - 2^(2T+1) < 2^T: truncated on that grid, p(z) = z^2 - 2
+    # reads 0, and only the carried error bound keeps the radius above 0
+    T = next(T for T in range(1000, 1100)
+             if (math.isqrt(2 << 2 * T) + 1) ** 2 - (2 << 2 * T) < 1 << T)
+    with mp.workprec(T + 64):
+        z = ComplexPoint(mp.ldexp(math.isqrt(2 << 2 * T) + 1, -T), 0, T + 2)
+        r = roots_module._radius([(-2, 0), (0, 0), (1, 0)], z, 53)
+        assert 0 < abs(z.re - mp.sqrt(2)) <= r < mpf(2) ** -(T - 2)
+
+
 def multiply(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -585,11 +617,7 @@ def test_random_dyadic_poly_matches_reference(coeffs):
 def fraction_disc_inside(z, lam):
     """The rational test _disc_status made on exact roots before its integer
     one: (lam + x)^2 + y^2 < lam^2 in Fractions."""
-    def fraction(x):
-        sign, man, exp, _ = x._mpf_
-        f = Fraction(man) * Fraction(2) ** exp
-        return -f if sign else f
-    lamf, x, y = fraction(lam), fraction(z.re), fraction(z.im)
+    lamf, x, y = as_fraction(lam), as_fraction(z.re), as_fraction(z.im)
     return (lamf + x) ** 2 + y ** 2 < lamf ** 2
 
 
