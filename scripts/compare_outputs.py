@@ -7,6 +7,8 @@ working directory, it runs
 
     relzeros reproduce --suite all --json       (rows compared without "seconds")
     relzeros roots SPEC [OPTIONS]               (for each entry of ROOTS)
+    relzeros poly SPEC                          (for each entry of POLY)
+    relzeros check|poly|roots FILE              (for each graph file of GRAPHS)
     relzeros locus CASE --precision P --out F   (CASE in b, d, k6; P in 53, 80)
 
 and compares stdout, stderr, exit code and, for locus, the CSV written.
@@ -33,6 +35,13 @@ ROOTS = [
     ["bundle:5", "--lambda", "2"],
     ["cycle:3", "--lambda", "-0.1"],
 ]
+POLY = ["k4:b", "k6", "k4:b:1:7"]
+# graph files written into the working directory: K4 in one class, and a
+# triangle with a doubled edge and a loop (the loop puts a root at v = -1)
+GRAPHS = {
+    "k4.graph": "vertices 4\n0 1 0\n0 2 0\n0 3 0\n1 2 0\n1 3 0\n2 3 0\n",
+    "loop.graph": "vertices 3\n0 1 0\n0 1 0\n1 2 0\n2 0 0\n2 2 0\n",
+}
 LOCUS = [(case, prec) for case in ("b", "d", "k6") for prec in (53, 80)]
 
 
@@ -55,6 +64,12 @@ def outputs(checkout):
         out[key] = dict(run, rows=rows)
         for args in ROOTS:
             out["roots " + " ".join(args)] = relzeros(checkout, workdir, "roots", *args)
+        for spec in POLY:
+            out["poly " + spec] = relzeros(checkout, workdir, "poly", spec)
+        for name, text in GRAPHS.items():
+            Path(workdir, name).write_text(text)
+            for command in ("check", "poly", "roots"):
+                out[command + " " + name] = relzeros(checkout, workdir, command, name)
         for case, prec in LOCUS:
             args = ["locus", case, "--precision", str(prec), "--out", "locus.csv"]
             run = relzeros(checkout, workdir, *args)

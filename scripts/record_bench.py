@@ -18,9 +18,10 @@ from seed to seed and from run to run, so that a slow stretch of a shared
 host does not fall on one side only.  The file gets, per label: the seeds
 and run length, the commit, whether src/ or bench/ had uncommitted
 changes, the line count of the Python files under src/, the token count
-of roots.py, every run's end-to-end metrics and checks, per workload the
-median of each end-to-end metric, and each reproduce run's wall seconds
-and exit code, with the median seconds and the exit codes seen.
+of roots.py and of every module of src/relzeros, every run's end-to-end
+metrics and checks, per workload the median of each end-to-end metric,
+and each reproduce run's wall seconds and exit code, with the median
+seconds and the exit codes seen.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ def git(checkout, *args):
                           check=True).stdout.strip()
 
 
-def roots_tokens(checkout):
-    """tokenize's token count of roots.py: past CPython's 8,192-token parser
+def tokens(path):
+    """tokenize's token count of one module: past CPython's 8,192-token parser
     step, compiling it takes more memory, which shows in peak_rss_mb."""
-    with open(checkout / "src" / "relzeros" / "roots.py") as fh:
+    with open(path) as fh:
         return sum(1 for _ in tokenize.generate_tokens(fh.readline))
 
 
@@ -60,7 +61,9 @@ def describe(checkout, seeds, seconds):
         "uncommitted_changes": bool(git(checkout, "status", "--porcelain", "--", "src", "bench")),
         "src_lines": sum(len(f.read_text().splitlines())
                          for f in sorted((checkout / "src").rglob("*.py"))),
-        "roots_tokens": roots_tokens(checkout),
+        "roots_tokens": tokens(checkout / "src" / "relzeros" / "roots.py"),
+        "module_tokens": {f.name: tokens(f)
+                          for f in sorted((checkout / "src" / "relzeros").glob("*.py"))},
         "runs": {},
         "reproduce": {"command": "relzeros " + " ".join(REPRODUCE[2:]), "runs": []},
     }

@@ -8,20 +8,14 @@ forbidden discs |lambda + v| < lambda.
 
 from .multigraph import (
     GraphParseError,
-    MinorOracleLimitError,
     Multigraph,
     complete_graph,
     cycle_graph,
-    format_graph,
-    has_k4_topological_minor,
     is_connected,
     is_series_parallel,
     k4_two_class,
     k6_disjoint_triangles,
-    parallel_bundle_graph,
-    parallel_expand,
     parse_graph,
-    subdivide,
 )
 from .polycore import (
     MIN_PRECISION,
@@ -37,12 +31,9 @@ from .reliability import (
     EnumerationLimitError,
     NotSeriesParallelError,
     SeriesCancellationError,
-    SeriesReductionResult,
     ZeroEdgeWeightError,
     connected_subgraph_poly,
-    parallel_reduce,
     reduce_sp_value,
-    series_reduce,
     subdivided_univariate,
     two_class_specialize,
 )

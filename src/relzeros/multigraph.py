@@ -1,9 +1,9 @@
 """Multigraphs with labeled weight classes and series-parallel structure tests.
 
 Vertices are dense 0-based ids.  Edges are ordered (u, v, class_label)
-triples; loops and parallel edges are allowed, and every transformation
-preserves edge order and class labels so that two-class polynomial
-computation works on expanded or subdivided graphs.
+triples; loops and parallel edges are allowed.  Edge ids are positions in
+that tuple, and the series-parallel reductions keep the lower id of the
+two edges they merge.
 """
 
 from __future__ import annotations
@@ -38,21 +38,6 @@ class Multigraph:
         """Sorted distinct class labels present in the graph."""
         return sorted({c for _, _, c in self.edges})
 
-    def class_edge_counts(self):
-        """Map class label -> number of edges carrying it."""
-        counts = {}
-        for _, _, c in self.edges:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
-
-    def degrees(self):
-        """Vertex degrees; a loop contributes 2 to its endpoint."""
-        deg = [0] * self.num_vertices
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 def complete_graph(n):
     """K_n with edges in lexicographic endpoint order, all in class 0."""
@@ -66,13 +51,6 @@ def cycle_graph(n):
     if not isinstance(n, int) or n < 1:
         raise ValueError("cycle_graph needs n >= 1")
     return Multigraph(n, tuple((i, (i + 1) % n, 0) for i in range(n)))
-
-
-def parallel_bundle_graph(n):
-    """Two vertices joined by n parallel edges."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("parallel_bundle_graph needs n >= 1")
-    return Multigraph(2, tuple((0, 1, 0) for _ in range(n)))
 
 
 _K4_CLASS0 = {
@@ -102,50 +80,6 @@ def k6_disjoint_triangles():
     chosen = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
     base = complete_graph(6)
     return Multigraph(6, tuple((u, v, 0 if (u, v) in chosen else 1) for u, v, _ in base.edges))
-
-
-def _per_edge_vector(value, num_edges, what):
-    if isinstance(value, int):
-        value = [value] * num_edges
-    vec = list(value)
-    if len(vec) != num_edges:
-        raise ValueError("%s vector has length %d, graph has %d edges" % (what, len(vec), num_edges))
-    for x in vec:
-        if not isinstance(x, int) or x < 1:
-            raise ValueError("%s entries must be integers >= 1, got %r" % (what, x))
-    return vec
-
-
-def parallel_expand(g, multiplicities):
-    """Replace edge e by multiplicities[e] parallel copies (class preserved).
-
-    An int is treated as a uniform multiplicity.
-    """
-    m = _per_edge_vector(multiplicities, g.num_edges, "multiplicity")
-    out = []
-    for (u, v, c), k in zip(g.edges, m):
-        out.extend([(u, v, c)] * k)
-    return Multigraph(g.num_vertices, tuple(out))
-
-
-def subdivide(g, subdivisions):
-    """Replace edge e by a path of subdivisions[e] edges through fresh vertices.
-
-    Fresh vertices are appended after the existing ids in edge order; all
-    path edges inherit the original edge's class.  An int subdivides every
-    edge uniformly.
-    """
-    s = _per_edge_vector(subdivisions, g.num_edges, "subdivision")
-    nxt = g.num_vertices
-    out = []
-    for (u, v, c), k in zip(g.edges, s):
-        prev = u
-        for _ in range(k - 1):
-            out.append((prev, nxt, c))
-            prev = nxt
-            nxt += 1
-        out.append((prev, v, c))
-    return Multigraph(nxt, tuple(out))
 
 
 def is_connected(g):
@@ -236,76 +170,12 @@ def is_series_parallel(g):
     return sum(step[0] != "isolated" for step in _sp_reductions(g)) == g.num_edges
 
 
-class MinorOracleLimitError(ValueError):
-    """Input too large for the brute-force K4-subdivision search."""
-
-
-def has_k4_topological_minor(g):
-    """Brute-force search for a subgraph that is a subdivision of K4.
-
-    Four branch vertices must be joined by six internally vertex-disjoint
-    paths.  Loops never help and parallel edges add nothing beyond the
-    underlying simple graph, so the search runs on that.  Intended as an
-    independent correctness oracle for is_series_parallel; inputs with
-    more than 10 vertices are rejected.
-    """
-    if g.num_vertices > 10:
-        raise MinorOracleLimitError("oracle accepts at most 10 vertices, got %d" % g.num_vertices)
-    n = g.num_vertices
-    adj = [set() for _ in range(n)]
-    for u, v, _ in g.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-
-    candidates = [v for v in range(n) if len(adj[v]) >= 3]
-    if len(candidates) < 4:
-        return False
-    pairs = list(combinations(range(4), 2))
-
-    def internal_paths(s, t, blocked):
-        # yields the internal-vertex sets of simple s-t paths; direct edge first
-        def rec(cur, internals):
-            for nxt in sorted(adj[cur], key=lambda x: (x != t, x)):
-                if nxt == t:
-                    yield frozenset(internals)
-                elif nxt != s and nxt not in blocked and nxt not in internals:
-                    internals.add(nxt)
-                    yield from rec(nxt, internals)
-                    internals.discard(nxt)
-        yield from rec(s, set())
-
-    for branch in combinations(candidates, 4):
-        bset = set(branch)
-
-        def place(idx, used):
-            if idx == len(pairs):
-                return True
-            i, j = pairs[idx]
-            s, t = branch[i], branch[j]
-            for internals in internal_paths(s, t, (bset - {s, t}) | used):
-                if place(idx + 1, used | internals):
-                    return True
-            return False
-
-        if place(0, frozenset()):
-            return True
-    return False
-
-
 class GraphParseError(ValueError):
     """Malformed graph text; .line holds the 1-based offending line."""
 
     def __init__(self, message, line):
         super().__init__("line %d: %s" % (line, message))
         self.line = line
-
-
-def format_graph(g):
-    """Canonical text form: 'vertices N' then one 'u v c' line per edge."""
-    lines = ["vertices %d" % g.num_vertices]
-    lines.extend("%d %d %d" % (u, v, c) for u, v, c in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def parse_graph(text):

@@ -1,12 +1,14 @@
-"""Exact polynomial arithmetic with precision-tracked complex evaluation.
+"""Exact polynomial arithmetic and the precision-tagged complex value type.
 
 Polynomials carry arbitrary-precision integer coefficients; the instances
-this library targets reach coefficients near 10^27 and degree 93, far past
-what doubles or 64-bit integers can hold exactly.  Rounding enters only
-when a polynomial is evaluated at a :class:`ComplexPoint`, which records
-the working precision (in bits) of its arithmetic.  Exact helpers on
-low-to-high coefficient lists shift the variable by +-1 and divide out the
-shifted cyclotomic factors, whose roots lie exactly on |1 + v| = 1.
+this library targets reach degree 300 and 296-bit coefficients (k6:20:20),
+far past what doubles or 64-bit integers can hold exactly.  Rounding enters
+only when a bivariate polynomial is collapsed at a numeric point, in
+mpmath at that point's precision.  A :class:`ComplexPoint` carries such a
+value with the precision (in bits) it was computed at; it has no
+arithmetic of its own.  Exact helpers on low-to-high coefficient lists
+shift the variable by +-1 and divide out the shifted cyclotomic factors,
+whose roots lie exactly on |1 + v| = 1.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ MIN_PRECISION = 53
 class ComplexPoint:
     """A complex value pinned to an explicit binary working precision.
 
-    Arithmetic between two points runs at the larger of their precisions
-    and the result keeps that precision.  Strings, wide integers and mpf
-    values with more mantissa bits than the requested precision are rounded
-    to it on construction; floats are exact at any precision.
+    A plain value: callers compute on to_mpc() inside mp.workprec of the
+    precision they choose and wrap the result with from_mpc.  Strings, wide
+    integers and mpf values with more mantissa bits than the requested
+    precision are rounded to it on construction; floats are exact at any
+    precision.
     """
 
     __slots__ = ("re", "im", "precision")
@@ -47,46 +50,8 @@ class ComplexPoint:
     def to_mpc(self):
         return mpc(self.re, self.im)
 
-    @property
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def _promote(self, other):
-        other = as_complex_point(other, self.precision)
-        return other, max(self.precision, other.precision)
-
-    def __add__(self, other):
-        other, prec = self._promote(other)
-        with mp.workprec(prec):
-            return ComplexPoint(self.re + other.re, self.im + other.im, prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        with mp.workprec(self.precision):
-            return ComplexPoint(-self.re, -self.im, self.precision)
-
-    def __sub__(self, other):
-        other, prec = self._promote(other)
-        with mp.workprec(prec):
-            return ComplexPoint(self.re - other.re, self.im - other.im, prec)
-
-    def __mul__(self, other):
-        other, prec = self._promote(other)
-        with mp.workprec(prec):
-            z = self.to_mpc() * other.to_mpc()
-        return ComplexPoint.from_mpc(z, prec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other, prec = self._promote(other)
-        with mp.workprec(prec):
-            z = self.to_mpc() / other.to_mpc()
-        return ComplexPoint.from_mpc(z, prec)
 
     def __abs__(self):
         with mp.workprec(self.precision):
@@ -146,11 +111,6 @@ class ExactUniPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def coefficient(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
     def low_order_zeros(self):
         """Multiplicity of the root v = 0 (number of leading zero coefficients)."""
         k = 0
@@ -167,16 +127,6 @@ class ExactUniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = ExactUniPoly([other])
-        if not isinstance(other, ExactUniPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactUniPoly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
-
-    __radd__ = __add__
-
     def __mul__(self, other):
         if isinstance(other, int):
             return ExactUniPoly([c * other for c in self.coeffs])
@@ -192,17 +142,6 @@ class ExactUniPoly:
         return ExactUniPoly(out)
 
     __rmul__ = __mul__
-
-    def evaluate(self, z):
-        """Horner evaluation at a ComplexPoint, at the point's precision."""
-        z = as_complex_point(z)
-        prec = z.precision
-        with mp.workprec(prec):
-            zc = z.to_mpc()
-            acc = mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * zc + c
-        return ComplexPoint.from_mpc(acc, prec)
 
     def to_json(self):
         return {"var": "v", "coeffs": [str(c) for c in self.coeffs]}
@@ -245,9 +184,6 @@ class ExactBiPoly:
     def degree_b(self):
         return max((db for _, db in self.terms), default=-1)
 
-    def coefficient(self, da, db):
-        return self.terms.get((da, db), 0)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -284,18 +220,6 @@ class ExactBiPoly:
     def transposed(self):
         """Swap the roles of a and b."""
         return ExactBiPoly({(db, da): c for (da, db), c in self.terms.items()})
-
-    def evaluate(self, a0, b0):
-        a0 = as_complex_point(a0)
-        b0 = as_complex_point(b0)
-        prec = max(a0.precision, b0.precision)
-        coeffs = self.coefficients_in_a(ComplexPoint(b0.re, b0.im, prec))
-        with mp.workprec(prec):
-            ac = a0.to_mpc()
-            acc = mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * ac + c.to_mpc()
-        return ComplexPoint.from_mpc(acc, prec)
 
     def to_json(self):
         triples = sorted(self.terms.items())

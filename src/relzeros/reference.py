@@ -16,6 +16,8 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from mpmath import mp
+
 from .multigraph import k4_two_class, k6_disjoint_triangles
 from .polycore import cycle_poly, shifted_power
 from .reliability import connected_subgraph_poly, two_class_specialize
@@ -272,7 +274,9 @@ def _construction_vk(families, p1, p2, k, expected):
 
 
 def _construction_scaled(families, p1, p2, k, expected):
-    m = float(abs(1 + CONSTRUCTION_S * _vk(families, p1, p2, k)))
+    vk = _vk(families, p1, p2, k)
+    with mp.workprec(vk.precision):
+        m = float(abs(1 + CONSTRUCTION_S * vk.to_mpc()))
     return "%.12f" % m, abs(m - expected), 1e-9
 
 

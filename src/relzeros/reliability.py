@@ -20,7 +20,6 @@ b = (1+v)^p2 - 1 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from mpmath import mp, mpc
@@ -173,49 +172,6 @@ def two_class_specialize(p, p1, p2):
     return ExactUniPoly(taylor_shift(cs, 1))
 
 
-def parallel_reduce(ws):
-    """Effective weight of parallel edges: prod(1 + w_i) - 1."""
-    ws = [as_complex_point(w) for w in ws]
-    if not ws:
-        raise ValueError("need at least one weight")
-    prec = max(w.precision for w in ws)
-    with mp.workprec(prec):
-        acc = mpc(1)
-        for w in ws:
-            acc *= 1 + w.to_mpc()
-        return ComplexPoint.from_mpc(acc - 1, prec)
-
-
-@dataclass(frozen=True)
-class SeriesReductionResult:
-    """Series chain replacement: effective_weight * prefactor = prod(w_i)."""
-    effective_weight: ComplexPoint
-    prefactor: ComplexPoint
-
-
-def series_reduce(ws):
-    """Series chain of weights: effective 1/sum(1/w_i), prefactor sum_j prod_{i!=j} w_i."""
-    ws = [as_complex_point(w) for w in ws]
-    if not ws:
-        raise ValueError("need at least one weight")
-    prec = max(w.precision for w in ws)
-    with mp.workprec(prec):
-        prod = mpc(1)
-        recip = mpc(0)
-        for w in ws:
-            z = w.to_mpc()
-            if z == 0:
-                raise ZeroEdgeWeightError("zero weight in series chain")
-            prod *= z
-            recip += 1 / z
-        if recip == 0:
-            raise SeriesCancellationError("reciprocal sum vanishes; series weight undefined")
-        eff = 1 / recip
-        pref = prod * recip
-    return SeriesReductionResult(ComplexPoint.from_mpc(eff, prec),
-                                 ComplexPoint.from_mpc(pref, prec))
-
-
 def subdivided_univariate(p, s):
     """C of the uniform s-subdivision: s^m * v^((s-1)m) * p(v/s).
 
@@ -236,34 +192,45 @@ def subdivided_univariate(p, s):
 def reduce_sp_value(g, edge_weights):
     """Value of C_G at per-edge numeric weights, by pure reduction.
 
-    Applies loop removal, pendant absorption, parallel_reduce, and
-    series_reduce (accumulating its prefactors) until a single vertex
-    remains.  Works exactly on series-parallel multigraphs and serves as
-    the independent cross-check of the enumeration engine.
+    Removes a loop e (factor 1 + w_e), absorbs a pendant edge (factor w_e),
+    merges parallel edges a, b into (1 + a)(1 + b) - 1, and merges series
+    edges a, b into 1/r with r = 1/a + 1/b (factor a*b*r), until a single
+    vertex remains.  All of it runs in mpmath at the largest weight
+    precision (53 bits for none), and the value returns as a ComplexPoint
+    at that precision.  Works exactly on series-parallel multigraphs and
+    serves as the independent cross-check of the enumeration engine.
     """
-    w = [as_complex_point(x) for x in edge_weights]
-    if len(w) != g.num_edges:
+    points = [as_complex_point(x) for x in edge_weights]
+    if len(points) != g.num_edges:
         raise ValueError("need one weight per edge")
-    prec = max([x.precision for x in w] or [53])
-    factor = ComplexPoint(1, 0, prec)
+    prec = max([x.precision for x in points] or [53])
     edges_left, vertices_left = g.num_edges, g.num_vertices
-    for kind, e, *drop in _sp_reductions(g):
-        if kind == "isolated":
-            raise DisconnectedGraphError("reduction exposed an isolated vertex")
-        if kind == "loop":
-            factor = factor * (1 + w[e])
-        elif kind == "pendant":
-            factor = factor * w[e]
-        elif kind == "parallel":
-            w[e] = parallel_reduce([w[e], w[drop[0]]])
-        else:
-            red = series_reduce([w[e], w[drop[0]]])
-            factor = factor * red.prefactor
-            w[e] = red.effective_weight
-        edges_left -= 1
-        vertices_left -= kind in ("pendant", "series")
+    with mp.workprec(prec):
+        w = [x.to_mpc() for x in points]
+        factor = mpc(1)
+        for kind, e, *drop in _sp_reductions(g):
+            if kind == "isolated":
+                raise DisconnectedGraphError("reduction exposed an isolated vertex")
+            if kind == "loop":
+                factor *= 1 + w[e]
+            elif kind == "pendant":
+                factor *= w[e]
+            elif kind == "parallel":
+                w[e] = (1 + w[e]) * (1 + w[drop[0]]) - 1
+            else:
+                a, b = w[e], w[drop[0]]
+                if a == 0 or b == 0:
+                    raise ZeroEdgeWeightError("zero weight in series chain")
+                r = 1 / a + 1 / b
+                if r == 0:
+                    raise SeriesCancellationError(
+                        "reciprocal sum vanishes; series weight undefined")
+                factor *= a * b * r
+                w[e] = 1 / r
+            edges_left -= 1
+            vertices_left -= kind in ("pendant", "series")
     if edges_left:
         raise NotSeriesParallelError("graph did not reduce to a single vertex")
     if vertices_left > 1:
         raise DisconnectedGraphError("reduction left %d isolated vertices" % vertices_left)
-    return factor
+    return ComplexPoint.from_mpc(factor, prec)

@@ -44,6 +44,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
+from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
@@ -106,9 +108,22 @@ class RootSet:
         digits = max(17, int(self.precision * 0.30103) + 2)
         out = []
         for z, e in zip(self.roots, self.error_radii):
-            err = "inf" if e == mpf("inf") else mp.nstr(mpf(e), digits)
+            err = "inf" if e == mpf("inf") else _nstr_up(mpf(e), digits)
             out.append({"re": mp.nstr(z.re, digits), "im": mp.nstr(z.im, digits), "err": err})
         return {"zero_multiplicity": self.zero_multiplicity, "roots": out}
+
+
+def _nstr_up(x, digits):
+    """mp.nstr(x, digits) for a finite x >= 0, or where that reads below x,
+    the next decimal of as many significant digits: a bound stays a bound."""
+    s = mp.nstr(x, digits)
+    (m,), low = _dyadic([x])
+    if Fraction(s) < m * Fraction(2) ** low:
+        up = Context(prec=digits).next_plus(Decimal(s))
+        # near enough to up that nstr rounds it back to up's own digits
+        with mp.workprec(4 * digits + 16):
+            s = mp.nstr(mpf(str(up)), digits)
+    return s
 
 
 def _normalize_coefficients(p):
@@ -439,17 +454,14 @@ def min_disc_distance(root_set, lam):
 
     For lam = 1 this is the minimum-|1+v| statistic of the reference table.
     """
-    prec = root_set.precision
-    with mp.workprec(prec):
+    with mp.workprec(root_set.precision):
         lamv = _positive_lambda(lam)
-        best = lamv if root_set.zero_multiplicity > 0 else None
-        for z in root_set.roots:
-            d = abs(lamv + z.to_mpc())
-            if best is None or d < best:
-                best = d
-        if best is None:
-            raise ValueError("empty root set")
-        return best
+    dists = [lamv] if root_set.zero_multiplicity > 0 else []
+    if root_set.roots:
+        dists.append(min_disc_root(root_set, lam)[1])
+    if not dists:
+        raise ValueError("empty root set")
+    return min(dists)
 
 
 def min_disc_root(root_set, lam=1, positive_imag=False):

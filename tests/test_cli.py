@@ -1,6 +1,8 @@
 import json
 import time
 import traceback
+from decimal import Context, Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -8,13 +10,12 @@ from relzeros import (
     complete_graph,
     connected_subgraph_poly,
     cycle_graph,
-    format_graph,
     shifted_power,
-    subdivide,
 )
 from relzeros import cli, reference
 from relzeros.cli import main
-from relzeros.roots import NonconvergenceError
+from relzeros.roots import NonconvergenceError, find_roots
+from util_graphs import format_graph, parallel_bundle_graph, subdivide
 
 
 def run(capsys, argv):
@@ -120,7 +121,6 @@ class TestRootsCommand:
     def test_unresolvable_boundary_exit_4(self, capsys, tmp_path):
         # subdividing scales the bundle roots onto |2+v| = 2, where the
         # exact unit-circle factor stripping does not apply
-        from relzeros import parallel_bundle_graph, subdivide
         g = subdivide(parallel_bundle_graph(5), 2)
         path = tmp_path / "sub.graph"
         path.write_text(format_graph(g))
@@ -136,6 +136,25 @@ class TestRootsCommand:
         data = json.loads(out)
         assert data["violation"] is True
         assert [(r["re"], r["err"]) for r in data["roots"]] == [("-1.0", "0.0")] * 2
+
+    @pytest.mark.parametrize("spec, precision", [
+        ("k4:b:1:7", 53), ("k4:d:16:1", 53), ("k4:d:30:1", 256)])
+    def test_printed_radii_are_bounds(self, capsys, spec, precision):
+        # each printed err, read as a decimal, is at least its binary radius,
+        # and the decimal one unit below in its last printed digit is not
+        _, out, _ = run(capsys, ["roots", spec, "--precision", str(precision)])
+        printed = [r["err"] for r in json.loads(out)["roots"]]
+        radii = find_roots(cli.resolve_spec(spec)[1], precision).error_radii
+        assert len(printed) == len(radii)
+        digits = Context(prec=max(17, int(precision * 0.30103) + 2))
+        for text, e in zip(printed, radii):
+            if text == "inf":
+                continue
+            _, man, exp, _ = e._mpf_
+            radius = Fraction(man) * Fraction(2) ** exp
+            assert Fraction(text) >= radius, (text, e)
+            if radius:
+                assert Fraction(digits.next_minus(Decimal(text))) < radius, (text, e)
 
     def test_bivariate_rejected(self, capsys):
         code, _, _ = run(capsys, ["roots", "k4:b"])

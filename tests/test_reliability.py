@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from relzeros import (
     ClassCountError,
@@ -12,23 +12,30 @@ from relzeros import (
     ExactBiPoly,
     ExactUniPoly,
     Multigraph,
+    NotSeriesParallelError,
+    SeriesCancellationError,
+    ZeroEdgeWeightError,
     complete_graph,
     connected_subgraph_poly,
     cycle_graph,
     k4_two_class,
-    parallel_bundle_graph,
-    parallel_expand,
-    parallel_reduce,
     reduce_sp_value,
-    series_reduce,
     shifted_power,
-    subdivide,
     subdivided_univariate,
     two_class_specialize,
 )
 from relzeros.reliability import MAX_ENUMERATION_EDGES
 from refdata import CASE_POLYS, K4_UNIVARIATE
-from util_graphs import random_sp_multigraph, uniform_class
+from util_graphs import (
+    distance,
+    evaluate_bi,
+    evaluate_uni,
+    parallel_bundle_graph,
+    parallel_expand,
+    random_sp_multigraph,
+    subdivide,
+    uniform_class,
+)
 
 
 class TestEnumeration:
@@ -76,7 +83,7 @@ class TestEnumeration:
         for n, trees in [(3, 3), (4, 16), (5, 125)]:
             p = connected_subgraph_poly(complete_graph(n))
             assert p.low_order_zeros() == n - 1
-            assert p.coefficient(n - 1) == trees
+            assert p.coeffs[n - 1] == trees
             assert p.degree == p_edges(n)
 
     def test_doubled_dense_graph_at_the_cap(self):
@@ -88,7 +95,7 @@ class TestEnumeration:
         p = connected_subgraph_poly(doubled)
         assert p == two_class_specialize(connected_subgraph_poly(g), 2, 2)
         assert p.low_order_zeros() == 4
-        assert p.coefficient(4) == matrix_tree_count(doubled)
+        assert p.coeffs[4] == matrix_tree_count(doubled)
 
     def test_subdivided_k4_at_the_cap(self):
         g = subdivide(complete_graph(4), 4)
@@ -169,38 +176,50 @@ class TestReliabilityTransforms:
 
 
 class TestReductions:
+    """The parallel and series rules of reduce_sp_value, on graphs it
+    reduces in a few steps."""
+
     def test_parallel_examples(self):
+        # (1 + 1)(1 + 1) - 1, then the pendant factor
+        assert reduce_sp_value(parallel_bundle_graph(2), [1, 1]) == ComplexPoint(3, 0)
+        # a zero weight in parallel leaves the other: (1 + v)(1 + 0) - 1 = v
         v = ComplexPoint("0.37", "-1.2", 128)
-        assert abs(parallel_reduce([v]) - v) < mpf(2) ** -120
-        assert parallel_reduce([ComplexPoint(1, 0), ComplexPoint(1, 0)]) == ComplexPoint(3, 0)
-        assert abs(parallel_reduce([v, ComplexPoint(0, 0)]) - v) < mpf(2) ** -120
+        assert distance(reduce_sp_value(parallel_bundle_graph(2), [v, 0]), v) < mpf(2) ** -120
 
     def test_series_examples(self):
-        v = ComplexPoint(2, 1, 128)
-        r = series_reduce([v, v])
-        assert abs(r.effective_weight - v / 2) < mpf(2) ** -100
-        assert abs(r.prefactor - 2 * v) < mpf(2) ** -100
-        ones = [ComplexPoint(1, 0)] * 3
-        r = series_reduce(ones)
-        assert abs(complex(r.effective_weight) - 1 / 3) < 1e-12
-        assert complex(r.prefactor) == 3
-        r = series_reduce([v])
-        assert r.effective_weight == v
-        assert r.prefactor == ComplexPoint(1, 0)
+        # the series step at vertex 0 merges edges 0 and 2 into 1/(1/a + 1/b)
+        # with factor a b (1/a + 1/b) = a + b; a parallel and a pendant step
+        # give (a + b) ((1 + ab/(a + b))(1 + c) - 1); these weights keep
+        # every step exact
+        a, b, c = 2, -4, 1
+        got = reduce_sp_value(cycle_graph(3), [a, c, b])
+        assert got == a * b + a * c + b * c + a * b * c
 
     def test_series_prefactor_relation(self):
+        # a cycle is a series chain closed by one edge: C = prod(w) (1 + sum 1/w)
         rng = random.Random(3)
         ws = [ComplexPoint(rng.uniform(0.5, 2), rng.uniform(-1, 1), 128) for _ in range(4)]
-        r = series_reduce(ws)
-        prod = ws[0] * ws[1] * ws[2] * ws[3]
-        assert abs(r.effective_weight * r.prefactor - prod) < mpf(2) ** -90 * abs(prod)
+        got = reduce_sp_value(cycle_graph(4), ws)
+        with mp.workprec(128):
+            zs = [w.to_mpc() for w in ws]
+            want = zs[0] * zs[1] * zs[2] * zs[3] * (1 + sum(1 / z for z in zs))
+            assert abs(got.to_mpc() - want) < mpf(2) ** -90 * abs(want)
 
     def test_series_error_cases(self):
-        from relzeros import SeriesCancellationError, ZeroEdgeWeightError
+        # edges 0 and 2 of the triangle are its first series pair
         with pytest.raises(ZeroEdgeWeightError):
-            series_reduce([ComplexPoint(1, 0), ComplexPoint(0, 0)])
+            reduce_sp_value(cycle_graph(3), [0, 1, 1])
         with pytest.raises(SeriesCancellationError):
-            series_reduce([ComplexPoint(1, 0), ComplexPoint(-1, 0)])
+            reduce_sp_value(cycle_graph(3), [1, 1, -1])
+
+    def test_mixed_precisions_round_at_the_largest(self):
+        # the loop's 1 + lo needs more than lo's 64 bits: it rounds at 192
+        lo, hi = ComplexPoint("0.1", "0.3", 64), ComplexPoint("0.2", "-0.7", 192)
+        got = reduce_sp_value(Multigraph(2, ((0, 1, 0), (1, 1, 0))), [hi, lo])
+        assert got.precision == 192
+        with mp.workprec(192):
+            want = (1 + lo.to_mpc()) * hi.to_mpc()
+        assert got == ComplexPoint.from_mpc(want, 192)
 
 
 class TestSubdividedUnivariate:
@@ -213,7 +232,6 @@ class TestSubdividedUnivariate:
 
     def test_k4_subdivision_matches_enumeration(self):
         out = subdivided_univariate(K4_UNIVARIATE, 2)
-        from relzeros import complete_graph, subdivide
         assert out == connected_subgraph_poly(subdivide(complete_graph(4), 2))
 
     def test_validation(self):
@@ -228,8 +246,8 @@ class TestReductionOracle:
         g = cycle_graph(3)
         v = ComplexPoint("0.8", "0.3", 128)
         got = reduce_sp_value(g, [v, v, v])
-        want = connected_subgraph_poly(g).evaluate(v)
-        assert abs(got - want) <= mpf(2) ** -100 * abs(want)
+        want = evaluate_uni(connected_subgraph_poly(g), v)
+        assert distance(got, want) <= mpf(2) ** -100 * abs(want)
 
     def test_random_sp_graphs_match_enumeration(self):
         rng = random.Random(2718)
@@ -241,14 +259,13 @@ class TestReductionOracle:
             got = reduce_sp_value(g, [per_class[c] for _, _, c in g.edges])
             poly = connected_subgraph_poly(g)
             if isinstance(poly, ExactBiPoly):
-                want = poly.evaluate(wa, wb)
+                want = evaluate_bi(poly, wa, wb)
             else:
                 only = g.class_labels()[0]
-                want = poly.evaluate(per_class[only])
-            assert abs(got - want) <= mpf(2) ** -40 * abs(want)
+                want = evaluate_uni(poly, per_class[only])
+            assert distance(got, want) <= mpf(2) ** -40 * abs(want)
 
     def test_non_sp_graph_raises(self):
-        from relzeros import NotSeriesParallelError
         g = complete_graph(4)
         with pytest.raises(NotSeriesParallelError):
             reduce_sp_value(g, [ComplexPoint(1, 0)] * 6)

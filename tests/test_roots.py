@@ -28,9 +28,7 @@ from relzeros import (
     min_disc_distance,
     min_disc_root,
     multivariate_bc_property,
-    parallel_expand,
     shifted_power,
-    subdivide,
     subdivided_univariate,
     trace_locus,
     region_endpoint_angle,
@@ -46,6 +44,7 @@ from relzeros.roots import (
     _locus_sample_floats,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
+from util_graphs import distance, parallel_expand, subdivide
 
 
 class TestFindRoots:
@@ -102,7 +101,7 @@ class TestFindRoots:
         rs = families.roots("b", 6, 1)
         with mp.workprec(rs.precision):
             total = sum(z.to_mpc() for z in rs.roots)
-            expected = -mpf(poly.coefficient(poly.degree - 1)) / poly.coefficient(poly.degree)
+            expected = -mpf(poly.coeffs[-2]) / poly.coeffs[-1]
             assert abs(total - expected) < mpf(2) ** -180 * (1 + abs(expected))
 
     def test_residual_radii_are_small_on_counterexample_instance(self, families):
@@ -370,11 +369,12 @@ def assert_roots_match(got, want, coeffs=None):
 
 def expand_roots(roots, prec, lead=1):
     """Low-to-high ComplexPoint coefficients of lead * prod (v - r), rounded at prec bits."""
-    coeffs = [ComplexPoint(lead, 0, prec)]
-    for r in roots:
-        shifted = [ComplexPoint(0, 0, prec)] + coeffs
-        coeffs = [s - r * c for s, c in zip(shifted, coeffs + [ComplexPoint(0, 0, prec)])]
-    return coeffs
+    with mp.workprec(prec):
+        coeffs = [mpc(lead)]
+        for r in roots:
+            r = r.to_mpc()
+            coeffs = [s - r * c for s, c in zip([mpc(0)] + coeffs, coeffs + [mpc(0)])]
+        return [ComplexPoint.from_mpc(c, prec) for c in coeffs]
 
 
 class TestGaussianIntegerLoop:
@@ -591,12 +591,11 @@ def test_circle_hugging_integer_poly_matches_reference(coeffs, prec):
 
 @st.composite
 def dyadic_root_polys(draw):
-    def dyadic(low, high):
-        return st.builds(lambda m, e: ComplexPoint(0, 0, 128) + m * mpf(2) ** e,
-                         st.integers(-2 ** 20, 2 ** 20), st.integers(low, high))
+    def dyadic(low, high):  # (m, e) for m 2^e, exact as an mpf
+        return st.tuples(st.integers(-2 ** 20, 2 ** 20), st.integers(low, high))
 
     def root(low, high):
-        return st.builds(lambda re, im: re + ComplexPoint(0, 1, 128) * im,
+        return st.builds(lambda re, im: ComplexPoint(re, im, 128),
                          dyadic(low, high), dyadic(low, high))
 
     roots = draw(st.lists(root(-24, 4), min_size=2, max_size=8))
@@ -872,7 +871,7 @@ def reference_locus_sample(coeffs, lam, generic_degree):
     gap = hi < generic_degree
     kept = cps[: hi + 1]
     zero_mult = 0
-    while kept and kept[0].is_zero:
+    while kept and kept[0] == 0:
         kept.pop(0)
         zero_mult += 1
     points = [ComplexPoint(0, 0, 53)] * zero_mult
@@ -1052,7 +1051,7 @@ class TestBranchEstimation:
 class TestRootBranchConstruction:
     def test_identity(self):
         v = ComplexPoint("0.25", "0.5", 128)
-        assert abs(kth_root_branch(v, 1) - v) < mpf(2) ** -120
+        assert distance(kth_root_branch(v, 1), v) < mpf(2) ** -120
 
     def test_published_construction_values(self):
         v1 = ComplexPoint("-0.140970808664", "0.507062767880", 256)

@@ -2,21 +2,23 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpc
 
 from relzeros import (
     ComplexPoint,
     DisconnectedGraphError,
     Multigraph,
     NotSeriesParallelError,
+    SeriesCancellationError,
+    ZeroEdgeWeightError,
     as_complex_point,
     complete_graph,
     connected_subgraph_poly,
     is_series_parallel,
-    parallel_reduce,
     reduce_sp_value,
-    series_reduce,
 )
 from relzeros.multigraph import _sp_reductions
+from util_graphs import evaluate_uni
 
 
 # The recognition scan that one reduction generator replaced, kept verbatim.
@@ -68,17 +70,24 @@ def reference_is_series_parallel(g):
     return not edges
 
 
-# The weighted reduction scan the same generator replaced, kept verbatim:
-# its operation order fixes how every 128-bit value rounds.
+# The weighted reduction scan the same generator replaced, its scan kept
+# verbatim and its arithmetic done in mpmath at the common precision, in
+# the same operation order, which fixes how every 128-bit value rounds.
 def reference_reduce_sp_value(g, edge_weights):
     weights = [as_complex_point(w) for w in edge_weights]
     if len(weights) != g.num_edges:
         raise ValueError("need one weight per edge")
     prec = max([w.precision for w in weights] or [53])
+    with mp.workprec(prec):
+        factor = reference_reduce_scan(g, [w.to_mpc() for w in weights])
+    return ComplexPoint.from_mpc(factor, prec)
+
+
+def reference_reduce_scan(g, weights):
     edges = {i: (u, v) for i, (u, v, _) in enumerate(g.edges)}
     w = {i: weights[i] for i in edges}
     vertices = set(range(g.num_vertices))
-    factor = ComplexPoint(1, 0, prec)
+    factor = mpc(1)
 
     while edges:
         loops = [e for e, (u, v) in edges.items() if u == v]
@@ -116,7 +125,10 @@ def reference_reduce_sp_value(g, edge_weights):
             seen[key] = e
         if pair:
             e1, e2 = pair
-            w[e1] = parallel_reduce([w[e1], w[e2]])
+            acc = mpc(1)
+            acc *= 1 + w[e1]
+            acc *= 1 + w[e2]
+            w[e1] = acc - 1
             del edges[e2], w[e2]
             continue
 
@@ -126,9 +138,17 @@ def reference_reduce_sp_value(g, edge_weights):
         e1, e2 = sorted(e for e, (u, v) in edges.items() if u == deg2 or v == deg2)
         a = edges[e1][0] if edges[e1][1] == deg2 else edges[e1][1]
         b = edges[e2][0] if edges[e2][1] == deg2 else edges[e2][1]
-        red = series_reduce([w[e1], w[e2]])
-        factor = factor * red.prefactor
-        w[e1] = red.effective_weight
+        prod = mpc(1)
+        recip = mpc(0)
+        for z in (w[e1], w[e2]):
+            if z == 0:
+                raise ZeroEdgeWeightError("zero weight in series chain")
+            prod *= z
+            recip += 1 / z
+        if recip == 0:
+            raise SeriesCancellationError("reciprocal sum vanishes; series weight undefined")
+        factor = factor * (prod * recip)
+        w[e1] = 1 / recip
         edges[e1] = (a, b)
         del edges[e2], w[e2]
         vertices.discard(deg2)
@@ -161,9 +181,10 @@ def weighted_multigraphs(draw):
         edges += draw(st.lists(st.tuples(end, end, st.integers(0, 1)),
                                max_size=11 - len(edges)))
         edges = draw(st.permutations(edges))
-    # ~100-bit mantissas, so each reduction step rounds at 128 bits
+    # ~100-bit mantissas, so each reduction step rounds at 128 bits; an
+    # (integer, exponent) pair is exact at 128 bits
     part = st.integers(-2 ** 102, 2 ** 102)
-    weights = draw(st.lists(st.builds(lambda re, im: ComplexPoint(re, im, 128) / (1 << 100),
+    weights = draw(st.lists(st.builds(lambda re, im: ComplexPoint((re, -100), (im, -100), 128),
                                       part, part),
                             min_size=len(edges), max_size=len(edges)))
     return Multigraph(n, tuple(edges)), weights
@@ -192,5 +213,5 @@ class TestAgainstReplacedScans:
     def test_empty_graph_matches_enumeration(self):
         g = Multigraph(0, ())
         got = reduce_sp_value(g, [])
-        assert got == connected_subgraph_poly(g).evaluate(ComplexPoint(1, 0)) == 1
+        assert got == evaluate_uni(connected_subgraph_poly(g), ComplexPoint(1, 0)) == 1
         assert got.precision == 53

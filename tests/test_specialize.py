@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from relzeros import ExactBiPoly, ExactUniPoly, shifted_power, two_class_specialize
 from relzeros.reference import family_bipoly
+from util_graphs import poly_add
 
 
-# The power-product form that the shifted substitution replaced, kept verbatim.
+# The power-product form that the shifted substitution replaced, kept verbatim
+# but for its sums, written with poly_add since ExactUniPoly has no +.
 def reference_two_class_specialize(p, p1, p2):
     if not isinstance(p, ExactBiPoly):
         raise TypeError("expected ExactBiPoly")
@@ -24,7 +26,7 @@ def reference_two_class_specialize(p, p1, p2):
         bpow.append(bpow[-1] * b)
     acc = ExactUniPoly()
     for (da, db), c in sorted(p.terms.items()):
-        acc = acc + apow[da] * bpow[db] * c
+        acc = poly_add(acc, apow[da] * bpow[db] * c)
     return acc
 
 

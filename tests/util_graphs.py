@@ -1,6 +1,14 @@
-"""Random graph generators shared by the property suites."""
+"""Graph builders and generators, polynomial helpers and oracles shared by the test suites.
 
-from relzeros import Multigraph
+None of these is reached by the CLI, the reproduction rows or the
+benchmark, so they live with the tests that use them.
+"""
+
+from itertools import combinations
+
+from mpmath import mp, mpc
+
+from relzeros import ComplexPoint, ExactUniPoly, Multigraph, as_complex_point
 
 
 def random_sp_multigraph(rng, max_edges=12):
@@ -42,3 +50,157 @@ def random_connected_graph(rng, n, extra_edges):
         if u != v:
             edges.append((u, v, 0))
     return Multigraph(n, tuple(edges))
+
+
+def parallel_bundle_graph(n):
+    """Two vertices joined by n parallel edges."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("parallel_bundle_graph needs n >= 1")
+    return Multigraph(2, tuple((0, 1, 0) for _ in range(n)))
+
+
+def _per_edge_vector(value, num_edges, what):
+    if isinstance(value, int):
+        value = [value] * num_edges
+    vec = list(value)
+    if len(vec) != num_edges:
+        raise ValueError("%s vector has length %d, graph has %d edges" % (what, len(vec), num_edges))
+    for x in vec:
+        if not isinstance(x, int) or x < 1:
+            raise ValueError("%s entries must be integers >= 1, got %r" % (what, x))
+    return vec
+
+
+def parallel_expand(g, multiplicities):
+    """Replace edge e by multiplicities[e] parallel copies (class preserved).
+
+    An int is treated as a uniform multiplicity.
+    """
+    m = _per_edge_vector(multiplicities, g.num_edges, "multiplicity")
+    out = []
+    for (u, v, c), k in zip(g.edges, m):
+        out.extend([(u, v, c)] * k)
+    return Multigraph(g.num_vertices, tuple(out))
+
+
+def subdivide(g, subdivisions):
+    """Replace edge e by a path of subdivisions[e] edges through fresh vertices.
+
+    Fresh vertices are appended after the existing ids in edge order; all
+    path edges inherit the original edge's class.  An int subdivides every
+    edge uniformly.
+    """
+    s = _per_edge_vector(subdivisions, g.num_edges, "subdivision")
+    nxt = g.num_vertices
+    out = []
+    for (u, v, c), k in zip(g.edges, s):
+        prev = u
+        for _ in range(k - 1):
+            out.append((prev, nxt, c))
+            prev = nxt
+            nxt += 1
+        out.append((prev, v, c))
+    return Multigraph(nxt, tuple(out))
+
+
+class MinorOracleLimitError(ValueError):
+    """Input too large for the brute-force K4-subdivision search."""
+
+
+def has_k4_topological_minor(g):
+    """Brute-force search for a subgraph that is a subdivision of K4.
+
+    Four branch vertices must be joined by six internally vertex-disjoint
+    paths.  Loops never help and parallel edges add nothing beyond the
+    underlying simple graph, so the search runs on that.  Intended as an
+    independent correctness oracle for is_series_parallel; inputs with
+    more than 10 vertices are rejected.
+    """
+    if g.num_vertices > 10:
+        raise MinorOracleLimitError("oracle accepts at most 10 vertices, got %d" % g.num_vertices)
+    n = g.num_vertices
+    adj = [set() for _ in range(n)]
+    for u, v, _ in g.edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+
+    candidates = [v for v in range(n) if len(adj[v]) >= 3]
+    if len(candidates) < 4:
+        return False
+    pairs = list(combinations(range(4), 2))
+
+    def internal_paths(s, t, blocked):
+        # yields the internal-vertex sets of simple s-t paths; direct edge first
+        def rec(cur, internals):
+            for nxt in sorted(adj[cur], key=lambda x: (x != t, x)):
+                if nxt == t:
+                    yield frozenset(internals)
+                elif nxt != s and nxt not in blocked and nxt not in internals:
+                    internals.add(nxt)
+                    yield from rec(nxt, internals)
+                    internals.discard(nxt)
+        yield from rec(s, set())
+
+    for branch in combinations(candidates, 4):
+        bset = set(branch)
+
+        def place(idx, used):
+            if idx == len(pairs):
+                return True
+            i, j = pairs[idx]
+            s, t = branch[i], branch[j]
+            for internals in internal_paths(s, t, (bset - {s, t}) | used):
+                if place(idx + 1, used | internals):
+                    return True
+            return False
+
+        if place(0, frozenset()):
+            return True
+    return False
+
+
+def format_graph(g):
+    """Canonical text form: 'vertices N' then one 'u v c' line per edge."""
+    lines = ["vertices %d" % g.num_vertices]
+    lines.extend("%d %d %d" % (u, v, c) for u, v, c in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def evaluate_uni(poly, z):
+    """Horner evaluation of an ExactUniPoly at a ComplexPoint, at the point's precision."""
+    z = as_complex_point(z)
+    prec = z.precision
+    with mp.workprec(prec):
+        zc = z.to_mpc()
+        acc = mpc(0)
+        for c in reversed(poly.coeffs):
+            acc = acc * zc + c
+    return ComplexPoint.from_mpc(acc, prec)
+
+
+def evaluate_bi(poly, a0, b0):
+    """An ExactBiPoly at (a0, b0), at the larger of the two precisions."""
+    a0 = as_complex_point(a0)
+    b0 = as_complex_point(b0)
+    prec = max(a0.precision, b0.precision)
+    coeffs = poly.coefficients_in_a(ComplexPoint(b0.re, b0.im, prec))
+    with mp.workprec(prec):
+        ac = a0.to_mpc()
+        acc = mpc(0)
+        for c in reversed(coeffs):
+            acc = acc * ac + c.to_mpc()
+    return ComplexPoint.from_mpc(acc, prec)
+
+
+def distance(z, w):
+    """|z - w| for two ComplexPoints, in mpmath at the larger precision."""
+    with mp.workprec(max(z.precision, w.precision)):
+        return abs(z.to_mpc() - w.to_mpc())
+
+
+def poly_add(p, q):
+    """p + q for two ExactUniPolys, coefficient by coefficient."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return ExactUniPoly([sum(f.coeffs[k] for f in (p, q) if k < len(f.coeffs))
+                         for k in range(n)])
