@@ -9,9 +9,10 @@ checkout in turn runs
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
 where T is the run_seconds of BENCHMARK.json.  Then each checkout in turn
-times three runs of
+times three runs of each of
 
-    python3 -m relzeros reproduce --suite all --json
+    python3 -m relzeros reproduce --suite all --json     (key "reproduce")
+    python3 -m relzeros roots k6:20:20                   (key "roots_k6_20_20")
 
 with its own src/ on PYTHONPATH.  The checkout that runs first alternates
 from seed to seed and from run to run, so that a slow stretch of a shared
@@ -20,8 +21,8 @@ and run length, the commit, whether src/ or bench/ had uncommitted
 changes, the line count of the Python files under src/, the token count
 of roots.py and of every module of src/relzeros, every run's end-to-end
 metrics and checks, per workload the median of each end-to-end metric,
-and each reproduce run's wall seconds and exit code, with the median
-seconds and the exit codes seen.
+and under each command's key every run's wall seconds and exit code, with
+the median seconds and the exit codes seen.
 """
 
 from __future__ import annotations
@@ -37,8 +38,11 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPRODUCE = ["-m", "relzeros", "reproduce", "--suite", "all", "--json"]
-REPRODUCE_RUNS = 3
+TIMED = {
+    "reproduce": ["reproduce", "--suite", "all", "--json"],
+    "roots_k6_20_20": ["roots", "k6:20:20"],
+}
+TIMED_RUNS = 3
 
 
 def git(checkout, *args):
@@ -65,7 +69,8 @@ def describe(checkout, seeds, seconds):
         "module_tokens": {f.name: tokens(f)
                           for f in sorted((checkout / "src" / "relzeros").glob("*.py"))},
         "runs": {},
-        "reproduce": {"command": "relzeros " + " ".join(REPRODUCE[2:]), "runs": []},
+        **{key: {"command": "relzeros " + " ".join(args), "runs": []}
+           for key, args in TIMED.items()},
     }
 
 
@@ -88,11 +93,11 @@ def run_bench(checkout, workload, seed, seconds):
     }
 
 
-def run_reproduce(checkout):
-    """Wall seconds and exit code of one reproduce run of the checkout's src/."""
+def run_timed(checkout, args):
+    """Wall seconds and exit code of one `relzeros ARGS` run of the checkout's src/."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *REPRODUCE], cwd=checkout, env=env,
+    proc = subprocess.run([sys.executable, "-m", "relzeros", *args], cwd=checkout, env=env,
                           capture_output=True, text=True)
     return {"seconds": time.perf_counter() - start, "exit_code": proc.returncode}
 
@@ -131,16 +136,18 @@ def main(argv=None):
                 run = run_bench(checkout, workload, seed, seconds)
                 record[label]["runs"].setdefault(workload, []).append(run)
                 print("%s %s seed %d: %s" % (label, workload, seed, json.dumps(run)), flush=True)
-    for i in range(REPRODUCE_RUNS):
-        for label, checkout in turns(sides, i):
-            run = run_reproduce(checkout)
-            record[label]["reproduce"]["runs"].append(run)
-            print("%s reproduce: %s" % (label, json.dumps(run)), flush=True)
+    for key, command in TIMED.items():
+        for i in range(TIMED_RUNS):
+            for label, checkout in turns(sides, i):
+                run = run_timed(checkout, command)
+                record[label][key]["runs"].append(run)
+                print("%s %s: %s" % (label, key, json.dumps(run)), flush=True)
     for side in record.values():
         side["median"] = {w: medians(runs) for w, runs in side["runs"].items()}
-        reproduce = side["reproduce"]
-        reproduce["median_s"] = statistics.median(r["seconds"] for r in reproduce["runs"])
-        reproduce["exit_codes"] = sorted({r["exit_code"] for r in reproduce["runs"]})
+        for key in TIMED:
+            timed = side[key]
+            timed["median_s"] = statistics.median(r["seconds"] for r in timed["runs"])
+            timed["exit_codes"] = sorted({r["exit_code"] for r in timed["runs"]})
 
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

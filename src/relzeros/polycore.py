@@ -6,14 +6,15 @@ far past what doubles or 64-bit integers can hold exactly.  Rounding enters
 only when a bivariate polynomial is collapsed at a numeric point, in
 mpmath at that point's precision.  A :class:`ComplexPoint` carries such a
 value with the precision (in bits) it was computed at; it has no
-arithmetic of its own.  Exact helpers on low-to-high coefficient lists
-shift the variable by +-1 and divide out the shifted cyclotomic factors,
-whose roots lie exactly on |1 + v| = 1.
+arithmetic of its own, and _dyadic turns mpf values into exact integers.
+Exact helpers on low-to-high coefficient lists shift the variable by +-1
+and divide out the shifted cyclotomic factors, whose roots lie exactly on
+|1 + v| = 1 and come in closed form from _circle_points.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 
 from mpmath import mp, mpc, mpf
 
@@ -48,7 +49,8 @@ class ComplexPoint:
         return cls(z.real, z.imag, precision)
 
     def to_mpc(self):
-        return mpc(self.re, self.im)
+        # from the stored tuples: mpc(re, im) would round to the ambient precision
+        return mp.make_mpc((self.re._mpf_, self.im._mpf_))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -86,6 +88,18 @@ def as_complex_point(value, precision=MIN_PRECISION):
     if isinstance(value, (int, float, str, mpf)):
         return ComplexPoint(value, 0, precision)
     raise TypeError("cannot interpret %r as a complex point" % (value,))
+
+
+def _dyadic(xs):
+    """Finite mpfs as integers at their lowest common exponent: (ints, e)
+    with xs[i] = ints[i] * 2^e (e = 0 if all are zero); None if one is inf
+    or nan."""
+    parts = [x._mpf_ for x in xs]
+    if any(exp and not man for _, man, exp, _ in parts):
+        return None
+    low = min((exp for _, man, exp, _ in parts if man), default=0)
+    return [(-man if sign else man) << (exp - low) if man else 0
+            for sign, man, exp, _ in parts], low
 
 
 class ExactUniPoly:
@@ -314,6 +328,23 @@ def _shifted_cyclotomic(m):
                 coeffs = _exact_divide_monic(coeffs, list(_shifted_cyclotomic(d)))
         _SHIFTED_CYCLOTOMIC[m] = tuple(coeffs)
     return _SHIFTED_CYCLOTOMIC[m]
+
+
+def _circle_points(m, prec):
+    """The roots of _shifted_cyclotomic(m), -1 + e^(2*pi*i*k/m) for
+    gcd(k, m) = 1, as ComplexPoints rounded to prec bits, in conjugate
+    pairs.  The real part is taken as -2 sin^2(pi*k/m), free of cancellation
+    near v = 0, and both parts carry 20 guard bits before rounding, so -2
+    (m = 2), -1 +- i (m = 4) and the real parts -3/2 and -1/2 (m = 3, 6)
+    come out exact."""
+    out = []
+    with mp.workprec(prec + 20):
+        for k in range(1, m // 2 + 1):
+            if gcd(k, m) == 1:
+                s = mp.sinpi(mpf(k) / m)
+                re, im = -2 * s * s, mp.sinpi(mpf(2 * k) / m)
+                out += [ComplexPoint(re, y, prec) for y in ((im, -im) if im else (im,))]
+    return out
 
 
 _CYCLOTOMIC_AT_TWO = {1: 1}

@@ -30,7 +30,14 @@ the disc verdicts compare it with the disc in integers.
 
 The zero root is never iterated: low-order exactly-zero coefficients are
 stripped symbolically, so v = 0 sits exactly on every disc boundary
-|lam + v| = lam and cannot generate false violations.
+|lam + v| = lam and cannot generate false violations.  Nor are the roots
+of shifted cyclotomic factors of exact integer input, the factors of
+(1 + v)^m - 1 that bundles of parallel edges bring: they are divided out
+exactly, and their roots -1 + e^(2*pi*i*k/m), exactly on |1 + v| = 1, are
+written in closed form, one copy per multiplicity, each with the radius of
+its own square-free factor.  The verdicts settle them algebraically (inside
+|lam + v| < lam exactly when lam > 1), and only the quotient, free of
+these repeated roots, goes to the Aberth stages.
 
 53-bit locus sweeps run in hardware floats, with an mpmath tie-break where
 a float |.| lands within a few ulps of a trim or disc threshold, so their
@@ -56,6 +63,9 @@ from .polycore import (
     ExactBiPoly,
     ExactUniPoly,
     as_complex_point,
+    _circle_points,
+    _dyadic,
+    _shifted_cyclotomic,
     _strip_circle_factors,
     taylor_shift,
 )
@@ -93,12 +103,16 @@ class BranchFitError(RuntimeError):
 
 @dataclass
 class RootSet:
-    """Nonzero roots plus the symbolically deflated zero-root multiplicity."""
+    """Nonzero roots plus the symbolically deflated zero-root multiplicity.
+
+    on_circle[i] is true where roots[i] is the closed form of a root of a
+    shifted cyclotomic factor, exactly on |1 + v| = 1 (empty: none is)."""
 
     zero_multiplicity: int
     roots: list
     error_radii: list
     precision: int
+    on_circle: list = ()
 
     @property
     def degree(self):
@@ -127,16 +141,21 @@ def _nstr_up(x, digits):
 
 
 def _normalize_coefficients(p):
-    """-> (low-to-high coefficient list, exact_ints flag), leading zeros trimmed."""
+    """-> (low-to-high coefficient list, exact_ints flag, zero-root
+    multiplicity), leading and low-order zeros trimmed; ZeroPolynomialError
+    if nothing is left."""
     if isinstance(p, ExactUniPoly):
-        return list(p.coeffs), True
-    if isinstance(p, (list, tuple)):
+        cs, exact_ints = list(p.coeffs), True
+    elif isinstance(p, (list, tuple)):
         exact_ints = all(isinstance(c, int) for c in p)
         cs = list(p) if exact_ints else [as_complex_point(c) for c in p]
         while cs and cs[-1] == 0:
             cs.pop()
-        return cs, exact_ints
-    raise TypeError("expected ExactUniPoly or a coefficient sequence")
+    else:
+        raise TypeError("expected ExactUniPoly or a coefficient sequence")
+    if not cs:
+        raise ZeroPolynomialError("polynomial is identically zero")
+    return cs, exact_ints, _deflate(cs)
 
 
 def _deflate(coeffs):
@@ -234,18 +253,6 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
         if done:
             return z, True
     return z, False
-
-
-def _dyadic(xs):
-    """Finite mpfs as integers at their lowest common exponent: (ints, e)
-    with xs[i] = ints[i] * 2^e (e = 0 if all are zero); None if one is inf
-    or nan."""
-    parts = [x._mpf_ for x in xs]
-    if any(exp and not man for _, man, exp, _ in parts):
-        return None
-    low = min((exp for _, man, exp, _ in parts if man), default=0)
-    return [(-man if sign else man) << (exp - low) if man else 0
-            for sign, man, exp, _ in parts], low
 
 
 def _gaussian_integers(coeffs):
@@ -389,10 +396,24 @@ def _radius(gauss, z, prec):
     return mp.fdiv(n * (math.isqrt(px * px + py * py) + 1 + ep), den, prec=53, rounding="u")
 
 
-def _finalize(coeffs, roots_mpc, zero_mult, prec, converged):
-    roots = sorted((ComplexPoint.from_mpc(z, prec) for z in roots_mpc), key=lambda z: (z.re, z.im))
+def _circle_roots(orders, prec):
+    """(point, radius, True) for each root of the stripped factors, one copy
+    per multiplicity.  The radius is _radius on the factor, not on p: it is
+    square-free, so the bound is finite where p's is inf at a multiple root."""
+    return [(z, _radius([(c, 0) for c in _shifted_cyclotomic(m)], z, prec), True)
+            for m in orders for z in _circle_points(m, prec)]
+
+
+def _finalize(coeffs, roots_mpc, zero_mult, prec, converged, circle=()):
+    """The RootSet of the iterated roots with their radii on coeffs, and of
+    the circle roots, sorted by (re, im); NonconvergenceError with it as
+    .partial unless converged."""
     gauss = _gaussian_integers(coeffs)
-    rs = RootSet(zero_mult, roots, [_radius(gauss, z, prec) for z in roots], prec)
+    found = [(z, _radius(gauss, z, prec), False)
+             for z in (ComplexPoint.from_mpc(z, prec) for z in roots_mpc)]
+    found = sorted([*found, *circle], key=lambda t: (t[0].re, t[0].im))
+    cols = [list(col) for col in zip(*found)] or [[], [], []]
+    rs = RootSet(zero_mult, cols[0], cols[1], prec, cols[2])
     if not converged:
         raise NonconvergenceError(
             "no convergence after %d sweeps at %d bits" % (MAX_SWEEPS, prec), partial=rs)
@@ -403,22 +424,31 @@ def find_roots(p, precision_bits=None):
     """All complex roots of p with the zero root deflated symbolically.
 
     precision_bits defaults to 53, escalating to 256 when the degree
-    exceeds 50 or a coefficient exceeds 1e15.  Raises NonconvergenceError
-    (with partial results attached) if the sweep cap is hit.
+    exceeds 50 or a coefficient exceeds 1e15.  Exact integer input first
+    loses its shifted cyclotomic factors: their roots come in closed form,
+    flagged in on_circle, and only the quotient is iterated.  Raises
+    NonconvergenceError (with partial results attached) if the sweep cap
+    is hit.
     """
-    coeffs, exact_ints = _normalize_coefficients(p)
-    if not coeffs:
-        raise ZeroPolynomialError("polynomial is identically zero")
-    zero_mult = _deflate(coeffs)
-    n = len(coeffs) - 1
-    if n + zero_mult < 1:
+    coeffs, exact_ints, zero_mult = _normalize_coefficients(p)
+    degree = len(coeffs) - 1 + zero_mult
+    if degree < 1:
         raise ValueError("degree must be at least 1")
-    prec = precision_bits if precision_bits is not None else _auto_precision(coeffs, n + zero_mult)
+    prec = precision_bits if precision_bits is not None else _auto_precision(coeffs, degree)
+    orders = []
+    if exact_ints:
+        coeffs, orders = _strip_circle_factors(coeffs)
+    roots, ok = _iterate(coeffs, exact_ints, prec)
+    return _finalize(coeffs, roots, zero_mult, prec, ok, _circle_roots(orders, prec))
+
+
+def _iterate(coeffs, exact_ints, prec):
+    """(unsorted roots as mpc, converged) of coefficients with a nonzero
+    constant term: the Aberth stages of find_roots."""
     if prec < MIN_PRECISION:
         raise ValueError("precision must be at least %d bits" % MIN_PRECISION)
-    if n == 0:
-        return RootSet(zero_mult, [], [], prec)
-
+    if len(coeffs) < 2:
+        return [], True
     starts = None
     if exact_ints and prec > MIN_PRECISION:
         starts = _shifted_starts(coeffs)
@@ -427,17 +457,17 @@ def find_roots(p, precision_bits=None):
         if hardware is not None:
             hw_roots, hw_ok = hardware
             if prec <= MIN_PRECISION:
-                return _finalize(coeffs, [mpc(z) for z in hw_roots], zero_mult, prec, hw_ok)
+                return [mpc(z) for z in hw_roots], hw_ok
             if hw_ok:
                 starts = hw_roots
 
     gauss = _gaussian_integers(coeffs)
     if gauss is None:  # inf or nan: nothing converges, as in mpmath
-        return _finalize(coeffs, [mpc("nan", "nan")] * n, zero_mult, prec, False)
+        return [mpc("nan", "nan")] * (len(coeffs) - 1), False
     roots, ok = _aberth_fixed(gauss, starts, prec)
     if not ok and starts is not None:
         roots, ok = _aberth_fixed(gauss, None, prec)
-    return _finalize(coeffs, roots, zero_mult, prec, ok)
+    return roots, ok
 
 
 def _positive_lambda(lam, convert=mpf):
@@ -506,17 +536,18 @@ def disc_verdict(root_set, lam, exact_coeffs=None):
     """'violated' (some root certified inside), 'holds', or 'ambiguous'.
 
     Each root's disc of its error radius is tested exactly against
-    |lam + v| < lam, so a root with radius 0 on the boundary decides.
-    exact_coeffs is accepted for older callers and ignored."""
+    |lam + v| < lam, so a root with radius 0 on the boundary decides.  A
+    root on_circle lies inside exactly when lam > 1.  exact_coeffs is
+    accepted for older callers and ignored."""
     with mp.workprec(root_set.precision):
         lamv = _positive_lambda(lam)
     ambiguous = False
-    for z, e in zip(root_set.roots, root_set.error_radii):
-        status = _disc_status(z, e, lamv)
+    circle = root_set.on_circle or [False] * len(root_set.roots)
+    for z, e, c in zip(root_set.roots, root_set.error_radii, circle):
+        status = ("inside" if lamv > 1 else "") if c else _disc_status(z, e, lamv)
         if status == "inside":
             return "violated"
-        if status == "ambiguous":
-            ambiguous = True
+        ambiguous = ambiguous or status == "ambiguous"
     return "ambiguous" if ambiguous else "holds"
 
 
@@ -526,14 +557,13 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
     Zero roots sit on the boundary and never violate.  Roots that are
     exactly on the unit circle around -1 by way of shifted-cyclotomic
     factors (bundles of m parallel edges contribute (1+v)^m - 1) are
-    settled algebraically: they violate exactly when lam > 1.  Remaining
-    ambiguous boundary calls double the precision up to 1024 bits;
-    residual ambiguity raises UndecidableDiscError rather than guessing.
+    settled algebraically: they violate exactly when lam > 1, so that or an
+    empty quotient decides before any root is built.  Otherwise the roots
+    of the quotient alone decide, and an ambiguous verdict doubles the
+    precision up to 1024 bits; residual ambiguity raises
+    UndecidableDiscError rather than guessing.
     """
-    coeffs, exact_ints = _normalize_coefficients(p)
-    if not coeffs:
-        raise ZeroPolynomialError("polynomial is identically zero")
-    _deflate(coeffs)
+    coeffs, exact_ints, _ = _normalize_coefficients(p)
     with mp.workprec(64):
         lamv = _positive_lambda(lam)
     if exact_ints:
@@ -544,12 +574,10 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
             return True
     prec = precision_bits if precision_bits is not None else _auto_precision(coeffs, len(coeffs) - 1)
     while True:
-        rs = find_roots(coeffs, prec)
-        verdict = disc_verdict(rs, lam)
-        if verdict == "violated":
-            return False
-        if verdict == "holds":
-            return True
+        roots, ok = _iterate(coeffs, exact_ints, prec)
+        verdict = disc_verdict(_finalize(coeffs, roots, 0, prec, ok), lam)
+        if verdict != "ambiguous":
+            return verdict == "holds"
         if prec >= MAX_DECISION_PRECISION:
             raise UndecidableDiscError(
                 "root within error radius of |%s + v| = %s at %d bits" % (lam, lam, prec))

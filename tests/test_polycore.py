@@ -56,6 +56,16 @@ class TestComplexPoint:
             assert z.to_mpc() == mp.mpc(c, -c)
             assert z.precision == 256 and z.re == c and z.im == -c
 
+    def test_to_mpc_is_exact_at_a_lower_ambient_precision(self):
+        # at the default 53-bit context, a 256-bit 1/3 keeps all its bits
+        with mp.workprec(256):
+            c = mpf(1) / 3
+            z = ComplexPoint(c, -c, 256)
+        assert mp.prec == 53
+        w = z.to_mpc()
+        assert (w.real._mpf_, w.imag._mpf_) == (z.re._mpf_, z.im._mpf_)
+        assert w.real.bc > 53
+
     def test_coercion(self):
         assert as_complex_point(3) == ComplexPoint(3, 0)
         assert as_complex_point(1 + 2j) == ComplexPoint(1, 2)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from relzeros import (
     UndecidableDiscError,
     ZeroPolynomialError,
     analytic_disc_margin,
+    cli,
     bc_lambda_holds_univariate,
     complete_graph,
     cycle_graph,
@@ -34,7 +36,7 @@ from relzeros import (
     region_endpoint_angle,
 )
 from relzeros import roots as roots_module
-from relzeros.polycore import as_complex_point
+from relzeros.polycore import _shifted_cyclotomic, _strip_circle_factors, as_complex_point
 from relzeros.roots import (
     MAX_SWEEPS,
     NonconvergenceError,
@@ -329,14 +331,33 @@ def reference_aberth_mp(coeffs, starts, prec, max_sweeps=MAX_SWEEPS):
         return z, False
 
 
+def reference_circle_roots(orders, prec):
+    """(point, radius, True) for the roots of the shifted cyclotomic factors
+    of the given orders, from mpmath's e^(i pi x) in place of the sines of
+    _circle_points, each radius _radius on its own factor."""
+    out = []
+    for m in orders:
+        gauss = [(c, 0) for c in _shifted_cyclotomic(m)]
+        for k in range(1, m):
+            if math.gcd(k, m) == 1:
+                with mp.workprec(prec + 64):
+                    z = ComplexPoint.from_mpc(mp.expjpi(mpf(2 * k) / m) - 1, prec)
+                out.append((z, roots_module._radius(gauss, z, prec), True))
+    return out
+
+
 def reference_find_roots(p, prec, warm=True):
     """find_roots above 53 bits (or with no hardware pass) with
     reference_aberth_mp in place of the Gaussian-integer loop (warm=False:
-    the circle start only)."""
-    coeffs, _ = roots_module._normalize_coefficients(p)
-    zero_mult = roots_module._deflate(coeffs)
+    the circle start only).  Exact integer input loses its circle factors
+    first, as in find_roots, with their roots from reference_circle_roots."""
+    coeffs, exact_ints, zero_mult = roots_module._normalize_coefficients(p)
+    orders = []
+    if exact_ints:
+        coeffs, orders = _strip_circle_factors(coeffs)
+    circle = reference_circle_roots(orders, prec)
     if len(coeffs) < 2:
-        return roots_module.RootSet(zero_mult, [], [], prec)
+        return roots_module._finalize(coeffs, [], zero_mult, prec, True, circle)
     hardware = roots_module._solve_floats(coeffs) if warm else None
     starts = None
     if hardware is not None and hardware[1]:
@@ -344,7 +365,7 @@ def reference_find_roots(p, prec, warm=True):
     roots, ok = reference_aberth_mp(coeffs, starts, prec)
     if not ok and starts is not None:
         roots, ok = reference_aberth_mp(coeffs, None, prec)
-    return roots_module._finalize(coeffs, roots, zero_mult, prec, ok)
+    return roots_module._finalize(coeffs, roots, zero_mult, prec, ok, circle)
 
 
 def assert_roots_match(got, want, coeffs=None):
@@ -388,7 +409,10 @@ class TestGaussianIntegerLoop:
         want = reference_find_roots(poly, prec)
         assert_roots_match(got, want)
         exact = list(poly.coeffs[poly.low_order_zeros():])
-        assert disc_verdict(got, 1, exact) == disc_verdict(want, 1, exact)
+        verdict = disc_verdict(got, 1, exact)
+        assert verdict == disc_verdict(want, 1, exact)
+        assert verdict != "ambiguous"
+        assert (verdict == "holds") == bc_lambda_holds_univariate(poly, 1)
 
     def test_mixed_scale_roots(self):
         tiny = ComplexPoint("1e-20", "0.5e-20", 128)
@@ -427,6 +451,7 @@ class TestGaussianIntegerLoop:
         partial = exc.value.partial
         assert partial.precision == 256 and partial.degree == families.poly("b", 1, 7).degree
         assert len(partial.error_radii) == len(partial.roots) > 0
+        assert sum(partial.on_circle) == 6  # the closed-form roots of its order-7 factor
 
     def test_failed_warm_start_falls_back_to_circle_start(self, monkeypatch):
         real = roots_module._aberth_fixed
@@ -587,6 +612,83 @@ def circle_hugging_polys(draw):
 @given(coeffs=circle_hugging_polys(), prec=st.sampled_from([128, 256]))
 def test_circle_hugging_integer_poly_matches_reference(coeffs, prec):
     assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
+
+
+class TestCircleRoots:
+    @pytest.mark.parametrize("prec", [53, 128, 256])
+    def test_closed_form_roots_lie_within_their_radii(self, prec):
+        # each -1 + e^(2 pi i k/m) within its radius of the 1024-bit value;
+        # radius 0 exactly at the points that are dyadic, -2 and -1 +- i
+        for m in range(2, 41):
+            got = roots_module._circle_roots([m], prec)
+            with mp.workprec(1024):
+                want = [mp.expjpi(mpf(2 * k) / m) - 1 for k in range(1, m) if math.gcd(k, m) == 1]
+                assert len(got) == len(want)
+                for z, e, flag in got:
+                    d, i = min((abs(z.to_mpc() - w), i) for i, w in enumerate(want))
+                    want.pop(i)
+                    assert flag and z.precision == prec
+                    assert d <= e <= mpf(2) ** (40 - prec)
+                    assert (e == 0) == (m in (2, 4))
+
+    def test_multiple_factors_come_in_closed_form(self):
+        # (1+v)^6 - 1 = v (v + 2) (v^2 + 3v + 3) (v^2 + v + 1), cubed: each
+        # circle root three times, flagged, with the finite radius of its
+        # own factor where p's is inf; the quotient is 1, so nothing iterates
+        p = ExactUniPoly(multiply(multiply(shifted_power(6).coeffs, shifted_power(6).coeffs),
+                                  shifted_power(6).coeffs))
+        rs = find_roots(p, 128)
+        assert rs.zero_multiplicity == 3 and rs.on_circle == [True] * 15
+        assert len({(z.re, z.im) for z in rs.roots}) == 5
+        assert all(mp.isfinite(e) for e in rs.error_radii)
+        assert [e for z, e in zip(rs.roots, rs.error_radii) if z == -2] == [0] * 3
+        gauss = [(c, 0) for c in multiply(multiply(shifted_power(6).coeffs[1:],
+                                                   shifted_power(6).coeffs[1:]),
+                                          shifted_power(6).coeffs[1:])]
+        assert all(roots_module._radius(gauss, z, 128) == mpf("inf") for z in rs.roots if z != -2)
+        assert disc_verdict(rs, 1) == "holds" and disc_verdict(rs, 1.25) == "violated"
+
+    def test_k6_20_20_decides_at_256_bits(self, monkeypatch, capsys):
+        # its orders 2, 4, 5, 10 and 20 each divide five times; split off,
+        # no radius is inf and the 256-bit verdict needs no 512-bit solve
+        solved = []
+
+        def record(poly, prec):
+            solved.append(find_roots(poly, prec))
+            return solved[-1]
+
+        def escalate(*args):
+            raise AssertionError("escalated to bc_lambda_holds_univariate")
+
+        monkeypatch.setattr(cli, "find_roots", record)
+        monkeypatch.setattr(cli, "bc_lambda_holds_univariate", escalate)
+        assert cli.main(["roots", "k6:20:20"]) == cli.EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        [rs] = solved
+        assert rs.precision == 256 and rs.degree == 300 and sum(rs.on_circle) == 95
+        assert all(mp.isfinite(e) for e in rs.error_radii)
+        assert disc_verdict(rs, 1) == "holds"
+        assert "inf" not in {r["err"] for r in out["roots"]}
+        assert out["violation"] is False and out["min_disc_distance"] == "1.0"
+
+
+@st.composite
+def circle_factor_products(draw):
+    """circle_hugging_polys times shifted cyclotomic factors of orders up to
+    30, each up to three times."""
+    coeffs = draw(circle_hugging_polys())
+    for m in draw(st.lists(st.integers(2, 30), max_size=3)):
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = multiply(coeffs, list(_shifted_cyclotomic(m)))
+    return coeffs
+
+
+@settings(max_examples=30, deadline=None)
+@given(coeffs=circle_factor_products(), lam=st.sampled_from([0.5, 1.0, 1.5]))
+def test_circle_factor_verdicts_match_the_decision(coeffs, lam):
+    verdict = disc_verdict(find_roots(coeffs), lam)
+    if verdict != "ambiguous":
+        assert (verdict == "holds") == bc_lambda_holds_univariate(coeffs, lam)
 
 
 @st.composite
