@@ -14,11 +14,15 @@ times three runs of each of
     python3 -m relzeros reproduce --suite all --json     (key "reproduce")
     python3 -m relzeros roots k6:20:20                   (key "roots_k6_20_20")
 
-with its own src/ on PYTHONPATH.  The checkout that runs first alternates
-from seed to seed and from run to run, so that a slow stretch of a shared
-host does not fall on one side only.  The file gets, per label: the seeds
-and run length, the commit, whether src/ or bench/ had uncommitted
-changes, the line count of the Python files under src/, the token count
+with its own src/ on PYTHONPATH.  Every one of these subprocesses runs
+with PYTHONDONTWRITEBYTECODE=1 and with PYTHONPYCACHEPREFIX set to a new
+empty directory, so that no run reads bytecode that an earlier run or a
+__pycache__ in the checkout left: every module, the standard library's
+included, is compiled from source in every process, on every side alike.
+The checkout that runs first alternates from seed to seed and from run to
+run, so that a slow stretch of a shared host does not fall on one side
+only.  The file gets, per label: the seeds and run length, these bytecode
+settings, the commit, whether src/ or bench/ had uncommitted changes, the line count of the Python files under src/, the token count
 of roots.py and of every module of src/relzeros, every run's end-to-end
 metrics and checks, per workload the median of each end-to-end metric,
 and under each command's key every run's wall seconds and exit code, with
@@ -33,8 +37,10 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tokenize
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +49,8 @@ TIMED = {
     "roots_k6_20_20": ["roots", "k6:20:20"],
 }
 TIMED_RUNS = 3
+BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
+            "PYTHONPYCACHEPREFIX": "a new empty directory for every subprocess"}
 
 
 def git(checkout, *args):
@@ -57,10 +65,18 @@ def tokens(path):
         return sum(1 for _ in tokenize.generate_tokens(fh.readline))
 
 
+@contextmanager
+def fresh_bytecode_env(**extra):
+    """os.environ plus extra, with bytecode neither written nor read."""
+    with tempfile.TemporaryDirectory() as cache:
+        yield dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache, **extra)
+
+
 def describe(checkout, seeds, seconds):
     return {
         "seeds": seeds,
         "seconds": seconds,
+        "bytecode": BYTECODE,
         "commit": git(checkout, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(git(checkout, "status", "--porcelain", "--", "src", "bench")),
         "src_lines": sum(len(f.read_text().splitlines())
@@ -76,9 +92,10 @@ def describe(checkout, seeds, seconds):
 
 def run_bench(checkout, workload, seed, seconds):
     """One untraced benchmark run: its end-to-end metrics and checks."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=checkout, capture_output=True, text=True)
+    with fresh_bytecode_env() as env:
+        proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                              cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
         raise RuntimeError("bench/run.py failed in %s (exit %d): %s"
@@ -95,11 +112,11 @@ def run_bench(checkout, workload, seed, seconds):
 
 def run_timed(checkout, args):
     """Wall seconds and exit code of one `relzeros ARGS` run of the checkout's src/."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "relzeros", *args], cwd=checkout, env=env,
-                          capture_output=True, text=True)
-    return {"seconds": time.perf_counter() - start, "exit_code": proc.returncode}
+    with fresh_bytecode_env(PYTHONPATH=str(checkout / "src")) as env:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "relzeros", *args], cwd=checkout, env=env,
+                              capture_output=True, text=True)
+        return {"seconds": time.perf_counter() - start, "exit_code": proc.returncode}
 
 
 def turns(sides, i):

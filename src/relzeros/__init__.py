@@ -23,6 +23,8 @@ from .polycore import (
     ExactBiPoly,
     ExactUniPoly,
     as_complex_point,
+    find_minimal_k,
+    kth_root_branch,
     shifted_power,
 )
 from .reliability import (
@@ -33,6 +35,7 @@ from .reliability import (
     SeriesCancellationError,
     ZeroEdgeWeightError,
     connected_subgraph_poly,
+    multivariate_bc_property,
     reduce_sp_value,
     subdivided_univariate,
     two_class_specialize,
@@ -51,13 +54,10 @@ from .roots import (
     bc_lambda_holds_univariate,
     disc_verdict,
     estimate_branch_coefficients,
-    find_minimal_k,
     find_roots,
-    kth_root_branch,
     lambda_star_univariate,
     min_disc_distance,
     min_disc_root,
-    multivariate_bc_property,
     region_endpoint_angle,
     trace_locus,
 )

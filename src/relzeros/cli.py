@@ -26,6 +26,7 @@ from .reliability import (
     DisconnectedGraphError,
     EnumerationLimitError,
     connected_subgraph_poly,
+    multivariate_bc_property,
     subdivided_univariate,
     two_class_specialize,
 )
@@ -37,7 +38,6 @@ from .roots import (
     disc_verdict,
     find_roots,
     min_disc_distance,
-    multivariate_bc_property,
     trace_locus,
 )
 

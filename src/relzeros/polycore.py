@@ -9,7 +9,9 @@ value with the precision (in bits) it was computed at; it has no
 arithmetic of its own, and _dyadic turns mpf values into exact integers.
 Exact helpers on low-to-high coefficient lists shift the variable by +-1
 and divide out the shifted cyclotomic factors, whose roots lie exactly on
-|1 + v| = 1 and come in closed form from _circle_points.
+|1 + v| = 1 and come in closed form from _circle_points.  kth_root_branch
+and find_minimal_k follow one root through the paper's series
+construction, v_k = -1 + (1 + v)^(1/k).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from math import comb, gcd
 from mpmath import mp, mpc, mpf
 
 MIN_PRECISION = 53
+MAX_K = 10000
 
 
 class ComplexPoint:
@@ -384,3 +387,34 @@ def _strip_circle_factors(coeffs):
             at_one = sum(out)
             stripped.append(m)
     return out, stripped
+
+
+def kth_root_branch(v1, k):
+    """v_k = -1 + (1+v1)^(1/k), principal branch (|arg| <= pi/k)."""
+    v1 = as_complex_point(v1)
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("k must be an integer >= 1")
+    if v1 == -1:
+        raise ValueError("v = -1 has no k-th root branch")
+    prec = v1.precision
+    with mp.workprec(prec):
+        r = mp.exp(mp.log(1 + v1.to_mpc()) / k)
+        return ComplexPoint.from_mpc(r - 1, prec)
+
+
+def find_minimal_k(v1, s):
+    """Smallest k with |1/s + v_k| < 1/s for v_k = -1 + (1+v1)^(1/k)."""
+    v1 = as_complex_point(v1)
+    if not isinstance(s, int) or s < 1:
+        raise ValueError("s must be an integer >= 1")
+    if v1 == -1:
+        raise ValueError("v = -1 has no k-th root branch")
+    prec = v1.precision
+    with mp.workprec(prec):
+        logw = mp.log(1 + v1.to_mpc())
+        target = mpf(1) / s
+        for k in range(1, MAX_K + 1):
+            vk = mp.exp(logw / k) - 1
+            if abs(target + vk) < target:
+                return k
+    raise ValueError("no k <= %d brings the root inside |1/%d + v| < 1/%d" % (MAX_K, s, s))

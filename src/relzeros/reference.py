@@ -19,15 +19,13 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .multigraph import k4_two_class, k6_disjoint_triangles
-from .polycore import cycle_poly, shifted_power
+from .polycore import cycle_poly, find_minimal_k, kth_root_branch, shifted_power
 from .reliability import connected_subgraph_poly, two_class_specialize
 from .roots import (
     analytic_disc_margin,
     bc_lambda_holds_univariate,
     estimate_branch_coefficients,
-    find_minimal_k,
     find_roots,
-    kth_root_branch,
     lambda_star_univariate,
     min_disc_distance,
     min_disc_root,

@@ -15,7 +15,8 @@ MAX_ENUMERATION_EDGES.
 
 The large families are never enumerated directly: compute the base graph's
 two-class polynomial (at most 15 edges) and substitute a = (1+v)^p1 - 1,
-b = (1+v)^p2 - 1 exactly.
+b = (1+v)^p2 - 1 exactly.  multivariate_bc_property needs no polynomial at
+all: exactly the series-parallel graphs have the multivariate property.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import comb
 
 from mpmath import mp, mpc
 
-from .multigraph import Multigraph, _sp_reductions, is_connected
+from .multigraph import Multigraph, _sp_reductions, is_connected, is_series_parallel
 from .polycore import (
     ComplexPoint,
     ExactBiPoly,
@@ -38,6 +39,20 @@ MAX_ENUMERATION_EDGES = 24
 
 class DisconnectedGraphError(ValueError):
     """The polynomial would be identically zero (no spanning subgraph connects)."""
+
+
+def multivariate_bc_property(g):
+    """Whether no multivariate weight choice inside the discs kills C_G.
+
+    Exactly the series-parallel graphs have the property, so the decision
+    is is_series_parallel (loops never matter to either).  Disconnected
+    input is rejected (its polynomial is identically zero).
+    """
+    if not isinstance(g, Multigraph):
+        raise TypeError("expected a Multigraph")
+    if not is_connected(g):
+        raise DisconnectedGraphError("multivariate property undefined for disconnected graphs")
+    return is_series_parallel(g)
 
 
 class EnumerationLimitError(ValueError):

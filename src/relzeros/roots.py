@@ -11,22 +11,37 @@ gives no result) the iteration runs in fixed point on Python integers,
 with the same stop rules: coefficients become exact Gaussian integers,
 roots are integer pairs at a scale of 2^F, fine enough to hold the
 smallest root (and past 2^prec the reciprocal of the largest) to the
-precision plus guard bits, and each product is shifted back to that scale.
+precision plus guard bits, and each product is shifted back to that scale
+(a complex product takes three integer products, not four).
 
 The fixed-point loop is warm-started from a float solve.  For exact
 integer coefficients that solve runs in u = 1 + v on the Taylor shift
 q(u) = p(u - 1), with q's exact zero roots started at v = -1: the family
 members' roots crowd |1 + v| = 1, so q's coefficients span a few bits
 where p's span dozens, and the float roots land next to the true ones.
-Other coefficients are solved in v, where their roots (branch fits, locus
-samples) need fewer sweeps.  A failed float solve falls back to one start
-circle per edge of the upper hull of (i, log|c_i|), which is the single
-circle above whenever that hull is one segment.  Output roots are rounded
-to the precision.  Each error radius n|p(z)|/|p'(z)| is a bound, whatever
-the precision: p(z) and p'(z) are evaluated in integers on a grid that
-holds z exactly, with a bound on the truncation error carried beside them.
-It is 0 at an exact root and inf where p'(z) cannot be told from 0, and
-the disc verdicts compare it with the disc in integers.
+At 53 bits these float roots are the result, and only where that solve
+fails does the float solve in v take over.  Other coefficients are solved
+in v, where their roots (branch fits, locus samples) need fewer sweeps.
+A failed float solve falls back to one start circle per edge of the upper
+hull of (i, log|c_i|), which is the single circle above whenever that
+hull is one segment.
+
+Real coefficients have their roots in conjugate pairs, so the fixed-point
+loop iterates one root per pair: the float starts split into those above
+the real axis, their mirrors below, and the near-real ones with
+|Im z| <= 2^-20 (1 + |z|).  Each upper root stands for itself and for its
+conjugate, which enters the repulsion sums and the output as its exact
+mirror; near-real roots iterate as free complex roots, so none is forced
+onto the axis.  Where the starts do not split evenly, or the mirrored loop
+does not converge, every root iterates from the same starts.
+
+Output roots are rounded to the precision.  Each error radius
+n|p(z)|/|p'(z)| is a bound, whatever the precision: p(z) and p'(z) are
+evaluated in integers on a grid that holds z exactly, with a bound on the
+truncation error carried beside them.  It is 0 at an exact root and inf
+where p'(z) cannot be told from 0, and the disc verdicts compare it with
+the disc in integers.  For real coefficients a root within r of z puts
+one within r of conj(z), so an exact conjugate pair shares one radius.
 
 The zero root is never iterated: low-order exactly-zero coefficients are
 stripped symbolically, so v = 0 sits exactly on every disc boundary
@@ -56,7 +71,6 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .multigraph import Multigraph, is_connected, is_series_parallel
 from .polycore import (
     MIN_PRECISION,
     ComplexPoint,
@@ -69,12 +83,10 @@ from .polycore import (
     _strip_circle_factors,
     taylor_shift,
 )
-from .reliability import DisconnectedGraphError
 
 AUTO_HIGH_PRECISION = 256
 MAX_DECISION_PRECISION = 1024
 MAX_SWEEPS = 500
-MAX_K = 10000
 
 
 class ZeroPolynomialError(ValueError):
@@ -269,7 +281,13 @@ def _gaussian_integers(coeffs):
 
 def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
     """Aberth on Gaussian integers: each root is an (x, y) pair standing for
-    (x + iy) / 2^F, and every product is rounded back to that scale."""
+    (x + iy) / 2^F, and every product is rounded back to that scale.
+
+    For real coefficients the loop first iterates one root per conjugate
+    pair of float starts (and the near-real starts as free roots), with each
+    pair root's exact mirror in the repulsion sums and in the output; if the
+    starts do not split evenly or that does not converge, it iterates every
+    root from the same starts."""
     n = len(gauss) - 1
     # every |z| > 2^-small (Fujiwara's bound on 1/z, 2^(b-1) <= |c| < 2^(b+1)), so even the
     # smallest root keeps prec bits plus guard bits for the n roundings of a Horner pass;
@@ -281,6 +299,7 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
     one = 1 << F
     cs = [(a << F, b << F, math.isqrt(a * a + b * b) << F) for a, b in reversed(gauss)]
     top, rest = cs[0], cs[1:]
+    tries = []
     if starts is None:
         # one circle per edge i..j of the upper hull of (i, log|c_i|), radius
         # |c_i/c_j|^(1/(j-i)), for the j - i roots of about that modulus
@@ -298,55 +317,73 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
                 r = (mpf(mags[i]) / mags[j]) ** (mpf(1) / (j - i))
                 starts += [r * mp.expj((2 * mp.pi * k + mpf("0.7")) / (j - i))
                            for k in range(j - i)]
-    zx = [int(mp.ldexp(s.real, F)) for s in starts]
-    zy = [int(mp.ldexp(s.imag, F)) for s in starts]
+    elif not any(b for _, b in gauss):
+        # real coefficients: one root per conjugate pair of starts, if as
+        # many lie above the real axis as below, and the near-real ones
+        band = [2.0 ** -20 * (1 + abs(z)) for z in starts]
+        upper = [z for z, e in zip(starts, band) if z.imag > e]
+        near = [z for z, e in zip(starts, band) if abs(z.imag) <= e]
+        if upper and 2 * len(upper) + len(near) == n:
+            tries = [(upper + near, len(upper))]
     noise = 2 * n + 2
-    converged = [False] * n
-    done = False
-    for _ in range(max_sweeps):
-        done = True
-        for k in range(n):
-            if converged[k]:
-                continue
-            x, y = zx[k], zy[k]
-            az = math.isqrt(x * x + y * y)
-            px, py, em = top
-            dx = dy = 0
-            for a, b, m in rest:
-                dx, dy = ((dx * x - dy * y) >> F) + px, ((dx * y + dy * x) >> F) + py
-                px, py = ((px * x - py * y) >> F) + a, ((px * y + py * x) >> F) + b
-                em = (em * az >> F) + m
-            t = noise * em >> prec
-            if px * px + py * py <= t * t:
-                converged[k] = True
-                continue
-            q = dx * dx + dy * dy
-            hits = 0
-            sx = sy = 0
-            for ux, uy in zip(zx, zy):
-                ex, ey = x - ux, y - uy
-                d = ex * ex + ey * ey
-                if d:
-                    sx += (ex << 2 * F) // d
-                    sy -= (ey << 2 * F) // d
+    for starts, pairs in tries + [(starts, 0)]:
+        free = n - pairs  # the iterated roots; the mirrors of the first pairs follow
+        starts = starts + [s.conjugate() for s in starts[:pairs]]
+        zx = [int(mp.ldexp(s.real, F)) for s in starts]
+        zy = [int(mp.ldexp(s.imag, F)) for s in starts]
+        converged = [False] * free
+        done = False
+        for _ in range(max_sweeps):
+            done = True
+            for k in range(free):
+                if converged[k]:
+                    continue
+                x, y = zx[k], zy[k]
+                xy, yx = x + y, y - x
+                az = math.isqrt(x * x + y * y)
+                px, py, em = top
+                dx = dy = 0
+                for a, b, m in rest:
+                    # (px + i py)(x + iy) with three products: k = x(px + py),
+                    # re = k - py(x + y), im = k + px(y - x)
+                    k1, k2 = x * (dx + dy), x * (px + py)
+                    dx, dy = ((k1 - dy * xy) >> F) + px, ((k1 + dx * yx) >> F) + py
+                    px, py = ((k2 - py * xy) >> F) + a, ((k2 + px * yx) >> F) + b
+                    em = (em * az >> F) + m
+                t = noise * em >> prec
+                if px * px + py * py <= t * t:
+                    converged[k] = True
+                    continue
+                q = dx * dx + dy * dy
+                hits = 0
+                sx = sy = 0
+                for ux, uy in zip(zx, zy):
+                    ex, ey = x - ux, y - uy
+                    d = ex * ex + ey * ey
+                    if d:
+                        sx += (ex << 2 * F) // d
+                        sy -= (ey << 2 * F) // d
+                    else:
+                        hits += 1
+                if q == 0 or hits > 1:
+                    bump = (one + az) >> (prec // 2)
+                    zx[k], zy[k] = x + 3 * bump, y + 2 * bump
                 else:
-                    hits += 1
-            if q == 0 or hits > 1:
-                bump = (one + az) >> (prec // 2)
-                zx[k], zy[k] = x + 3 * bump, y + 2 * bump
-                done = False
-                continue
-            wx = ((px * dx + py * dy) << F) // q
-            wy = ((py * dx - px * dy) << F) // q
-            rx = one - ((wx * sx - wy * sy) >> F)
-            ry = -((wx * sy + wy * sx) >> F)
-            d = rx * rx + ry * ry
-            if d:
-                wx, wy = ((wx * rx + wy * ry) << F) // d, ((wy * rx - wx * ry) << F) // d
-            zx[k], zy[k] = x - wx, y - wy
-            t = (one + math.isqrt(zx[k] ** 2 + zy[k] ** 2)) >> (prec - 10)
-            converged[k] = wx * wx + wy * wy < t * t
-            done = done and converged[k]
+                    wx = ((px * dx + py * dy) << F) // q
+                    wy = ((py * dx - px * dy) << F) // q
+                    rx = one - ((wx * sx - wy * sy) >> F)
+                    ry = -((wx * sy + wy * sx) >> F)
+                    d = rx * rx + ry * ry
+                    if d:
+                        wx, wy = ((wx * rx + wy * ry) << F) // d, ((wy * rx - wx * ry) << F) // d
+                    zx[k], zy[k] = x - wx, y - wy
+                    t = (one + math.isqrt(zx[k] ** 2 + zy[k] ** 2)) >> (prec - 10)
+                    converged[k] = wx * wx + wy * wy < t * t
+                done = done and converged[k]
+                if k < pairs:
+                    zx[free + k], zy[free + k] = zx[k], -zy[k]
+            if done:
+                break
         if done:
             break
     # round each root to prec bits of its larger part, as one complex value:
@@ -354,10 +391,11 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
     # with a short dyadic expansion exact
     out = []
     with mp.workprec(prec):
-        for x, y in zip(zx, zy):
+        for x, y in zip(zx[:free], zy):
             g = max(max(abs(x), abs(y)).bit_length() - prec, 0)
             half = (1 << g) >> 1
             out.append(mpc(mpf(((x + half) >> g, g - F)), mpf(((y + half) >> g, g - F))))
+        out += [z.conjugate() for z in out[:pairs]]  # exact: no part has more than prec bits
     return out, done
 
 
@@ -375,17 +413,21 @@ def _radius(gauss, z, prec):
     (x, y), low = dyadic
     t = max(prec + 8 + 2 * n.bit_length(), -low)
     x, y = x << (low + t), y << (low + t)
+    xy, yx = x + y, y - x
     az = math.isqrt(x * x + y * y) + 1  # > |z| 2^t
     mask = (1 << t) - 1
     px, py = gauss[-1][0] << t, gauss[-1][1] << t
     dx = dy = ep = ed = 0
     for a, b in reversed(gauss[:-1]):
-        # Horner's rule for p' and p; e <- ceil(e |z|) (+ e_p for p'),
+        # Horner's rule for p' and p, each complex product with three integer
+        # products as in _aberth_fixed; e <- ceil(e |z|) (+ e_p for p'),
         # plus 2 units where the shift drops nonzero bits
-        rx, ry = dx * x - dy * y, dx * y + dy * x
+        k = x * (dx + dy)
+        rx, ry = k - dy * xy, k + dx * yx
         ed = -(-ed * az >> t) + ep + (2 if (rx | ry) & mask else 0)
         dx, dy = (rx >> t) + px, (ry >> t) + py
-        rx, ry = px * x - py * y, px * y + py * x
+        k = x * (px + py)
+        rx, ry = k - py * xy, k + px * yx
         ep = -(-ep * az >> t) + (2 if (rx | ry) & mask else 0)
         px, py = (rx >> t) + (a << t), (ry >> t) + (b << t)
     if not (px or py or ep):
@@ -396,21 +438,36 @@ def _radius(gauss, z, prec):
     return mp.fdiv(n * (math.isqrt(px * px + py * py) + 1 + ep), den, prec=53, rounding="u")
 
 
+def _with_radii(gauss, points, prec, circle):
+    """(z, _radius at z, circle) for each point z, with one _radius per
+    conjugate pair where the coefficients are real: then a root within r of
+    z is also one within r of conj(z)."""
+    real = gauss is not None and not any(b for _, b in gauss)
+    radii = {}
+    out = []
+    for z in points:
+        with mp.workprec(prec):  # exact: no part of a point has more than prec bits
+            key = (z.re, abs(z.im) if real else z.im)
+        if key not in radii:
+            radii[key] = _radius(gauss, z, prec)
+        out.append((z, radii[key], circle))
+    return out
+
+
 def _circle_roots(orders, prec):
     """(point, radius, True) for each root of the stripped factors, one copy
     per multiplicity.  The radius is _radius on the factor, not on p: it is
     square-free, so the bound is finite where p's is inf at a multiple root."""
-    return [(z, _radius([(c, 0) for c in _shifted_cyclotomic(m)], z, prec), True)
-            for m in orders for z in _circle_points(m, prec)]
+    return [t for m in orders for t in _with_radii(
+        [(c, 0) for c in _shifted_cyclotomic(m)], _circle_points(m, prec), prec, True)]
 
 
 def _finalize(coeffs, roots_mpc, zero_mult, prec, converged, circle=()):
     """The RootSet of the iterated roots with their radii on coeffs, and of
     the circle roots, sorted by (re, im); NonconvergenceError with it as
     .partial unless converged."""
-    gauss = _gaussian_integers(coeffs)
-    found = [(z, _radius(gauss, z, prec), False)
-             for z in (ComplexPoint.from_mpc(z, prec) for z in roots_mpc)]
+    found = _with_radii(_gaussian_integers(coeffs),
+                        [ComplexPoint.from_mpc(z, prec) for z in roots_mpc], prec, False)
     found = sorted([*found, *circle], key=lambda t: (t[0].re, t[0].im))
     cols = [list(col) for col in zip(*found)] or [[], [], []]
     rs = RootSet(zero_mult, cols[0], cols[1], prec, cols[2])
@@ -449,18 +506,15 @@ def _iterate(coeffs, exact_ints, prec):
         raise ValueError("precision must be at least %d bits" % MIN_PRECISION)
     if len(coeffs) < 2:
         return [], True
-    starts = None
-    if exact_ints and prec > MIN_PRECISION:
-        starts = _shifted_starts(coeffs)
-    else:
-        hardware = _solve_floats(coeffs)
-        if hardware is not None:
-            hw_roots, hw_ok = hardware
-            if prec <= MIN_PRECISION:
-                return [mpc(z) for z in hw_roots], hw_ok
-            if hw_ok:
-                starts = hw_roots
-
+    # exact integers start from the solve in u = 1 + v, and only at 53 bits
+    # fall back to the solve in v, which may stop short of the true roots
+    starts, ok = _shifted_starts(coeffs) if exact_ints else None, True
+    if starts is None and (prec <= MIN_PRECISION or not exact_ints):
+        starts, ok = _solve_floats(coeffs) or (None, False)
+    if prec <= MIN_PRECISION and starts is not None:
+        return [mpc(z) for z in starts], ok
+    if not ok:
+        starts = None
     gauss = _gaussian_integers(coeffs)
     if gauss is None:  # inf or nan: nothing converges, as in mpmath
         return [mpc("nan", "nan")] * (len(coeffs) - 1), False
@@ -1002,52 +1056,3 @@ def _fit_pair(scales, clusters, prec):
         ComplexPoint.from_mpc(sub, prec),
         1.5,
     )
-
-
-# ---------------------------------------------------------------------------
-# Parallel/series constructions on single roots
-
-
-def kth_root_branch(v1, k):
-    """v_k = -1 + (1+v1)^(1/k), principal branch (|arg| <= pi/k)."""
-    v1 = as_complex_point(v1)
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be an integer >= 1")
-    if v1 == -1:
-        raise ValueError("v = -1 has no k-th root branch")
-    prec = v1.precision
-    with mp.workprec(prec):
-        r = mp.exp(mp.log(1 + v1.to_mpc()) / k)
-        return ComplexPoint.from_mpc(r - 1, prec)
-
-
-def find_minimal_k(v1, s):
-    """Smallest k with |1/s + v_k| < 1/s for v_k = -1 + (1+v1)^(1/k)."""
-    v1 = as_complex_point(v1)
-    if not isinstance(s, int) or s < 1:
-        raise ValueError("s must be an integer >= 1")
-    if v1 == -1:
-        raise ValueError("v = -1 has no k-th root branch")
-    prec = v1.precision
-    with mp.workprec(prec):
-        logw = mp.log(1 + v1.to_mpc())
-        target = mpf(1) / s
-        for k in range(1, MAX_K + 1):
-            vk = mp.exp(logw / k) - 1
-            if abs(target + vk) < target:
-                return k
-    raise ValueError("no k <= %d brings the root inside |1/%d + v| < 1/%d" % (MAX_K, s, s))
-
-
-def multivariate_bc_property(g):
-    """Whether no multivariate weight choice inside the discs kills C_G.
-
-    Exactly the series-parallel graphs have the property, so the decision
-    is is_series_parallel (loops never matter to either).  Disconnected
-    input is rejected (its polynomial is identically zero).
-    """
-    if not isinstance(g, Multigraph):
-        raise TypeError("expected a Multigraph")
-    if not is_connected(g):
-        raise DisconnectedGraphError("multivariate property undefined for disconnected graphs")
-    return is_series_parallel(g)

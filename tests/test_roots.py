@@ -36,6 +36,7 @@ from relzeros import (
     region_endpoint_angle,
 )
 from relzeros import roots as roots_module
+from relzeros import polycore
 from relzeros.polycore import _shifted_cyclotomic, _strip_circle_factors, as_complex_point
 from relzeros.roots import (
     MAX_SWEEPS,
@@ -260,6 +261,19 @@ class TestFindRoots:
         got = find_roots(coeffs, 128)
         assert calls == [None]
         assert_roots_match(got, reference_find_roots(coeffs, 128, warm=False))
+
+    @pytest.mark.parametrize("case, p1, p2", [("d", 16, 1), ("b", 1, 7), ("d", 30, 1)])
+    def test_53_bit_integer_roots_come_from_the_shifted_solve(self, families, case, p1, p2):
+        # the float roots of q(u) = p(u - 1) lie within their radii of the
+        # 256-bit roots, and give the 256-bit min |1 + v|
+        lo = find_roots(families.poly(case, p1, p2), 53)
+        hi = families.roots(case, p1, p2)
+        assert lo.precision == 53 and max(lo.error_radii) < 1e-3
+        with mp.workprec(256):
+            for z, e in zip(lo.roots, lo.error_radii):
+                assert min(abs(z.to_mpc() - w.to_mpc()) - f
+                           for w, f in zip(hi.roots, hi.error_radii)) <= e
+            assert abs(min_disc_distance(lo, 1) - min_disc_distance(hi, 1)) < 1e-9
 
     def test_json_shape(self):
         rs = find_roots(ExactUniPoly([0, 0, 0, 16, 15, 6, 1]), 128)
@@ -612,6 +626,87 @@ def circle_hugging_polys(draw):
 @given(coeffs=circle_hugging_polys(), prec=st.sampled_from([128, 256]))
 def test_circle_hugging_integer_poly_matches_reference(coeffs, prec):
     assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
+
+
+def assert_exact_conjugate_pairs(rs, band=0):
+    """Each root with |Im z| > band (1 + |z|) has its exact conjugate in rs,
+    with the same radius."""
+    with mp.workprec(rs.precision):
+        radius = {(z.re, z.im): e for z, e in zip(rs.roots, rs.error_radii)}
+        for z, e in zip(rs.roots, rs.error_radii):
+            if abs(z.im) > band * (1 + abs(z.to_mpc())):
+                assert radius.get((z.re, -z.im)) == e, complex(z)
+
+
+@st.composite
+def planted_real_polys(draw):
+    """Integer polynomials of degree 2-30 with |c| <= 2^100 and planted
+    roots: simple real roots c/16, pairs c/16 +- i 2^-k near the real axis,
+    and a cluster of two or three conjugate pairs within 2^-7 of one point
+    off it.  The centers c are distinct, so no real root joins a cluster."""
+    centers = draw(st.lists(st.integers(-64, 64), max_size=5, unique=True))
+    split = draw(st.integers(0, len(centers)))
+    coeffs = [1]
+    for c in centers[:split]:
+        coeffs = multiply(coeffs, [-c, 16])
+    for c in centers[split:]:  # 4^k (16 v - c)^2 + 256
+        k = draw(st.sampled_from([4, 12, 24]))
+        coeffs = multiply(coeffs, [(c * c << 2 * k) + 256, -(c << 2 * k + 5), 1 << 2 * k + 8])
+    if draw(st.booleans()):  # (256 v - x)^2 + y^2 for x + iy near 16(x0 + i y0)
+        x0, y0 = draw(st.integers(-32, 32)), draw(st.integers(2, 16))
+        for dx, dy in draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                                    min_size=2, max_size=3, unique=True)):
+            x, y = 16 * x0 + dx, 16 * y0 + dy
+            coeffs = multiply(coeffs, [x * x + y * y, -(x << 9), 1 << 16])
+    coeffs = coeffs[next(i for i, c in enumerate(coeffs) if c):]
+    assume(2 <= len(coeffs) - 1 <= 30 and max(map(abs, coeffs)) <= 2 ** 100)
+    return coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=planted_real_polys())
+def test_real_input_gives_exact_conjugate_pairs(coeffs):
+    # off the near-real band (|Im| <= 2^-20 (1 + |z|) at the float start) the
+    # loop iterates one root per pair and writes its mirror; near-real roots
+    # iterate freely.  Every 1024-bit root lies in a returned disc.
+    ref = find_roots(coeffs, 1024)
+    for prec in (128, 256):
+        rs = find_roots(coeffs, prec)
+        assert_exact_conjugate_pairs(rs, mpf(2) ** -19)
+        with mp.workprec(1100):
+            for w, f in zip(ref.roots, ref.error_radii):
+                assert any(abs(w.to_mpc() - z.to_mpc()) <= e + f
+                           for z, e in zip(rs.roots, rs.error_radii)), (prec, complex(w))
+
+
+class TestConjugatePairs:
+    def test_member_roots_come_in_exact_conjugate_pairs(self, families):
+        rs = families.roots("b", 6, 1)
+        assert len(rs.roots) == 13
+        assert_exact_conjugate_pairs(rs)
+
+    def test_uneven_split_iterates_every_root(self, families):
+        # a lower float start moved to its mirror: more starts lie above the
+        # real axis than below, so every root iterates from these starts
+        poly = families.poly("b", 1, 7)
+        zeros = poly.low_order_zeros()
+        coeffs, orders = _strip_circle_factors(list(poly.coeffs[zeros:]))
+        starts = roots_module._shifted_starts(coeffs)
+        k = next(k for k, s in enumerate(starts) if s.imag < -0.1)
+        starts[k] = starts[k].conjugate()
+        gauss = [(c, 0) for c in coeffs]
+        roots, ok = roots_module._aberth_fixed(gauss, starts, 256)
+        assert ok
+        circle = roots_module._circle_roots(orders, 256)
+        got = roots_module._finalize(coeffs, roots, zeros, 256, ok, circle)
+        assert_roots_match(got, reference_find_roots(poly, 256), coeffs)
+
+    def test_mirrored_loop_that_cannot_converge_falls_back(self):
+        # 1 + i/10 and its mirror cannot settle on the real roots 1 and 2:
+        # after the sweep cap both roots iterate from the same starts
+        quadratic = [(2, 0), (-3, 0), (1, 0)]
+        roots, ok = roots_module._aberth_fixed(quadratic, [1 + 0.1j, 2 - 0.1j], 128)
+        assert ok and sorted(roots, key=lambda z: z.real) == [1, 2]
 
 
 class TestCircleRoots:
@@ -1180,7 +1275,7 @@ class TestRootBranchConstruction:
         assert find_minimal_k(v, 2) == 1
 
     def test_find_minimal_k_not_found(self, monkeypatch):
-        monkeypatch.setattr(roots_module, "MAX_K", 50)
+        monkeypatch.setattr(polycore, "MAX_K", 50)
         v = ComplexPoint(1, 0, 128)  # spiral starts on the positive axis
         with pytest.raises(ValueError, match="no k <= 50"):
             find_minimal_k(v, 2)
