@@ -22,8 +22,9 @@ included, is compiled from source in every process, on every side alike.
 The checkout that runs first alternates from seed to seed and from run to
 run, so that a slow stretch of a shared host does not fall on one side
 only.  The file gets, per label: the seeds and run length, these bytecode
-settings, the commit, whether src/ or bench/ had uncommitted changes, the line count of the Python files under src/, the token count
-of roots.py and of every module of src/relzeros, every run's end-to-end
+settings, the commit, whether src/ or bench/ had uncommitted changes, the
+line count of the Python files under src/, the token count of roots.py
+and of every module of src/relzeros, every run's end-to-end
 metrics and checks, per workload the median of each end-to-end metric,
 and under each command's key every run's wall seconds and exit code, with
 the median seconds and the exit codes seen.
