@@ -14,20 +14,22 @@ times three runs of each of
     python3 -m relzeros reproduce --suite all --json     (key "reproduce")
     python3 -m relzeros roots k6:20:20                   (key "roots_k6_20_20")
 
-with its own src/ on PYTHONPATH.  Every one of these subprocesses runs
-with PYTHONDONTWRITEBYTECODE=1 and with PYTHONPYCACHEPREFIX set to a new
-empty directory, so that no run reads bytecode that an earlier run or a
-__pycache__ in the checkout left: every module, the standard library's
-included, is compiled from source in every process, on every side alike.
-The checkout that runs first alternates from seed to seed and from run to
-run, so that a slow stretch of a shared host does not fall on one side
-only.  The file gets, per label: the seeds and run length, these bytecode
-settings, the commit, whether src/ or bench/ had uncommitted changes, the
-line count of the Python files under src/, the token count of roots.py
-and of every module of src/relzeros, every run's end-to-end
+with its own src/ on PYTHONPATH and its output sent to /dev/null.  Before
+the first run, the git-ignored __pycache__ directories under each
+checkout's src/ and bench/ are removed, and every subprocess runs with
+PYTHONDONTWRITEBYTECODE=1, so that each process compiles the checkout's
+own modules from source, whatever an earlier run left there; the standard
+library and mpmath load from their installed bytecode, on every side
+alike.  The checkout that runs first alternates from seed to seed and from
+run to run, so that a slow stretch of a shared host does not fall on one
+side only.  The file gets, per label: the seeds and run length, these
+bytecode settings, the commit, whether src/ or bench/ had uncommitted
+changes, the line count of the Python files under src/, the token count of
+roots.py and of every module of src/relzeros, every run's end-to-end
 metrics and checks, per workload the median of each end-to-end metric,
-and under each command's key every run's wall seconds and exit code, with
-the median seconds and the exit codes seen.
+and under each command's key every run's wall seconds, peak RSS (the
+process's ru_maxrss) and exit code, with the median seconds, the median
+peak RSS and the exit codes seen.
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 import tokenize
-from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +52,8 @@ TIMED = {
 }
 TIMED_RUNS = 3
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
-            "PYTHONPYCACHEPREFIX": "a new empty directory for every subprocess"}
+            "__pycache__": "removed under src/ and bench/ before the first run"}
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
 
 
 def git(checkout, *args):
@@ -66,11 +68,12 @@ def tokens(path):
         return sum(1 for _ in tokenize.generate_tokens(fh.readline))
 
 
-@contextmanager
-def fresh_bytecode_env(**extra):
-    """os.environ plus extra, with bytecode neither written nor read."""
-    with tempfile.TemporaryDirectory() as cache:
-        yield dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache, **extra)
+def remove_bytecode(checkout):
+    """Delete the checkout's own __pycache__ directories (git ignores them),
+    so that no run reads bytecode compiled from other source."""
+    for top in ("src", "bench"):
+        for cache in sorted((checkout / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def describe(checkout, seeds, seconds):
@@ -93,10 +96,9 @@ def describe(checkout, seeds, seconds):
 
 def run_bench(checkout, workload, seed, seconds):
     """One untraced benchmark run: its end-to-end metrics and checks."""
-    with fresh_bytecode_env() as env:
-        proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                              cwd=checkout, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, env=ENV, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
         raise RuntimeError("bench/run.py failed in %s (exit %d): %s"
@@ -112,12 +114,17 @@ def run_bench(checkout, workload, seed, seconds):
 
 
 def run_timed(checkout, args):
-    """Wall seconds and exit code of one `relzeros ARGS` run of the checkout's src/."""
-    with fresh_bytecode_env(PYTHONPATH=str(checkout / "src")) as env:
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "relzeros", *args], cwd=checkout, env=env,
-                              capture_output=True, text=True)
-        return {"seconds": time.perf_counter() - start, "exit_code": proc.returncode}
+    """Wall seconds, peak RSS and exit code of one `relzeros ARGS` run of the
+    checkout's src/."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "relzeros", *args], cwd=checkout,
+                            env=dict(ENV, PYTHONPATH=str(checkout / "src")),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "exit_code": proc.returncode}
 
 
 def turns(sides, i):
@@ -147,6 +154,8 @@ def main(argv=None):
     workloads = [w["name"] for w in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
     record = {label: describe(checkout, args.seeds, seconds) for label, checkout in sides}
+    for _, checkout in sides:
+        remove_bytecode(checkout)
 
     for workload in workloads:
         for i, seed in enumerate(args.seeds):
@@ -165,6 +174,8 @@ def main(argv=None):
         for key in TIMED:
             timed = side[key]
             timed["median_s"] = statistics.median(r["seconds"] for r in timed["runs"])
+            timed["median_peak_rss_mb"] = statistics.median(r["peak_rss_mb"]
+                                                            for r in timed["runs"])
             timed["exit_codes"] = sorted({r["exit_code"] for r in timed["runs"]})
 
     args.out.write_text(json.dumps(record, indent=1) + "\n")

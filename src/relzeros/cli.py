@@ -31,6 +31,7 @@ from .reliability import (
     two_class_specialize,
 )
 from .roots import (
+    MAX_DECISION_PRECISION,
     NonconvergenceError,
     UndecidableDiscError,
     _positive_lambda,
@@ -158,10 +159,14 @@ def _cmd_roots(args):
     rs = find_roots(poly, args.precision)
     md = min_disc_distance(rs, args.lam)
     verdict = disc_verdict(rs, args.lam)
-    if verdict == "ambiguous":
-        holds = bc_lambda_holds_univariate(poly, args.lam, min(2 * args.precision, 1024))
-    else:
+    if verdict != "ambiguous":
         holds = verdict == "holds"
+    elif args.precision < MAX_DECISION_PRECISION:
+        holds = bc_lambda_holds_univariate(
+            poly, args.lam, min(2 * args.precision, MAX_DECISION_PRECISION))
+    else:
+        raise UndecidableDiscError("root within error radius of |%s + v| = %s at %d bits"
+                                   % (args.lam, args.lam, args.precision))
     payload = rs.to_json()
     payload["polynomial"] = desc
     payload["lambda"] = args.lam

@@ -9,14 +9,16 @@ value with the precision (in bits) it was computed at; it has no
 arithmetic of its own, and _dyadic turns mpf values into exact integers.
 Exact helpers on low-to-high coefficient lists shift the variable by +-1
 and divide out the shifted cyclotomic factors, whose roots lie exactly on
-|1 + v| = 1 and come in closed form from _circle_points.  kth_root_branch
-and find_minimal_k follow one root through the paper's series
-construction, v_k = -1 + (1 + v)^(1/k).
+|1 + v| = 1 and come in closed form from _circle_points; the candidate
+orders m, with phi(m) at most the degree, are enumerated as products of
+prime powers.  kth_root_branch and find_minimal_k follow one root through
+the paper's series construction, v_k = -1 + (1 + v)^(1/k).
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
+from functools import cache
+from math import comb, gcd, isqrt
 
 from mpmath import mp, mpc, mpf
 
@@ -298,39 +300,34 @@ def _exact_divide_monic(num, den):
     return quot
 
 
-_PHI_SIEVE = [0, 1]
-
-
+@cache
 def _circle_factor_orders(max_degree):
-    """Orders m whose shifted cyclotomic has degree phi(m) <= max_degree.
-
-    phi(m) >= sqrt(m/2), so scanning m <= 2*max_degree^2 + 2 is exhaustive.
-    """
-    global _PHI_SIEVE
-    limit = 2 * max_degree * max_degree + 2
-    if len(_PHI_SIEVE) <= limit:
-        phi = list(range(limit + 1))
-        for p in range(2, limit + 1):
-            if phi[p] == p:  # prime
-                for k in range(p, limit + 1, p):
-                    phi[k] -= phi[k] // p
-        _PHI_SIEVE = phi
-    return [m for m in range(2, limit + 1) if _PHI_SIEVE[m] <= max_degree]
-
-
-_SHIFTED_CYCLOTOMIC = {1: (0, 1)}
+    """Orders m >= 2 whose shifted cyclotomic has degree phi(m) <= max_degree,
+    ascending: phi(p^k) = (p - 1) p^(k-1) and phi is multiplicative, so each
+    m grows from (1, 1) by a power of each prime p <= max_degree + 1."""
+    pairs = [(1, 1)]
+    for p in range(2, max_degree + 2):
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        grown = []
+        for m, phi in pairs:
+            m, phi = m * p, phi * (p - 1)
+            while phi <= max_degree:
+                grown.append((m, phi))
+                m, phi = m * p, phi * p
+        pairs += grown
+    return tuple(sorted(m for m, _ in pairs[1:]))
 
 
+@cache
 def _shifted_cyclotomic(m):
     """The monic integer factor of (1+v)^m - 1 whose roots are the shifted
     primitive m-th roots of unity, v = -1 + e^(2*pi*i*k/m), gcd(k, m) = 1."""
-    if m not in _SHIFTED_CYCLOTOMIC:
-        coeffs = list(shifted_power(m).coeffs)
-        for d in range(1, m):
-            if m % d == 0:
-                coeffs = _exact_divide_monic(coeffs, list(_shifted_cyclotomic(d)))
-        _SHIFTED_CYCLOTOMIC[m] = tuple(coeffs)
-    return _SHIFTED_CYCLOTOMIC[m]
+    coeffs = list(shifted_power(m).coeffs)
+    for d in range(1, m):
+        if m % d == 0:
+            coeffs = _exact_divide_monic(coeffs, list(_shifted_cyclotomic(d)))
+    return tuple(coeffs)
 
 
 def _circle_points(m, prec):
@@ -350,19 +347,15 @@ def _circle_points(m, prec):
     return out
 
 
-_CYCLOTOMIC_AT_TWO = {1: 1}
-
-
+@cache
 def _cyclotomic_at_two(m):
     """Phi_m(2), the coefficient sum of _shifted_cyclotomic(m), without
     building that factor: 2^m - 1 is the product of Phi_d(2) over d | m."""
-    if m not in _CYCLOTOMIC_AT_TWO:
-        value = (1 << m) - 1
-        for d in range(1, m):
-            if m % d == 0:
-                value //= _cyclotomic_at_two(d)
-        _CYCLOTOMIC_AT_TWO[m] = value
-    return _CYCLOTOMIC_AT_TWO[m]
+    value = (1 << m) - 1
+    for d in range(1, m):
+        if m % d == 0:
+            value //= _cyclotomic_at_two(d)
+    return value
 
 
 def _strip_circle_factors(coeffs):

@@ -612,9 +612,9 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
     exactly on the unit circle around -1 by way of shifted-cyclotomic
     factors (bundles of m parallel edges contribute (1+v)^m - 1) are
     settled algebraically: they violate exactly when lam > 1, so that or an
-    empty quotient decides before any root is built.  Otherwise the roots
-    of the quotient alone decide, and an ambiguous verdict doubles the
-    precision up to 1024 bits; residual ambiguity raises
+    constant quotient decides before any root is built.  Otherwise
+    find_roots of the quotient alone decides, and an ambiguous verdict
+    doubles the precision up to 1024 bits; residual ambiguity raises
     UndecidableDiscError rather than guessing.
     """
     coeffs, exact_ints, _ = _normalize_coefficients(p)
@@ -624,18 +624,18 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
         coeffs, circle_orders = _strip_circle_factors(coeffs)
         if circle_orders and lamv > 1:
             return False
-        if len(coeffs) <= 1:
-            return True
-    prec = precision_bits if precision_bits is not None else _auto_precision(coeffs, len(coeffs) - 1)
+    if len(coeffs) <= 1:
+        return True
+    prec = precision_bits
     while True:
-        roots, ok = _iterate(coeffs, exact_ints, prec)
-        verdict = disc_verdict(_finalize(coeffs, roots, 0, prec, ok), lam)
+        rs = find_roots(coeffs, prec)
+        verdict = disc_verdict(rs, lam)
         if verdict != "ambiguous":
             return verdict == "holds"
-        if prec >= MAX_DECISION_PRECISION:
+        if rs.precision >= MAX_DECISION_PRECISION:
             raise UndecidableDiscError(
-                "root within error radius of |%s + v| = %s at %d bits" % (lam, lam, prec))
-        prec = min(MAX_DECISION_PRECISION, prec * 2)
+                "root within error radius of |%s + v| = %s at %d bits" % (lam, lam, rs.precision))
+        prec = min(2 * rs.precision, MAX_DECISION_PRECISION)
 
 
 def lambda_star_univariate(p, precision_bits=None):

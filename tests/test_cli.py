@@ -13,6 +13,7 @@ from relzeros import (
     shifted_power,
 )
 from relzeros import cli, reference
+from relzeros import roots as roots_module
 from relzeros.cli import main
 from relzeros.roots import NonconvergenceError, find_roots
 from util_graphs import format_graph, parallel_bundle_graph, subdivide
@@ -126,6 +127,26 @@ class TestRootsCommand:
         path.write_text(format_graph(g))
         code, _, err = run(capsys, ["roots", str(path), "--lambda", "2.0"])
         assert code == 4
+
+    @pytest.mark.parametrize("precision, solves", [
+        (256, [256, 512, 1024]), (1024, [1024]), (2048, [2048])])
+    def test_escalates_only_above_its_own_precision(self, capsys, tmp_path, monkeypatch,
+                                                     precision, solves):
+        path = tmp_path / "sub.graph"
+        path.write_text(format_graph(subdivide(parallel_bundle_graph(5), 2)))
+        seen = []
+        iterate = roots_module._iterate
+
+        def spy(coeffs, exact_ints, prec):
+            seen.append(prec)
+            return iterate(coeffs, exact_ints, prec)
+
+        monkeypatch.setattr(roots_module, "_iterate", spy)
+        code, out, err = run(capsys, ["roots", str(path), "--lambda", "2.0",
+                                      "--precision", str(precision)])
+        assert (code, out, seen) == (4, "", solves)
+        assert err == ("error: root within error radius of |2.0 + v| = 2.0 at %d bits\n"
+                       % solves[-1])
 
     def test_two_loops_put_a_double_root_at_the_disc_centre(self, capsys, tmp_path):
         # each loop multiplies C by (1 + v): v = -1 twice, exact, radius 0

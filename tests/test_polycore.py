@@ -150,13 +150,33 @@ class TestTaylorShift:
         assert taylor_shift(shifted_power(5).coeffs, -1) == [-1, 0, 0, 0, 0, 1]
 
 
+def totient_sieve(limit):
+    """phi(m) for m = 0..limit (phi(0) = 0) by the sieve of Eratosthenes."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # prime
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+def reference_circle_factor_orders(max_degree, phi=None):
+    """_circle_factor_orders as the module computed it before the prime-power
+    enumeration: phi(m) >= sqrt(m/2), so scanning the totients of
+    m <= 2*max_degree^2 + 2 is exhaustive.  phi, if given, is a
+    totient_sieve at least that long."""
+    limit = 2 * max_degree * max_degree + 2
+    phi = phi or totient_sieve(limit)
+    return [m for m in range(2, limit + 1) if phi[m] <= max_degree]
+
+
 def reference_strip_circle_factors(coeffs):
     """_strip_circle_factors with each candidate factor built before its
     p(1) divisibility test, as the module did before _cyclotomic_at_two."""
     out = list(coeffs)
     stripped = []
     at_one = sum(out)
-    for m in _circle_factor_orders(len(out) - 1):
+    for m in reference_circle_factor_orders(len(out) - 1):
         while len(out) > 1:
             factor = _shifted_cyclotomic(m)
             if len(factor) > len(out):
@@ -178,6 +198,13 @@ def nonzero_part(poly):
 
 
 class TestCircleFactors:
+    def test_orders_match_the_sieve(self):
+        phi = totient_sieve(2 * 300 * 300 + 2)
+        for d in [*range(151), 200, 300]:
+            assert list(_circle_factor_orders(d)) == reference_circle_factor_orders(d, phi), d
+        orders = _circle_factor_orders(300)
+        assert (len(orders), orders[-1]) == (587, 1260)
+
     def test_value_at_two_is_the_factor_sum(self):
         for m in range(1, 121):
             assert _cyclotomic_at_two(m) == sum(_shifted_cyclotomic(m))

@@ -20,6 +20,7 @@ from relzeros import (
     cli,
     bc_lambda_holds_univariate,
     complete_graph,
+    connected_subgraph_poly,
     cycle_graph,
     disc_verdict,
     estimate_branch_coefficients,
@@ -47,7 +48,7 @@ from relzeros.roots import (
     _locus_sample_floats,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
-from util_graphs import distance, parallel_expand, subdivide
+from util_graphs import distance, parallel_bundle_graph, parallel_expand, subdivide
 
 
 class TestFindRoots:
@@ -928,6 +929,28 @@ class TestDiscDecision:
         # an irrational angle; strictness cannot be settled at any precision
         with pytest.raises(UndecidableDiscError):
             bc_lambda_holds_univariate(ExactUniPoly([1, 1, 2]), 1)
+
+    def test_each_rung_is_one_find_roots(self, monkeypatch):
+        # the subdivided 5-bundle puts its circle roots on |2 + v| = 2, where
+        # no rung can decide lam = 2
+        poly = connected_subgraph_poly(subdivide(parallel_bundle_graph(5), 2))
+        rungs = []
+
+        def spy(p, precision_bits=None):
+            rs = find_roots(p, precision_bits)
+            rungs.append((precision_bits, rs.precision))
+            return rs
+
+        monkeypatch.setattr(roots_module, "find_roots", spy)
+        with pytest.raises(UndecidableDiscError,
+                           match=r"^root within error radius of \|2 \+ v\| = 2 at 1024 bits$"):
+            bc_lambda_holds_univariate(poly, 2, 256)
+        assert rungs == [(256, 256), (512, 512), (1024, 1024)]
+
+    def test_constant_non_integer_input_holds(self):
+        # nothing is left to solve once the zero roots are deflated
+        for coeffs in ([0.5], [ComplexPoint(2, 1)], [0, 1.5, 0]):
+            assert bc_lambda_holds_univariate(coeffs, 1) is True
 
     def test_disc_verdict_levels(self, families):
         poly = families.poly("b", 1, 7)
