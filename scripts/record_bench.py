@@ -122,7 +122,7 @@ def run_timed(checkout, args):
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
     return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024.0,
             "exit_code": proc.returncode}
 
