@@ -3,16 +3,22 @@
 The root engine is simultaneous (Aberth-style) iteration: every root is
 updated with a Newton step corrected by mutual repulsion.  In hardware
 floats it starts from a circle of radius (|c0/cn|)^(1/n) with angular
-offsets (2*pi*k + 0.7)/n.  A root stops iterating once its correction is
-below 2^-(prec-10)*(1+|z|) or once |p(z)| provably sits inside the
-rounding noise of the evaluation itself, at which point further sweeps
-cannot improve it.  Above 53 bits (and at 53 bits when the float pass
-gives no result) the iteration runs in fixed point on Python integers,
-with the same stop rules: coefficients become exact Gaussian integers,
-roots are integer pairs at a scale of 2^F, fine enough to hold the
-smallest root (and past 2^prec the reciprocal of the largest) to the
-precision plus guard bits, and each product is shifted back to that scale
-(a complex product takes three integer products, not four).
+offsets (2*pi*k + 0.7)/n.  A root stops iterating once |p(z)| provably
+sits inside the rounding noise of the evaluation itself, at which point
+further sweeps cannot improve it, or once its correction is below
+2^-(prec-10)*(1+|z|).  Above 53 bits (and at 53 bits when the float pass
+gives no result) the iteration runs in fixed point on Python integers:
+coefficients become exact Gaussian integers, roots are integer pairs at a
+scale of 2^F, fine enough to hold the smallest root (and past 2^prec the
+reciprocal of the largest) to the precision plus guard bits, and each
+product is shifted back to that scale (a complex product takes three
+integer products, not four).  There the noise rule stays and the
+correction rules are relative, so a root far below 1 keeps its precision
+too: a root stops on a correction delta below 2^-(prec-10)*|z|, or on one
+whose quadratic rate predicts a next correction |delta|^3/|delta_prev|^2
+below 2^-(prec+4)*|z|, which saves the sweep that would only confirm it.
+Here |z| is floored at the lower bound on every root's modulus that F is
+sized for.
 
 The fixed-point loop is warm-started from a float solve.  For exact
 integer coefficients that solve runs in u = 1 + v on the Taylor shift
@@ -68,6 +74,7 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import cache
 
 from mpmath import mp, mpc, mpf
 
@@ -79,6 +86,7 @@ from .polycore import (
     as_complex_point,
     _circle_points,
     _dyadic,
+    _radius,
     _shifted_cyclotomic,
     _strip_circle_factors,
     taylor_shift,
@@ -326,12 +334,14 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
         if upper and 2 * len(upper) + len(near) == n:
             tries = [(upper + near, len(upper))]
     noise = 2 * n + 2
+    floor = (one >> small) ** 2  # |z|^2 at scale 2^2F: no root lies below 2^-small
     for starts, pairs in tries + [(starts, 0)]:
         free = n - pairs  # the iterated roots; the mirrors of the first pairs follow
         starts = starts + [s.conjugate() for s in starts[:pairs]]
         zx = [int(mp.ldexp(s.real, F)) for s in starts]
         zy = [int(mp.ldexp(s.imag, F)) for s in starts]
         converged = [False] * free
+        last = [0] * free  # each root's |previous correction|^2; 0 before the first
         done = False
         for _ in range(max_sweeps):
             done = True
@@ -368,6 +378,7 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
                 if q == 0 or hits > 1:
                     bump = (one + az) >> (prec // 2)
                     zx[k], zy[k] = x + 3 * bump, y + 2 * bump
+                    last[k] = 0
                 else:
                     wx = ((px * dx + py * dy) << F) // q
                     wy = ((py * dx - px * dy) << F) // q
@@ -377,8 +388,13 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
                     if d:
                         wx, wy = ((wx * rx + wy * ry) << F) // d, ((wy * rx - wx * ry) << F) // d
                     zx[k], zy[k] = x - wx, y - wy
-                    t = (one + math.isqrt(zx[k] ** 2 + zy[k] ** 2)) >> (prec - 10)
-                    converged[k] = wx * wx + wy * wy < t * t
+                    # stop on a correction below 2^-(prec-10) |z|, or on one whose
+                    # quadratic rate predicts a next one, |delta|^3 / |delta_prev|^2,
+                    # below 2^-(prec+4) |z| (both compared squared, in integers)
+                    dd, zz = wx * wx + wy * wy, max(zx[k] ** 2 + zy[k] ** 2, floor)
+                    converged[k] = (dd << 2 * prec - 20 < zz
+                                    or dd ** 3 << 2 * prec + 8 < zz * last[k] ** 2)
+                    last[k] = dd
                 done = done and converged[k]
                 if k < pairs:
                     zx[free + k], zy[free + k] = zx[k], -zy[k]
@@ -397,45 +413,6 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
             out.append(mpc(mpf(((x + half) >> g, g - F)), mpf(((y + half) >> g, g - F))))
         out += [z.conjugate() for z in out[:pairs]]  # exact: no part has more than prec bits
     return out, done
-
-
-def _radius(gauss, z, prec):
-    """A bound r with a root of p within r of z: n (|p| + e_p) / (|p'| - e_d),
-    rounded up, where p(z) and p'(z) are evaluated in integers at scale 2^t,
-    t >= prec plus guard bits and fine enough to hold z exactly, and e_p,
-    e_d bound their truncation errors, which grow only where a shift drops
-    nonzero bits.  0 at an exact root; inf where |p'(z)| is not bounded away
-    from 0, or where z or a coefficient is not finite (gauss is None)."""
-    dyadic = _dyadic([z.re, z.im])
-    if gauss is None or dyadic is None:
-        return mpf("inf")
-    n = len(gauss) - 1
-    (x, y), low = dyadic
-    t = max(prec + 8 + 2 * n.bit_length(), -low)
-    x, y = x << (low + t), y << (low + t)
-    xy, yx = x + y, y - x
-    az = math.isqrt(x * x + y * y) + 1  # > |z| 2^t
-    mask = (1 << t) - 1
-    px, py = gauss[-1][0] << t, gauss[-1][1] << t
-    dx = dy = ep = ed = 0
-    for a, b in reversed(gauss[:-1]):
-        # Horner's rule for p' and p, each complex product with three integer
-        # products as in _aberth_fixed; e <- ceil(e |z|) (+ e_p for p'),
-        # plus 2 units where the shift drops nonzero bits
-        k = x * (dx + dy)
-        rx, ry = k - dy * xy, k + dx * yx
-        ed = -(-ed * az >> t) + ep + (2 if (rx | ry) & mask else 0)
-        dx, dy = (rx >> t) + px, (ry >> t) + py
-        k = x * (px + py)
-        rx, ry = k - py * xy, k + px * yx
-        ep = -(-ep * az >> t) + (2 if (rx | ry) & mask else 0)
-        px, py = (rx >> t) + (a << t), (ry >> t) + (b << t)
-    if not (px or py or ep):
-        return mpf(0)
-    den = math.isqrt(dx * dx + dy * dy) - ed
-    if den <= 0:
-        return mpf("inf")
-    return mp.fdiv(n * (math.isqrt(px * px + py * py) + 1 + ep), den, prec=53, rounding="u")
 
 
 def _with_radii(gauss, points, prec, circle):
@@ -458,8 +435,14 @@ def _circle_roots(orders, prec):
     """(point, radius, True) for each root of the stripped factors, one copy
     per multiplicity.  The radius is _radius on the factor, not on p: it is
     square-free, so the bound is finite where p's is inf at a multiple root."""
-    return [t for m in orders for t in _with_radii(
-        [(c, 0) for c in _shifted_cyclotomic(m)], _circle_points(m, prec), prec, True)]
+    return [t for m in orders for t in _factor_roots(m, prec)]
+
+
+@cache
+def _factor_roots(m, prec):
+    """_circle_roots of one factor, as a tuple: members share the orders."""
+    return tuple(_with_radii([(c, 0) for c in _shifted_cyclotomic(m)],
+                             _circle_points(m, prec), prec, True))
 
 
 def _finalize(coeffs, roots_mpc, zero_mult, prec, converged, circle=()):
@@ -552,16 +535,24 @@ def min_disc_root(root_set, lam=1, positive_imag=False):
     """The nonzero root minimizing |lam + v| and its distance.
 
     With positive_imag, only roots with Im > 0 are considered (picks one
-    representative of a conjugate pair).
+    representative of a conjugate pair).  mpmath measures only the roots
+    whose float distance d is within 2^-30 (lam + d) of the float minimum,
+    far above the float error of either (every root where one is nan), so
+    the same first root at the least distance comes out.
     """
     prec = root_set.precision
     with mp.workprec(prec):
         lamv = _positive_lambda(lam)
+        roots = [z for z in root_set.roots if z.im > 0 or not positive_imag]
+        lamf = float(lamv)
+        floats = [math.hypot(lamf + float(z.re), float(z.im)) for z in roots]
+        if not any(map(math.isnan, floats)):
+            cut = min(floats, default=0.0)
+            roots = [z for z, d in zip(roots, floats)
+                     if d <= cut + 2.0 ** -30 * (lamf + d) + _TIE_FLOOR]
         best = None
         best_d = None
-        for z in root_set.roots:
-            if positive_imag and not z.im > 0:
-                continue
+        for z in roots:
             d = abs(lamv + z.to_mpc())
             if best_d is None or d < best_d:
                 best, best_d = z, d

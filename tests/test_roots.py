@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -42,6 +42,7 @@ from relzeros.polycore import _shifted_cyclotomic, _strip_circle_factors, as_com
 from relzeros.roots import (
     MAX_SWEEPS,
     NonconvergenceError,
+    RootSet,
     _collapse_hardware,
     _half_angle_circle,
     _hardware_rows,
@@ -527,6 +528,19 @@ class TestGaussianIntegerLoop:
                         err = min(abs(z.to_mpc() - r) for z in rs.roots)
                         assert err <= mpf(2) ** -(prec - 20) * abs(r), (prec, err / abs(r))
 
+    @pytest.mark.parametrize("factors, tiny", [
+        ([[1, 0, 2 ** 300], [-3, 1]], lambda: [mpc(0, s) * mpf(2) ** -150 for s in (1, -1)]),
+        ([[-3, 2 ** 500], [1, 1]], lambda: [3 * mpf(2) ** -500]),
+    ])
+    def test_tiny_roots_stop_on_a_relative_correction(self, factors, tiny):
+        # +-i 2^-150 and 3 * 2^-500 lie far below 2^-(prec-10): a correction
+        # below that (1 + |z|) once stopped them with relative error up to 5.8e8
+        prec = 128
+        rs = find_roots(multiply(*factors), prec)
+        with mp.workprec(prec + 64):
+            for r in tiny():
+                assert min(abs(z.to_mpc() - r) for z in rs.roots) <= mpf(2) ** -(prec - 2) * abs(r)
+
     def test_non_finite_coefficient_never_converges(self):
         with pytest.raises(NonconvergenceError) as exc:
             find_roots([ComplexPoint(math.nan, 0), ComplexPoint(1, 0), ComplexPoint(1, 0)], 53)
@@ -687,6 +701,51 @@ def test_real_input_gives_exact_conjugate_pairs(coeffs):
                            for z, e in zip(rs.roots, rs.error_radii)), (prec, complex(w))
 
 
+@st.composite
+def planted_scaled_polys(draw):
+    """Integer polynomials with one to four planted factors, for real roots
+    x / (3 2^s) and pairs (x +- iy) / (3 2^s), |x|, y < 2^8 and s = 3..199:
+    moduli from about 2^-200 to 2^4, none of them dyadic.  Returns the
+    coefficients and the planted roots as (x, y, 3 2^s)."""
+    factors = draw(st.lists(
+        st.tuples(st.integers(3, 199), st.integers(-255, 255), st.integers(0, 255)),
+        min_size=1, max_size=4, unique_by=lambda f: (Fraction(f[1], 3 << f[0]),
+                                                     Fraction(f[2], 3 << f[0]))))
+    coeffs, planted = [1], []
+    for s, x, y in factors:
+        assume(x or y)
+        a = 3 << s
+        if y:
+            coeffs = multiply(coeffs, [x * x + y * y, -2 * a * x, a * a])
+            planted += [(x, y, a), (x, -y, a)]
+        else:
+            coeffs = multiply(coeffs, [-x, a])
+            planted.append((x, 0, a))
+    return coeffs, planted
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=planted_scaled_polys())
+def test_planted_roots_of_any_scale_keep_the_precision(case):
+    # each planted root lies within the radius of the nearest root found,
+    # and within 2^-(prec-2) |zeta| of it, the stop rules being relative to
+    # |z|; plus, where the rounding-noise stop |p(z)| <= (2n+2) 2^-prec
+    # sum |c_k||z|^k ends a root before that, twice the error it allows
+    coeffs, planted = case
+    n = len(coeffs) - 1
+    for prec in (128, 256):
+        rs = find_roots(coeffs, prec)
+        with mp.workprec(1100):
+            for x, y, a in planted:
+                r = mpc(x, y) / a
+                d, e = min((abs(z.to_mpc() - r), e) for z, e in zip(rs.roots, rs.error_radii))
+                bound = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
+                slope = abs(sum(k * c * r ** (k - 1) for k, c in enumerate(coeffs) if k))
+                noise = 2 * (2 * n + 2) * mpf(2) ** -prec * bound / slope
+                assert d <= e, (prec, x, y, a)
+                assert d <= mpf(2) ** -(prec - 2) * abs(r) + noise, (prec, x, y, a)
+
+
 class TestConjugatePairs:
     def test_member_roots_come_in_exact_conjugate_pairs(self, families):
         rs = families.roots("b", 6, 1)
@@ -773,6 +832,25 @@ class TestCircleRoots:
         assert disc_verdict(rs, 1) == "holds"
         assert "inf" not in {r["err"] for r in out["roots"]}
         assert out["violation"] is False and out["min_disc_distance"] == "1.0"
+
+
+    def test_circle_roots_are_memoized_per_order_and_precision(self):
+        # (1+v)^6 - 1 has the orders 2, 3 and 6, its square each twice: a
+        # second solve at one precision reads every factor's roots from the
+        # memo, which keeps one entry per (m, prec)
+        memo = roots_module._factor_roots
+        memo.cache_clear()
+        bundle = list(shifted_power(6).coeffs)
+        p, q = multiply(bundle, [-5, 1]), multiply(multiply(bundle, bundle), [7, 1])
+        first = find_roots(p, 256)
+        assert memo.cache_info()[:2] == (0, 3)  # (hits, misses)
+        assert find_roots(p, 256) == first
+        assert memo.cache_info()[:2] == (3, 3)
+        find_roots(q, 256)
+        assert memo.cache_info()[:2] == (9, 3)
+        find_roots(q, 128)
+        assert memo.cache_info()[:2] == (12, 6)
+        assert memo.cache_info().currsize == 6
 
 
 @st.composite
@@ -886,6 +964,72 @@ class TestMinDiscDistance:
         rs = find_roots(K4_UNIVARIATE)
         with pytest.raises(ValueError):
             min_disc_distance(rs, 0)
+
+
+def reference_min_disc_root(root_set, lam=1, positive_imag=False):
+    """min_disc_root as the exhaustive mpmath loop over every root: (None,
+    None) where no root is a candidate."""
+    with mp.workprec(root_set.precision):
+        lamv = mpf(lam)
+        best = best_d = None
+        for z in root_set.roots:
+            if positive_imag and not z.im > 0:
+                continue
+            d = abs(lamv + z.to_mpc())
+            if best_d is None or d < best_d:
+                best, best_d = z, d
+        return best, best_d
+
+
+@st.composite
+def near_tie_root_sets(draw):
+    """RootSets at 128 or 256 bits built from a few points (x + iy)/16 +
+    (u + iw) 2^-70, past the float grid, each with, at will, its exact
+    conjugate (an exact tie of |lam + v|) and copies moved by 2^-k, k =
+    40..250 (near ties that floats round apart or together), in a shuffled
+    order; sometimes with a nan root or one past the float range."""
+    prec = draw(st.sampled_from([128, 256]))
+    points = []
+    coords = st.tuples(st.integers(-64, 64), st.integers(-64, 64),
+                       st.integers(-2 ** 30, 2 ** 30), st.integers(-2 ** 30, 2 ** 30))
+    for x, y, u, w in draw(st.lists(coords, min_size=1, max_size=4)):
+        with mp.workprec(prec):
+            z = mpc(x, y) / 16 + mpc(u, w) * mpf(2) ** -70
+            points.append(z)
+            if draw(st.booleans()):
+                points.append(z.conjugate())
+            for k, dx, dy in draw(st.lists(st.tuples(st.integers(40, 250), st.integers(-1, 1),
+                                                     st.integers(-1, 1)), max_size=3)):
+                points.append(z + mpc(dx, dy) * mpf(2) ** -k)
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from([mpc("nan", "nan"), mpc("nan", 1), mpc("-1e400", 1)])))
+    points = draw(st.permutations(points))
+    return RootSet(draw(st.integers(0, 2)), [ComplexPoint.from_mpc(z, prec) for z in points],
+                   [mpf(0)] * len(points), prec)
+
+
+def float_reversed_pair():
+    """Two roots whose |1 + v| floats order the wrong way round: the second
+    is nearer -1, by about 2^-56, and its float distance is an ulp larger."""
+    with mp.workprec(128):
+        z = mpc(-3, -41) / 16 + mpc(749554214, -819864138) * mpf(2) ** -70
+        points = [z + mpc(-1, -1) * mpf(2) ** -56, z]
+    return RootSet(0, [ComplexPoint.from_mpc(z, 128) for z in points], [mpf(0)] * 2, 128)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rs=near_tie_root_sets(), lam=st.sampled_from([1, 0.5, 2, "0.3", "1e-5"]),
+       positive_imag=st.booleans())
+@example(rs=float_reversed_pair(), lam=1, positive_imag=False)
+def test_screened_min_disc_root_matches_the_exhaustive_loop(rs, lam, positive_imag):
+    want, want_d = reference_min_disc_root(rs, lam, positive_imag)
+    if want is None:
+        with pytest.raises(ValueError):
+            min_disc_root(rs, lam, positive_imag)
+        return
+    got, got_d = min_disc_root(rs, lam, positive_imag)
+    assert got is want
+    assert got_d == want_d or (mp.isnan(got_d) and mp.isnan(want_d))
 
 
 class TestDiscDecision:
