@@ -533,8 +533,9 @@ class TestGaussianIntegerLoop:
         ([[-3, 2 ** 500], [1, 1]], lambda: [3 * mpf(2) ** -500]),
     ])
     def test_tiny_roots_stop_on_a_relative_correction(self, factors, tiny):
-        # +-i 2^-150 and 3 * 2^-500 lie far below 2^-(prec-10): a correction
-        # below that (1 + |z|) once stopped them with relative error up to 5.8e8
+        # +-i 2^-150 and 3 * 2^-500 lie far below 2^-(prec-10): stopped on a
+        # correction below 2^-(prec-10) (1 + |z|), an absolute rule, the pair
+        # comes out with relative error 5.8e8
         prec = 128
         rs = find_roots(multiply(*factors), prec)
         with mp.workprec(prec + 64):
@@ -832,7 +833,6 @@ class TestCircleRoots:
         assert disc_verdict(rs, 1) == "holds"
         assert "inf" not in {r["err"] for r in out["roots"]}
         assert out["violation"] is False and out["min_disc_distance"] == "1.0"
-
 
     def test_circle_roots_are_memoized_per_order_and_precision(self):
         # (1+v)^6 - 1 has the orders 2, 3 and 6, its square each twice: a
