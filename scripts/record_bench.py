@@ -9,7 +9,7 @@ checkout in turn runs
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
 where T is the run_seconds of BENCHMARK.json.  Then each checkout in turn
-times three runs of each of
+times ten runs of each of
 
     python3 -m relzeros reproduce --suite all --json     (key "reproduce")
     python3 -m relzeros roots k6:20:20                   (key "roots_k6_20_20")
@@ -50,7 +50,7 @@ TIMED = {
     "reproduce": ["reproduce", "--suite", "all", "--json"],
     "roots_k6_20_20": ["roots", "k6:20:20"],
 }
-TIMED_RUNS = 3
+TIMED_RUNS = 10
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
             "__pycache__": "removed under src/ and bench/ before the first run"}
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")

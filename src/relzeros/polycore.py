@@ -6,9 +6,7 @@ far past what doubles or 64-bit integers can hold exactly.  Rounding enters
 only when a bivariate polynomial is collapsed at a numeric point, in
 mpmath at that point's precision.  A :class:`ComplexPoint` carries such a
 value with the precision (in bits) it was computed at; it has no
-arithmetic of its own, and _dyadic turns mpf values into exact integers,
-on which _radius bounds the distance from a point to a root of a
-polynomial with Gaussian-integer coefficients.
+arithmetic of its own, and _dyadic turns mpf values into exact integers.
 Exact helpers on low-to-high coefficient lists shift the variable by +-1
 and divide out the shifted cyclotomic factors, whose roots lie exactly on
 |1 + v| = 1 and come in closed form from _circle_points; the candidate
@@ -107,47 +105,6 @@ def _dyadic(xs):
     low = min((exp for _, man, exp, _ in parts if man), default=0)
     return [(-man if sign else man) << (exp - low) if man else 0
             for sign, man, exp, _ in parts], low
-
-
-def _radius(gauss, z, prec):
-    """A bound r with a root of p within r of z, where gauss holds p's
-    coefficients, low to high, as (re, im) integer pairs: n (|p| + e_p) /
-    (|p'| - e_d), rounded up, where p(z) and p'(z) are evaluated in integers
-    at scale 2^t, t >= prec plus guard bits and fine enough to hold z
-    exactly, and e_p, e_d bound their truncation errors, which grow only
-    where a shift drops nonzero bits.  0 at an exact root; inf where |p'(z)|
-    is not bounded away from 0, or where z or a coefficient is not finite
-    (gauss is None)."""
-    dyadic = _dyadic([z.re, z.im])
-    if gauss is None or dyadic is None:
-        return mpf("inf")
-    n = len(gauss) - 1
-    (x, y), low = dyadic
-    t = max(prec + 8 + 2 * n.bit_length(), -low)
-    x, y = x << (low + t), y << (low + t)
-    xy, yx = x + y, y - x
-    az = isqrt(x * x + y * y) + 1  # > |z| 2^t
-    mask = (1 << t) - 1
-    px, py = gauss[-1][0] << t, gauss[-1][1] << t
-    dx = dy = ep = ed = 0
-    for a, b in reversed(gauss[:-1]):
-        # Horner's rule for p' and p, each complex product with three integer
-        # products as in roots._aberth_fixed; e <- ceil(e |z|) (+ e_p for p'),
-        # plus 2 units where the shift drops nonzero bits
-        k = x * (dx + dy)
-        rx, ry = k - dy * xy, k + dx * yx
-        ed = -(-ed * az >> t) + ep + (2 if (rx | ry) & mask else 0)
-        dx, dy = (rx >> t) + px, (ry >> t) + py
-        k = x * (px + py)
-        rx, ry = k - py * xy, k + px * yx
-        ep = -(-ep * az >> t) + (2 if (rx | ry) & mask else 0)
-        px, py = (rx >> t) + (a << t), (ry >> t) + (b << t)
-    if not (px or py or ep):
-        return mpf(0)
-    den = isqrt(dx * dx + dy * dy) - ed
-    if den <= 0:
-        return mpf("inf")
-    return mp.fdiv(n * (isqrt(px * px + py * py) + 1 + ep), den, prec=53, rounding="u")
 
 
 class ExactUniPoly:

@@ -1,53 +1,17 @@
 """Root finding and forbidden-disc analysis for connectivity polynomials.
 
-The root engine is simultaneous (Aberth-style) iteration: every root is
-updated with a Newton step corrected by mutual repulsion.  In hardware
-floats it starts from a circle of radius (|c0/cn|)^(1/n) with angular
-offsets (2*pi*k + 0.7)/n.  A root stops iterating once |p(z)| provably
-sits inside the rounding noise of the evaluation itself, at which point
-further sweeps cannot improve it, or once its correction is below
-2^-(prec-10)*(1+|z|).  Above 53 bits (and at 53 bits when the float pass
-gives no result) the iteration runs in fixed point on Python integers:
-coefficients become exact Gaussian integers, roots are integer pairs at a
-scale of 2^F, fine enough to hold the smallest root (and past 2^prec the
-reciprocal of the largest) to the precision plus guard bits, and each
-product is shifted back to that scale (a complex product takes three
-integer products, not four).  There the noise rule stays and the
-correction rules are relative, so a root far below 1 keeps its precision
-too: a root stops on a correction delta below 2^-(prec-10)*|z|, or on one
-whose quadratic rate predicts a next correction |delta|^3/|delta_prev|^2
-below 2^-(prec+4)*|z|, which saves the sweep that would only confirm it.
-Here |z| is floored at the lower bound on every root's modulus that F is
-sized for.
-
-The fixed-point loop is warm-started from a float solve.  For exact
-integer coefficients that solve runs in u = 1 + v on the Taylor shift
-q(u) = p(u - 1), with q's exact zero roots started at v = -1: the family
-members' roots crowd |1 + v| = 1, so q's coefficients span a few bits
-where p's span dozens, and the float roots land next to the true ones.
-At 53 bits these float roots are the result, and only where that solve
-fails does the float solve in v take over.  Other coefficients are solved
-in v, where their roots (branch fits, locus samples) need fewer sweeps.
-A failed float solve falls back to one start circle per edge of the upper
-hull of (i, log|c_i|), which is the single circle above whenever that
-hull is one segment.
-
-Real coefficients have their roots in conjugate pairs, so the fixed-point
-loop iterates one root per pair: the float starts split into those above
-the real axis, their mirrors below, and the near-real ones with
-|Im z| <= 2^-20 (1 + |z|).  Each upper root stands for itself and for its
-conjugate, which enters the repulsion sums and the output as its exact
-mirror; near-real roots iterate as free complex roots, so none is forced
-onto the axis.  Where the starts do not split evenly, or the mirrored loop
-does not converge, every root iterates from the same starts.
-
-Output roots are rounded to the precision.  Each error radius
-n|p(z)|/|p'(z)| is a bound, whatever the precision: p(z) and p'(z) are
-evaluated in integers on a grid that holds z exactly, with a bound on the
-truncation error carried beside them.  It is 0 at an exact root and inf
-where p'(z) cannot be told from 0, and the disc verdicts compare it with
-the disc in integers.  For real coefficients a root within r of z puts
-one within r of conj(z), so an exact conjugate pair shares one radius.
+find_roots runs the Aberth engine of relzeros.aberth: a float solve, then,
+above 53 bits (and at 53 bits when the float pass gives no result), the
+fixed-point loop on Gaussian integers, warm-started from the float roots,
+and an error radius for every root.  For exact integer coefficients the
+float solve runs in u = 1 + v on the Taylor shift q(u) = p(u - 1), with
+q's exact zero roots started at v = -1: the family members' roots crowd
+|1 + v| = 1, so q's coefficients span a few bits where p's span dozens,
+and the float roots land next to the true ones.  At 53 bits these float
+roots are the result, and only where that solve fails does the float
+solve in v take over.  Other coefficients are solved in v, where their
+roots (branch fits, locus samples) need fewer sweeps.  A failed float
+solve leaves the fixed-point loop to start from circles.
 
 The zero root is never iterated: low-order exactly-zero coefficients are
 stripped symbolically, so v = 0 sits exactly on every disc boundary
@@ -69,15 +33,14 @@ A LocusCurve keeps its roots as Python complex at every precision; above
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from functools import cache
 
 from mpmath import mp, mpc, mpf
 
+from .aberth import MAX_SWEEPS, _aberth_fixed, _aberth_hardware, _gaussian_integers, _with_radii
 from .polycore import (
     MIN_PRECISION,
     ComplexPoint,
@@ -86,7 +49,6 @@ from .polycore import (
     as_complex_point,
     _circle_points,
     _dyadic,
-    _radius,
     _shifted_cyclotomic,
     _strip_circle_factors,
     taylor_shift,
@@ -94,7 +56,6 @@ from .polycore import (
 
 AUTO_HIGH_PRECISION = 256
 MAX_DECISION_PRECISION = 1024
-MAX_SWEEPS = 500
 
 
 class ZeroPolynomialError(ValueError):
@@ -222,227 +183,12 @@ def _shifted_starts(coeffs):
     return starts
 
 
-def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
-    n = len(cs) - 1
-    r = abs(cs[0] / cs[-1]) ** (1.0 / n)
-    z = [r * cmath.exp(1j * (2 * math.pi * k + 0.7) / n) for k in range(n)]
-    tol = 2.0 ** -(MIN_PRECISION - 10)
-    noise = (2 * n + 2) * 2.0 ** -MIN_PRECISION
-    top, top_mag = cs[-1], abs(cs[-1])
-    rest = [(c, abs(c)) for c in reversed(cs[:-1])]
-    converged = [False] * n
-    for _ in range(max_sweeps):
-        done = True
-        for k, zk in enumerate(z):
-            if converged[k]:
-                continue
-            az = abs(zk)
-            pv = top
-            dv = 0.0
-            em = top_mag
-            for c, m in rest:
-                dv = dv * zk + pv
-                pv = pv * zk + c
-                em = em * az + m
-            if abs(pv) <= noise * em:
-                if em == math.inf:  # a bound of inf would pass any point
-                    raise OverflowError("Horner bound overflows a float")
-                converged[k] = True
-                continue
-            s = 0.0
-            collided = False
-            for j, zj in enumerate(z):
-                if j != k:
-                    d = zk - zj
-                    if d == 0:
-                        collided = True
-                        break
-                    s += 1 / d
-            if dv == 0 or collided:
-                z[k] = zk + (0.75 + 0.5j) * (1 + az) * 2.0 ** -26
-                done = False
-                continue
-            w = pv / dv
-            den = 1 - w * s
-            delta = w if den == 0 else w / den
-            z[k] = zk - delta
-            if abs(delta) < tol * (1 + abs(z[k])):
-                converged[k] = True
-            else:
-                done = False
-        if done:
-            return z, True
-    return z, False
-
-
-def _gaussian_integers(coeffs):
-    """coeffs times one power of two, as exact (re, im) integer pairs (a
-    common factor does not move the roots); None if one is not finite."""
-    if isinstance(coeffs[0], int):
-        return [(c, 0) for c in coeffs]
-    dyadic = _dyadic([x for c in coeffs for x in (c.re, c.im)])
-    if dyadic is None:
-        return None
-    vals, _ = dyadic
-    return list(zip(vals[::2], vals[1::2]))
-
-
-def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
-    """Aberth on Gaussian integers: each root is an (x, y) pair standing for
-    (x + iy) / 2^F, and every product is rounded back to that scale.
-
-    For real coefficients the loop first iterates one root per conjugate
-    pair of float starts (and the near-real starts as free roots), with each
-    pair root's exact mirror in the repulsion sums and in the output; if the
-    starts do not split evenly or that does not converge, it iterates every
-    root from the same starts."""
-    n = len(gauss) - 1
-    # every |z| > 2^-small (Fujiwara's bound on 1/z, 2^(b-1) <= |c| < 2^(b+1)), so even the
-    # smallest root keeps prec bits plus guard bits for the n roundings of a Horner pass;
-    # every |z| < 2^big, and past 2^prec the grid must also hold 1/z to keep w*s accurate
-    bits = [max(abs(x), abs(y)).bit_length() for x, y in gauss]
-    small = 1 + max(0, max(-((bits[0] - b - 2) // i) for i, b in enumerate(bits) if i and b))
-    big = 1 + max(-((bits[n] - b - 2) // (n - i)) for i, b in enumerate(bits[:n]) if b)
-    F = prec + 8 + 2 * n.bit_length() + small + max(0, big - prec)
-    one = 1 << F
-    cs = [(a << F, b << F, math.isqrt(a * a + b * b) << F) for a, b in reversed(gauss)]
-    top, rest = cs[0], cs[1:]
-    tries = []
-    if starts is None:
-        # one circle per edge i..j of the upper hull of (i, log|c_i|), radius
-        # |c_i/c_j|^(1/(j-i)), for the j - i roots of about that modulus
-        mags = [m for _, _, m in reversed(cs)]
-        logs = {i: math.log(m) for i, m in enumerate(mags) if m}
-        hull = []
-        for j in logs:
-            while len(hull) > 1 and ((logs[hull[-1]] - logs[hull[-2]]) * (j - hull[-2])
-                                     <= (logs[j] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
-                hull.pop()
-            hull.append(j)
-        starts = []
-        with mp.workprec(F):
-            for i, j in zip(hull, hull[1:]):
-                r = (mpf(mags[i]) / mags[j]) ** (mpf(1) / (j - i))
-                starts += [r * mp.expj((2 * mp.pi * k + mpf("0.7")) / (j - i))
-                           for k in range(j - i)]
-    elif not any(b for _, b in gauss):
-        # real coefficients: one root per conjugate pair of starts, if as
-        # many lie above the real axis as below, and the near-real ones
-        band = [2.0 ** -20 * (1 + abs(z)) for z in starts]
-        upper = [z for z, e in zip(starts, band) if z.imag > e]
-        near = [z for z, e in zip(starts, band) if abs(z.imag) <= e]
-        if upper and 2 * len(upper) + len(near) == n:
-            tries = [(upper + near, len(upper))]
-    noise = 2 * n + 2
-    floor = (one >> small) ** 2  # |z|^2 at scale 2^2F: no root lies below 2^-small
-    for starts, pairs in tries + [(starts, 0)]:
-        free = n - pairs  # the iterated roots; the mirrors of the first pairs follow
-        starts = starts + [s.conjugate() for s in starts[:pairs]]
-        zx = [int(mp.ldexp(s.real, F)) for s in starts]
-        zy = [int(mp.ldexp(s.imag, F)) for s in starts]
-        converged = [False] * free
-        last = [0] * free  # each root's |previous correction|^2; 0 before the first
-        done = False
-        for _ in range(max_sweeps):
-            done = True
-            for k in range(free):
-                if converged[k]:
-                    continue
-                x, y = zx[k], zy[k]
-                xy, yx = x + y, y - x
-                az = math.isqrt(x * x + y * y)
-                px, py, em = top
-                dx = dy = 0
-                for a, b, m in rest:
-                    # (px + i py)(x + iy) with three products: k = x(px + py),
-                    # re = k - py(x + y), im = k + px(y - x)
-                    k1, k2 = x * (dx + dy), x * (px + py)
-                    dx, dy = ((k1 - dy * xy) >> F) + px, ((k1 + dx * yx) >> F) + py
-                    px, py = ((k2 - py * xy) >> F) + a, ((k2 + px * yx) >> F) + b
-                    em = (em * az >> F) + m
-                t = noise * em >> prec
-                if px * px + py * py <= t * t:
-                    converged[k] = True
-                    continue
-                q = dx * dx + dy * dy
-                hits = 0
-                sx = sy = 0
-                for ux, uy in zip(zx, zy):
-                    ex, ey = x - ux, y - uy
-                    d = ex * ex + ey * ey
-                    if d:
-                        sx += (ex << 2 * F) // d
-                        sy -= (ey << 2 * F) // d
-                    else:
-                        hits += 1
-                if q == 0 or hits > 1:
-                    bump = (one + az) >> (prec // 2)
-                    zx[k], zy[k] = x + 3 * bump, y + 2 * bump
-                    last[k] = 0
-                else:
-                    wx = ((px * dx + py * dy) << F) // q
-                    wy = ((py * dx - px * dy) << F) // q
-                    rx = one - ((wx * sx - wy * sy) >> F)
-                    ry = -((wx * sy + wy * sx) >> F)
-                    d = rx * rx + ry * ry
-                    if d:
-                        wx, wy = ((wx * rx + wy * ry) << F) // d, ((wy * rx - wx * ry) << F) // d
-                    zx[k], zy[k] = x - wx, y - wy
-                    # stop on a correction below 2^-(prec-10) |z|, or on one whose
-                    # quadratic rate predicts a next one, |delta|^3 / |delta_prev|^2,
-                    # below 2^-(prec+4) |z| (both compared squared, in integers)
-                    dd, zz = wx * wx + wy * wy, max(zx[k] ** 2 + zy[k] ** 2, floor)
-                    converged[k] = (dd << 2 * prec - 20 < zz
-                                    or dd ** 3 << 2 * prec + 8 < zz * last[k] ** 2)
-                    last[k] = dd
-                done = done and converged[k]
-                if k < pairs:
-                    zx[free + k], zy[free + k] = zx[k], -zy[k]
-            if done:
-                break
-        if done:
-            break
-    # round each root to prec bits of its larger part, as one complex value:
-    # the guard bits' noise goes, so a real root comes out real and a root
-    # with a short dyadic expansion exact
-    out = []
-    with mp.workprec(prec):
-        for x, y in zip(zx[:free], zy):
-            g = max(max(abs(x), abs(y)).bit_length() - prec, 0)
-            half = (1 << g) >> 1
-            out.append(mpc(mpf(((x + half) >> g, g - F)), mpf(((y + half) >> g, g - F))))
-        out += [z.conjugate() for z in out[:pairs]]  # exact: no part has more than prec bits
-    return out, done
-
-
-def _with_radii(gauss, points, prec, circle):
-    """(z, _radius at z, circle) for each point z, with one _radius per
-    conjugate pair where the coefficients are real: then a root within r of
-    z is also one within r of conj(z)."""
-    real = gauss is not None and not any(b for _, b in gauss)
-    radii = {}
-    out = []
-    for z in points:
-        with mp.workprec(prec):  # exact: no part of a point has more than prec bits
-            key = (z.re, abs(z.im) if real else z.im)
-        if key not in radii:
-            radii[key] = _radius(gauss, z, prec)
-        out.append((z, radii[key], circle))
-    return out
-
-
 def _circle_roots(orders, prec):
     """(point, radius, True) for each root of the stripped factors, one copy
     per multiplicity.  The radius is _radius on the factor, not on p: it is
     square-free, so the bound is finite where p's is inf at a multiple root."""
-    return [t for m in orders for t in _factor_roots(m, prec)]
-
-
-@cache
-def _factor_roots(m, prec):
-    """_circle_roots of one factor, as a tuple: members share the orders."""
-    return tuple(_with_radii([(c, 0) for c in _shifted_cyclotomic(m)],
-                             _circle_points(m, prec), prec, True))
+    return [t for m in orders for t in _with_radii(
+        [(c, 0) for c in _shifted_cyclotomic(m)], _circle_points(m, prec), prec, True)]
 
 
 def _finalize(coeffs, roots_mpc, zero_mult, prec, converged, circle=()):
@@ -535,24 +281,16 @@ def min_disc_root(root_set, lam=1, positive_imag=False):
     """The nonzero root minimizing |lam + v| and its distance.
 
     With positive_imag, only roots with Im > 0 are considered (picks one
-    representative of a conjugate pair).  mpmath measures only the roots
-    whose float distance d is within 2^-30 (lam + d) of the float minimum,
-    far above the float error of either (every root where one is nan), so
-    the same first root at the least distance comes out.
+    representative of a conjugate pair).
     """
     prec = root_set.precision
     with mp.workprec(prec):
         lamv = _positive_lambda(lam)
-        roots = [z for z in root_set.roots if z.im > 0 or not positive_imag]
-        lamf = float(lamv)
-        floats = [math.hypot(lamf + float(z.re), float(z.im)) for z in roots]
-        if not any(map(math.isnan, floats)):
-            cut = min(floats, default=0.0)
-            roots = [z for z, d in zip(roots, floats)
-                     if d <= cut + 2.0 ** -30 * (lamf + d) + _TIE_FLOOR]
         best = None
         best_d = None
-        for z in roots:
+        for z in root_set.roots:
+            if positive_imag and not z.im > 0:
+                continue
             d = abs(lamv + z.to_mpc())
             if best_d is None or d < best_d:
                 best, best_d = z, d

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relzeros.polycore import MIN_PRECISION
-from relzeros.roots import MAX_SWEEPS, _aberth_hardware
+from relzeros.aberth import MAX_SWEEPS, _aberth_hardware
 
 
 # The loop before each |c| was computed once per call, kept verbatim.
