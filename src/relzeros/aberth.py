@@ -21,9 +21,9 @@ next correction |delta|^3/|delta_prev|^2 below 2^-(prec+4)*|z|, which
 saves the sweep that would only confirm it.  Here |z| is floored at the
 lower bound on every root's modulus that F is sized for.  The rate is
 trusted only where the previous correction was below 1/16 of the distance
-to the nearest other root: a root still far from its own, say one of a
-tight cluster started from a circle, first takes a step that is.  The
-loop starts from the caller's float roots; without them, it starts from
+to the nearest other root: a longer step, such as one from a far start
+into a tight cluster, says nothing of the rate near the root.  The loop
+starts from the caller's float roots; without them, it starts from
 one circle per edge of the upper hull of (i, log|c_i|), which is the
 single circle above whenever that hull is one segment.
 
