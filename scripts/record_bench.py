@@ -13,8 +13,12 @@ times ten runs of each of
 
     python3 -m relzeros reproduce --suite all --json     (key "reproduce")
     python3 -m relzeros roots k6:20:20                   (key "roots_k6_20_20")
+    python3 -m relzeros locus d --lambda 0.1 --samples 8192 --out /dev/null
+                                                         (key "locus_d_8192")
 
-with its own src/ on PYTHONPATH and its output sent to /dev/null.  Before
+with its own src/ on PYTHONPATH and its output sent to /dev/null; the third
+is the locus-53 workload's largest sweep as a user runs it, its CSV written
+to /dev/null.  Before
 the first run, the git-ignored __pycache__ directories under each
 checkout's src/ and bench/ are removed, and every subprocess runs with
 PYTHONDONTWRITEBYTECODE=1, so that each process compiles the checkout's
@@ -49,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMED = {
     "reproduce": ["reproduce", "--suite", "all", "--json"],
     "roots_k6_20_20": ["roots", "k6:20:20"],
+    "locus_d_8192": ["locus", "d", "--lambda", "0.1", "--samples", "8192", "--out", "/dev/null"],
 }
 TIMED_RUNS = 10
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",

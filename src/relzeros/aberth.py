@@ -9,6 +9,14 @@ stops iterating once |p(z)| provably sits inside the rounding noise of
 the evaluation itself, at which point further sweeps cannot improve it,
 or once its correction is below 2^-(prec-10)*(1+|z|).
 
+The float loop's arithmetic is fixed operation for operation: its roots
+are printed to the last bit (locus CSVs, 53-bit roots) and seed the
+fixed-point loop, some of whose roots stop at their float start, so any
+change of rounding moves outputs; tests/test_aberth_hardware.py holds it
+to an earlier form bit for bit.  Only the bookkeeping around it may
+change.  A locus sweep calls it tens of thousands of times at degree 1-6,
+so it stays one flat function: a Python call per root or per sweep shows.
+
 The fixed-point loop runs on Python integers: coefficients are exact
 Gaussian integers, roots are integer pairs at a scale of 2^F, fine enough
 to hold the smallest root (and past 2^prec the reciprocal of the largest)
@@ -65,16 +73,16 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
     noise = (2 * n + 2) * 2.0 ** -MIN_PRECISION
     top, top_mag = cs[-1], abs(cs[-1])
     rest = [(c, abs(c)) for c in reversed(cs[:-1])]
-    converged = [False] * n
+    mods = [abs(zk) for zk in z]  # |z_k|, taken where z_k is set
+    # one and 0j are what 1 and 0.0 convert to in complex arithmetic; as
+    # complex constants they skip the failed int and float methods
+    one = 1 + 0j
+    active = range(n)
     for _ in range(max_sweeps):
-        done = True
-        for k, zk in enumerate(z):
-            if converged[k]:
-                continue
-            az = abs(zk)
-            pv = top
-            dv = 0.0
-            em = top_mag
+        still = []
+        for k in active:
+            zk, az = z[k], mods[k]
+            pv, dv, em = top, 0j, top_mag
             for c, m in rest:
                 dv = dv * zk + pv
                 pv = pv * zk + c
@@ -82,31 +90,27 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
             if abs(pv) <= noise * em:
                 if em == math.inf:  # a bound of inf would pass any point
                     raise OverflowError("Horner bound overflows a float")
-                converged[k] = True
                 continue
-            s = 0.0
-            collided = False
-            for j, zj in enumerate(z):
-                if j != k:
-                    d = zk - zj
-                    if d == 0:
-                        collided = True
-                        break
-                    s += 1 / d
-            if dv == 0 or collided:
-                z[k] = zk + (0.75 + 0.5j) * (1 + az) * 2.0 ** -26
-                done = False
+            try:  # p'(z) = 0, or z on another root: bump z
+                w = pv / dv
+                s = 0j
+                for zj in z:
+                    if zj is not zk:  # every z_j is its own object
+                        s += one / (zk - zj)
+            except ZeroDivisionError:
+                zk = z[k] = zk + (0.75 + 0.5j) * (1 + az) * 2.0 ** -26
+                mods[k] = abs(zk)
+                still.append(k)
                 continue
-            w = pv / dv
-            den = 1 - w * s
+            den = one - w * s
             delta = w if den == 0 else w / den
-            z[k] = zk - delta
-            if abs(delta) < tol * (1 + abs(z[k])):
-                converged[k] = True
-            else:
-                done = False
-        if done:
+            zk = z[k] = zk - delta
+            az = mods[k] = abs(zk)
+            if not abs(delta) < tol * (1.0 + az):
+                still.append(k)
+        if not still:
             return z, True
+        active = still
     return z, False
 
 

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from operator import attrgetter
 
 from mpmath import mp, mpc, mpf
 
@@ -185,10 +186,13 @@ def _shifted_starts(coeffs):
 
 def _circle_roots(orders, prec):
     """(point, radius, True) for each root of the stripped factors, one copy
-    per multiplicity.  The radius is _radius on the factor, not on p: it is
-    square-free, so the bound is finite where p's is inf at a multiple root."""
-    return [t for m in orders for t in _with_radii(
-        [(c, 0) for c in _shifted_cyclotomic(m)], _circle_points(m, prec), prec, True)]
+    per multiplicity, each distinct order's radii computed once.  The radius
+    is _radius on the factor, not on p: it is square-free, so the bound is
+    finite where p's is inf at a multiple root."""
+    built = {m: _with_radii([(c, 0) for c in _shifted_cyclotomic(m)], _circle_points(m, prec),
+                            prec, True)
+             for m in dict.fromkeys(orders)}
+    return [t for m in orders for t in built[m]]
 
 
 def _finalize(coeffs, roots_mpc, zero_mult, prec, converged, circle=()):
@@ -401,27 +405,25 @@ def _half_angle_circle(lam, theta):
 
 
 def _hardware_rows(bipoly):
-    """Dense per-a-degree coefficient rows in b, as floats; None if unconvertible."""
-    na = bipoly.degree_a
-    rows = [None] * (na + 1)
+    """Dense per-a-degree coefficient rows in b, highest power first, as
+    floats; None if unconvertible."""
+    rows = [[] for _ in range(bipoly.degree_a + 1)]
     try:
         for (da, db), c in bipoly.terms.items():
             row = rows[da]
-            if row is None:
-                row = rows[da] = []
             if len(row) <= db:
                 row.extend([0.0] * (db + 1 - len(row)))
             row[db] = float(c)
     except OverflowError:
         return None
-    return rows
+    return [row[::-1] for row in rows]
 
 
 def _collapse_hardware(rows, w):
     out = []
     for row in rows:
         acc = 0j
-        for c in reversed(row or ()):
+        for c in row:
             acc = acc * w + c
         out.append(acc)
     return out
@@ -430,6 +432,7 @@ def _collapse_hardware(rows, w):
 # libm and mpmath may round |.| an ulp (or a subnormal ulp) apart; within
 # _TIE_BAND relative plus _TIE_FLOOR of a threshold, mpmath decides
 _TIE_BAND, _TIE_FLOOR = 2.0 ** -48, 2.0 ** -1060
+_real_imag = attrgetter("real", "imag")
 
 
 def _trim(mags, prec):
@@ -447,8 +450,7 @@ def _trim(mags, prec):
 def _solve_hardware(coeffs):
     """Trim, deflate and solve float coefficients at 53 bits: (top kept
     index, zero multiplicity, unsorted roots, converged)."""
-    mags = [abs(c) for c in coeffs]
-    hi, tie = _trim(mags, MIN_PRECISION)
+    hi, tie = _trim(list(map(abs, coeffs)), MIN_PRECISION)
     if tie:
         with mp.workprec(MIN_PRECISION):
             hi, _ = _trim([float(abs(mpc(c))) for c in coeffs], MIN_PRECISION)
@@ -522,15 +524,15 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     rows = _hardware_rows(work) if precision_bits == MIN_PRECISION else None
 
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
-    roots, flags, gaps = [], [], []
+    samples = []
     for theta in thetas:
         w = _half_angle_circle(lam, theta)
         sample = rows and _locus_sample_floats(_collapse_hardware(rows, w), lam, generic_degree)
         if not sample:  # a float collapse that leaves the float range is redone exactly
             cps = work.coefficients_in_a(ComplexPoint(w.real, w.imag, precision_bits))
             sample = _locus_sample(cps, lam, precision_bits, generic_degree)
-        for out, part in zip((roots, flags, gaps), sample):
-            out.append(part)
+        samples.append(sample)
+    roots, flags, gaps = map(list, zip(*samples))
     return LocusCurve(lam, thetas, roots, flags, gaps)
 
 
@@ -542,15 +544,16 @@ def _locus_sample_floats(coeffs, lam, generic_degree):
         if not math.isfinite(sum(map(abs, coeffs))):
             return None
         hi, zero_mult, roots, ok = _solve_hardware(coeffs)
-        roots.sort(key=lambda z: (z.real, z.imag))
+        roots.sort(key=_real_imag)
         dists = [abs(lam + z) for z in roots]
     except OverflowError:
         return None
     if not math.isfinite(sum(dists)):
         return None
     flags = [False] * zero_mult + [d < lam for d in dists]
+    band = lam * _TIE_BAND + _TIE_FLOOR
     for k, (z, d) in enumerate(zip(roots, dists), zero_mult):
-        if abs(d - lam) <= lam * _TIE_BAND + _TIE_FLOOR:
+        if abs(d - lam) <= band:
             with mp.workprec(MIN_PRECISION):
                 flags[k] = abs(mpf(lam) + mpc(z)) < lam
     return [0j] * zero_mult + roots, flags, hi < generic_degree or not ok

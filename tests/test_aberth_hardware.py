@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relzeros.polycore import MIN_PRECISION
+from relzeros import roots
+from relzeros.polycore import MIN_PRECISION, _strip_circle_factors
 from relzeros.aberth import MAX_SWEEPS, _aberth_hardware
 
 
@@ -114,3 +115,25 @@ def test_same_bits_as_reference(cs, max_sweeps):
 ])
 def test_collisions_match_reference(cs):
     assert bits(_aberth_hardware(cs)) == bits(reference_aberth_hardware(cs))
+
+
+# the seven mp-roots members, k6:1:6 and k6:20:20
+WARM_START_MEMBERS = [("b", 1, 7), ("b", 6, 1), ("d", 1, 9), ("b", 11, 1), ("b", 1, 12),
+                      ("d", 15, 1), ("d", 30, 1), ("k6", 1, 6), ("k6", 20, 20)]
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 2, 5, MAX_SWEEPS])
+@pytest.mark.parametrize("member", WARM_START_MEMBERS, ids=lambda m: "%s:%d:%d" % m)
+def test_warm_start_inputs_match_reference(families, monkeypatch, member, max_sweeps):
+    # the Taylor-shifted, deflated quotient that _shifted_starts solves in
+    # floats (degree 13-200), cut off early and run to the end
+    coeffs, _, _ = roots._normalize_coefficients(families.poly(*member))
+    coeffs, _ = _strip_circle_factors(coeffs)
+    seen = []
+    monkeypatch.setattr(roots, "_aberth_hardware", lambda cs: seen.append(cs) or ([], False))
+    roots._shifted_starts(coeffs)
+    [cs] = seen
+    assert len(cs) - 1 >= 13
+    got = bits(_aberth_hardware(cs, max_sweeps))
+    assert got == bits(reference_aberth_hardware(cs, max_sweeps))
+    assert got[1] == (max_sweeps == MAX_SWEEPS)

@@ -794,6 +794,26 @@ def test_planted_clusters_keep_the_precision(case):
         assert_planted_roots_found(coeffs, planted, prec, roots)
 
 
+@pytest.mark.xfail(strict=True, reason="the rounding-noise stop ends roots inside a tight cluster")
+@pytest.mark.parametrize("points", [[(1851624, 2), (1851624, 1), (1851627, 1)],
+                                    [(-1851625, 1), (-1851624, 1), (-1851627, 2)]])
+def test_planted_cluster_keeps_the_precision_at_128_bits(points):
+    # two inputs the property test above found: six roots (x +- iy) / (3 2^30)
+    # within 1e-9 of each other near |z| = 5.7e-4.  The noise stop
+    # |p(z)| <= (2n+2) 2^-128 sum |c_k||z|^k holds across a disc of radius
+    # about 8e-10 around the cluster, so the 128-bit roots stop warm from
+    # their float starts before they separate, and one planted root has no
+    # found root within the precision (or within the nearest one's radius)
+    a = 3 << 30
+    coeffs, planted = [1], []
+    for x, y in points:
+        coeffs = multiply(coeffs, [x * x + y * y, -2 * a * x, a * a])
+        planted += [(x, y, a), (x, -y, a)]
+    rs = find_roots(coeffs, 128)
+    assert_planted_roots_found(coeffs, planted, 128, [z.to_mpc() for z in rs.roots],
+                               rs.error_radii)
+
+
 @pytest.mark.parametrize("off", [0.05, 0.2])
 def test_rate_stop_waits_for_a_step_inside_the_cluster(off):
     # 1/3 and 1/3 + 2^-60, the first started `off` away: its first step is
@@ -855,6 +875,29 @@ class TestCircleRoots:
                     assert flag and z.precision == prec
                     assert d <= e <= mpf(2) ** (40 - prec)
                     assert (e == 0) == (m in (2, 4))
+
+    def test_radii_once_per_distinct_order(self, families, monkeypatch):
+        # k6:20:20 strips the orders 2, 4, 5, 10 and 20 five times each: each
+        # order's radii are computed once and its roots repeated per copy,
+        # the same RootSet as radii computed copy by copy
+        poly = families.poly("k6", 20, 20)
+        real = aberth._with_radii
+        circle_calls = []
+
+        def spy(gauss, points, prec, circle):
+            circle_calls.append(circle)
+            return real(gauss, points, prec, circle)
+
+        def copy_by_copy(orders, prec):
+            return [t for m in orders for t in real(
+                [(c, 0) for c in _shifted_cyclotomic(m)], polycore._circle_points(m, prec), prec,
+                True)]
+
+        monkeypatch.setattr(roots_module, "_with_radii", spy)
+        rs = find_roots(poly, 53)
+        assert circle_calls.count(True) == 5 and sum(rs.on_circle) == 95
+        monkeypatch.setattr(roots_module, "_circle_roots", copy_by_copy)
+        assert find_roots(poly, 53) == rs
 
     def test_multiple_factors_come_in_closed_form(self):
         # (1+v)^6 - 1 = v (v + 2) (v^2 + 3v + 3) (v^2 + v + 1), cubed: each
