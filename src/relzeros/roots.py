@@ -524,15 +524,16 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     rows = _hardware_rows(work) if precision_bits == MIN_PRECISION else None
 
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
-    samples = []
+    roots, flags, gaps = [], [], []
     for theta in thetas:
         w = _half_angle_circle(lam, theta)
         sample = rows and _locus_sample_floats(_collapse_hardware(rows, w), lam, generic_degree)
         if not sample:  # a float collapse that leaves the float range is redone exactly
             cps = work.coefficients_in_a(ComplexPoint(w.real, w.imag, precision_bits))
             sample = _locus_sample(cps, lam, precision_bits, generic_degree)
-        samples.append(sample)
-    roots, flags, gaps = map(list, zip(*samples))
+        roots.append(sample[0])
+        flags.append(sample[1])
+        gaps.append(sample[2])
     return LocusCurve(lam, thetas, roots, flags, gaps)
 
 

@@ -562,6 +562,20 @@ def test_random_integer_poly_matches_reference(coeffs, prec):
     assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
 
 
+@pytest.mark.xfail(strict=True, reason="the conjugate-pair try loses a near-real root")
+@pytest.mark.parametrize("prec", [128, 256])
+def test_near_real_start_keeps_its_root(prec):
+    # an input the property test above found: roots -1.55e-8 and
+    # 7.75e-9 +- 1.34e-8 i.  One float start lies in the near-real band, one
+    # above and one below, so the fixed-point loop first iterates the upper
+    # root with its mirror and the near-real one as a free root.  That try
+    # converges with the free root on the upper root, so find_roots returns
+    # 7.75e-9 + 1.34e-8 i twice, each with a tiny radius (6e-47 at 128
+    # bits), and no root near -1.55e-8
+    coeffs = [9, 0, 1, 2_417_851_639_229_258_215_194_624]
+    assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
+
+
 def as_fraction(x):
     """A finite mpf as an exact Fraction."""
     sign, man, exp, _ = x._mpf_
