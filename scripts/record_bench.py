@@ -18,9 +18,15 @@ times ten runs of each of
 
 with its own src/ on PYTHONPATH and its output sent to /dev/null; the third
 is the locus-53 workload's largest sweep as a user runs it, its CSV written
-to /dev/null.  Before
-the first run, the git-ignored __pycache__ directories under each
-checkout's src/ and bench/ are removed, and every subprocess runs with
+to /dev/null.  Last, each checkout in turn, the first one rotated on from
+the timed commands' last round, runs the tier-1 suite once,
+
+    python3 -m pytest -q --continue-on-collection-errors   (key "tier1")
+
+in the checkout, with its src/ on PYTHONPATH; a property test that draws a
+known failing input on that run fails in the record.  Before the first
+run, the git-ignored __pycache__ directories under each checkout's src/
+and bench/ are removed, and every subprocess runs with
 PYTHONDONTWRITEBYTECODE=1, so that each process compiles the checkout's
 own modules from source, whatever an earlier run left there; the standard
 library and mpmath load from their installed bytecode, on every side
@@ -31,9 +37,10 @@ bytecode settings, the commit, whether src/ or bench/ had uncommitted
 changes, the line count of the Python files under src/, the token count of
 roots.py and of every module of src/relzeros, every run's end-to-end
 metrics and checks, per workload the median of each end-to-end metric,
-and under each command's key every run's wall seconds, peak RSS (the
+under each command's key every run's wall seconds, peak RSS (the
 process's ru_maxrss) and exit code, with the median seconds, the median
-peak RSS and the exit codes seen.
+peak RSS and the exit codes seen, and under "tier1" the suite's wall
+seconds, pytest's summary line and its exit code.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ TIMED = {
     "locus_d_8192": ["locus", "d", "--lambda", "0.1", "--samples", "8192", "--out", "/dev/null"],
 }
 TIMED_RUNS = 10
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
             "__pycache__": "removed under src/ and bench/ before the first run"}
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -132,6 +140,16 @@ def run_timed(checkout, args):
             "exit_code": proc.returncode}
 
 
+def run_tier1(checkout):
+    """Wall seconds, pytest's summary line and exit code of one tier-1 run."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, capture_output=True,
+                          text=True, env=dict(ENV, PYTHONPATH=str(checkout / "src")))
+    seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines() or [""]
+    return {"seconds": seconds, "summary": lines[-1].strip("= "), "exit_code": proc.returncode}
+
+
 def turns(sides, i):
     """The checkouts in running order for the i-th round: the first rotates."""
     return sides[i % len(sides):] + sides[:i % len(sides)]
@@ -174,6 +192,9 @@ def main(argv=None):
                 run = run_timed(checkout, command)
                 record[label][key]["runs"].append(run)
                 print("%s %s: %s" % (label, key, json.dumps(run)), flush=True)
+    for label, checkout in turns(sides, TIMED_RUNS):
+        record[label]["tier1"] = run_tier1(checkout)
+        print("%s tier1: %s" % (label, json.dumps(record[label]["tier1"])), flush=True)
     for side in record.values():
         side["median"] = {w: medians(runs) for w, runs in side["runs"].items()}
         for key in TIMED:

@@ -16,6 +16,7 @@ change of rounding moves outputs; tests/test_aberth_hardware.py holds it
 to an earlier form bit for bit.  Only the bookkeeping around it may
 change.  A locus sweep calls it tens of thousands of times at degree 1-6,
 so it stays one flat function: a Python call per root or per sweep shows.
+Unit start points are built once per degree; each z_k is a fresh object.
 
 The fixed-point loop runs on Python integers: coefficients are exact
 Gaussian integers, roots are integer pairs at a scale of 2^F, fine enough
@@ -56,6 +57,7 @@ one within r of conj(z), so an exact conjugate pair shares one radius.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from mpmath import mp, mpc, mpf
@@ -63,14 +65,20 @@ from mpmath import mp, mpc, mpf
 from .polycore import MIN_PRECISION, _dyadic
 
 MAX_SWEEPS = 500
+_TOL = 2.0 ** -(MIN_PRECISION - 10)
+
+
+@functools.cache
+def _start_circle(n):  # the unit start points, the noise factor and 1/n
+    units = [cmath.exp(1j * (2 * math.pi * k + 0.7) / n) for k in range(n)]
+    return units, (2 * n + 2) * 2.0 ** -MIN_PRECISION, 1.0 / n
 
 
 def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
     n = len(cs) - 1
-    r = abs(cs[0] / cs[-1]) ** (1.0 / n)
-    z = [r * cmath.exp(1j * (2 * math.pi * k + 0.7) / n) for k in range(n)]
-    tol = 2.0 ** -(MIN_PRECISION - 10)
-    noise = (2 * n + 2) * 2.0 ** -MIN_PRECISION
+    units, noise, inv_n = _start_circle(n)
+    r = abs(cs[0] / cs[-1]) ** inv_n
+    z = [r * u for u in units]  # fresh objects, never the cached units
     top, top_mag = cs[-1], abs(cs[-1])
     rest = [(c, abs(c)) for c in reversed(cs[:-1])]
     mods = [abs(zk) for zk in z]  # |z_k|, taken where z_k is set
@@ -106,7 +114,7 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
             delta = w if den == 0 else w / den
             zk = z[k] = zk - delta
             az = mods[k] = abs(zk)
-            if not abs(delta) < tol * (1.0 + az):
+            if not abs(delta) < _TOL * (1.0 + az):
                 still.append(k)
         if not still:
             return z, True

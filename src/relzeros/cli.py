@@ -34,6 +34,7 @@ from .roots import (
     MAX_DECISION_PRECISION,
     NonconvergenceError,
     UndecidableDiscError,
+    _check_locus_args,
     _positive_lambda,
     bc_lambda_holds_univariate,
     disc_verdict,
@@ -180,9 +181,11 @@ def _cmd_roots(args):
 def _cmd_locus(args):
     if args.case not in ("a", "b", "c", "d", "e", "k6"):
         raise FamilySpecError("case must be one of a, b, c, d, e, k6")
-    curve = trace_locus(reference.family_bipoly(args.case), args.sweep, args.lam,
-                        args.samples, args.precision)
-    curve.to_csv(args.out)
+    p = reference.family_bipoly(args.case)
+    _check_locus_args(p, args.sweep, args.lam, args.samples, args.precision)
+    with open(args.out, "w") as fh:  # an unwritable path fails before the sweep
+        curve = trace_locus(p, args.sweep, args.lam, args.samples, args.precision)
+        curve.to_csv(fh)
     print("samples=%d roots=%d violations=%d gaps=%d -> %s"
           % (len(curve.theta_samples),
              sum(len(roots) for roots in curve.roots),

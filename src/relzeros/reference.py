@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .multigraph import k4_two_class, k6_disjoint_triangles
-from .polycore import cycle_poly, find_minimal_k, kth_root_branch, shifted_power
+from .polycore import MIN_PRECISION, cycle_poly, find_minimal_k, kth_root_branch, shifted_power
 from .reliability import connected_subgraph_poly, two_class_specialize
 from .roots import (
     analytic_disc_margin,
@@ -133,6 +133,8 @@ class Families:
     """
 
     def __init__(self, precision=256):
+        if precision < MIN_PRECISION:
+            raise ValueError("precision must be at least %d bits" % MIN_PRECISION)
         self.precision = precision
         self._memo = {}
 

@@ -447,10 +447,10 @@ def _trim(mags, prec):
     return hi, tie or (hi >= 0 and mags[hi] <= thresh + band)
 
 
-def _solve_hardware(coeffs):
-    """Trim, deflate and solve float coefficients at 53 bits: (top kept
-    index, zero multiplicity, unsorted roots, converged)."""
-    hi, tie = _trim(list(map(abs, coeffs)), MIN_PRECISION)
+def _solve_hardware(coeffs, mags):
+    """Trim, deflate and solve float coefficients at 53 bits, given their
+    float |c|: (top kept index, zero multiplicity, unsorted roots, converged)."""
+    hi, tie = _trim(mags, MIN_PRECISION)
     if tie:
         with mp.workprec(MIN_PRECISION):
             hi, _ = _trim([float(abs(mpc(c))) for c in coeffs], MIN_PRECISION)
@@ -458,8 +458,7 @@ def _solve_hardware(coeffs):
     zero_mult = _deflate(cs)
     if len(cs) < 2:
         return hi, zero_mult, [], True
-    roots, ok = _aberth_hardware(cs)
-    return hi, zero_mult, roots, ok
+    return (hi, zero_mult, *_aberth_hardware(cs))
 
 
 @dataclass
@@ -496,6 +495,21 @@ class LocusCurve:
                 fh.close()
 
 
+def _check_locus_args(p, swept, lam, n_samples, precision_bits):
+    """trace_locus's argument checks, run before any sample: lam as a positive float."""
+    if not isinstance(p, ExactBiPoly):
+        raise TypeError("expected ExactBiPoly")
+    if swept not in ("a", "b"):
+        raise ValueError("swept must be 'a' or 'b'")
+    if not isinstance(n_samples, int) or n_samples < 16:
+        raise ValueError("need at least 16 samples")
+    if not p:
+        raise ZeroPolynomialError("polynomial is identically zero")
+    if precision_bits < MIN_PRECISION:
+        raise ValueError("precision must be at least %d bits" % MIN_PRECISION)
+    return _positive_lambda(lam, float)
+
+
 def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     """Sweep one variable along lam*(e^{i theta} - 1) and root-solve the other.
 
@@ -508,19 +522,9 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     At 53 bits samples are solved in hardware floats, with an mpmath
     tie-break at the trim and flag thresholds: the same curve as find_roots.
     """
-    if not isinstance(p, ExactBiPoly):
-        raise TypeError("expected ExactBiPoly")
-    if swept not in ("a", "b"):
-        raise ValueError("swept must be 'a' or 'b'")
-    if not isinstance(n_samples, int) or n_samples < 16:
-        raise ValueError("need at least 16 samples")
-    if not p:
-        raise ZeroPolynomialError("polynomial is identically zero")
-    lam = _positive_lambda(lam, float)
-
+    lam = _check_locus_args(p, swept, lam, n_samples, precision_bits)
     work = p if swept == "b" else p.transposed()
     generic_degree = work.degree_a
-    # below 53 bits, ComplexPoint rejects the precision at the first sample
     rows = _hardware_rows(work) if precision_bits == MIN_PRECISION else None
 
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
@@ -542,22 +546,25 @@ def _locus_sample_floats(coeffs, lam, generic_degree):
     the roots); None on a non-finite coefficient or root, or on a modulus
     that overflows a float."""
     try:
-        if not math.isfinite(sum(map(abs, coeffs))):
+        if not math.isfinite(sum(mags := list(map(abs, coeffs)))):
             return None
-        hi, zero_mult, roots, ok = _solve_hardware(coeffs)
+        hi, zero_mult, roots, ok = _solve_hardware(coeffs, mags)
         roots.sort(key=_real_imag)
         dists = [abs(lam + z) for z in roots]
     except OverflowError:
         return None
     if not math.isfinite(sum(dists)):
         return None
-    flags = [False] * zero_mult + [d < lam for d in dists]
     band = lam * _TIE_BAND + _TIE_FLOOR
-    for k, (z, d) in enumerate(zip(roots, dists), zero_mult):
+    flags = []
+    for z, d in zip(roots, dists):
         if abs(d - lam) <= band:
             with mp.workprec(MIN_PRECISION):
-                flags[k] = abs(mpf(lam) + mpc(z)) < lam
-    return [0j] * zero_mult + roots, flags, hi < generic_degree or not ok
+                d = abs(mpf(lam) + mpc(z))  # correctly rounded; compared exactly
+        flags.append(d < lam)
+    if zero_mult:
+        roots, flags = [0j] * zero_mult + roots, [False] * zero_mult + flags
+    return roots, flags, hi < generic_degree or not ok
 
 
 def _locus_sample(cps, lam, prec, generic_degree):
@@ -616,7 +623,7 @@ def region_endpoint_angle(p, plane):
     def indicator(theta):
         coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
         try:
-            roots = _solve_hardware(coeffs)[2]
+            roots = _solve_hardware(coeffs, list(map(abs, coeffs)))[2]
             return min(abs(1 + r) for r in roots) - 1.0 if roots else math.inf
         except OverflowError:  # a finite complex whose modulus is not
             raise ValueError(overflow) from None

@@ -255,6 +255,30 @@ class TestLocusCommand:
         assert code == 2 and not out_path.exists()
         assert "finite and positive" in err
 
+    def test_missing_out_directory_fails_before_any_sample(self, capsys, tmp_path,
+                                                            monkeypatch):
+        calls = []
+        for name in ("_locus_sample_floats", "_locus_sample"):
+            monkeypatch.setattr(roots_module, name, lambda *args: calls.append(args))
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, ["locus", "d", "--lambda", "0.1", "--samples", "32768",
+                                      "--out", str(out_path)])
+        assert code == 1 and out == "" and calls == []
+        assert err == "error: [Errno 2] No such file or directory: %r\n" % str(out_path)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--samples", "8"], "need at least 16 samples"),
+        (["--lambda", "-1"], "lambda must be finite and positive, got -1.0"),
+        (["--precision", "52"], "precision must be at least 53 bits"),
+    ])
+    def test_bad_arguments_leave_the_csv_alone(self, capsys, tmp_path, flags, message):
+        kept, missing = tmp_path / "kept.csv", tmp_path / "missing.csv"
+        kept.write_text("earlier output\n")
+        for out_path in (kept, missing):
+            code, out, err = run(capsys, ["locus", "b", *flags, "--out", str(out_path)])
+            assert code == 2 and out == "" and err == "error: %s\n" % message
+        assert kept.read_text() == "earlier output\n" and not missing.exists()
+
 
 class TestCheckCommand:
     def test_k4(self, capsys, tmp_path):
@@ -355,6 +379,14 @@ class TestReproduceCommand:
                                 + items["section2-endpoints"] + items["lambda-star"])
         assert len(items["all"]) == len(set(items["all"])) == 107
         assert set(items["k6"]) <= set(items["section4"])
+
+    def test_precision_below_53_rejected_before_any_row(self, capsys, monkeypatch):
+        _, _, roots_err = run(capsys, ["roots", "k4:b:1:7", "--precision", "52"])
+        calls = []
+        monkeypatch.setattr(reference.Row, "run", lambda *args: calls.append(args))
+        code, out, err = run(capsys, ["reproduce", "--suite", "k6", "--precision", "40"])
+        assert code == 2 and out == "" and calls == []
+        assert err == roots_err == "error: precision must be at least 53 bits\n"
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

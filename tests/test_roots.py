@@ -1359,6 +1359,14 @@ class TestLocusHardwarePath:
         assert_same_sample(got, reference_locus_sample([-z, 1], 1.0, 1))
         assert got[1] == [True]
 
+    def test_flag_tie_after_a_deflated_zero_root(self):
+        # the tie root of test_flag_tie_follows_mpmath behind one zero root:
+        # its flag sits at index 1, after the zero root's
+        z = -0.18762547461588253 + 0.5831360308769556j
+        got = _locus_sample_floats([0j, -z, 1 + 0j], 1.0, 2)
+        assert_same_sample(got, reference_locus_sample([0j, -z, 1], 1.0, 2))
+        assert got[1] == [False, True]
+
     @pytest.mark.parametrize("coeffs, kept", [
         # correctly rounded, |c2| is the trim threshold 2^-41 * max|c| and
         # c2 is dropped (a gap); libm rounds |c2| an ulp above it
@@ -1398,17 +1406,65 @@ def test_random_bipoly_locus_matches_reference(p, swept, lam, n_samples):
     assert_matches_reference(p, swept, lam, n_samples)
 
 
+def reference_endpoint_angle(p, plane):
+    """region_endpoint_angle with every angle solved by find_roots at 53 bits
+    (through reference_locus_sample's trim and deflation): the same grid of
+    1,024 angles, last-crossing rule and bisection to 1e-7 of a turn."""
+    scan = 1024
+    work = p.transposed() if plane == "a" else p
+    rows = _hardware_rows(work)
+
+    def indicator(theta):
+        coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
+        points = reference_locus_sample(coeffs, 1.0, work.degree_a)[0]
+        roots = [complex(z) for z in points if z.re or z.im]  # the deflated zeros go
+        return min(abs(1 + r) for r in roots) - 1.0 if roots else math.inf
+
+    thetas = [math.pi * (j + 1) / (scan + 1) for j in range(scan)]
+    values = [indicator(t) for t in thetas]
+    crossings = [i for i in range(scan - 1) if values[i] < 0 <= values[i + 1]]
+    if not crossings:
+        return None
+    lo, hi = thetas[crossings[-1]], thetas[crossings[-1] + 1]
+    while (hi - lo) / (2 * math.pi) >= 1e-7:
+        mid = (lo + hi) / 2
+        if indicator(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2 / (2 * math.pi)
+
+
 class TestRegionEndpoints:
     def test_case_b_a_plane(self):
         ep = region_endpoint_angle(CASE_POLYS["b"], "a")
         assert ep.plane == "a"
         assert abs(ep.angle_fraction - 0.120692) < 1e-5
 
+    # the published planes' angles to the last bit, as the 53-bit scan gave
+    # them before its start circles and |c| were hoisted
+    @pytest.mark.parametrize("case, plane, want", [
+        ("b", "a", "0x1.ee5ad14bad14bp-4"),
+        ("b", "b", "0x1.51a64a6d64a6ep-3"),
+        ("d", "a", "0x1.c35eb053eb054p-4"),
+        ("d", "b", "0x1.f336127b6127bp-6"),
+    ])
+    def test_published_planes_match_find_roots_scan(self, case, plane, want):
+        got = region_endpoint_angle(CASE_POLYS[case], plane).angle_fraction
+        assert got.hex() == reference_endpoint_angle(CASE_POLYS[case], plane).hex() == want
+
     def test_analytic_case_has_no_region(self):
         with pytest.raises(NoViolationRegionError):
             region_endpoint_angle(CASE_POLYS["a"], "a")
         with pytest.raises(NoViolationRegionError):
             region_endpoint_angle(CASE_POLYS["c"], "b")
+
+    @pytest.mark.parametrize("case", ["a", "c", "e"])
+    @pytest.mark.parametrize("plane", ["a", "b"])
+    def test_cases_a_c_e_have_no_region_in_either_plane(self, case, plane):
+        with pytest.raises(NoViolationRegionError):
+            region_endpoint_angle(CASE_POLYS[case], plane)
+        assert reference_endpoint_angle(CASE_POLYS[case], plane) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
