@@ -41,6 +41,16 @@ under each command's key every run's wall seconds, peak RSS (the
 process's ru_maxrss) and exit code, with the median seconds, the median
 peak RSS and the exit codes seen, and under "tier1" the suite's wall
 seconds, pytest's summary line and its exit code.
+
+Every label after the first also gets "versus_first": the first label,
+and the ratio of each of its runs to the first label's run of the same
+seed (per workload and end-to-end metric of BENCHMARK.json) or of the
+same round (per timed command, of the wall seconds), with their median
+and the pairs won: the ratios below 1 for a metric whose better direction
+is "lower" (so, for a timed command, the rounds it ran faster), above 1
+for "higher"; ties count for neither.  Each pair ran back to back, so
+its ratio is what the alternating order is for; on a host whose speed
+drifts, each side's median can contradict the pairs.
 """
 
 from __future__ import annotations
@@ -160,6 +170,29 @@ def medians(runs):
     return {name: statistics.median(r["metrics"][name] for r in runs) for name in names}
 
 
+def paired(ratios, better):
+    """Per-pair ratios (this side over the first), their median, and the
+    pairs won in the better direction; ties count for neither."""
+    wins = sum(r < 1 if better == "lower" else r > 1 for r in ratios)
+    return {"ratios": ratios, "median": statistics.median(ratios), "wins": wins}
+
+
+def versus_first(side, first, first_label, better):
+    """Every pair's ratio, by seed per workload and end-to-end metric
+    (better maps each metric to "lower" or "higher") and by round per
+    timed command."""
+    out = {"first": first_label, "workloads": {}}
+    for workload, runs in side["runs"].items():
+        pairs = list(zip(runs, first["runs"][workload]))
+        out["workloads"][workload] = {
+            name: paired([r["metrics"][name] / f["metrics"][name] for r, f in pairs], direction)
+            for name, direction in better.items()}
+    for key in TIMED:
+        pairs = zip(side[key]["runs"], first[key]["runs"])
+        out[key] = paired([r["seconds"] / f["seconds"] for r, f in pairs], "lower")
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("out", type=Path, help="the BENCH_<n>.json to write")
@@ -203,6 +236,11 @@ def main(argv=None):
             timed["median_peak_rss_mb"] = statistics.median(r["peak_rss_mb"]
                                                             for r in timed["runs"])
             timed["exit_codes"] = sorted({r["exit_code"] for r in timed["runs"]})
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    (first_label, _), *others = sides
+    for label, _ in others:
+        record[label]["versus_first"] = versus_first(record[label], record[first_label],
+                                                     first_label, better)
 
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

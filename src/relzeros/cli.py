@@ -72,13 +72,25 @@ def _int_field(text, what):
 
 def resolve_spec(spec):
     """Spec string -> (kind, polynomial, description); kind 'uni' or 'bi'."""
+    return _resolve(spec, None)
+
+
+def _resolve(spec, max_degree):
+    """resolve_spec, but a family member whose degree, fixed by the spec,
+    exceeds max_degree (if not None) raises CapabilityError unbuilt."""
     head = spec.split(":", 1)[0]
     if head in ("k4", "k6", "cycle", "bundle"):
-        return _resolve_family(spec)
+        return _resolve_family(spec, max_degree)
     return _resolve_file(spec)
 
 
-def _resolve_family(spec):
+def _check_degree(degree, max_degree):
+    if max_degree is not None and degree > max_degree:
+        raise CapabilityError("degree %d exceeds the root-finding cap of %d"
+                              % (degree, max_degree))
+
+
+def _resolve_family(spec, max_degree):
     parts = spec.split(":")
     head = parts[0]
     sub = None
@@ -100,6 +112,7 @@ def _resolve_family(spec):
             return "bi", bi, "k4:%s" % case
         p1 = _int_field(parts[2], "p1")
         p2 = _int_field(parts[3], "p2")
+        _check_degree((p1 * bi.degree_a + p2 * bi.degree_b) * (sub or 1), max_degree)
         poly = two_class_specialize(bi, p1, p2)
         desc = "k4:%s:%d:%d" % (case, p1, p2)
         if sub is not None:
@@ -114,11 +127,13 @@ def _resolve_family(spec):
             return "bi", bi, "k6"
         p1 = _int_field(parts[1], "p1")
         p2 = _int_field(parts[2], "p2")
+        _check_degree(p1 * bi.degree_a + p2 * bi.degree_b, max_degree)
         return "uni", two_class_specialize(bi, p1, p2), "k6:%d:%d" % (p1, p2)
     if head in ("cycle", "bundle"):
         if len(parts) != 2:
             raise FamilySpecError("expected %s:<n>" % head)
         n = _int_field(parts[1], "n")
+        _check_degree(n, max_degree)
         if head == "cycle":
             return "uni", cycle_poly(n), "cycle:%d" % n
         return "uni", shifted_power(n), "bundle:%d" % n
@@ -148,13 +163,10 @@ def _cmd_poly(args):
 
 def _cmd_roots(args):
     _positive_lambda(args.lam)
-    kind, poly, desc = resolve_spec(args.spec)
+    kind, poly, desc = _resolve(args.spec, MAX_ROOT_DEGREE)
     if kind != "uni":
         raise CapabilityError("roots needs a univariate polynomial; "
                               "specialize the family with :<p1>:<p2>")
-    if poly.degree > MAX_ROOT_DEGREE:
-        raise CapabilityError("degree %d exceeds the root-finding cap of %d"
-                              % (poly.degree, MAX_ROOT_DEGREE))
     if poly.degree < 1:
         raise CapabilityError("polynomial of degree %d has no roots to report" % poly.degree)
     rs = find_roots(poly, args.precision)

@@ -18,7 +18,8 @@ the paper's series construction, v_k = -1 + (1 + v)^(1/k).
 from __future__ import annotations
 
 from functools import cache
-from math import comb, gcd, isqrt
+from itertools import accumulate
+from math import gcd, isqrt
 
 from mpmath import mp, mpc, mpf
 
@@ -257,18 +258,27 @@ def shifted_power(p):
         raise ValueError("exponent must be a nonnegative integer")
     if p == 0:
         return ExactUniPoly()
-    return ExactUniPoly([0] + [comb(p, k) for k in range(1, p + 1)])
+    cs = [0, p]  # C(p, k+1) = C(p, k) (p - k) / (k + 1), exactly
+    for k in range(1, p):
+        cs.append(cs[-1] * (p - k) // (k + 1))
+    return ExactUniPoly(cs)
 
 
 def taylor_shift(coeffs, s):
     """Low-to-high coefficients of p(x + s) for s = 1 or -1, from those of
-    p, by repeated exact additions; p(x - 1) is p(-x) shifted by +1 at -x."""
+    p, by exact additions; p(x - 1) is p(-x) shifted by +1 at -x.
+
+    Synthetic division by x - 1, repeated: each pass replaces the
+    coefficients not yet finished by their suffix sums, which is a running
+    sum over the high-to-low list, and finishes the lowest of them.
+    """
     cs = list(coeffs)
     if s < 0:
         cs[1::2] = [-c for c in cs[1::2]]
-    for i in range(len(cs) - 1):
-        for j in range(len(cs) - 2, i - 1, -1):
-            cs[j] += cs[j + 1]
+    rest, cs = cs[::-1], []
+    while rest:
+        rest = list(accumulate(rest))
+        cs.append(rest.pop())
     if s < 0:
         cs[1::2] = [-c for c in cs[1::2]]
     return cs

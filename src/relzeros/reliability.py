@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from math import comb
 
-from mpmath import mp, mpc
+from mpmath import mp
+from mpmath.libmp import (fone, fzero, mpc_add, mpc_add_mpf, mpc_div, mpc_is_nonzero, mpc_mul,
+                          mpc_sub_mpf, round_nearest)
 
 from .multigraph import Multigraph, _sp_reductions, is_connected, is_series_parallel
 from .polycore import (
@@ -157,13 +159,12 @@ def _retire(raw, keep, gone):
     """The state after the frontier positions in ``gone`` retire, labels
     renumbered by first appearance; None if a component closed too early."""
     kept = bytes([raw[j] for j in keep])
-    if all(raw[j] in kept for j in gone):
-        labels = {}
-        return bytes([labels.setdefault(x, len(labels)) for x in kept])
-    # a component closed: valid only as the last one (the graph is connected)
-    if kept or raw.count(raw[0]) != len(raw):
-        return None
-    return b""
+    for j in gone:
+        if raw[j] not in kept:
+            # a component closed: valid only as the last one (the graph is connected)
+            return None if kept or raw.count(raw[0]) != len(raw) else b""
+    labels = {}
+    return bytes([labels.setdefault(x, len(labels)) for x in kept])
 
 
 def two_class_specialize(p, p1, p2):
@@ -210,42 +211,48 @@ def reduce_sp_value(g, edge_weights):
     Removes a loop e (factor 1 + w_e), absorbs a pendant edge (factor w_e),
     merges parallel edges a, b into (1 + a)(1 + b) - 1, and merges series
     edges a, b into 1/r with r = 1/a + 1/b (factor a*b*r), until a single
-    vertex remains.  All of it runs in mpmath at the largest weight
-    precision (53 bits for none), and the value returns as a ComplexPoint
-    at that precision.  Works exactly on series-parallel multigraphs and
-    serves as the independent cross-check of the enumeration engine.
+    vertex remains.  All of it runs at the largest weight precision (53
+    bits for none) on mpmath's raw (real, imag) libmp tuples, rounding to
+    nearest, in exactly the calls the mpc operators make for these
+    expressions (1 + w is mpc_add_mpf, x - 1 mpc_sub_mpf, 1/a an mpc_div
+    of (1, 0)), so every value rounds as the mpc form would.  The value
+    returns as a ComplexPoint at that precision.  Works exactly on
+    series-parallel multigraphs and serves as the independent cross-check
+    of the enumeration engine.
     """
     points = [as_complex_point(x) for x in edge_weights]
     if len(points) != g.num_edges:
         raise ValueError("need one weight per edge")
     prec = max([x.precision for x in points] or [53])
     edges_left, vertices_left = g.num_edges, g.num_vertices
-    with mp.workprec(prec):
-        w = [x.to_mpc() for x in points]
-        factor = mpc(1)
-        for kind, e, *drop in _sp_reductions(g):
-            if kind == "isolated":
-                raise DisconnectedGraphError("reduction exposed an isolated vertex")
-            if kind == "loop":
-                factor *= 1 + w[e]
-            elif kind == "pendant":
-                factor *= w[e]
-            elif kind == "parallel":
-                w[e] = (1 + w[e]) * (1 + w[drop[0]]) - 1
-            else:
-                a, b = w[e], w[drop[0]]
-                if a == 0 or b == 0:
-                    raise ZeroEdgeWeightError("zero weight in series chain")
-                r = 1 / a + 1 / b
-                if r == 0:
-                    raise SeriesCancellationError(
-                        "reciprocal sum vanishes; series weight undefined")
-                factor *= a * b * r
-                w[e] = 1 / r
-            edges_left -= 1
-            vertices_left -= kind in ("pendant", "series")
+    w = [(x.re._mpf_, x.im._mpf_) for x in points]
+    one, rnd = (fone, fzero), round_nearest
+    factor = one
+    for kind, e, *drop in _sp_reductions(g):
+        if kind == "isolated":
+            raise DisconnectedGraphError("reduction exposed an isolated vertex")
+        if kind == "loop":
+            factor = mpc_mul(factor, mpc_add_mpf(w[e], fone, prec, rnd), prec, rnd)
+        elif kind == "pendant":
+            factor = mpc_mul(factor, w[e], prec, rnd)
+        elif kind == "parallel":
+            x = mpc_mul(mpc_add_mpf(w[e], fone, prec, rnd),
+                        mpc_add_mpf(w[drop[0]], fone, prec, rnd), prec, rnd)
+            w[e] = mpc_sub_mpf(x, fone, prec, rnd)
+        else:
+            a, b = w[e], w[drop[0]]
+            if not (mpc_is_nonzero(a) and mpc_is_nonzero(b)):
+                raise ZeroEdgeWeightError("zero weight in series chain")
+            r = mpc_add(mpc_div(one, a, prec, rnd), mpc_div(one, b, prec, rnd), prec, rnd)
+            if not mpc_is_nonzero(r):
+                raise SeriesCancellationError(
+                    "reciprocal sum vanishes; series weight undefined")
+            factor = mpc_mul(factor, mpc_mul(mpc_mul(a, b, prec, rnd), r, prec, rnd), prec, rnd)
+            w[e] = mpc_div(one, r, prec, rnd)
+        edges_left -= 1
+        vertices_left -= kind in ("pendant", "series")
     if edges_left:
         raise NotSeriesParallelError("graph did not reduce to a single vertex")
     if vertices_left > 1:
         raise DisconnectedGraphError("reduction left %d isolated vertices" % vertices_left)
-    return ComplexPoint.from_mpc(factor, prec)
+    return ComplexPoint.from_mpc(mp.make_mpc(factor), prec)

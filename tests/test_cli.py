@@ -185,6 +185,42 @@ class TestRootsCommand:
         code, _, _ = run(capsys, ["roots", "k4:b:200:200"])
         assert code == 3
 
+    @staticmethod
+    def spy_on_builders(monkeypatch, calls):
+        for name in ("two_class_specialize", "shifted_power", "subdivided_univariate"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, real=real, name=name:
+                                calls.append(name) or real(*args))
+
+    @pytest.mark.parametrize("spec, degree", [
+        ("k4:b:6000:1", 12004), ("bundle:20000", 20000), ("k6:300:300", 4500),
+        ("k4:b:200:200", 1200), ("k4:d:1:9:sub=60", 1800), ("k6:82:1", 501),
+        ("bundle:501", 501), ("cycle:501", 501)])
+    def test_degree_cap_checked_before_building(self, capsys, monkeypatch, spec, degree):
+        if degree < 2000:  # the message names the degree that building would give
+            assert cli.resolve_spec(spec)[1].degree == degree
+        calls = []
+        self.spy_on_builders(monkeypatch, calls)
+        code, out, err = run(capsys, ["roots", spec])
+        assert code == 3 and out == "" and calls == []
+        assert err == "error: degree %d exceeds the root-finding cap of 500\n" % degree
+
+    @pytest.mark.parametrize("spec, builder, degree", [
+        ("k4:b:248:1", "two_class_specialize", 500), ("k6:80:2", "two_class_specialize", 498),
+        ("k4:b:1:62:sub=2", "subdivided_univariate", 500), ("bundle:500", "shifted_power", 500)])
+    def test_degree_at_the_cap_is_built(self, capsys, monkeypatch, spec, builder, degree):
+        calls = []
+        self.spy_on_builders(monkeypatch, calls)
+
+        def solve(poly, precision):
+            calls.append(poly.degree)
+            raise NonconvergenceError("stopped before solving")
+
+        monkeypatch.setattr(cli, "find_roots", solve)
+        code, _, err = run(capsys, ["roots", spec])
+        assert (code, err) == (4, "error: stopped before solving\n")
+        assert builder in calls and calls[-1] == degree
+
     def test_bad_precision_exits_2(self, capsys):
         code, _, err = run(capsys, ["roots", "cycle:3", "--precision", "10"])
         assert code == 2

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from relzeros import (
@@ -19,7 +22,7 @@ from relzeros.polycore import (
     taylor_shift,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
-from util_graphs import evaluate_bi, evaluate_uni, poly_add
+from util_graphs import evaluate_bi, evaluate_uni, poly_add, reference_taylor_shift
 
 V = ExactUniPoly([0, 1])
 ONE = ExactUniPoly([1])
@@ -131,6 +134,11 @@ class TestShiftedPower:
             composed = poly_add(poly_add(a, b), a * b)
             assert composed == shifted_power(p + q)
 
+    def test_matches_math_comb(self):
+        for p in range(1, 301):
+            assert shifted_power(p).coeffs == tuple([0] + [math.comb(p, k)
+                                                           for k in range(1, p + 1)])
+
 
 class TestTaylorShift:
     @pytest.mark.parametrize("s", [1, -1])
@@ -148,6 +156,12 @@ class TestTaylorShift:
         coeffs = list(K4_UNIVARIATE.coeffs)
         assert taylor_shift(taylor_shift(coeffs, -1), 1) == coeffs
         assert taylor_shift(shifted_power(5).coeffs, -1) == [-1, 0, 0, 0, 0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.lists(st.integers(-2 ** 200, 2 ** 200), max_size=81),
+           s=st.sampled_from([1, -1]))
+    def test_matches_the_double_loop(self, coeffs, s):
+        assert taylor_shift(coeffs, s) == reference_taylor_shift(coeffs, s)
 
 
 def totient_sieve(limit):

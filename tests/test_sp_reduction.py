@@ -1,8 +1,11 @@
 """The shared series-parallel reduction against the two scans it replaced."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 from relzeros import (
     ComplexPoint,
@@ -18,7 +21,7 @@ from relzeros import (
     reduce_sp_value,
 )
 from relzeros.multigraph import _sp_reductions
-from util_graphs import evaluate_uni
+from util_graphs import evaluate_uni, random_sp_multigraph
 
 
 # The recognition scan that one reduction generator replaced, kept verbatim.
@@ -158,6 +161,45 @@ def reference_reduce_scan(g, weights):
     return factor
 
 
+# The mpc-operator form of reduce_sp_value that its libmp tuple loop
+# replaced, kept verbatim: the tuple loop must round every step alike.
+def operator_reduce_sp_value(g, edge_weights):
+    points = [as_complex_point(x) for x in edge_weights]
+    if len(points) != g.num_edges:
+        raise ValueError("need one weight per edge")
+    prec = max([x.precision for x in points] or [53])
+    edges_left, vertices_left = g.num_edges, g.num_vertices
+    with mp.workprec(prec):
+        w = [x.to_mpc() for x in points]
+        factor = mpc(1)
+        for kind, e, *drop in _sp_reductions(g):
+            if kind == "isolated":
+                raise DisconnectedGraphError("reduction exposed an isolated vertex")
+            if kind == "loop":
+                factor *= 1 + w[e]
+            elif kind == "pendant":
+                factor *= w[e]
+            elif kind == "parallel":
+                w[e] = (1 + w[e]) * (1 + w[drop[0]]) - 1
+            else:
+                a, b = w[e], w[drop[0]]
+                if a == 0 or b == 0:
+                    raise ZeroEdgeWeightError("zero weight in series chain")
+                r = 1 / a + 1 / b
+                if r == 0:
+                    raise SeriesCancellationError(
+                        "reciprocal sum vanishes; series weight undefined")
+                factor *= a * b * r
+                w[e] = 1 / r
+            edges_left -= 1
+            vertices_left -= kind in ("pendant", "series")
+    if edges_left:
+        raise NotSeriesParallelError("graph did not reduce to a single vertex")
+    if vertices_left > 1:
+        raise DisconnectedGraphError("reduction left %d isolated vertices" % vertices_left)
+    return ComplexPoint.from_mpc(factor, prec)
+
+
 def outcome(reduce, g, weights):
     """The value bit for bit with its precision, or the exception raised."""
     try:
@@ -165,6 +207,35 @@ def outcome(reduce, g, weights):
     except ValueError as exc:
         return type(exc), str(exc)
     return value.re, value.im, value.precision
+
+
+def raw_outcome(reduce, g, weights):
+    """outcome with each part as its raw libmp tuple, which also tells one
+    nan or infinity from another."""
+    got = outcome(reduce, g, weights)
+    return got if isinstance(got[0], type) else (got[0]._mpf_, got[1]._mpf_, got[2])
+
+
+def large_sp_case(seed):
+    """A seeded series-parallel multigraph of 12-24 edges, grown by the
+    series, parallel and loop rules of the benchmark's exact-enum graphs,
+    with one 128-bit weight per edge as weighted_multigraphs draws them."""
+    rng = random.Random("large-sp-%d" % seed)
+    g = random_sp_multigraph(rng, max_edges=24, min_edges=12)
+    part = lambda: (rng.randint(-2 ** 102, 2 ** 102), -100)  # noqa: E731
+    return g, [ComplexPoint(part(), part(), 128) for _ in g.edges]
+
+
+def fresh_series_pair(g):
+    """The edges of the first series step whose weights no earlier parallel
+    or series step changed, so the step sees them as given."""
+    changed = set()
+    for kind, e, *drop in _sp_reductions(g):
+        if kind == "series" and not changed & {e, *drop}:
+            return e, drop[0]
+        if kind in ("parallel", "series"):
+            changed.add(e)
+    return None
 
 
 @st.composite
@@ -215,3 +286,45 @@ class TestAgainstReplacedScans:
         got = reduce_sp_value(g, [])
         assert got == evaluate_uni(connected_subgraph_poly(g), ComplexPoint(1, 0)) == 1
         assert got.precision == 53
+
+
+class TestLargeGraphs:
+    """Bit for bit beyond weighted_multigraphs' 11 edges, at the 12-24 edges
+    of the enumeration bound."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_values_as_both_references(self, seed):
+        g, weights = large_sp_case(seed)
+        assert 12 <= g.num_edges <= 24 and is_series_parallel(g)
+        got = raw_outcome(reduce_sp_value, g, weights)
+        assert isinstance(got[0], tuple)
+        assert got == raw_outcome(reference_reduce_sp_value, g, weights) \
+            == raw_outcome(operator_reduce_sp_value, g, weights)
+
+    @pytest.mark.parametrize("seed", range(2, 8))  # graphs 0 and 1 have no fresh series pair
+    def test_same_series_errors(self, seed):
+        g, weights = large_sp_case(seed)
+        e, f = fresh_series_pair(g)
+        zero, cancelling = list(weights), list(weights)
+        zero[f] = ComplexPoint(0, 0, 128)
+        with mp.workprec(128):  # 1/a + 1/(-a) is exactly 0
+            cancelling[f] = ComplexPoint.from_mpc(-weights[e].to_mpc(), 128)
+        for case, error in ((zero, ZeroEdgeWeightError), (cancelling, SeriesCancellationError)):
+            got = outcome(reduce_sp_value, g, case)
+            assert got[0] is error
+            assert got == outcome(reference_reduce_sp_value, g, case) \
+                == outcome(operator_reduce_sp_value, g, case)
+
+    @pytest.mark.parametrize("inf", [ComplexPoint(mpf("inf"), 1, 128),
+                                     ComplexPoint(1, mpf("-inf"), 128)],
+                             ids=["real", "imag"])
+    def test_one_infinite_weight(self, inf):
+        g, weights = large_sp_case(2)
+        seen = set()
+        for e in range(g.num_edges):
+            case = weights[:e] + [inf] + weights[e + 1:]
+            got = raw_outcome(reduce_sp_value, g, case)
+            assert got == raw_outcome(reference_reduce_sp_value, g, case) \
+                == raw_outcome(operator_reduce_sp_value, g, case)
+            seen.add(got)
+        assert len(seen) > 1  # not nan + nan i for every edge

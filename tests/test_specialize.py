@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relzeros import ExactBiPoly, ExactUniPoly, shifted_power, two_class_specialize
+from relzeros import ExactBiPoly, ExactUniPoly, reliability, shifted_power, two_class_specialize
+from relzeros.polycore import taylor_shift
 from relzeros.reference import family_bipoly
-from util_graphs import poly_add
+from util_graphs import poly_add, reference_taylor_shift
 
 
 # The power-product form that the shifted substitution replaced, kept verbatim
@@ -72,3 +73,20 @@ def test_family_members_match_reference(case, p1, p2):
     p = family_bipoly(case)
     assert two_class_specialize(p, p1, p2).coeffs == \
         reference_two_class_specialize(p, p1, p2).coeffs
+
+
+@pytest.mark.parametrize("case, p1, p2", [("k6", 20, 20), ("k6", 30, 7), ("k6", 7, 30),
+                                          ("b", 1000, 1)])
+def test_shift_matches_the_double_loop(monkeypatch, case, p1, p2):
+    shifts = []
+
+    def spy(coeffs, s):
+        shifts.append((list(coeffs), s, taylor_shift(coeffs, s)))
+        return shifts[-1][2]
+
+    monkeypatch.setattr(reliability, "taylor_shift", spy)
+    p = family_bipoly(case)
+    got = two_class_specialize(p, p1, p2)
+    [(coeffs, s, shifted)] = shifts
+    assert len(coeffs) == p1 * p.degree_a + p2 * p.degree_b + 1  # 2005 for k4:b:1000:1
+    assert shifted == reference_taylor_shift(coeffs, s) == list(got.coeffs)

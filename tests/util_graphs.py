@@ -11,14 +11,15 @@ from mpmath import mp, mpc
 from relzeros import ComplexPoint, ExactUniPoly, Multigraph, as_complex_point
 
 
-def random_sp_multigraph(rng, max_edges=12):
-    """Random series-parallel multigraph grown from a single edge.
+def random_sp_multigraph(rng, max_edges=12, min_edges=1):
+    """Random series-parallel multigraph of min_edges to max_edges edges,
+    grown from a single edge.
 
     Applies random series/parallel extensions (plus an occasional loop) so
     the result is always series-parallel and connected; classes are drawn
     from {0, 1}.
     """
-    target = rng.randint(1, max_edges)
+    target = rng.randint(min_edges, max_edges)
     edges = [(0, 1, rng.randint(0, 1))]
     num_vertices = 2
     while len(edges) < target:
@@ -204,3 +205,17 @@ def poly_add(p, q):
     n = max(len(p.coeffs), len(q.coeffs))
     return ExactUniPoly([sum(f.coeffs[k] for f in (p, q) if k < len(f.coeffs))
                          for k in range(n)])
+
+
+def reference_taylor_shift(coeffs, s):
+    """p(x + s) for s = +-1 by the double loop of exact additions that
+    polycore.taylor_shift replaced, kept as its reference."""
+    cs = list(coeffs)
+    if s < 0:
+        cs[1::2] = [-c for c in cs[1::2]]
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += cs[j + 1]
+    if s < 0:
+        cs[1::2] = [-c for c in cs[1::2]]
+    return cs
