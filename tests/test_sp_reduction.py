@@ -222,7 +222,10 @@ def large_sp_case(seed):
     with one 128-bit weight per edge as weighted_multigraphs draws them."""
     rng = random.Random("large-sp-%d" % seed)
     g = random_sp_multigraph(rng, max_edges=24, min_edges=12)
-    part = lambda: (rng.randint(-2 ** 102, 2 ** 102), -100)  # noqa: E731
+
+    def part():
+        return rng.randint(-2 ** 102, 2 ** 102), -100
+
     return g, [ComplexPoint(part(), part(), 128) for _ in g.edges]
 
 
