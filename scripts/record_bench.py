@@ -15,11 +15,14 @@ times ten runs of each of
     python3 -m relzeros roots k6:20:20                   (key "roots_k6_20_20")
     python3 -m relzeros locus d --lambda 0.1 --samples 8192 --out /dev/null
                                                          (key "locus_d_8192")
+    python3 -m relzeros --help                           (key "help")
 
 with its own src/ on PYTHONPATH and its output sent to /dev/null; the third
 is the locus-53 workload's largest sweep as a user runs it, its CSV written
-to /dev/null.  Last, each checkout in turn, the first one rotated on from
-the timed commands' last round, runs the tier-1 suite once,
+to /dev/null, and the fourth a process that does no work, whose time is the
+start-up every command pays: the import of relzeros.cli.  Last, each
+checkout in turn, the first one rotated on from the timed commands' last
+round, runs the tier-1 suite once,
 
     python3 -m pytest -q --continue-on-collection-errors   (key "tier1")
 
@@ -71,6 +74,7 @@ TIMED = {
     "reproduce": ["reproduce", "--suite", "all", "--json"],
     "roots_k6_20_20": ["roots", "k6:20:20"],
     "locus_d_8192": ["locus", "d", "--lambda", "0.1", "--samples", "8192", "--out", "/dev/null"],
+    "help": ["--help"],
 }
 TIMED_RUNS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]

@@ -8,27 +8,25 @@ two edges they merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    num_vertices: int
-    edges: tuple
+class Multigraph(namedtuple("Multigraph", "num_vertices edges")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.num_vertices, int) or self.num_vertices < 0:
+    def __new__(cls, num_vertices, edges):
+        if not isinstance(num_vertices, int) or num_vertices < 0:
             raise ValueError("num_vertices must be a nonnegative integer")
         normalized = []
-        for e in self.edges:
+        for e in edges:
             u, v, c = e
             if not (isinstance(u, int) and isinstance(v, int) and isinstance(c, int)):
                 raise TypeError("edge entries must be integers: %r" % (e,))
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError("edge %r has an endpoint outside [0, %d)" % (e, self.num_vertices))
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                raise ValueError("edge %r has an endpoint outside [0, %d)" % (e, num_vertices))
             normalized.append((u, v, c))
-        object.__setattr__(self, "edges", tuple(normalized))
+        return super().__new__(cls, num_vertices, tuple(normalized))
 
     @property
     def num_edges(self):

@@ -17,6 +17,7 @@ the paper's series construction, v_k = -1 + (1 + v)^(1/k).
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from itertools import accumulate
 from math import gcd, isqrt
@@ -96,6 +97,20 @@ def as_complex_point(value, precision=MIN_PRECISION):
     raise TypeError("cannot interpret %r as a complex point" % (value,))
 
 
+def _int_strings(ints):
+    """[str(c) for c in ints] at any size: where the interpreter limits
+    int-to-str conversion (4,300 digits by default, since Python 3.10.7),
+    the limit is lifted for the call and then restored."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return [str(c) for c in ints]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(c) for c in ints]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _dyadic(xs):
     """Finite mpfs as integers at their lowest common exponent: (ints, e)
     with xs[i] = ints[i] * 2^e (e = 0 if all are zero); None if one is inf
@@ -164,7 +179,7 @@ class ExactUniPoly:
     __rmul__ = __mul__
 
     def to_json(self):
-        return {"var": "v", "coeffs": [str(c) for c in self.coeffs]}
+        return {"var": "v", "coeffs": _int_strings(self.coeffs)}
 
     def __repr__(self):
         if not self.coeffs:
@@ -242,8 +257,9 @@ class ExactBiPoly:
         return ExactBiPoly({(db, da): c for (da, db), c in self.terms.items()})
 
     def to_json(self):
-        triples = sorted(self.terms.items())
-        return {"vars": ["a", "b"], "terms": [[da, db, str(c)] for (da, db), c in triples]}
+        keys = sorted(self.terms)
+        cs = _int_strings(self.terms[k] for k in keys)
+        return {"vars": ["a", "b"], "terms": [[da, db, c] for (da, db), c in zip(keys, cs)]}
 
     def __repr__(self):
         if not self.terms:

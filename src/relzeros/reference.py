@@ -14,7 +14,7 @@ one Families cache.
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -173,8 +173,7 @@ class Families:
 # Reproduction rows
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One published value; compute(families, *args) -> (computed, difference, tolerance)."""
 
     item: str

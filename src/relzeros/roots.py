@@ -34,10 +34,10 @@ A LocusCurve keeps its roots as Python complex at every precision; above
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -83,8 +83,7 @@ class BranchFitError(RuntimeError):
     """Root-branch tracking failed (lost cluster, collision, or ambiguous fit)."""
 
 
-@dataclass
-class RootSet:
+class RootSet(NamedTuple):
     """Nonzero roots plus the symbolically deflated zero-root multiplicity.
 
     on_circle[i] is true where roots[i] is the closed form of a root of a
@@ -461,8 +460,7 @@ def _solve_hardware(coeffs, mags):
     return (hi, zero_mult, *_aberth_hardware(cs))
 
 
-@dataclass
-class LocusCurve:
+class LocusCurve(NamedTuple):
     """Roots of the non-fixed variable as the swept one walks |lam + x| = lam.
 
     roots holds each sample's roots as Python complex, flagged in
@@ -589,8 +587,7 @@ def _locus_sample(cps, lam, prec, generic_degree):
     return [0j] * zero_mult + [complex(z) for z in roots], [False] * zero_mult + flags, gap
 
 
-@dataclass(frozen=True)
-class RegionEndpoint:
+class RegionEndpoint(NamedTuple):
     """Endpoint of a violation region, at -1 + e^{+-2*pi*i*angle_fraction}."""
 
     plane: str
@@ -653,8 +650,7 @@ def region_endpoint_angle(p, plane):
 # Root-branch expansions near the origin
 
 
-@dataclass(frozen=True)
-class BranchExpansion:
+class BranchExpansion(NamedTuple):
     """Leading behavior of a root branch a(b) ~ leading*b + subleading*b^exponent.
 
     kind 'analytic' means exponent 2 with real coefficients; 'half-power'

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 import traceback
 from decimal import Context, Decimal
@@ -46,6 +47,18 @@ class TestPolyCommand:
     def test_bundle(self, capsys):
         code, out, _ = run(capsys, ["poly", "bundle:4"])
         assert json.loads(out)["coeffs"] == [str(c) for c in shifted_power(4).coeffs]
+
+    def test_coefficients_past_the_digit_limit(self, capsys):
+        # C(2200, 1100) has 661 digits, past the least limit the interpreter takes
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, ["poly", "bundle:2200"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert json.loads(out)["coeffs"] == [str(c) for c in shifted_power(2200).coeffs]
 
     def test_bivariate_family(self, capsys):
         code, out, _ = run(capsys, ["poly", "k4:d"])

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,14 @@ class TestExactUniPoly:
         data = K4_UNIVARIATE.to_json()
         assert data == {"var": "v", "coeffs": ["0", "0", "0", "16", "15", "6", "1"]}
         assert ExactUniPoly([int(c) for c in data["coeffs"]]) == K4_UNIVARIATE
+
+    def test_json_writes_coefficients_past_the_digit_limit(self):
+        big, limit = 10 ** 5000, sys.get_int_max_str_digits()
+        assert ExactUniPoly([-big, 0, big + 1]).to_json()["coeffs"] == [
+            "-1" + "0" * 5000, "0", "1" + "0" * 4999 + "1"]
+        assert ExactBiPoly({(2, 1): big, (0, 3): -7}).to_json()["terms"] == [
+            [0, 3, "-7"], [2, 1, "1" + "0" * 5000]]
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestShiftedPower:
