@@ -28,6 +28,10 @@ class Multigraph(namedtuple("Multigraph", "num_vertices edges")):
             normalized.append((u, v, c))
         return super().__new__(cls, num_vertices, tuple(normalized))
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate there too
+        return cls(*iterable)
+
     @property
     def num_edges(self):
         return len(self.edges)

@@ -16,10 +16,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_import_loads_no_dataclasses_chain():
-    # in a fresh interpreter: pytest itself imports inspect
-    code = ("import sys, relzeros, relzeros.cli; "
+    # in a fresh interpreter, since pytest itself imports inspect; modules that
+    # the interpreter's own start-up (site hooks) loaded do not count
+    code = ("import sys; before = set(sys.modules); import relzeros, relzeros.cli; "
             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
-            "if m in sys.modules))")
+            "if m in sys.modules and m not in before))")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
@@ -48,6 +49,9 @@ class TestMultigraph:
         assert g.edges == ((0, 1, 0), (1, 2, 1))
         assert all(type(e) is tuple for e in g.edges)
         assert g == Multigraph(3, iter([(0, 1, 0), [1, 2, 1]]))
+        assert g._replace(edges=[[2, 0, 5]]).edges == ((2, 0, 5),)
+        with pytest.raises(ValueError, match="has an endpoint outside"):
+            g._replace(num_vertices=2)
 
     def test_value_semantics(self):
         g, h = Multigraph(2, [(0, 1, 0)]), Multigraph(2, ((0, 1, 0),))
