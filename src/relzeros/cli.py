@@ -31,13 +31,11 @@ from .reliability import (
     two_class_specialize,
 )
 from .roots import (
-    MAX_DECISION_PRECISION,
     NonconvergenceError,
     UndecidableDiscError,
     _check_locus_args,
+    _climb,
     _positive_lambda,
-    bc_lambda_holds_univariate,
-    disc_verdict,
     find_roots,
     min_disc_distance,
     trace_locus,
@@ -171,15 +169,7 @@ def _cmd_roots(args):
         raise CapabilityError("polynomial of degree %d has no roots to report" % poly.degree)
     rs = find_roots(poly, args.precision)
     md = min_disc_distance(rs, args.lam)
-    verdict = disc_verdict(rs, args.lam)
-    if verdict != "ambiguous":
-        holds = verdict == "holds"
-    elif args.precision < MAX_DECISION_PRECISION:
-        holds = bc_lambda_holds_univariate(
-            poly, args.lam, min(2 * args.precision, MAX_DECISION_PRECISION))
-    else:
-        raise UndecidableDiscError("root within error radius of |%s + v| = %s at %d bits"
-                                   % (args.lam, args.lam, args.precision))
+    holds = _climb(rs, poly, args.lam)
     payload = rs.to_json()
     payload["polynomial"] = desc
     payload["lambda"] = args.lam

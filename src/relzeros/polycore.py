@@ -2,10 +2,9 @@
 
 Polynomials carry arbitrary-precision integer coefficients; the instances
 this library targets reach degree 300 and 296-bit coefficients (k6:20:20),
-far past what doubles or 64-bit integers can hold exactly.  Rounding enters
-only when a bivariate polynomial is collapsed at a numeric point, in
-mpmath at that point's precision.  A :class:`ComplexPoint` carries such a
-value with the precision (in bits) it was computed at; it has no
+far past what doubles or 64-bit integers can hold exactly, and their
+reprs and JSON print every digit.  A :class:`ComplexPoint` carries a
+rounded value with the precision (in bits) it was computed at; it has no
 arithmetic of its own, and _dyadic turns mpf values into exact integers.
 Exact helpers on low-to-high coefficient lists shift the variable by +-1
 and divide out the shifted cyclotomic factors, whose roots lie exactly on
@@ -184,7 +183,8 @@ class ExactUniPoly:
     def __repr__(self):
         if not self.coeffs:
             return "ExactUniPoly(0)"
-        parts = ["%d*v^%d" % (c, k) for k, c in enumerate(self.coeffs) if c]
+        parts = ["%s*v^%d" % (s, k) for k, (c, s) in
+                 enumerate(zip(self.coeffs, _int_strings(self.coeffs))) if c]
         return "ExactUniPoly(%s)" % " + ".join(parts)
 
 
@@ -225,33 +225,6 @@ class ExactBiPoly:
     def __eq__(self, other):
         return isinstance(other, ExactBiPoly) and self.terms == other.terms
 
-    def coefficients_in_a(self, b0):
-        """Collapse b at the numeric point b0: coefficients of a^k, low to high.
-
-        Positions with no stored term come back as exact zeros, so a caller
-        can deflate symbolic zero roots of the collapsed polynomial.
-        """
-        b0 = as_complex_point(b0)
-        prec = b0.precision
-        na = self.degree_a
-        if na < 0:
-            return []
-        rows = [{} for _ in range(na + 1)]
-        for (da, db), c in self.terms.items():
-            rows[da][db] = c
-        out = []
-        with mp.workprec(prec):
-            bc = b0.to_mpc()
-            for row in rows:
-                if not row:
-                    out.append(ComplexPoint(0, 0, prec))
-                    continue
-                acc = mpc(0)
-                for db in range(max(row), -1, -1):
-                    acc = acc * bc + row.get(db, 0)
-                out.append(ComplexPoint.from_mpc(acc, prec))
-        return out
-
     def transposed(self):
         """Swap the roles of a and b."""
         return ExactBiPoly({(db, da): c for (da, db), c in self.terms.items()})
@@ -264,7 +237,9 @@ class ExactBiPoly:
     def __repr__(self):
         if not self.terms:
             return "ExactBiPoly(0)"
-        parts = ["%d*a^%d*b^%d" % (c, da, db) for (da, db), c in sorted(self.terms.items())]
+        keys = sorted(self.terms)
+        cs = _int_strings(self.terms[k] for k in keys)
+        parts = ["%s*a^%d*b^%d" % (c, da, db) for (da, db), c in zip(keys, cs)]
         return "ExactBiPoly(%s)" % " + ".join(parts)
 
 

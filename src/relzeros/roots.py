@@ -24,11 +24,12 @@ its own square-free factor.  The verdicts settle them algebraically (inside
 |lam + v| < lam exactly when lam > 1), and only the quotient, free of
 these repeated roots, goes to the Aberth stages.
 
-53-bit locus sweeps run in hardware floats, with an mpmath tie-break where
-a float |.| lands within a few ulps of a trim or disc threshold, so their
-output is identical to solving each sample with find_roots at 53 bits.
-A LocusCurve keeps its roots as Python complex at every precision; above
-53 bits they are rounded only after the disc test at full precision.
+An ambiguous disc verdict climbs one ladder, _climb, for the CLI and
+bc_lambda_holds_univariate alike.  One Horner pass over integer rows
+collapses a bivariate polynomial at a point: in floats for 53-bit locus
+sweeps, with an mpmath tie-break where a float |.| lands within a few ulps
+of a trim or disc threshold, so they match find_roots at 53 bits; in
+mpmath at the working precision elsewhere.
 """
 
 from __future__ import annotations
@@ -345,9 +346,7 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
     factors (bundles of m parallel edges contribute (1+v)^m - 1) are
     settled algebraically: they violate exactly when lam > 1, so that or an
     constant quotient decides before any root is built.  Otherwise
-    find_roots of the quotient alone decides, and an ambiguous verdict
-    doubles the precision up to 1024 bits; residual ambiguity raises
-    UndecidableDiscError rather than guessing.
+    find_roots of the quotient alone decides, on the ladder of _climb.
     """
     coeffs, exact_ints, _ = _normalize_coefficients(p)
     with mp.workprec(64):
@@ -358,16 +357,19 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
             return False
     if len(coeffs) <= 1:
         return True
-    prec = precision_bits
-    while True:
-        rs = find_roots(coeffs, prec)
-        verdict = disc_verdict(rs, lam)
-        if verdict != "ambiguous":
-            return verdict == "holds"
+    return _climb(find_roots(coeffs, precision_bits), coeffs, lam)
+
+
+def _climb(rs, p, lam):
+    """disc_verdict(rs, lam) == 'holds', where rs = find_roots(p, ...); an
+    ambiguous verdict solves p again at twice the precision, up to 1024
+    bits, and there raises UndecidableDiscError rather than guessing."""
+    while (verdict := disc_verdict(rs, lam)) == "ambiguous":
         if rs.precision >= MAX_DECISION_PRECISION:
             raise UndecidableDiscError(
                 "root within error radius of |%s + v| = %s at %d bits" % (lam, lam, rs.precision))
-        prec = min(2 * rs.precision, MAX_DECISION_PRECISION)
+        rs = find_roots(p, min(2 * rs.precision, MAX_DECISION_PRECISION))
+    return verdict == "holds"
 
 
 def lambda_star_univariate(p, precision_bits=None):
@@ -403,22 +405,28 @@ def _half_angle_circle(lam, theta):
     return lam * complex(-2 * s * s, 2 * s * c)
 
 
-def _hardware_rows(bipoly):
-    """Dense per-a-degree coefficient rows in b, highest power first, as
-    floats; None if unconvertible."""
+def _rows(bipoly):
+    """Dense per-a-degree integer coefficient rows in b, highest power first."""
     rows = [[] for _ in range(bipoly.degree_a + 1)]
-    try:
-        for (da, db), c in bipoly.terms.items():
-            row = rows[da]
-            if len(row) <= db:
-                row.extend([0.0] * (db + 1 - len(row)))
-            row[db] = float(c)
-    except OverflowError:
-        return None
+    for (da, db), c in bipoly.terms.items():
+        row = rows[da]
+        if len(row) <= db:
+            row.extend([0] * (db + 1 - len(row)))
+        row[db] = c
     return [row[::-1] for row in rows]
 
 
+def _hardware_rows(bipoly):
+    """_rows as floats; None if unconvertible."""
+    try:
+        return [[float(c) for c in row] for row in _rows(bipoly)]
+    except OverflowError:
+        return None
+
+
 def _collapse_hardware(rows, w):
+    """Coefficients in a, low to high, at b = w, by Horner over rows: in floats
+    for a complex w, at the working precision for an mpc w (an empty row: 0j)."""
     out = []
     for row in rows:
         acc = 0j
@@ -524,14 +532,16 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     work = p if swept == "b" else p.transposed()
     generic_degree = work.degree_a
     rows = _hardware_rows(work) if precision_bits == MIN_PRECISION else None
+    exact_rows = _rows(work)
 
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
     roots, flags, gaps = [], [], []
     for theta in thetas:
         w = _half_angle_circle(lam, theta)
         sample = rows and _locus_sample_floats(_collapse_hardware(rows, w), lam, generic_degree)
-        if not sample:  # a float collapse that leaves the float range is redone exactly
-            cps = work.coefficients_in_a(ComplexPoint(w.real, w.imag, precision_bits))
+        if not sample:  # a float collapse that leaves the float range is redone in mpmath
+            with mp.workprec(precision_bits):
+                cps = _collapse_hardware(exact_rows, mpc(w))
             sample = _locus_sample(cps, lam, precision_bits, generic_degree)
         roots.append(sample[0])
         flags.append(sample[1])
@@ -567,9 +577,10 @@ def _locus_sample_floats(coeffs, lam, generic_degree):
 
 def _locus_sample(cps, lam, prec, generic_degree):
     """One sample solved by find_roots and flagged at prec; roots as complex."""
-    mags = [float(abs(c)) for c in cps]
-    if math.inf in mags:  # a |c| above the float range: an inf threshold trims every c
-        mags = [abs(c) for c in cps]
+    with mp.workprec(prec):  # |c| rounded at prec: at 53 bits a trim tie could flip
+        mags = [float(abs(c)) for c in cps]
+        if math.inf in mags:  # a |c| above the float range: an inf threshold trims every c
+            mags = [abs(c) for c in cps]
     hi, _ = _trim(mags, prec)
     gap = hi < generic_degree
     coeffs = cps[: hi + 1]
@@ -702,6 +713,7 @@ def estimate_branch_coefficients(p, leading_hint):
         scales = [mpf(s) for s in _BRANCH_SCALES]
     clusters = []
     snap = mpf(2) ** -(prec // 2)
+    rows = _rows(p)
 
     def pair_order(v):
         # tiny imaginary noise on real roots must not scramble the pairing
@@ -709,9 +721,8 @@ def estimate_branch_coefficients(p, leading_hint):
         return (im, v.real)
 
     for b0 in scales:
-        coeffs = p.coefficients_in_a(ComplexPoint(b0, 0, prec))
-        rs = find_roots(coeffs, prec)
         with mp.workprec(prec):
+            rs = find_roots(_collapse_hardware(rows, mpc(b0)), prec)
             sel = [z.to_mpc() for z in rs.roots
                    if abs(z.to_mpc() / b0 - hint) <= _BRANCH_CLUSTER_RADIUS]
             sel.sort(key=pair_order, reverse=True)

@@ -161,6 +161,23 @@ class TestRootsCommand:
         assert err == ("error: root within error radius of |2.0 + v| = 2.0 at %d bits\n"
                        % solves[-1])
 
+    def test_escalates_then_decides(self, capsys, monkeypatch):
+        # ambiguous at 53 bits, decided at 106; the printed roots stay the
+        # 53-bit ones that were solved first
+        seen = []
+        iterate = roots_module._iterate
+
+        def spy(coeffs, exact_ints, prec):
+            seen.append(prec)
+            return iterate(coeffs, exact_ints, prec)
+
+        monkeypatch.setattr(roots_module, "_iterate", spy)
+        code, out, err = run(capsys, ["roots", "k4:c:3:4:sub=2", "--lambda", "2",
+                                      "--precision", "53"])
+        assert (code, err, seen) == (0, "", [53, 106])
+        data = json.loads(out)
+        assert data["precision"] == 53 and data["violation"] is False
+
     def test_two_loops_put_a_double_root_at_the_disc_centre(self, capsys, tmp_path):
         # each loop multiplies C by (1 + v): v = -1 twice, exact, radius 0
         path = tmp_path / "loops.graph"

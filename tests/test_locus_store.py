@@ -8,13 +8,15 @@ import io
 import math
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from relzeros import ComplexPoint, ExactBiPoly, LocusCurve, find_roots, trace_locus
 from relzeros.cli import main
 from relzeros.reference import family_bipoly
-from relzeros.roots import _collapse_hardware, _half_angle_circle, _hardware_rows, _locus_sample
+from relzeros.roots import (_collapse_hardware, _half_angle_circle, _hardware_rows,
+                            _locus_sample, _rows)
 from refdata import CASE_POLYS
+from util_graphs import collapse_in_a
 
 
 @pytest.fixture
@@ -73,13 +75,33 @@ def test_csv_matches_complex_point_formatting(case, swept, lam, n_samples):
     assert csv_text(curve) == parent_style_csv(curve)
 
 
+@pytest.mark.parametrize("prec", [53, 80, 128, 256])
+@pytest.mark.parametrize("swept", ["a", "b"])
+@pytest.mark.parametrize("case", ["a", "b", "c", "d", "e", "k6", "wide", "gapped"])
+def test_collapse_matches_the_reference_bit_for_bit(case, swept, prec):
+    # wide: the polynomial of the non-finite samples below; gapped: a^1 and
+    # b^1 have no term, so a row is empty (0j) in either sweep
+    p = {"wide": ExactBiPoly({(0, 1): 10 ** 308, (1, 0): 10 ** 307}),
+         "gapped": ExactBiPoly({(2, 0): 3, (0, 2): -5, (2, 2): 7, (0, 0): 1})}.get(case)
+    p = p or family_bipoly(case)
+    work = p if swept == "b" else p.transposed()
+    rows = _rows(work)
+    points = [_half_angle_circle(lam, 2 * math.pi * (j + 1) / 17)
+              for lam in (1.0, 0.1) for j in range(16)] + [1e-3, 1e-5, 0j]
+    for w in points:
+        want = collapse_in_a(work, ComplexPoint(w.real, w.imag, prec))
+        with mp.workprec(prec):
+            got = _collapse_hardware(rows, mpc(w))
+            assert [mpc(c)._mpc_ for c in got] == [c.to_mpc()._mpc_ for c in want]
+
+
 def test_roots_above_53_bits_are_complex_flagged_at_full_precision():
     p, lam, prec = CASE_POLYS["d"], 0.1, 80
     curve = trace_locus(p, "b", lam, 32, prec)
     assert curve.gap_count() == 0
     for theta, roots, flags in zip(curve.theta_samples, curve.roots, curve.violation_flags):
         w = _half_angle_circle(lam, theta)
-        rs = find_roots(p.coefficients_in_a(ComplexPoint(w.real, w.imag, prec)), prec)
+        rs = find_roots(collapse_in_a(p, ComplexPoint(w.real, w.imag, prec)), prec)
         zeros = rs.zero_multiplicity
         assert roots == [0j] * zeros + [complex(z) for z in rs.roots]
         with mp.workprec(prec):
@@ -114,7 +136,7 @@ def test_non_finite_sample_falls_back_to_complex_points():
             kind = "overflow"
         seen.add(kind)
         if kind != "finite":
-            cps = p.coefficients_in_a(ComplexPoint(w.real, w.imag, 53))
+            cps = collapse_in_a(p, ComplexPoint(w.real, w.imag, 53))
             assert (roots, flags, gap) == _locus_sample(cps, 1.0, 53, 1)
     assert seen == {"finite", "inf", "overflow"}
     assert csv_text(curve) == parent_style_csv(curve)

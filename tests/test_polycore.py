@@ -23,7 +23,7 @@ from relzeros.polycore import (
     taylor_shift,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
-from util_graphs import evaluate_bi, evaluate_uni, poly_add, reference_taylor_shift
+from util_graphs import collapse_in_a, evaluate_bi, evaluate_uni, poly_add, reference_taylor_shift
 
 V = ExactUniPoly([0, 1])
 ONE = ExactUniPoly([1])
@@ -121,6 +121,15 @@ class TestExactUniPoly:
             "-1" + "0" * 5000, "0", "1" + "0" * 4999 + "1"]
         assert ExactBiPoly({(2, 1): big, (0, 3): -7}).to_json()["terms"] == [
             [0, 3, "-7"], [2, 1, "1" + "0" * 5000]]
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_repr_writes_coefficients_past_the_digit_limit(self):
+        big, limit = 10 ** 5000, sys.get_int_max_str_digits()
+        assert repr(ExactUniPoly([big])) == "ExactUniPoly(1%s*v^0)" % ("0" * 5000)
+        assert repr(ExactUniPoly([0, -big, 0, 3])) == (
+            "ExactUniPoly(-1%s*v^1 + 3*v^3)" % ("0" * 5000))
+        assert repr(ExactBiPoly({(2, 1): big, (0, 3): -7})) == (
+            "ExactBiPoly(-7*a^0*b^3 + 1%s*a^2*b^1)" % ("0" * 5000))
         assert sys.get_int_max_str_digits() == limit
 
 
@@ -272,12 +281,12 @@ class TestEvaluation:
         assert evaluate_bi(CASE_POLYS["b"], z, z) == 0
 
     def test_case_d_collapse_at_b_zero_is_a_cubed(self):
-        coeffs = CASE_POLYS["d"].coefficients_in_a(ComplexPoint(0, 0))
+        coeffs = collapse_in_a(CASE_POLYS["d"], ComplexPoint(0, 0))
         assert [c == 0 for c in coeffs] == [True, True, True, False]
         assert coeffs[3] == ComplexPoint(1, 0)
 
     def test_case_b_collapse_at_b_one(self):
-        coeffs = CASE_POLYS["b"].coefficients_in_a(ComplexPoint(1, 0))
+        coeffs = collapse_in_a(CASE_POLYS["b"], ComplexPoint(1, 0))
         assert [complex(c) for c in coeffs] == [5, 18, 15]
 
     def test_precision_escalation_agreement_on_degree_93(self, families):

@@ -932,21 +932,25 @@ class TestCircleRoots:
 
     def test_k6_20_20_decides_at_256_bits(self, monkeypatch, capsys):
         # its orders 2, 4, 5, 10 and 20 each divide five times; split off,
-        # no radius is inf and the 256-bit verdict needs no 512-bit solve
-        solved = []
+        # no radius is inf and the 256-bit verdict needs no 512-bit solve:
+        # the Aberth stages run once, at 256 bits, whoever calls them
+        solved, iterated = [], []
+        iterate = roots_module._iterate
 
         def record(poly, prec):
             solved.append(find_roots(poly, prec))
             return solved[-1]
 
-        def escalate(*args):
-            raise AssertionError("escalated to bc_lambda_holds_univariate")
+        def spy(coeffs, exact_ints, prec):
+            iterated.append(prec)
+            return iterate(coeffs, exact_ints, prec)
 
         monkeypatch.setattr(cli, "find_roots", record)
-        monkeypatch.setattr(cli, "bc_lambda_holds_univariate", escalate)
+        monkeypatch.setattr(roots_module, "_iterate", spy)
         assert cli.main(["roots", "k6:20:20"]) == cli.EXIT_OK
         out = json.loads(capsys.readouterr().out)
         [rs] = solved
+        assert iterated == [256]
         assert rs.precision == 256 and rs.degree == 300 and sum(rs.on_circle) == 95
         assert all(mp.isfinite(e) for e in rs.error_radii)
         assert disc_verdict(rs, 1) == "holds"

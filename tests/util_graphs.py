@@ -180,12 +180,42 @@ def evaluate_uni(poly, z):
     return ComplexPoint.from_mpc(acc, prec)
 
 
+def collapse_in_a(poly, b0):
+    """Collapse b at the numeric point b0: coefficients of a^k, low to high.
+
+    Positions with no stored term come back as exact zeros, so a caller
+    can deflate symbolic zero roots of the collapsed polynomial.  The
+    reference that roots._collapse_hardware on roots._rows matches bit for
+    bit inside mp.workprec(b0's precision).
+    """
+    b0 = as_complex_point(b0)
+    prec = b0.precision
+    na = poly.degree_a
+    if na < 0:
+        return []
+    rows = [{} for _ in range(na + 1)]
+    for (da, db), c in poly.terms.items():
+        rows[da][db] = c
+    out = []
+    with mp.workprec(prec):
+        bc = b0.to_mpc()
+        for row in rows:
+            if not row:
+                out.append(ComplexPoint(0, 0, prec))
+                continue
+            acc = mpc(0)
+            for db in range(max(row), -1, -1):
+                acc = acc * bc + row.get(db, 0)
+            out.append(ComplexPoint.from_mpc(acc, prec))
+    return out
+
+
 def evaluate_bi(poly, a0, b0):
     """An ExactBiPoly at (a0, b0), at the larger of the two precisions."""
     a0 = as_complex_point(a0)
     b0 = as_complex_point(b0)
     prec = max(a0.precision, b0.precision)
-    coeffs = poly.coefficients_in_a(ComplexPoint(b0.re, b0.im, prec))
+    coeffs = collapse_in_a(poly, ComplexPoint(b0.re, b0.im, prec))
     with mp.workprec(prec):
         ac = a0.to_mpc()
         acc = mpc(0)
