@@ -7,8 +7,10 @@ working directory, it runs
 
     relzeros reproduce --suite all --json       (rows compared without "seconds")
     relzeros roots SPEC [OPTIONS]               (for each entry of ROOTS)
-    relzeros poly SPEC                          (for each entry of POLY)
-    relzeros check|poly|roots FILE              (for each graph file of GRAPHS)
+    relzeros poly SPEC                          (for each entry of POLY,
+                                                 malformed specs among them)
+    relzeros check|poly|roots FILE              (for each graph file of GRAPHS,
+                                                 unparsable ones among them)
     relzeros locus CASE [--sweep a] --precision P --out F
                                                 (for each entry of LOCUS)
 
@@ -39,12 +41,20 @@ ROOTS = [
     ["k4:c:3:4:sub=2", "--lambda", "2", "--precision", "53"],
     ["k4:d:6:1:sub=2", "--lambda", "2", "--precision", "53"],
 ]
-POLY = ["k4:b", "k6", "k4:b:1:7"]
-# graph files written into the working directory: K4 in one class, and a
-# triangle with a doubled edge and a loop (the loop puts a root at v = -1)
+# the last six exit 2, each with its own message
+POLY = ["k4:b", "k6", "k4:b:1:7",
+        "k6:1:2:sub=3", "k4:b:1", "k4:b:sub=2", "k4:ab:1:2", "k6:1", "cycle"]
+# graph files written into the working directory: K4 in one class, a
+# triangle with a doubled edge and a loop (the loop puts a root at v = -1),
+# a single vertex (a constant polynomial: roots exits 3), and three files
+# that fail to parse (exit 2)
 GRAPHS = {
     "k4.graph": "vertices 4\n0 1 0\n0 2 0\n0 3 0\n1 2 0\n1 3 0\n2 3 0\n",
     "loop.graph": "vertices 3\n0 1 0\n0 1 0\n1 2 0\n2 0 0\n2 2 0\n",
+    "one.graph": "vertices 1\n",
+    "no_header.graph": "0 1 0\n",
+    "negative.graph": "vertices -1\n",
+    "bad_field.graph": "vertices 2\n0 1 x\n",
 }
 # the transposed run collapses a in mpmath, above 53 bits
 LOCUS = ([[case, "--precision", str(prec)] for case in ("b", "d", "k6") for prec in (53, 80)]

@@ -123,11 +123,11 @@ def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
 
 
 def _gaussian_integers(coeffs):
-    """coeffs times one power of two, as exact (re, im) integer pairs (a
-    common factor does not move the roots); None if one is not finite."""
+    """Integer or mpc coeffs times one power of two, as (re, im) integer pairs
+    (a common factor does not move the roots); None if one is not finite."""
     if isinstance(coeffs[0], int):
         return [(c, 0) for c in coeffs]
-    dyadic = _dyadic([x for c in coeffs for x in (c.re, c.im)])
+    dyadic = _dyadic([x for c in coeffs for x in (c.real, c.imag)])
     if dyadic is None:
         return None
     vals, _ = dyadic

@@ -92,41 +92,11 @@ def _resolve_family(spec, max_degree):
     parts = spec.split(":")
     head = parts[0]
     sub = None
-    if parts and parts[-1].startswith("sub="):
-        if head not in ("k4",):
+    if parts[-1].startswith("sub="):
+        if head != "k4":
             raise FamilySpecError("sub= is only supported on k4 families")
         sub = _int_field(parts[-1][4:], "subdivision factor")
         parts = parts[:-1]
-    if head == "k4":
-        if len(parts) not in (2, 4):
-            raise FamilySpecError("expected k4:<case> or k4:<case>:<p1>:<p2>[:sub=<s>]")
-        case = parts[1]
-        if case not in "abcde" or len(case) != 1:
-            raise FamilySpecError("k4 case must be one of a, b, c, d, e")
-        bi = reference.family_bipoly(case)
-        if len(parts) == 2:
-            if sub is not None:
-                raise FamilySpecError("sub= needs explicit p1 and p2")
-            return "bi", bi, "k4:%s" % case
-        p1 = _int_field(parts[2], "p1")
-        p2 = _int_field(parts[3], "p2")
-        _check_degree((p1 * bi.degree_a + p2 * bi.degree_b) * (sub or 1), max_degree)
-        poly = two_class_specialize(bi, p1, p2)
-        desc = "k4:%s:%d:%d" % (case, p1, p2)
-        if sub is not None:
-            poly = subdivided_univariate(poly, sub)
-            desc += ":sub=%d" % sub
-        return "uni", poly, desc
-    if head == "k6":
-        if len(parts) not in (1, 3):
-            raise FamilySpecError("expected k6 or k6:<p1>:<p2>")
-        bi = reference.family_bipoly("k6")
-        if len(parts) == 1:
-            return "bi", bi, "k6"
-        p1 = _int_field(parts[1], "p1")
-        p2 = _int_field(parts[2], "p2")
-        _check_degree(p1 * bi.degree_a + p2 * bi.degree_b, max_degree)
-        return "uni", two_class_specialize(bi, p1, p2), "k6:%d:%d" % (p1, p2)
     if head in ("cycle", "bundle"):
         if len(parts) != 2:
             raise FamilySpecError("expected %s:<n>" % head)
@@ -135,7 +105,32 @@ def _resolve_family(spec, max_degree):
         if head == "cycle":
             return "uni", cycle_poly(n), "cycle:%d" % n
         return "uni", shifted_power(n), "bundle:%d" % n
-    raise FamilySpecError("unknown family %r" % head)
+    if head == "k4":
+        if len(parts) not in (2, 4):
+            raise FamilySpecError("expected k4:<case> or k4:<case>:<p1>:<p2>[:sub=<s>]")
+        case = parts[1]
+        if case not in "abcde" or len(case) != 1:
+            raise FamilySpecError("k4 case must be one of a, b, c, d, e")
+        desc, member = "k4:" + case, parts[2:]
+    elif len(parts) in (1, 3):  # k6, bare or with p1 and p2
+        case = desc = "k6"
+        member = parts[1:]
+    else:
+        raise FamilySpecError("expected k6 or k6:<p1>:<p2>")
+    bi = reference.family_bipoly(case)
+    if not member:
+        if sub is not None:
+            raise FamilySpecError("sub= needs explicit p1 and p2")
+        return "bi", bi, desc
+    p1 = _int_field(member[0], "p1")
+    p2 = _int_field(member[1], "p2")
+    _check_degree((p1 * bi.degree_a + p2 * bi.degree_b) * (sub or 1), max_degree)
+    poly = two_class_specialize(bi, p1, p2)
+    desc += ":%d:%d" % (p1, p2)
+    if sub is not None:
+        poly = subdivided_univariate(poly, sub)
+        desc += ":sub=%d" % sub
+    return "uni", poly, desc
 
 
 def _read_graph(path):

@@ -8,10 +8,10 @@ float solve runs in u = 1 + v on the Taylor shift q(u) = p(u - 1), with
 q's exact zero roots started at v = -1: the family members' roots crowd
 |1 + v| = 1, so q's coefficients span a few bits where p's span dozens,
 and the float roots land next to the true ones.  At 53 bits these float
-roots are the result, and only where that solve fails does the float
-solve in v take over.  Other coefficients are solved in v, where their
-roots (branch fits, locus samples) need fewer sweeps.  A failed float
-solve leaves the fixed-point loop to start from circles.
+roots are the result.  Other coefficients, taken as mpc, are solved in v,
+where their roots (branch fits, locus samples) need fewer sweeps.  A
+failed float solve leaves the fixed-point loop to start from circles, at
+every precision.
 
 The zero root is never iterated: low-order exactly-zero coefficients are
 stripped symbolically, so v = 0 sits exactly on every disc boundary
@@ -29,7 +29,8 @@ bc_lambda_holds_univariate alike.  One Horner pass over integer rows
 collapses a bivariate polynomial at a point: in floats for 53-bit locus
 sweeps, with an mpmath tie-break where a float |.| lands within a few ulps
 of a trim or disc threshold, so they match find_roots at 53 bits; in
-mpmath at the working precision elsewhere.
+mpmath at the working precision elsewhere, where a locus sample runs only
+_iterate, the Aberth stages of find_roots, and computes no radius.
 """
 
 from __future__ import annotations
@@ -123,14 +124,14 @@ def _nstr_up(x, digits):
 
 
 def _normalize_coefficients(p):
-    """-> (low-to-high coefficient list, exact_ints flag, zero-root
-    multiplicity), leading and low-order zeros trimmed; ZeroPolynomialError
-    if nothing is left."""
+    """-> (low-to-high coefficients, all integers or else all mpc, exact_ints
+    flag, zero-root multiplicity), leading and low-order zeros trimmed;
+    ZeroPolynomialError if nothing is left."""
     if isinstance(p, ExactUniPoly):
         cs, exact_ints = list(p.coeffs), True
     elif isinstance(p, (list, tuple)):
         exact_ints = all(isinstance(c, int) for c in p)
-        cs = list(p) if exact_ints else [as_complex_point(c) for c in p]
+        cs = list(p) if exact_ints else [as_complex_point(c).to_mpc() for c in p]
         while cs and cs[-1] == 0:
             cs.pop()
     else:
@@ -239,11 +240,10 @@ def _iterate(coeffs, exact_ints, prec):
         raise ValueError("precision must be at least %d bits" % MIN_PRECISION)
     if len(coeffs) < 2:
         return [], True
-    # exact integers start from the solve in u = 1 + v, and only at 53 bits
-    # fall back to the solve in v, which may stop short of the true roots
-    starts, ok = _shifted_starts(coeffs) if exact_ints else None, True
-    if starts is None and (prec <= MIN_PRECISION or not exact_ints):
-        starts, ok = _solve_floats(coeffs) or (None, False)
+    # exact integers start from the solve in u = 1 + v, other coefficients
+    # from the solve in v; where that fails, the fixed-point loop starts cold
+    starts, ok = ((_shifted_starts(coeffs), True) if exact_ints
+                  else _solve_floats(coeffs) or (None, False))
     if prec <= MIN_PRECISION and starts is not None:
         return [mpc(z) for z in starts], ok
     if not ok:
@@ -325,7 +325,8 @@ def disc_verdict(root_set, lam, exact_coeffs=None):
     Each root's disc of its error radius is tested exactly against
     |lam + v| < lam, so a root with radius 0 on the boundary decides.  A
     root on_circle lies inside exactly when lam > 1.  exact_coeffs is
-    accepted for older callers and ignored."""
+    ignored; the last caller that passes it is the mp-roots workload in
+    bench/workloads.py, and ROADMAP item A drops it there."""
     with mp.workprec(root_set.precision):
         lamv = _positive_lambda(lam)
     ambiguous = False
@@ -426,10 +427,11 @@ def _hardware_rows(bipoly):
 
 def _collapse_hardware(rows, w):
     """Coefficients in a, low to high, at b = w, by Horner over rows: in floats
-    for a complex w, at the working precision for an mpc w (an empty row: 0j)."""
+    for a complex w, at the working precision for an mpc w (an empty row: 0j or mpc 0)."""
     out = []
+    zero = type(w)()
     for row in rows:
-        acc = 0j
+        acc = zero
         for c in row:
             acc = acc * w + c
         out.append(acc)
@@ -550,8 +552,8 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
 
 
 def _locus_sample_floats(coeffs, lam, generic_degree):
-    """_locus_sample at 53 bits in floats (_finalize only converts and sorts
-    the roots); None on a non-finite coefficient or root, or on a modulus
+    """_locus_sample at 53 bits in floats (_iterate only converts the float
+    roots there); None on a non-finite coefficient or root, or on a modulus
     that overflows a float."""
     try:
         if not math.isfinite(sum(mags := list(map(abs, coeffs)))):
@@ -576,26 +578,22 @@ def _locus_sample_floats(coeffs, lam, generic_degree):
 
 
 def _locus_sample(cps, lam, prec, generic_degree):
-    """One sample solved by find_roots and flagged at prec; roots as complex."""
+    """One sample of mpc coefficients solved by _iterate (no radii) and flagged
+    at prec; roots as complex, in find_roots' order."""
     with mp.workprec(prec):  # |c| rounded at prec: at 53 bits a trim tie could flip
         mags = [float(abs(c)) for c in cps]
         if math.inf in mags:  # a |c| above the float range: an inf threshold trims every c
             mags = [abs(c) for c in cps]
     hi, _ = _trim(mags, prec)
-    gap = hi < generic_degree
     coeffs = cps[: hi + 1]
     zero_mult = _deflate(coeffs)
-    roots = []
-    if len(coeffs) >= 2:
-        try:
-            roots = find_roots(coeffs, prec).roots
-        except NonconvergenceError as exc:
-            roots = exc.partial.roots
-            gap = True
+    roots, ok = _iterate(coeffs, False, prec)
+    roots.sort(key=_real_imag)
     with mp.workprec(prec):
         lamv = mpf(lam)
-        flags = [abs(lamv + z.to_mpc()) < lamv for z in roots]
-    return [0j] * zero_mult + [complex(z) for z in roots], [False] * zero_mult + flags, gap
+        flags = [abs(lamv + z) < lamv for z in roots]
+    return ([0j] * zero_mult + [complex(z) for z in roots], [False] * zero_mult + flags,
+            hi < generic_degree or not ok)
 
 
 class RegionEndpoint(NamedTuple):

@@ -95,6 +95,25 @@ class TestPolyCommand:
             code, _, _ = run(capsys, ["poly", spec])
             assert code == 2, spec
 
+    @pytest.mark.parametrize("spec, message", [
+        ("k6:1:2:sub=3", "sub= is only supported on k4 families"),
+        ("k4:b:1", "expected k4:<case> or k4:<case>:<p1>:<p2>[:sub=<s>]"),
+        ("k4:b:sub=2", "sub= needs explicit p1 and p2"),
+        ("k4:ab:1:2", "k4 case must be one of a, b, c, d, e"),
+        ("k6:1", "expected k6 or k6:<p1>:<p2>"),
+        ("cycle", "expected cycle:<n>")])
+    def test_spec_error_exits_2_with_its_message(self, capsys, spec, message):
+        assert run(capsys, ["poly", spec]) == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 0\n", "line 1: expected 'vertices N'"),
+        ("vertices -1\n", "line 1: vertex count must be nonnegative"),
+        ("vertices 2\n0 1 x\n", "line 2: edge fields must be integers: '0 1 x'")])
+    def test_graph_parse_error_exits_2_with_its_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        assert run(capsys, ["poly", str(path)]) == (2, "", "error: %s\n" % message)
+
     def test_enumeration_capability_exits_3(self, capsys, tmp_path):
         g = cycle_graph(25)
         path = tmp_path / "big.graph"
@@ -206,6 +225,12 @@ class TestRootsCommand:
             assert Fraction(text) >= radius, (text, e)
             if radius:
                 assert Fraction(digits.next_minus(Decimal(text))) < radius, (text, e)
+
+    def test_one_vertex_graph_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "one.graph"
+        path.write_text("vertices 1\n")
+        assert run(capsys, ["roots", str(path)]) == (
+            3, "", "error: polynomial of degree 0 has no roots to report\n")
 
     def test_bivariate_rejected(self, capsys):
         code, _, _ = run(capsys, ["roots", "k4:b"])

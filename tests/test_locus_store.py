@@ -10,7 +10,7 @@ import math
 import pytest
 from mpmath import mp, mpc, mpf
 
-from relzeros import ComplexPoint, ExactBiPoly, LocusCurve, find_roots, trace_locus
+from relzeros import ComplexPoint, ExactBiPoly, LocusCurve, aberth, find_roots, roots, trace_locus
 from relzeros.cli import main
 from relzeros.reference import family_bipoly
 from relzeros.roots import (_collapse_hardware, _half_angle_circle, _hardware_rows,
@@ -95,17 +95,37 @@ def test_collapse_matches_the_reference_bit_for_bit(case, swept, prec):
             assert [mpc(c)._mpc_ for c in got] == [c.to_mpc()._mpc_ for c in want]
 
 
+def test_sweep_above_53_bits_builds_no_root_set(constructions, monkeypatch):
+    # a sample above 53 bits runs the Aberth stages alone: no find_roots,
+    # no RootSet of ComplexPoints and no error radius
+    calls = []
+    for module, name in ((roots, "find_roots"), (aberth, "_radius")):
+        def spy(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    curve = trace_locus(CASE_POLYS["d"], "b", 1.0, 64, 80)
+    assert curve.gap_count() == 0 and curve.violation_count() > 0
+    assert calls == [] and constructions == []
+
+
 def test_roots_above_53_bits_are_complex_flagged_at_full_precision():
-    p, lam, prec = CASE_POLYS["d"], 0.1, 80
-    curve = trace_locus(p, "b", lam, 32, prec)
-    assert curve.gap_count() == 0
-    for theta, roots, flags in zip(curve.theta_samples, curve.roots, curve.violation_flags):
-        w = _half_angle_circle(lam, theta)
-        rs = find_roots(collapse_in_a(p, ComplexPoint(w.real, w.imag, prec)), prec)
-        zeros = rs.zero_multiplicity
-        assert roots == [0j] * zeros + [complex(z) for z in rs.roots]
-        with mp.workprec(prec):
-            assert flags == [False] * zeros + [abs(mpf(lam) + z.to_mpc()) < lam for z in rs.roots]
+    # gapped: a^1 has no term, so one coefficient of every sample is an
+    # empty row's exact zero
+    gapped = ExactBiPoly({(2, 0): 3, (0, 2): -5, (2, 2): 7, (0, 0): 1})
+    prec = 80
+    for p, lam in ((CASE_POLYS["d"], 0.1), (gapped, 1.0)):
+        curve = trace_locus(p, "b", lam, 32, prec)
+        assert curve.gap_count() == 0
+        for theta, roots, flags in zip(curve.theta_samples, curve.roots, curve.violation_flags):
+            w = _half_angle_circle(lam, theta)
+            rs = find_roots(collapse_in_a(p, ComplexPoint(w.real, w.imag, prec)), prec)
+            zeros = rs.zero_multiplicity
+            assert roots == [0j] * zeros + [complex(z) for z in rs.roots]
+            with mp.workprec(prec):
+                assert flags == [False] * zeros + [abs(mpf(lam) + z.to_mpc()) < lam
+                                                   for z in rs.roots]
 
 
 def test_negative_zero_prints_as_zero():
@@ -120,8 +140,8 @@ def test_non_finite_sample_falls_back_to_complex_points():
     # |1e308 * w| + 1e307 overflows a float where |w| = |e^(i theta) - 1|
     # is near 2, though every coefficient is finite; on this grid |1e308 * w|
     # itself does too, where abs() raises OverflowError.  Those samples are
-    # collapsed again on ComplexPoints and solved through _locus_sample, the
-    # rest in floats.
+    # collapsed again in mpmath and solved through _locus_sample on mpc
+    # coefficients, the rest in floats.
     p = ExactBiPoly({(0, 1): 10 ** 308, (1, 0): 10 ** 307})
     curve = trace_locus(p, "b", 1.0, 64)
     rows = _hardware_rows(p)
@@ -136,7 +156,7 @@ def test_non_finite_sample_falls_back_to_complex_points():
             kind = "overflow"
         seen.add(kind)
         if kind != "finite":
-            cps = collapse_in_a(p, ComplexPoint(w.real, w.imag, 53))
+            cps = [c.to_mpc() for c in collapse_in_a(p, ComplexPoint(w.real, w.imag, 53))]
             assert (roots, flags, gap) == _locus_sample(cps, 1.0, 53, 1)
     assert seen == {"finite", "inf", "overflow"}
     assert csv_text(curve) == parent_style_csv(curve)

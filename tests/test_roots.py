@@ -264,6 +264,31 @@ class TestFindRoots:
         assert calls == [None]
         assert_roots_match(got, reference_find_roots(coeffs, 128, warm=False))
 
+    def test_failed_shifted_solve_starts_cold_at_53_bits(self, monkeypatch):
+        # 10^305 (v^30 - 3): q(u) overflows floats, and at 53 bits too the
+        # roots come from the fixed-point loop started on circles, which
+        # leaves the two real roots +-3^(1/30) exactly real
+        real = roots_module._aberth_fixed
+        calls = []
+
+        def record(gauss, starts, prec):
+            calls.append(starts)
+            return real(gauss, starts, prec)
+
+        monkeypatch.setattr(roots_module, "_aberth_fixed", record)
+        p = ExactUniPoly([-3 * 10 ** 305] + [0] * 29 + [10 ** 305])
+        got = find_roots(p, 53)
+        assert calls == [None]
+        want = find_roots(p, 256)
+        with mp.workprec(256):
+            for z, e in zip(got.roots, got.error_radii):
+                assert min(abs(z.to_mpc() - w.to_mpc()) - f
+                           for w, f in zip(want.roots, want.error_radii)) <= e
+        real_roots = [z for z in got.roots if abs(z.im) < 1e-10]
+        assert [z.im for z in real_roots] == [0, 0]
+        assert [float(z.re) for z in real_roots] == pytest.approx([-3 ** (1 / 30), 3 ** (1 / 30)],
+                                                                  rel=1e-14)
+
     @pytest.mark.parametrize("case, p1, p2", [("d", 16, 1), ("b", 1, 7), ("d", 30, 1)])
     def test_53_bit_integer_roots_come_from_the_shifted_solve(self, families, case, p1, p2):
         # the float roots of q(u) = p(u - 1) lie within their radii of the
