@@ -251,14 +251,7 @@ class TestFindRoots:
 
     def test_failed_shifted_solve_falls_back_to_circle_start(self, monkeypatch):
         # (v - 1)(v - 2) * 10^400: q(u) overflows floats, so no float start
-        real = roots_module._aberth_fixed
-        calls = []
-
-        def record(gauss, starts, prec):
-            calls.append(starts)
-            return real(gauss, starts, prec)
-
-        monkeypatch.setattr(roots_module, "_aberth_fixed", record)
+        calls = spy_on_fixed_starts(monkeypatch)
         coeffs = [2 * 10 ** 400, -3 * 10 ** 400, 10 ** 400]
         got = find_roots(coeffs, 128)
         assert calls == [None]
@@ -268,14 +261,7 @@ class TestFindRoots:
         # 10^305 (v^30 - 3): q(u) overflows floats, and at 53 bits too the
         # roots come from the fixed-point loop started on circles, which
         # leaves the two real roots +-3^(1/30) exactly real
-        real = roots_module._aberth_fixed
-        calls = []
-
-        def record(gauss, starts, prec):
-            calls.append(starts)
-            return real(gauss, starts, prec)
-
-        monkeypatch.setattr(roots_module, "_aberth_fixed", record)
+        calls = spy_on_fixed_starts(monkeypatch)
         p = ExactUniPoly([-3 * 10 ** 305] + [0] * 29 + [10 ** 305])
         got = find_roots(p, 53)
         assert calls == [None]
@@ -385,6 +371,19 @@ def reference_circle_roots(orders, prec):
                     z = ComplexPoint.from_mpc(mp.expjpi(mpf(2 * k) / m) - 1, prec)
                 out.append((z, aberth._radius(gauss, z, prec), True))
     return out
+
+
+def spy_on_fixed_starts(monkeypatch):
+    """The list of the starts that each roots._aberth_fixed call gets, as they come."""
+    real = roots_module._aberth_fixed
+    calls = []
+
+    def record(gauss, starts, prec):
+        calls.append(starts)
+        return real(gauss, starts, prec)
+
+    monkeypatch.setattr(roots_module, "_aberth_fixed", record)
+    return calls
 
 
 def reference_find_roots(p, prec, warm=True):
