@@ -6,16 +6,20 @@ In each checkout, with that checkout's own src/ on PYTHONPATH and a fresh
 working directory, it runs
 
     relzeros reproduce --suite all --json       (rows compared without "seconds")
+    relzeros reproduce --suite k6 --precision 40
     relzeros roots SPEC [OPTIONS]               (for each entry of ROOTS)
     relzeros poly SPEC                          (for each entry of POLY,
                                                  malformed specs among them)
     relzeros check|poly|roots FILE              (for each graph file of GRAPHS,
-                                                 unparsable ones among them)
-    relzeros locus CASE [--sweep a] --precision P --out F
-                                                (for each entry of LOCUS)
+                                                 unparsable and disconnected
+                                                 ones among them)
+    relzeros locus CASE [OPTIONS] --out F       (for each entry of LOCUS,
+                                                 rejected arguments among them)
 
 and compares stdout, stderr, exit code and, for locus, the CSV written.
-It prints every difference and exits 1 if there is any, 0 otherwise.
+It prints every difference, and every command that wrote a Python
+traceback in either checkout (a crash both share compares as equal), and
+exits 1 if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -46,19 +50,25 @@ POLY = ["k4:b", "k6", "k4:b:1:7",
         "k6:1:2:sub=3", "k4:b:1", "k4:b:sub=2", "k4:ab:1:2", "k6:1", "cycle"]
 # graph files written into the working directory: K4 in one class, a
 # triangle with a doubled edge and a loop (the loop puts a root at v = -1),
-# a single vertex (a constant polynomial: roots exits 3), and three files
-# that fail to parse (exit 2)
+# a single vertex (a constant polynomial: roots exits 3), two disjoint edges
+# (check prints n/a for multivariate-BC, poly and roots exit 3), and three
+# files that fail to parse (exit 2)
 GRAPHS = {
     "k4.graph": "vertices 4\n0 1 0\n0 2 0\n0 3 0\n1 2 0\n1 3 0\n2 3 0\n",
     "loop.graph": "vertices 3\n0 1 0\n0 1 0\n1 2 0\n2 0 0\n2 2 0\n",
     "one.graph": "vertices 1\n",
+    "disconnected.graph": "vertices 4\n0 1 0\n2 3 0\n",
     "no_header.graph": "0 1 0\n",
     "negative.graph": "vertices -1\n",
     "bad_field.graph": "vertices 2\n0 1 x\n",
 }
-# the transposed run collapses a in mpmath, above 53 bits
+# the transposed run collapses a in mpmath, above 53 bits; the last two
+# exit 2 and write no CSV
 LOCUS = ([[case, "--precision", str(prec)] for case in ("b", "d", "k6") for prec in (53, 80)]
-         + [["b", "--sweep", "a", "--precision", "80"]])
+         + [["b", "--sweep", "a", "--precision", "80"],
+            ["b", "--samples", "8"], ["b", "--lambda", "0"]])
+# exits 2 before any row: the precision is below 53 bits
+REPRODUCE_REJECTED = ["reproduce", "--suite", "k6", "--precision", "40"]
 
 
 def relzeros(checkout, workdir, *args):
@@ -78,6 +88,7 @@ def outputs(checkout):
         for row in rows:
             row.pop("seconds", None)
         out[key] = dict(run, rows=rows)
+        out[" ".join(REPRODUCE_REJECTED)] = relzeros(checkout, workdir, *REPRODUCE_REJECTED)
         for args in ROOTS:
             out["roots " + " ".join(args)] = relzeros(checkout, workdir, "roots", *args)
         for spec in POLY:
@@ -129,10 +140,14 @@ def main(argv=None):
     args = p.parse_args(argv)
     old, new = outputs(args.parent.resolve()), outputs(args.change.resolve())
     found = [d for key in old for d in differences(key, old[key], new[key])]
-    for d in found:
+    crashed = ["%s: %s wrote a traceback" % (side, key)
+               for side, out in (("parent", old), ("change", new))
+               for key, run in out.items() if "Traceback" in run["stderr"]]
+    for d in found + crashed:
         print(d)
-    print("%d commands compared, %d differences" % (len(old), len(found)))
-    return 1 if found else 0
+    print("%d commands compared, %d differences, %d tracebacks"
+          % (len(old), len(found), len(crashed)))
+    return 1 if found or crashed else 0
 
 
 if __name__ == "__main__":

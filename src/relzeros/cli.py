@@ -68,14 +68,10 @@ def _int_field(text, what):
     return value
 
 
-def resolve_spec(spec):
-    """Spec string -> (kind, polynomial, description); kind 'uni' or 'bi'."""
-    return _resolve(spec, None)
-
-
-def _resolve(spec, max_degree):
-    """resolve_spec, but a family member whose degree, fixed by the spec,
-    exceeds max_degree (if not None) raises CapabilityError unbuilt."""
+def resolve_spec(spec, max_degree=None):
+    """Spec string -> (kind, polynomial, description); kind 'uni' or 'bi'.
+    A family member whose degree, fixed by the spec, exceeds max_degree (if
+    not None) raises CapabilityError unbuilt."""
     head = spec.split(":", 1)[0]
     if head in ("k4", "k6", "cycle", "bundle"):
         return _resolve_family(spec, max_degree)
@@ -156,7 +152,7 @@ def _cmd_poly(args):
 
 def _cmd_roots(args):
     _positive_lambda(args.lam)
-    kind, poly, desc = _resolve(args.spec, MAX_ROOT_DEGREE)
+    kind, poly, desc = resolve_spec(args.spec, MAX_ROOT_DEGREE)
     if kind != "uni":
         raise CapabilityError("roots needs a univariate polynomial; "
                               "specialize the family with :<p1>:<p2>")
@@ -194,13 +190,12 @@ def _cmd_locus(args):
 
 def _cmd_check(args):
     g = _read_graph(args.path)
-    sp = is_series_parallel(g)
-    print("series-parallel: %s" % ("true" if sp else "false"))
-    try:
-        bc = multivariate_bc_property(g)
-        verdict = "true" if bc else "false"
+    try:  # on a connected graph one reduction decides both lines
+        sp = multivariate_bc_property(g)
+        verdict = "true" if sp else "false"
     except DisconnectedGraphError:
-        verdict = "n/a (disconnected)"
+        sp, verdict = is_series_parallel(g), "n/a (disconnected)"
+    print("series-parallel: %s" % ("true" if sp else "false"))
     print("multivariate-BC: %s  (same verdict as series-parallel; "
           "the two properties are equivalent)" % verdict)
     return EXIT_OK

@@ -89,8 +89,6 @@ ENDPOINT_ANGLES = {
     ("d", "a"): 0.110198,
     ("d", "b"): 0.030469,
 }
-ANALYTIC_CASES = ("a", "c", "e")
-HALF_POWER_CASES = ("b", "d")
 
 # Root branches a(b) near b = 0: (hint, kind, leading, subleading).
 # Half-power subleadings are the representative with Im >= 0 (case d) or
@@ -228,9 +226,9 @@ def _min_root(families, family):
     return min_disc_root(families.roots(*family), 1, positive_imag=True)
 
 
-def _root(families, family, expected, tol):
+def _root(families, family, expected, tol, digits=6):
     z, _ = _min_root(families, family)
-    return _complex_str(complex(z), 6), abs(complex(z) - expected), tol
+    return _complex_str(complex(z), digits), abs(complex(z) - expected), tol
 
 
 def _modulus(families, family, expected, tol):
@@ -257,11 +255,6 @@ def _vk(families, p1, p2, k):
     return kth_root_branch(_min_root(families, ("b", p1, p2))[0], k)
 
 
-def _construction_v1(families, p1, p2, expected):
-    v1 = complex(_min_root(families, ("b", p1, p2))[0])
-    return _complex_str(v1, 12), abs(v1 - expected), 1e-9
-
-
 def _construction_k(families, p1, p2, expected):
     k = find_minimal_k(_min_root(families, ("b", p1, p2))[0], CONSTRUCTION_S)
     return "k=%d" % k, float(abs(k - expected)), 0.0
@@ -286,8 +279,8 @@ def construction_rows():
         label = "published simple-planar construction from k4:b:%d:%d" % (p1, p2)
         k = ref["k"]
         rows += [
-            Row(prefix + "-v1", label, _complex_str(ref["v1"], 12), _construction_v1,
-                (p1, p2, ref["v1"])),
+            Row(prefix + "-v1", label, _complex_str(ref["v1"], 12), _root,
+                (("b", p1, p2), ref["v1"], 1e-9, 12)),
             Row(prefix + "-k", label, "k=%d" % k, _construction_k, (p1, p2, k)),
             Row(prefix + "-vk", label, _complex_str(ref["vk"], 12), _construction_vk,
                 (p1, p2, k, ref["vk"])),

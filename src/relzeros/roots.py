@@ -229,20 +229,20 @@ def find_roots(p, precision_bits=None):
     orders = []
     if exact_ints:
         coeffs, orders = _strip_circle_factors(coeffs)
-    roots, ok = _iterate(coeffs, exact_ints, prec)
+    roots, ok = _iterate(coeffs, prec)
     return _finalize(coeffs, roots, zero_mult, prec, ok, _circle_roots(orders, prec))
 
 
-def _iterate(coeffs, exact_ints, prec):
-    """(unsorted roots as mpc, converged) of coefficients with a nonzero
-    constant term: the Aberth stages of find_roots."""
+def _iterate(coeffs, prec):
+    """(unsorted roots as mpc, converged) of coefficients, all integers or
+    else all mpc, with a nonzero constant term: the Aberth stages of find_roots."""
     if prec < MIN_PRECISION:
         raise ValueError("precision must be at least %d bits" % MIN_PRECISION)
     if len(coeffs) < 2:
         return [], True
     # exact integers start from the solve in u = 1 + v, other coefficients
     # from the solve in v; where that fails, the fixed-point loop starts cold
-    starts, ok = ((_shifted_starts(coeffs), True) if exact_ints
+    starts, ok = ((_shifted_starts(coeffs), True) if isinstance(coeffs[0], int)
                   else _solve_floats(coeffs) or (None, False))
     if prec <= MIN_PRECISION and starts is not None:
         return [mpc(z) for z in starts], ok
@@ -488,19 +488,14 @@ class LocusCurve(NamedTuple):
     def gap_count(self):
         return sum(self.gaps)
 
-    def to_csv(self, destination):
-        """One 'theta,re,im,violation' row per (sample, root) pair."""
-        fh = destination if hasattr(destination, "write") else open(destination, "w")
-        try:
-            fh.write("theta,re,im,violation\n")
-            for theta, roots, flags in zip(self.theta_samples, self.roots, self.violation_flags):
-                for z, flag in zip(roots, flags):
-                    # + 0.0 turns a float -0.0 into 0.0, as an mpf (unsigned zero) prints it
-                    fh.write("%.12g,%.15g,%.15g,%d\n"
-                             % (theta, z.real + 0.0, z.imag + 0.0, int(flag)))
-        finally:
-            if fh is not destination:
-                fh.close()
+    def to_csv(self, fh):
+        """One 'theta,re,im,violation' row per (sample, root) pair, to an open text file."""
+        fh.write("theta,re,im,violation\n")
+        for theta, roots, flags in zip(self.theta_samples, self.roots, self.violation_flags):
+            for z, flag in zip(roots, flags):
+                # + 0.0 turns a float -0.0 into 0.0, as an mpf (unsigned zero) prints it
+                fh.write("%.12g,%.15g,%.15g,%d\n"
+                         % (theta, z.real + 0.0, z.imag + 0.0, int(flag)))
 
 
 def _check_locus_args(p, swept, lam, n_samples, precision_bits):
@@ -587,7 +582,7 @@ def _locus_sample(cps, lam, prec, generic_degree):
     hi, _ = _trim(mags, prec)
     coeffs = cps[: hi + 1]
     zero_mult = _deflate(coeffs)
-    roots, ok = _iterate(coeffs, False, prec)
+    roots, ok = _iterate(coeffs, prec)
     roots.sort(key=_real_imag)
     with mp.workprec(prec):
         lamv = mpf(lam)

@@ -12,8 +12,9 @@ from relzeros import (
     connected_subgraph_poly,
     cycle_graph,
     shifted_power,
+    two_class_specialize,
 )
-from relzeros import cli, reference
+from relzeros import cli, multigraph, reference
 from relzeros import roots as roots_module
 from relzeros.cli import main
 from relzeros.roots import NonconvergenceError, find_roots
@@ -169,9 +170,9 @@ class TestRootsCommand:
         seen = []
         iterate = roots_module._iterate
 
-        def spy(coeffs, exact_ints, prec):
+        def spy(coeffs, prec):
             seen.append(prec)
-            return iterate(coeffs, exact_ints, prec)
+            return iterate(coeffs, prec)
 
         monkeypatch.setattr(roots_module, "_iterate", spy)
         code, out, err = run(capsys, ["roots", str(path), "--lambda", "2.0",
@@ -186,9 +187,9 @@ class TestRootsCommand:
         seen = []
         iterate = roots_module._iterate
 
-        def spy(coeffs, exact_ints, prec):
+        def spy(coeffs, prec):
             seen.append(prec)
-            return iterate(coeffs, exact_ints, prec)
+            return iterate(coeffs, prec)
 
         monkeypatch.setattr(roots_module, "_iterate", spy)
         code, out, err = run(capsys, ["roots", "k4:c:3:4:sub=2", "--lambda", "2",
@@ -259,6 +260,16 @@ class TestRootsCommand:
         code, out, err = run(capsys, ["roots", spec])
         assert code == 3 and out == "" and calls == []
         assert err == "error: degree %d exceeds the root-finding cap of 500\n" % degree
+
+    def test_resolve_spec_caps_only_when_asked(self, monkeypatch):
+        calls = []
+        self.spy_on_builders(monkeypatch, calls)
+        with pytest.raises(cli.CapabilityError, match="degree 4500 exceeds"):
+            cli.resolve_spec("k6:300:300", cli.MAX_ROOT_DEGREE)
+        assert calls == []
+        kind, poly, desc = cli.resolve_spec("k4:b:1:7")
+        assert (kind, desc, calls) == ("uni", "k4:b:1:7", ["two_class_specialize"])
+        assert poly == two_class_specialize(reference.family_bipoly("b"), 1, 7)
 
     @pytest.mark.parametrize("spec, builder, degree", [
         ("k4:b:248:1", "two_class_specialize", 500), ("k6:80:2", "two_class_specialize", 498),
@@ -402,6 +413,23 @@ class TestCheckCommand:
         assert code == 0
         assert "series-parallel: true" in out
         assert "n/a (disconnected)" in out
+
+    @pytest.mark.parametrize("text, sp, bc", [
+        (format_graph(complete_graph(4)), "false", "false"),
+        (format_graph(cycle_graph(6)), "true", "true"),
+        ("vertices 4\n0 1 0\n2 3 0\n", "true", "n/a (disconnected)")],
+        ids=["k4", "cycle", "disconnected"])
+    def test_one_reduction_per_check(self, capsys, tmp_path, monkeypatch, text, sp, bc):
+        calls = []
+        reductions = multigraph._sp_reductions
+        monkeypatch.setattr(multigraph, "_sp_reductions",
+                            lambda g: calls.append(g) or reductions(g))
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        assert run(capsys, ["check", str(path)]) == (
+            0, "series-parallel: %s\nmultivariate-BC: %s  (same verdict as series-parallel; "
+               "the two properties are equivalent)\n" % (sp, bc), "")
+        assert len(calls) == 1
 
 
 class TestReproduceCommand:

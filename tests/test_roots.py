@@ -965,9 +965,9 @@ class TestCircleRoots:
             solved.append(find_roots(poly, prec))
             return solved[-1]
 
-        def spy(coeffs, exact_ints, prec):
+        def spy(coeffs, prec):
             iterated.append(prec)
-            return iterate(coeffs, exact_ints, prec)
+            return iterate(coeffs, prec)
 
         monkeypatch.setattr(cli, "find_roots", record)
         monkeypatch.setattr(roots_module, "_iterate", spy)
@@ -1261,7 +1261,8 @@ class TestLocus:
     def test_csv_format(self, tmp_path):
         curve = trace_locus(CASE_POLYS["b"], "b", 1.0, 32)
         out = tmp_path / "locus.csv"
-        curve.to_csv(str(out))
+        with open(out, "w") as fh:
+            curve.to_csv(fh)
         lines = out.read_text().splitlines()
         assert lines[0] == "theta,re,im,violation"
         row = lines[1].split(",")
