@@ -23,7 +23,11 @@ Gaussian integers, roots are integer pairs at a scale of 2^F, fine enough
 to hold the smallest root (and past 2^prec the reciprocal of the largest)
 to the precision plus guard bits, and each product is shifted back to
 that scale (a complex product takes three integer products, not four).
-There the noise rule stays and the correction rules are relative, so a
+There the noise rule stops a root only where its Newton step |p/p'| is
+below 1/16 of the distance to every other root, or where |p| is within
+the truncation error of the fixed-point evaluation itself: a root in a
+tight cluster, whose noise disc holds its neighbours, goes on until the
+cluster separates.  The correction rules are relative, so a
 root far below 1 keeps its precision too: a root stops on a correction
 delta below 2^-(prec-10)*|z|, or on one whose quadratic rate predicts a
 next correction |delta|^3/|delta_prev|^2 below 2^-(prec+4)*|z|, which
@@ -42,8 +46,10 @@ the real axis, their mirrors below, and the near-real ones with
 |Im z| <= 2^-20 (1 + |z|).  Each upper root stands for itself and for its
 conjugate, which enters the repulsion sums and the output as its exact
 mirror; near-real roots iterate as free complex roots, so none is forced
-onto the axis.  Where the starts do not split evenly, or the mirrored loop
-does not converge, every root iterates from the same starts.
+onto the axis.  Where the starts do not split evenly, the mirrored loop
+does not converge, or its free roots do not end as many above the axis as
+below (one left over sits on a root that a mirror holds, and a real root
+is lost), every root iterates from the same starts.
 
 Output roots are rounded to the precision.  Each error radius
 n|p(z)|/|p'(z)| is a bound, whatever the precision: p(z) and p'(z) are
@@ -141,8 +147,9 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
     For real coefficients the loop first iterates one root per conjugate
     pair of float starts (and the near-real starts as free roots), with each
     pair root's exact mirror in the repulsion sums and in the output; if the
-    starts do not split evenly or that does not converge, it iterates every
-    root from the same starts."""
+    starts do not split evenly, that does not converge or its free roots end
+    unevenly about the real axis, it iterates every root from the same
+    starts."""
     n = len(gauss) - 1
     # every |z| > 2^-small (Fujiwara's bound on 1/z, 2^(b-1) <= |c| < 2^(b+1)), so even the
     # smallest root keeps prec bits plus guard bits for the n roundings of a Horner pass;
@@ -209,10 +216,23 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
                     px, py = ((k2 - py * xy) >> F) + a, ((k2 + px * yx) >> F) + b
                     em = (em * az >> F) + m
                 t = noise * em >> prec
-                if px * px + py * py <= t * t:
-                    converged[k] = True
-                    continue
-                q = dx * dx + dy * dy
+                pp, q = px * px + py * py, dx * dx + dy * dy
+                if pp <= t * t:
+                    # inside the rounding noise: stop where the Newton step
+                    # |p/p'| is below 1/16 of the distance to every other root,
+                    # or where |p| is within 4 times the truncation error of
+                    # this evaluation, 2 n max(1, |z|)^(n-1) units; a root in
+                    # a tight cluster goes on until the cluster separates
+                    reach = (pp << 2 * F + 8) // q if q else far
+                    close = 0  # roots within 16 |p/p'|, this one among them
+                    for ux, uy in zip(zx, zy):
+                        ex, ey = x - ux, y - uy
+                        if ex * ex + ey * ey <= reach:
+                            close += 1
+                    mz = max(one, az + 1)
+                    if close == 1 or pp <= (8 * n * mz ** (n - 1) >> F * (n - 1)) ** 2:
+                        converged[k] = True
+                        continue
                 hits = 0
                 sx = sy = 0
                 near = far  # |z - z_j|^2 of the nearest other root
@@ -254,6 +274,16 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
                     zx[free + k], zy[free + k] = zx[k], -zy[k]
             if done:
                 break
+        if done and pairs:
+            # the mirrored try stands only if as many free roots end above
+            # the real axis as below, counting those with |Im z| > 2^-20 |z|:
+            # a free root left over on one side sits on a root that a mirror
+            # holds too, and a real root is lost
+            side = 0
+            for x, y in zip(zx[pairs:free], zy[pairs:free]):
+                if y * y << 40 > x * x + y * y:
+                    side += 1 if y > 0 else -1
+            done = side == 0
         if done:
             break
     # round each root to prec bits of its larger part, as one complex value:

@@ -586,19 +586,23 @@ def test_random_integer_poly_matches_reference(coeffs, prec):
     assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
 
 
-@pytest.mark.xfail(strict=True, reason="the conjugate-pair try loses a near-real root")
+@pytest.mark.parametrize("coeffs", [[9, 0, 1, 2_417_851_639_229_258_215_194_624],
+                                    [-32728, 0, 0, -1_237_940_039_285_380_206_179_677_642],
+                                    [-1, 196608, -39_582_418_599_936, 7_782_220_156_096_217_088]])
 @pytest.mark.parametrize("prec", [128, 256])
-def test_near_real_start_keeps_its_root(prec):
-    # an input the property test above found: roots -1.55e-8 and
-    # 7.75e-9 +- 1.34e-8 i.  One float start lies in the near-real band, one
-    # above and one below, so the fixed-point loop first iterates the upper
-    # root with its mirror and the near-real one as a free root.  That try
-    # converges with the free root on the upper root, so find_roots returns
-    # 7.75e-9 + 1.34e-8 i twice, each with a tiny radius (6e-47 at 128
-    # bits), and no root near -1.55e-8
-    coeffs = [9, 0, 1, 2_417_851_639_229_258_215_194_624]
+def test_near_real_start_keeps_its_root(prec, coeffs):
+    # inputs the property tests found, each with a real root and a conjugate
+    # pair; the first has roots -1.55e-8 and 7.75e-9 +- 1.34e-8 i.  One float
+    # start lies in the near-real band, one above and one below, so the
+    # fixed-point loop first iterates the upper root with its mirror and the
+    # near-real one as a free root.  That try converges with the free root on
+    # the upper root, which its mirror holds too, and no root near the real
+    # one; only the check that as many free roots end above the axis as below
+    # sends it to the loop over every root
+    starts = roots_module._shifted_starts(coeffs)
+    band = [2.0 ** -20 * (1 + abs(s)) for s in starts]
+    assert sorted((s.imag > e) - (s.imag < -e) for s, e in zip(starts, band)) == [-1, 0, 1]
     assert_roots_match(find_roots(coeffs, prec), reference_find_roots(coeffs, prec), coeffs)
-
 
 def as_fraction(x):
     """A finite mpf as an exact Fraction."""
@@ -832,16 +836,17 @@ def test_planted_clusters_keep_the_precision(case):
         assert_planted_roots_found(coeffs, planted, prec, roots)
 
 
-@pytest.mark.xfail(strict=True, reason="the rounding-noise stop ends roots inside a tight cluster")
 @pytest.mark.parametrize("points", [[(1851624, 2), (1851624, 1), (1851627, 1)],
-                                    [(-1851625, 1), (-1851624, 1), (-1851627, 2)]])
+                                    [(-1851625, 1), (-1851624, 1), (-1851627, 2)],
+                                    [(8387755, 2), (8387756, 1), (8387755, 1)]])
 def test_planted_cluster_keeps_the_precision_at_128_bits(points):
-    # two inputs the property test above found: six roots (x +- iy) / (3 2^30)
-    # within 1e-9 of each other near |z| = 5.7e-4.  The noise stop
+    # three inputs the property test above found: six roots (x +- iy) / (3 2^30)
+    # within 1e-9 of each other near |z| = 5.7e-4 or 2.6e-3.  The noise test
     # |p(z)| <= (2n+2) 2^-128 sum |c_k||z|^k holds across a disc of radius
-    # about 8e-10 around the cluster, so the 128-bit roots stop warm from
-    # their float starts before they separate, and one planted root has no
-    # found root within the precision (or within the nearest one's radius)
+    # about 8e-10 around the cluster, so a root that stopped on it alone
+    # would stop warm from its float start before the cluster separates, and
+    # one planted root would have no found root within the precision (or
+    # within the nearest one's radius)
     a = 3 << 30
     coeffs, planted = [1], []
     for x, y in points:
