@@ -16,11 +16,15 @@ times ten runs of each of
     python3 -m relzeros locus d --lambda 0.1 --samples 8192 --out /dev/null
                                                          (key "locus_d_8192")
     python3 -m relzeros --help                           (key "help")
+    python3 -m relzeros poly sparse_22.graph             (key "poly_sparse_22")
 
-with its own src/ on PYTHONPATH and its output sent to /dev/null; the third
-is the locus-53 workload's largest sweep as a user runs it, its CSV written
-to /dev/null, and the fourth a process that does no work, whose time is the
-start-up every command pays: the import of relzeros.cli.  Last, each
+with its own src/ on PYTHONPATH, its output sent to /dev/null, and a scratch
+working directory that holds the graph file; the third is the locus-53
+workload's largest sweep as a user runs it, its CSV written to /dev/null,
+the fourth a process that does no work, whose time is the start-up every
+command pays: the import of relzeros.cli, and the fifth one enumeration of
+compare_outputs.py's sparse_22.graph (two classes, 22 edges: the structure
+of exact-enum's 9-vertex graph) with its start-up.  Last, each
 checkout in turn, the first one rotated on from the timed commands' last
 round, runs the tier-1 suite once,
 
@@ -65,6 +69,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tokenize
 from pathlib import Path
@@ -75,6 +80,7 @@ TIMED = {
     "roots_k6_20_20": ["roots", "k6:20:20"],
     "locus_d_8192": ["locus", "d", "--lambda", "0.1", "--samples", "8192", "--out", "/dev/null"],
     "help": ["--help"],
+    "poly_sparse_22": ["poly", "sparse_22.graph"],
 }
 TIMED_RUNS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -140,11 +146,11 @@ def run_bench(checkout, workload, seed, seconds):
     }
 
 
-def run_timed(checkout, args):
+def run_timed(checkout, args, workdir):
     """Wall seconds, peak RSS and exit code of one `relzeros ARGS` run of the
-    checkout's src/."""
+    checkout's src/ in workdir."""
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "relzeros", *args], cwd=checkout,
+    proc = subprocess.Popen([sys.executable, "-m", "relzeros", *args], cwd=workdir,
                             env=dict(ENV, PYTHONPATH=str(checkout / "src")),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -223,12 +229,16 @@ def main(argv=None):
                 run = run_bench(checkout, workload, seed, seconds)
                 record[label]["runs"].setdefault(workload, []).append(run)
                 print("%s %s seed %d: %s" % (label, workload, seed, json.dumps(run)), flush=True)
-    for key, command in TIMED.items():
-        for i in range(TIMED_RUNS):
-            for label, checkout in turns(sides, i):
-                run = run_timed(checkout, command)
-                record[label][key]["runs"].append(run)
-                print("%s %s: %s" % (label, key, json.dumps(run)), flush=True)
+    from compare_outputs import GRAPHS  # scripts/ is on sys.path when this runs as a script
+
+    with tempfile.TemporaryDirectory() as workdir:
+        Path(workdir, "sparse_22.graph").write_text(GRAPHS["sparse_22.graph"])
+        for key, command in TIMED.items():
+            for i in range(TIMED_RUNS):
+                for label, checkout in turns(sides, i):
+                    run = run_timed(checkout, command, workdir)
+                    record[label][key]["runs"].append(run)
+                    print("%s %s: %s" % (label, key, json.dumps(run)), flush=True)
     for label, checkout in turns(sides, TIMED_RUNS):
         record[label]["tier1"] = run_tier1(checkout)
         print("%s tier1: %s" % (label, json.dumps(record[label]["tier1"])), flush=True)

@@ -1,12 +1,15 @@
 """Connected-spanning-subgraph polynomials and the reduction calculus.
 
-The enumeration engine is a dynamic program over the edges in a greedy
-order: each next edge brings in the fewest vertices not yet seen, lowest
-id first.  A state is the partition of the active frontier into the
-components that the chosen edges form, with labels numbered by first
-appearance.  A vertex leaves the frontier after its last edge, and a state
-dies when a component closes while another remains; the graph is checked
-connected first, so once the frontier empties every vertex has been seen.
+The enumeration engine is a dynamic program over the edges in a vertex
+order: each next vertex leaves the fewest placed vertices with unplaced
+neighbours, and an edge comes in when its later end is placed.  A state is
+the partition of the active frontier into the components that the chosen
+edges form, with labels numbered by first appearance.  A vertex leaves the
+frontier after its last edge: an itemgetter picks the labels at the kept
+positions, and a per-call cache maps them to their renumbered bytes.  A
+state dies when a component closes while another remains; the graph is
+checked connected first, so once the frontier empties every vertex has
+been seen.
 Each state carries its exact two-class counts packed into one integer:
 the count of a^k0 b^k1 sits at bit (k0*(m1+1) + k1)*(m+1), where m1 is
 the number of class-b edges.  No count reaches 2^m, so sums never carry
@@ -22,6 +25,7 @@ all: exactly the series-parallel graphs have the multivariate property.
 from __future__ import annotations
 
 from math import comb
+from operator import itemgetter
 
 from mpmath import mp
 from mpmath.libmp import (fone, fzero, mpc_add, mpc_add_mpf, mpc_div, mpc_is_nonzero, mpc_mul,
@@ -108,6 +112,9 @@ def connected_subgraph_poly(g):
 
     frontier = []
     states = {b"": 1}
+    # kept labels -> the same partition renumbered by first appearance; each
+    # renumbered form is also its own key, so a partition is one bytes object
+    canon = {}
     for step, e in enumerate(order):
         u, v, _ = g.edges[e]
         fresh = b""
@@ -119,18 +126,29 @@ def connected_subgraph_poly(g):
         keep = [j for j, x in enumerate(frontier) if last[x] != step]
         gone = [j for j, x in enumerate(frontier) if last[x] == step]
         frontier = [frontier[j] for j in keep]
+        # itemgetter of one position gives a bare label: keep every pick a tuple
+        pick = (itemgetter(*keep) if len(keep) > 1
+                else lambda raw, keep=keep: tuple(raw[j] for j in keep))
         s = shift[cls[e]]
-        projected = {}
         nxt = {}
         for key, counts in states.items():
             key += fresh
             taken = key.replace(key[pv:pv + 1], key[pu:pu + 1])
             for raw, c in ((key, counts), (taken, counts << s)):
-                if raw not in projected:
-                    projected[raw] = _retire(raw, keep, gone)
-                out = projected[raw]
-                if out is not None:
-                    nxt[out] = nxt.get(out, 0) + c
+                kept = pick(raw)
+                for j in gone:
+                    if raw[j] not in kept:
+                        # a component closed: valid only as the last one (the graph is connected)
+                        kept = None if kept or raw.count(raw[0]) != len(raw) else ()
+                        break
+                if kept is None:
+                    continue
+                out = canon.get(kept)
+                if out is None:
+                    first = {}
+                    out = bytes([first.setdefault(x, len(first)) for x in kept])
+                    out = canon[kept] = canon.setdefault(out, out)
+                nxt[out] = nxt.get(out, 0) + c
         states = nxt
 
     packed = states.get(b"", 0)
@@ -142,29 +160,36 @@ def connected_subgraph_poly(g):
 
 
 def _frontier_order(g):
-    """Edge ids, each next the one that brings in the fewest unseen vertices
-    (lowest id on ties), so the frontier stays small."""
-    seen = set()
-    left = list(range(g.num_edges))
-    order = []
+    """Edge ids in a vertex order that keeps the frontier small.
+
+    The first vertex has the fewest edges; each next one leaves the fewest
+    placed vertices with unplaced neighbours, then brings in the most edges.
+    An edge enters when its later end is placed.  Ties break on the sorted
+    ids of a vertex's edges, never on vertex ids, so every vertex relabeling
+    gives the same order.
+    """
+    inc = [[] for _ in range(g.num_vertices)]
+    for e, (u, v, _) in enumerate(g.edges):
+        inc[u].append(e)
+        if v != u:
+            inc[v].append(e)
+    ends = [{u, v} for u, v, _ in g.edges]
+    nbrs = [{x for e in es for x in ends[e]} for es in inc]
+    left = {x for x in range(g.num_vertices) if inc[x]}
+    order, busy = [], []  # busy: placed vertices with unplaced neighbours
+
+    def score(y):
+        rest = left - {y}
+        return (sum(not nbrs[z].isdisjoint(rest) for z in busy + [y]),
+                -sum(ends[e].isdisjoint(rest) for e in inc[y]), inc[y])
+
+    x = min(left, key=lambda y: (len(inc[y]), inc[y]), default=None)
     while left:
-        e = min(left, key=lambda i: len(set(g.edges[i][:2]) - seen))
-        left.remove(e)
-        order.append(e)
-        seen.update(g.edges[e][:2])
+        left.remove(x)
+        order += [e for e in inc[x] if ends[e].isdisjoint(left)]
+        busy = [z for z in busy + [x] if not nbrs[z].isdisjoint(left)]
+        x = min(left, key=score, default=None)
     return order
-
-
-def _retire(raw, keep, gone):
-    """The state after the frontier positions in ``gone`` retire, labels
-    renumbered by first appearance; None if a component closed too early."""
-    kept = bytes([raw[j] for j in keep])
-    for j in gone:
-        if raw[j] not in kept:
-            # a component closed: valid only as the last one (the graph is connected)
-            return None if kept or raw.count(raw[0]) != len(raw) else b""
-    labels = {}
-    return bytes([labels.setdefault(x, len(labels)) for x in kept])
 
 
 def two_class_specialize(p, p1, p2):

@@ -30,6 +30,7 @@ from util_graphs import (
     distance,
     evaluate_bi,
     evaluate_uni,
+    matrix_tree_count,
     parallel_bundle_graph,
     parallel_expand,
     random_sp_multigraph,
@@ -101,33 +102,6 @@ class TestEnumeration:
         g = subdivide(complete_graph(4), 4)
         assert g.num_edges == MAX_ENUMERATION_EDGES
         assert connected_subgraph_poly(g) == subdivided_univariate(K4_UNIVARIATE, 4)
-
-
-def matrix_tree_count(g):
-    """Spanning trees of g: the reduced Laplacian's determinant, in Fractions."""
-    n = g.num_vertices
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for u, v, _ in g.edges:
-        if u != v:
-            lap[u][u] += 1
-            lap[v][v] += 1
-            lap[u][v] -= 1
-            lap[v][u] -= 1
-    m = [row[1:] for row in lap[1:]]
-    det = Fraction(1)
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n - 1) if m[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n - 1):
-            f = m[r][col] / m[col][col]
-            for k in range(col, n - 1):
-                m[r][k] -= f * m[col][k]
-    return int(det)
 
 
 def p_edges(n):

@@ -4,6 +4,7 @@ None of these is reached by the CLI, the reproduction rows or the
 benchmark, so they live with the tests that use them.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from mpmath import mp, mpc
@@ -51,6 +52,33 @@ def random_connected_graph(rng, n, extra_edges):
         if u != v:
             edges.append((u, v, 0))
     return Multigraph(n, tuple(edges))
+
+
+def matrix_tree_count(g):
+    """Spanning trees of g: the reduced Laplacian's determinant, in Fractions."""
+    n = g.num_vertices
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for u, v, _ in g.edges:
+        if u != v:
+            lap[u][u] += 1
+            lap[v][v] += 1
+            lap[u][v] -= 1
+            lap[v][u] -= 1
+    m = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for col in range(n - 1):
+        pivot = next((r for r in range(col, n - 1) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n - 1):
+            f = m[r][col] / m[col][col]
+            for k in range(col, n - 1):
+                m[r][k] -= f * m[col][k]
+    return int(det)
 
 
 def parallel_bundle_graph(n):
