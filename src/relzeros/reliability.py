@@ -113,7 +113,8 @@ def connected_subgraph_poly(g):
     frontier = []
     states = {b"": 1}
     # kept labels -> the same partition renumbered by first appearance; each
-    # renumbered form is also its own key, so a partition is one bytes object
+    # renumbered form is also its own key, so a partition is one bytes object,
+    # not one per label tuple (those extra objects raised the peak RSS)
     canon = {}
     for step, e in enumerate(order):
         u, v, _ = g.edges[e]

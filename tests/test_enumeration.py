@@ -179,7 +179,7 @@ def terms(poly):
 
 
 class TestSparseConnected:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(g=sparse_connected_multigraphs(), data=st.data())
     def test_invariants(self, g, data):
         poly = connected_subgraph_poly(g)
