@@ -43,16 +43,24 @@ side only.  The file gets, per label: the seeds and run length, these
 bytecode settings, the commit, whether src/ or bench/ had uncommitted
 changes, the line count of the Python files under src/, the token count of
 roots.py and of every module of src/relzeros, every run's end-to-end
-metrics and checks, per workload the median of each end-to-end metric,
-under each command's key every run's wall seconds, peak RSS (the
-process's ru_maxrss) and exit code, with the median seconds, the median
-peak RSS and the exit codes seen, and under "tier1" the suite's wall
-seconds, pytest's summary line and its exit code.
+metrics and checks, with its host clock ("clock": the median probe time
+probe_median_s and the median raw_pass_wall_s of its untraced passes'
+uncorrected wall times, both from run.py's line before last, so that a
+gain can be checked on the uncorrected clock), per workload the median of
+each end-to-end metric and, under "median_clock", of those two, under
+each command's key every run's wall seconds, peak RSS and exit code, with
+the median seconds, the median peak RSS and the exit codes seen, and
+under "tier1" the suite's wall seconds, pytest's summary line and its
+exit code.  A timed command's peak RSS is the ru_maxrss that wait4
+returns: that of the largest process in its tree, since the kernel folds
+the reaped descendants of a process (a locus sweep's forked workers) into
+it as a maximum, not a sum.
 
 Every label after the first also gets "versus_first": the first label,
 and the ratio of each of its runs to the first label's run of the same
 seed (per workload and end-to-end metric of BENCHMARK.json) or of the
-same round (per timed command, of the wall seconds), with their median
+same round (per timed command, of the wall seconds; per workload also of
+raw_pass_wall_s), with their median
 and the pairs won: the ratios below 1 for a metric whose better direction
 is "lower" (so, for a timed command, the rounds it ran faster), above 1
 for "higher"; ties count for neither.  Each pair ran back to back, so
@@ -136,13 +144,15 @@ def run_bench(checkout, workload, seed, seconds):
     if proc.returncode or len(lines) < 2:
         raise RuntimeError("bench/run.py failed in %s (exit %d): %s"
                            % (checkout, proc.returncode, proc.stderr[-2000:]))
-    result = json.loads(lines[-1])
+    info, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {
         "seed": seed,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "clock": {"probe_median_s": info["probe_median_s"],
+                  "raw_pass_wall_s": statistics.median(info["raw_pass_walls"])},
     }
 
 
@@ -175,9 +185,9 @@ def turns(sides, i):
     return sides[i % len(sides):] + sides[:i % len(sides)]
 
 
-def medians(runs):
-    names = runs[0]["metrics"]
-    return {name: statistics.median(r["metrics"][name] for r in runs) for name in names}
+def medians(runs, key="metrics"):
+    names = runs[0][key]
+    return {name: statistics.median(r[key][name] for r in runs) for name in names}
 
 
 def paired(ratios, better):
@@ -197,6 +207,9 @@ def versus_first(side, first, first_label, better):
         out["workloads"][workload] = {
             name: paired([r["metrics"][name] / f["metrics"][name] for r, f in pairs], direction)
             for name, direction in better.items()}
+        out["workloads"][workload]["raw_pass_wall_s"] = paired(
+            [r["clock"]["raw_pass_wall_s"] / f["clock"]["raw_pass_wall_s"] for r, f in pairs],
+            "lower")
     for key in TIMED:
         pairs = zip(side[key]["runs"], first[key]["runs"])
         out[key] = paired([r["seconds"] / f["seconds"] for r, f in pairs], "lower")
@@ -244,6 +257,7 @@ def main(argv=None):
         print("%s tier1: %s" % (label, json.dumps(record[label]["tier1"])), flush=True)
     for side in record.values():
         side["median"] = {w: medians(runs) for w, runs in side["runs"].items()}
+        side["median_clock"] = {w: medians(runs, "clock") for w, runs in side["runs"].items()}
         for key in TIMED:
             timed = side[key]
             timed["median_s"] = statistics.median(r["seconds"] for r in timed["runs"])

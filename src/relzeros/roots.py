@@ -30,7 +30,8 @@ collapses a bivariate polynomial at a point: in floats for 53-bit locus
 sweeps, with an mpmath tie-break where a float |.| lands within a few ulps
 of a trim or disc threshold, so they match find_roots at 53 bits; in
 mpmath at the working precision elsewhere, where a locus sample runs only
-_iterate, the Aberth stages of find_roots, and computes no radius.
+_iterate, the Aberth stages of find_roots, and computes no radius.  A sweep
+of 2,048 samples or more runs on all the process's CPUs, bit for bit.
 """
 
 from __future__ import annotations
@@ -524,6 +525,9 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
 
     At 53 bits samples are solved in hardware floats, with an mpmath
     tie-break at the trim and flag thresholds: the same curve as find_roots.
+    The grid is solved in contiguous chunks of at least 1,024 samples, at most
+    one per CPU, all but the first by forked workers (relzeros.forkmap); every
+    root, flag and gap is the one-chunk loop's, bit for bit.
     """
     lam = _check_locus_args(p, swept, lam, n_samples, precision_bits)
     work = p if swept == "b" else p.transposed()
@@ -531,18 +535,19 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     rows = _hardware_rows(work) if precision_bits == MIN_PRECISION else None
     exact_rows = _rows(work)
 
-    thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
-    roots, flags, gaps = [], [], []
-    for theta in thetas:
+    def solve(theta):
         w = _half_angle_circle(lam, theta)
         sample = rows and _locus_sample_floats(_collapse_hardware(rows, w), lam, generic_degree)
         if not sample:  # a float collapse that leaves the float range is redone in mpmath
             with mp.workprec(precision_bits):
                 cps = _collapse_hardware(exact_rows, mpc(w))
             sample = _locus_sample(cps, lam, precision_bits, generic_degree)
-        roots.append(sample[0])
-        flags.append(sample[1])
-        gaps.append(sample[2])
+        return sample
+
+    from .forkmap import forkmap  # here, so that only a sweep compiles it
+
+    thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
+    roots, flags, gaps = map(list, zip(*forkmap(solve, thetas)))
     return LocusCurve(lam, thetas, roots, flags, gaps)
 
 

@@ -359,6 +359,8 @@ class TestLocusCommand:
 
     def test_missing_out_directory_fails_before_any_sample(self, capsys, tmp_path,
                                                             monkeypatch):
+        # a sweep this size would split, but the caller solves the first
+        # chunk itself, so the spies would still see it start
         calls = []
         for name in ("_locus_sample_floats", "_locus_sample"):
             monkeypatch.setattr(roots_module, name, lambda *args: calls.append(args))

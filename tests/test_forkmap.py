@@ -1,0 +1,255 @@
+"""trace_locus split across forked workers gives the in-process loop's curve.
+
+Every test here sees two CPUs, whatever the host has, so a sweep of 2,048
+samples or more runs as two chunks: the caller's and one worker's.
+"""
+
+import marshal
+import math
+import os
+import signal
+import threading
+import time
+
+import pytest
+from mpmath import mp, mpc
+
+from relzeros import ExactBiPoly, forkmap, trace_locus
+from relzeros import roots as roots_module
+from relzeros.forkmap import MIN_CHUNK, chunk_count
+from relzeros.reference import family_bipoly
+from relzeros.roots import (_collapse_hardware, _half_angle_circle, _hardware_rows,
+                            _locus_sample, _locus_sample_floats, _rows)
+
+N = 2 * MIN_CHUNK  # the smallest grid that splits on two CPUs
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked, as the caller sees them."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_process_loop(p, swept, lam, n, prec=53):
+    """trace_locus's samples, solved one by one in this process."""
+    work = p if swept == "b" else p.transposed()
+    rows, exact_rows = _hardware_rows(work), _rows(work)
+    out = []
+    for t in (2 * math.pi * (j + 1) / (n + 1) for j in range(n)):
+        w = _half_angle_circle(lam, t)
+        if prec == 53:
+            out.append(_locus_sample_floats(_collapse_hardware(rows, w), lam, work.degree_a))
+        else:
+            with mp.workprec(prec):
+                cps = _collapse_hardware(exact_rows, mpc(w))
+            out.append(_locus_sample(cps, lam, prec, work.degree_a))
+    return out
+
+
+def raising_at(monkeypatch, index, n=N):
+    """Make sample `index` of an n-sample grid raise, on top of earlier patches."""
+    bad = 2 * math.pi * (index + 1) / (n + 1)
+    half_angle = roots_module._half_angle_circle
+
+    def failing(lam, theta):
+        if theta == bad:
+            raise ArithmeticError("sample %d failed" % index)
+        return half_angle(lam, theta)
+
+    monkeypatch.setattr(roots_module, "_half_angle_circle", failing)
+
+
+def in_worker(fail):
+    """A _half_angle_circle that calls fail() first in a forked worker only."""
+    caller, half_angle = os.getpid(), roots_module._half_angle_circle
+
+    def patched(lam, theta):
+        if os.getpid() != caller:
+            fail()
+        return half_angle(lam, theta)
+
+    return patched
+
+
+def raise_here():
+    raise ArithmeticError("worker only")
+
+
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def hexed(samples):
+    return [([(z.real.hex(), z.imag.hex()) for z in roots], flags, gap)
+            for roots, flags, gap in samples]
+
+
+def curve_samples(curve):
+    return list(zip(curve.roots, curve.violation_flags, curve.gaps))
+
+
+@pytest.mark.parametrize("cpus, n, k", [
+    (1, 10 ** 6, 1), (2, 16, 1), (2, 1024, 1), (2, 2047, 1), (2, 2048, 2), (2, 8192, 2),
+    (4, 3072, 3), (4, 4096, 4), (4, 65536, 4), (64, 65536, 64), (64, 4096, 4)])
+def test_chunk_count_rule(cpus, n, k):
+    assert chunk_count(cpus, n) == k
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.1])
+@pytest.mark.parametrize("swept", ["a", "b"])
+@pytest.mark.parametrize("case", ["a", "b", "c", "d", "e", "k6"])
+def test_split_sweep_matches_the_loop_bit_for_bit(forks, case, swept, lam):
+    p = family_bipoly(case)
+    curve = trace_locus(p, swept, lam, N)
+    assert len(forks) == 1
+    assert hexed(curve_samples(curve)) == hexed(in_process_loop(p, swept, lam, N))
+    assert_no_child_left()
+
+
+def test_split_sweep_above_53_bits_matches_the_loop(forks):
+    p = family_bipoly("b")
+    curve = trace_locus(p, "b", 0.1, N, 80)
+    assert len(forks) == 1 and curve.violation_count() > 0
+    assert hexed(curve_samples(curve)) == hexed(in_process_loop(p, "b", 0.1, N, 80))
+    assert_no_child_left()
+
+
+def test_small_sweep_forks_nothing(forks):
+    trace_locus(family_bipoly("d"), "b", 1.0, N - 1)
+    assert forks == []
+
+
+def test_fork_that_fails_gives_the_same_curve(monkeypatch):
+    p = family_bipoly("d")
+    want = hexed(in_process_loop(p, "b", 0.1, N))
+
+    def failing_fork():
+        raise OSError("fork failed")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert hexed(curve_samples(trace_locus(p, "b", 0.1, N))) == want
+    assert_no_child_left()
+
+
+def test_other_threads_keep_the_sweep_in_process(forks):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        curve = trace_locus(family_bipoly("d"), "b", 1.0, N)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and forks == []
+    assert hexed(curve_samples(curve)) == hexed(in_process_loop(family_bipoly("d"), "b", 1.0, N))
+
+
+@pytest.mark.parametrize("index", [N - 3, 5])  # the worker's chunk, then the caller's
+def test_sample_that_raises_surfaces_as_in_the_loop(forks, monkeypatch, index):
+    raising_at(monkeypatch, index)
+    with pytest.raises(ArithmeticError) as split:
+        trace_locus(family_bipoly("d"), "b", 1.0, N)
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ArithmeticError) as loop:
+        trace_locus(family_bipoly("d"), "b", 1.0, N)
+    assert len(forks) == 1
+    assert (split.type, str(split.value)) == (loop.type, str(loop.value))
+    assert str(split.value) == "sample %d failed" % index
+    assert_no_child_left()
+
+
+def test_caller_error_kills_a_busy_worker(forks, monkeypatch):
+    # the worker would sleep 10 s; the caller's chunk fails at once
+    slept = []
+
+    def sleep_once():
+        if not slept:
+            slept.append(time.sleep(10))
+
+    monkeypatch.setattr(roots_module, "_half_angle_circle", in_worker(sleep_once))
+    raising_at(monkeypatch, 5)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="^sample 5 failed$"):
+        trace_locus(family_bipoly("d"), "b", 1.0, N)
+    assert time.perf_counter() - start < 5 and len(forks) == 1
+    assert_no_child_left()
+
+
+def test_first_exception_of_the_grid_wins(forks, monkeypatch):
+    # samples in both chunks raise: the caller's, earlier on the grid, is the one seen
+    raising_at(monkeypatch, N - 3)
+    raising_at(monkeypatch, 7)
+    with pytest.raises(ArithmeticError, match="^sample 7 failed$"):
+        trace_locus(family_bipoly("d"), "b", 1.0, N)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fail", [raise_here, die], ids=["raises", "killed"])
+def test_worker_that_fails_or_dies_is_solved_again(forks, monkeypatch, fail):
+    p = family_bipoly("b")
+    want = hexed(in_process_loop(p, "b", 1.0, N))
+    monkeypatch.setattr(roots_module, "_half_angle_circle", in_worker(fail))
+    assert hexed(curve_samples(trace_locus(p, "b", 1.0, N))) == want
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("keep", [0, 2, 1000])
+def test_short_payload_is_solved_again(forks, monkeypatch, keep):
+    # the worker writes only the first `keep` bytes of its payload, then exits 0
+    p = family_bipoly("b")
+    want = hexed(in_process_loop(p, "b", 1.0, N))
+    monkeypatch.setattr(marshal, "dump", lambda obj, f: f.write(marshal.dumps(obj)[:keep]))
+    assert hexed(curve_samples(trace_locus(p, "b", 1.0, N))) == want
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_payload_of_a_worker_that_exits_nonzero_is_dropped(forks, monkeypatch):
+    # the whole payload arrives, with a wrong last sample, from a worker that
+    # exits with status 3: the caller solves its chunk again
+    p = family_bipoly("b")
+    want = hexed(in_process_loop(p, "b", 1.0, N))
+    dump, exit_ = marshal.dump, os._exit
+    monkeypatch.setattr(marshal, "dump", lambda obj, f: dump(obj[:-1] + [([], [], True)], f))
+    monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
+    assert hexed(curve_samples(trace_locus(p, "b", 1.0, N))) == want
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_forkmap_keeps_order_and_exact_values(forks):
+    items = list(range(3 * MIN_CHUNK))
+    got = forkmap.forkmap(lambda x: (complex(x, -0.0), x / 3, x % 2 == 0), items)
+    assert len(forks) == 1
+    assert got == [(complex(x, -0.0), x / 3, x % 2 == 0) for x in items]
+    assert all(str(z.imag) == "-0.0" for z, _, _ in got)
+    assert_no_child_left()
+
+
+def test_exact_boundary_survives_the_split():
+    curve = trace_locus(ExactBiPoly({(0, 0): 2, (1, 0): 1}), "b", 1.0, N)
+    assert all(roots == [-2] and flags == [False]
+               for roots, flags in zip(curve.roots, curve.violation_flags))

@@ -21,7 +21,11 @@ from util_graphs import collapse_in_a
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """A list that grows by one for every ComplexPoint built."""
+    """A list that grows by one for every ComplexPoint built.
+
+    It counts in this process only: a sweep of 2 * forkmap.MIN_CHUNK samples
+    or more solves its later chunks in forked workers, so every sweep that a
+    counting test makes stays below that size."""
     built = []
     init = ComplexPoint.__init__
 
@@ -51,6 +55,7 @@ def csv_text(curve):
 
 @pytest.mark.parametrize("case", ["b", "d"])
 def test_hardware_sweep_builds_no_complex_point(constructions, case):
+    # 512 samples: one chunk, solved in this process, so every sample is counted
     curve = trace_locus(CASE_POLYS[case], "b", 1.0, 512)
     assert curve.violation_count() > 0 and curve.gap_count() == 0
     csv_text(curve)
@@ -97,7 +102,8 @@ def test_collapse_matches_the_reference_bit_for_bit(case, swept, prec):
 
 def test_sweep_above_53_bits_builds_no_root_set(constructions, monkeypatch):
     # a sample above 53 bits runs the Aberth stages alone: no find_roots,
-    # no RootSet of ComplexPoints and no error radius
+    # no RootSet of ComplexPoints and no error radius; 64 samples, all solved
+    # in this process, where the spies see them
     calls = []
     for module, name in ((roots, "find_roots"), (aberth, "_radius")):
         def spy(*args, _real=getattr(module, name), _name=name):
