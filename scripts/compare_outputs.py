@@ -50,17 +50,22 @@ POLY = ["k4:b", "k6", "k4:b:1:7",
         "k6:1:2:sub=3", "k4:b:1", "k4:b:sub=2", "k4:ab:1:2", "k6:1", "cycle"]
 # graph files written into the working directory: K4 in one class, a
 # triangle with a doubled edge and a loop (the loop puts a root at v = -1),
-# the 22-edge two-class structure of bench/workloads._base_graph(9), that of
-# _base_graph(8) with two more edges in one class (24 edges, the enumeration
-# cap), a single vertex (a constant polynomial: roots exits 3), two disjoint
-# edges (check prints n/a for multivariate-BC, poly and roots exit 3), and
-# three files that fail to parse (exit 2)
+# the 22-edge two-class structures of bench/workloads._base_graph(9) and of
+# _base_graph(7) (all 21 pairs and one parallel edge: frontier 7, the
+# slowest enumeration), that of _base_graph(8) with two more edges in one
+# class (24 edges, the enumeration cap), a single vertex (a constant
+# polynomial: roots exits 3), two disjoint edges (check prints n/a for
+# multivariate-BC, poly and roots exit 3), and three files that fail to
+# parse (exit 2)
 GRAPHS = {
     "k4.graph": "vertices 4\n0 1 0\n0 2 0\n0 3 0\n1 2 0\n1 3 0\n2 3 0\n",
     "loop.graph": "vertices 3\n0 1 0\n0 1 0\n1 2 0\n2 0 0\n2 2 0\n",
     "sparse_22.graph": ("vertices 9\n2 5 0\n1 6 1\n0 2 1\n1 3 1\n1 8 0\n3 4 0\n5 7 0\n"
                         "2 8 1\n2 7 0\n0 5 1\n0 1 0\n7 8 1\n2 3 1\n1 2 1\n2 4 0\n6 7 1\n"
                         "0 3 0\n1 5 1\n4 8 1\n5 6 1\n0 6 0\n0 8 0\n"),
+    "dense_22.graph": ("vertices 7\n3 6 1\n2 5 0\n0 1 1\n0 4 1\n3 4 0\n2 3 1\n4 6 1\n"
+                       "1 2 0\n3 5 0\n0 6 1\n0 2 0\n0 3 0\n2 4 0\n2 6 0\n1 6 1\n0 5 1\n"
+                       "1 5 0\n1 4 1\n4 5 1\n5 6 1\n1 3 1\n1 6 0\n"),
     "cap_24.graph": ("vertices 8\n3 6 0\n1 6 0\n3 4 0\n2 4 0\n0 7 0\n4 6 0\n1 7 0\n"
                      "1 5 0\n1 4 0\n2 3 0\n3 5 0\n0 4 0\n2 5 0\n4 5 0\n1 3 0\n3 7 0\n"
                      "0 5 0\n4 7 0\n0 1 0\n0 2 0\n2 6 0\n2 7 0\n0 6 0\n5 7 0\n"),

@@ -24,7 +24,13 @@ workload's largest sweep as a user runs it, its CSV written to /dev/null,
 the fourth a process that does no work, whose time is the start-up every
 command pays: the import of relzeros.cli, and the fifth one enumeration of
 compare_outputs.py's sparse_22.graph (two classes, 22 edges: the structure
-of exact-enum's 9-vertex graph) with its start-up.  Last, each
+of exact-enum's 9-vertex graph) with its start-up.  That start-up is about
+0.11 s around about 1 ms of enumeration, so the enumeration layer is also
+timed in process: in each of ten rounds, each checkout in turn runs one
+process (ENUM_SCRIPT) that times 40 calls of connected_subgraph_poly on
+each of compare_outputs.py's dense_22.graph, sparse_22.graph and
+cap_24.graph and on K6 with two disjoint triangles, and keeps the best
+of each (key "enumeration").  Last, each
 checkout in turn, the first one rotated on from the timed commands' last
 round, runs the tier-1 suite once,
 
@@ -50,8 +56,9 @@ gain can be checked on the uncorrected clock), per workload the median of
 each end-to-end metric and, under "median_clock", of those two, under
 each command's key every run's wall seconds, peak RSS and exit code, with
 the median seconds, the median peak RSS and the exit codes seen, and
-under "tier1" the suite's wall seconds, pytest's summary line and its
-exit code.  A timed command's peak RSS is the ru_maxrss that wait4
+under "enumeration" every round's best seconds per graph with their
+median per graph, and under "tier1" the suite's wall seconds, pytest's
+summary line and its exit code.  A timed command's peak RSS is the ru_maxrss that wait4
 returns: that of the largest process in its tree, since the kernel folds
 the reaped descendants of a process (a locus sweep's forked workers) into
 it as a maximum, not a sum.
@@ -59,8 +66,9 @@ it as a maximum, not a sum.
 Every label after the first also gets "versus_first": the first label,
 and the ratio of each of its runs to the first label's run of the same
 seed (per workload and end-to-end metric of BENCHMARK.json) or of the
-same round (per timed command, of the wall seconds; per workload also of
-raw_pass_wall_s), with their median
+same round (per timed command, of the wall seconds; per enumerated
+graph, of the best seconds; per workload also of raw_pass_wall_s), with
+their median
 and the pairs won: the ratios below 1 for a metric whose better direction
 is "lower" (so, for a timed command, the rounds it ran faster), above 1
 for "higher"; ties count for neither.  Each pair ran back to back, so
@@ -91,6 +99,22 @@ TIMED = {
     "poly_sparse_22": ["poly", "sparse_22.graph"],
 }
 TIMED_RUNS = 10
+ENUM_GRAPHS = ["dense_22.graph", "sparse_22.graph", "cap_24.graph", "k6"]
+ENUM_SCRIPT = """
+import json, sys, time
+from relzeros import connected_subgraph_poly
+from relzeros.multigraph import k6_disjoint_triangles, parse_graph
+best = {}
+for name in sys.argv[1:]:
+    g = k6_disjoint_triangles() if name == "k6" else parse_graph(open(name).read())
+    times = []
+    for _ in range(40):
+        start = time.perf_counter()
+        connected_subgraph_poly(g)
+        times.append(time.perf_counter() - start)
+    best[name] = min(times)
+print(json.dumps(best))
+"""
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
             "__pycache__": "removed under src/ and bench/ before the first run"}
@@ -132,6 +156,7 @@ def describe(checkout, seeds, seconds):
         "runs": {},
         **{key: {"command": "relzeros " + " ".join(args), "runs": []}
            for key, args in TIMED.items()},
+        "enumeration": {"graphs": ENUM_GRAPHS, "repeats": 40, "runs": []},
     }
 
 
@@ -168,6 +193,14 @@ def run_timed(checkout, args, workdir):
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
     return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024.0,
             "exit_code": proc.returncode}
+
+
+def run_enumeration(checkout, workdir):
+    """The best of 40 in-process connected_subgraph_poly times per graph."""
+    proc = subprocess.run([sys.executable, "-c", ENUM_SCRIPT, *ENUM_GRAPHS], cwd=workdir,
+                          env=dict(ENV, PYTHONPATH=str(checkout / "src")),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def run_tier1(checkout):
@@ -213,6 +246,9 @@ def versus_first(side, first, first_label, better):
     for key in TIMED:
         pairs = zip(side[key]["runs"], first[key]["runs"])
         out[key] = paired([r["seconds"] / f["seconds"] for r, f in pairs], "lower")
+    pairs = list(zip(side["enumeration"]["runs"], first["enumeration"]["runs"]))
+    out["enumeration"] = {name: paired([r[name] / f[name] for r, f in pairs], "lower")
+                          for name in ENUM_GRAPHS}
     return out
 
 
@@ -245,13 +281,19 @@ def main(argv=None):
     from compare_outputs import GRAPHS  # scripts/ is on sys.path when this runs as a script
 
     with tempfile.TemporaryDirectory() as workdir:
-        Path(workdir, "sparse_22.graph").write_text(GRAPHS["sparse_22.graph"])
+        for name in ("sparse_22.graph", "dense_22.graph", "cap_24.graph"):
+            Path(workdir, name).write_text(GRAPHS[name])
         for key, command in TIMED.items():
             for i in range(TIMED_RUNS):
                 for label, checkout in turns(sides, i):
                     run = run_timed(checkout, command, workdir)
                     record[label][key]["runs"].append(run)
                     print("%s %s: %s" % (label, key, json.dumps(run)), flush=True)
+        for i in range(TIMED_RUNS):
+            for label, checkout in turns(sides, i):
+                run = run_enumeration(checkout, workdir)
+                record[label]["enumeration"]["runs"].append(run)
+                print("%s enumeration: %s" % (label, json.dumps(run)), flush=True)
     for label, checkout in turns(sides, TIMED_RUNS):
         record[label]["tier1"] = run_tier1(checkout)
         print("%s tier1: %s" % (label, json.dumps(record[label]["tier1"])), flush=True)
@@ -264,6 +306,9 @@ def main(argv=None):
             timed["median_peak_rss_mb"] = statistics.median(r["peak_rss_mb"]
                                                             for r in timed["runs"])
             timed["exit_codes"] = sorted({r["exit_code"] for r in timed["runs"]})
+        enum = side["enumeration"]
+        enum["median_best_s"] = {name: statistics.median(r[name] for r in enum["runs"])
+                                 for name in ENUM_GRAPHS}
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     (first_label, _), *others = sides
     for label, _ in others:

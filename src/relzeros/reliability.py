@@ -4,12 +4,15 @@ The enumeration engine is a dynamic program over the edges in a vertex
 order: each next vertex leaves the fewest placed vertices with unplaced
 neighbours, and an edge comes in when its later end is placed.  A state is
 the partition of the active frontier into the components that the chosen
-edges form, with labels numbered by first appearance.  A vertex leaves the
-frontier after its last edge: an itemgetter picks the labels at the kept
-positions, and a per-call cache maps them to their renumbered bytes.  A
-state dies when a component closes while another remains; the graph is
-checked connected first, so once the frontier empties every vertex has
-been seen.
+edges form, one label byte per vertex, numbered by first appearance.  An
+edge takes two phases.  A new end joins as a singleton under the next
+label, and taking the edge merges the larger label of its ends into the
+smaller and moves every label above it down one (bytes.replace, then
+bytes.translate), so keys stay canonical.  Then, only where a vertex leaves
+the frontier after its last edge, its position is dropped and a per-call
+cache renumbers the rest.  A state dies when a component closes while
+another remains; the graph is checked connected first, so once the
+frontier empties every vertex has been seen.
 Each state carries its exact two-class counts packed into one integer:
 the count of a^k0 b^k1 sits at bit (k0*(m1+1) + k1)*(m+1), where m1 is
 the number of class-b edges.  No count reaches 2^m, so sums never carry
@@ -25,7 +28,6 @@ all: exactly the series-parallel graphs have the multivariate property.
 from __future__ import annotations
 
 from math import comb
-from operator import itemgetter
 
 from mpmath import mp
 from mpmath.libmp import (fone, fzero, mpc_add, mpc_add_mpf, mpc_div, mpc_is_nonzero, mpc_mul,
@@ -41,6 +43,9 @@ from .polycore import (
 )
 
 MAX_ENUMERATION_EDGES = 24
+# 26 labels suffice: past a step, each frontier vertex has a taken edge and an untaken one
+_LABEL = [bytes([b]) for b in range(MAX_ENUMERATION_EDGES + 2)]
+_DOWN = [bytes(range(b + 1)) + bytes(range(b, 255)) for b in range(len(_LABEL))]  # > b: one down
 
 
 class DisconnectedGraphError(ValueError):
@@ -112,45 +117,39 @@ def connected_subgraph_poly(g):
 
     frontier = []
     states = {b"": 1}
-    # kept labels -> the same partition renumbered by first appearance; each
-    # renumbered form is also its own key, so a partition is one bytes object,
-    # not one per label tuple (those extra objects raised the peak RSS)
+    # raw key -> renumbered by first appearance; a renumbered form is its own key,
+    # so a partition is one bytes object (one per raw key raised the peak RSS)
     canon = {}
     for step, e in enumerate(order):
         u, v, _ = g.edges[e]
-        fresh = b""
         for x in (u, v):
-            if x not in frontier:
+            if x not in frontier:  # a singleton under the next label: keys stay canonical
                 frontier.append(x)
-                fresh += bytes([255 - len(fresh)])  # above every canonical label
+                states = {key + _LABEL[max(key, default=-1) + 1]: c for key, c in states.items()}
         pu, pv = frontier.index(u), frontier.index(v)
-        keep = [j for j, x in enumerate(frontier) if last[x] != step]
-        gone = [j for j, x in enumerate(frontier) if last[x] == step]
-        frontier = [frontier[j] for j in keep]
-        # itemgetter of one position gives a bare label: keep every pick a tuple
-        pick = (itemgetter(*keep) if len(keep) > 1
-                else lambda raw, keep=keep: tuple(raw[j] for j in keep))
         s = shift[cls[e]]
-        nxt = {}
+        nxt = dict(states)  # every state with the edge left out
         for key, counts in states.items():
-            key += fresh
-            taken = key.replace(key[pv:pv + 1], key[pu:pu + 1])
-            for raw, c in ((key, counts), (taken, counts << s)):
-                kept = pick(raw)
-                for j in gone:
-                    if raw[j] not in kept:
-                        # a component closed: valid only as the last one (the graph is connected)
-                        kept = None if kept or raw.count(raw[0]) != len(raw) else ()
-                        break
-                if kept is None:
-                    continue
-                out = canon.get(kept)
-                if out is None:
-                    first = {}
-                    out = bytes([first.setdefault(x, len(first)) for x in kept])
-                    out = canon[kept] = canon.setdefault(out, out)
-                nxt[out] = nxt.get(out, 0) + c
+            a, b = key[pu], key[pv]
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                key = key.replace(_LABEL[b], _LABEL[a]).translate(_DOWN[b])
+            nxt[key] = nxt.get(key, 0) + (counts << s)
         states = nxt
+        for p in reversed([j for j, x in enumerate(frontier) if last[x] == step]):
+            del frontier[p]  # a vertex after its last edge
+            merged, states = states, {}
+            for key, counts in merged.items():
+                raw = key[:p] + key[p + 1:]
+                # a component closes at p: valid only as the last one (the graph is connected)
+                if key[p] in raw or not raw:
+                    out = canon.get(raw)
+                    if out is None:
+                        first = {}
+                        out = bytes([first.setdefault(x, len(first)) for x in raw])
+                        out = canon[raw] = canon.setdefault(out, out)
+                    states[out] = states.get(out, 0) + counts
 
     packed = states.get(b"", 0)
     mask = (1 << width) - 1

@@ -1,7 +1,18 @@
-"""The frontier dynamic program against the subset walk it replaced, its
-edge cases, and the edge order it runs in."""
+"""The frontier dynamic program against the one-pass program it replaced
+and the subset walk before that, its relabeling of canonical byte keys,
+its edge cases, and the edge order it runs in.
 
+Each edge takes two phases: new ends join as singletons under the next
+label and taking the edge merges two labels, which keeps every key
+canonical (labels numbered by first appearance); then, where vertices
+leave the frontier, their positions are dropped and the rest renumbered.
+The one-pass program built both candidates of every state and projected
+each through an itemgetter pick of the kept positions.
+"""
+
+from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +27,7 @@ from relzeros import (
     connected_subgraph_poly,
 )
 from relzeros.multigraph import is_connected
-from relzeros.reliability import MAX_ENUMERATION_EDGES, _frontier_order
+from relzeros.reliability import _DOWN, _LABEL, MAX_ENUMERATION_EDGES, _frontier_order
 from util_graphs import matrix_tree_count
 
 
@@ -84,6 +95,80 @@ def reference_connected_subgraph_poly(g):
     for (k0, _), c in counts.items():
         out[k0] += c
     return ExactUniPoly(out)
+
+
+# The one-pass frontier program that the two-phase one replaced, kept verbatim.
+def one_pass_connected_subgraph_poly(g):
+    if not isinstance(g, Multigraph):
+        raise TypeError("expected a Multigraph")
+    if not is_connected(g):
+        raise DisconnectedGraphError("disconnected graph: polynomial is identically zero")
+    m = g.num_edges
+    if m > MAX_ENUMERATION_EDGES:
+        raise EnumerationLimitError("%d edges exceed the enumeration bound of %d"
+                                    % (m, MAX_ENUMERATION_EDGES))
+    labels = g.class_labels()
+    if len(labels) > 2:
+        raise ClassCountError("at most 2 weight classes supported, got %d" % len(labels))
+
+    cls = [0 if len(labels) < 2 or c == labels[0] else 1 for _, _, c in g.edges]
+    m1 = sum(cls)
+    width = m + 1  # bits per packed coefficient: none reaches 2^m
+    shift = ((m1 + 1) * width, width)  # taking a class-0 / class-1 edge
+    order = _frontier_order(g)
+    last = {}
+    for step, e in enumerate(order):
+        u, v, _ = g.edges[e]
+        last[u] = last[v] = step
+
+    frontier = []
+    states = {b"": 1}
+    # kept labels -> the same partition renumbered by first appearance; each
+    # renumbered form is also its own key, so a partition is one bytes object,
+    # not one per label tuple (those extra objects raised the peak RSS)
+    canon = {}
+    for step, e in enumerate(order):
+        u, v, _ = g.edges[e]
+        fresh = b""
+        for x in (u, v):
+            if x not in frontier:
+                frontier.append(x)
+                fresh += bytes([255 - len(fresh)])  # above every canonical label
+        pu, pv = frontier.index(u), frontier.index(v)
+        keep = [j for j, x in enumerate(frontier) if last[x] != step]
+        gone = [j for j, x in enumerate(frontier) if last[x] == step]
+        frontier = [frontier[j] for j in keep]
+        # itemgetter of one position gives a bare label: keep every pick a tuple
+        pick = (itemgetter(*keep) if len(keep) > 1
+                else lambda raw, keep=keep: tuple(raw[j] for j in keep))
+        s = shift[cls[e]]
+        nxt = {}
+        for key, counts in states.items():
+            key += fresh
+            taken = key.replace(key[pv:pv + 1], key[pu:pu + 1])
+            for raw, c in ((key, counts), (taken, counts << s)):
+                kept = pick(raw)
+                for j in gone:
+                    if raw[j] not in kept:
+                        # a component closed: valid only as the last one (the graph is connected)
+                        kept = None if kept or raw.count(raw[0]) != len(raw) else ()
+                        break
+                if kept is None:
+                    continue
+                out = canon.get(kept)
+                if out is None:
+                    first = {}
+                    out = bytes([first.setdefault(x, len(first)) for x in kept])
+                    out = canon[kept] = canon.setdefault(out, out)
+                nxt[out] = nxt.get(out, 0) + c
+        states = nxt
+
+    packed = states.get(b"", 0)
+    mask = (1 << width) - 1
+    if len(labels) == 2:
+        return ExactBiPoly({(k0, k1): packed >> (k0 * (m1 + 1) + k1) * width & mask
+                            for k0 in range(m - m1 + 1) for k1 in range(m1 + 1)})
+    return ExactUniPoly([packed >> k * width & mask for k in range(m + 1)])
 
 
 def outcome(enumerate_, g):
@@ -229,3 +314,108 @@ class TestFrontierOrder:
     def test_order_ignores_vertex_labels(self, g, data):
         perm = data.draw(st.permutations(range(g.num_vertices)))
         assert _frontier_order(relabeled(g, perm)) == _frontier_order(g)
+
+
+def canonical_keys(n):
+    """Every canonical key of length n: the restricted growth strings, whose
+    labels are numbered by first appearance."""
+    keys = [b""]
+    for _ in range(n):
+        keys = [k + bytes([x]) for k in keys for x in range(max(k, default=-1) + 2)]
+    return keys
+
+
+def renumbered(key):
+    first = {}
+    return bytes([first.setdefault(x, len(first)) for x in key])
+
+
+def merged(key, i, j):
+    """The engine's merge of the labels at positions i and j."""
+    a, b = sorted((key[i], key[j]))
+    return key.replace(_LABEL[b], _LABEL[a]).translate(_DOWN[b]) if a != b else key
+
+
+class TestRelabel:
+    def test_canonical_keys(self):
+        assert [len(canonical_keys(n)) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+        assert all(renumbered(k) == k for k in canonical_keys(8))
+
+    def test_merge_is_renumbering(self):
+        for n in range(2, 9):
+            for key in canonical_keys(n):
+                for i, j in combinations(range(n), 2):
+                    want = renumbered(key.replace(key[j:j + 1], key[i:i + 1]))
+                    assert merged(key, i, j) == merged(key, j, i) == want
+
+    def test_merge_of_every_label(self):
+        # 26 singletons, as many labels as the engine's tables cover
+        key = bytes(range(len(_LABEL)))
+        for i, j in combinations(range(len(key)), 2):
+            assert merged(key, i, j) == renumbered(key[:j] + key[i:i + 1] + key[j + 1:])
+
+    def test_singleton_append(self):
+        for n in range(9):
+            for key in canonical_keys(n):
+                grown = key + _LABEL[max(key, default=-1) + 1]
+                assert renumbered(grown) == grown and grown[-1] not in key
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """2-10 vertices and 15-24 edges: a random tree, then random edges,
+    loops and parallel edges among them, in one class or two."""
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers(15, MAX_ENUMERATION_EDGES))
+    label = st.sampled_from(draw(st.sampled_from(((0,), (0, 1), (5, -3)))))
+    end = st.integers(0, n - 1)
+    tree = [(draw(st.integers(0, v - 1)), v, draw(label)) for v in range(1, n)]
+    pair = st.tuples(end, end).map(sorted)
+    extra = draw(st.lists(st.one_of(pair, st.sampled_from(tree).map(lambda e: e[:2]),
+                                    end.map(lambda x: (x, x))),
+                          min_size=m - n + 1, max_size=m - n + 1))
+    edges = tree + [(u, v, draw(label)) for u, v in extra]
+    return Multigraph(n, tuple(draw(st.permutations(edges))))
+
+
+# the structures of bench/workloads._base_graph(7) and (8): all 21 pairs of 7
+# vertices and one parallel edge (frontier 7), and 22 of the 28 pairs of 8
+DENSE_22 = Multigraph(7, (
+    (3, 6, 1), (2, 5, 0), (0, 1, 1), (0, 4, 1), (3, 4, 0), (2, 3, 1), (4, 6, 1), (1, 2, 0),
+    (3, 5, 0), (0, 6, 1), (0, 2, 0), (0, 3, 0), (2, 4, 0), (2, 6, 0), (1, 6, 1), (0, 5, 1),
+    (1, 5, 0), (1, 4, 1), (4, 5, 1), (5, 6, 1), (1, 3, 1), (1, 6, 0)))
+EIGHT_22 = Multigraph(8, (
+    (3, 6, 1), (1, 6, 0), (3, 4, 1), (2, 4, 0), (0, 7, 0), (4, 6, 1), (1, 7, 0), (1, 5, 1),
+    (1, 4, 1), (2, 3, 0), (3, 5, 1), (0, 4, 0), (2, 5, 1), (4, 5, 0), (1, 3, 1), (3, 7, 0),
+    (0, 5, 0), (4, 7, 1), (0, 1, 0), (0, 2, 0), (2, 6, 0), (2, 7, 1)))
+# compare_outputs.py's cap_24.graph: 24 edges on 8 vertices, one class
+CAP_24 = Multigraph(8, tuple((u, v, 0) for u, v in (
+    (3, 6), (1, 6), (3, 4), (2, 4), (0, 7), (4, 6), (1, 7), (1, 5), (1, 4), (2, 3), (3, 5),
+    (0, 4), (2, 5), (4, 5), (1, 3), (3, 7), (0, 5), (4, 7), (0, 1), (0, 2), (2, 6), (2, 7),
+    (0, 6), (5, 7))))
+
+
+class TestAgainstOnePass:
+    @settings(max_examples=150, deadline=None)
+    @given(g=connected_multigraphs())
+    def test_same_polynomials(self, g):
+        poly = connected_subgraph_poly(g)
+        assert poly == one_pass_connected_subgraph_poly(g)
+        if g.num_edges <= 16:
+            assert poly == reference_connected_subgraph_poly(g)
+        # no frontier outgrows the label tables
+        assert max(frontier_widths(g, _frontier_order(g))) <= len(_LABEL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=multigraphs())
+    def test_same_polynomials_and_errors_small(self, g):
+        assert outcome(connected_subgraph_poly, g) == outcome(one_pass_connected_subgraph_poly, g)
+
+    def test_bench_structures(self):
+        for g in (DENSE_22, EIGHT_22, SPARSE_22, CAP_24):
+            kind, poly = outcome(connected_subgraph_poly, g)
+            assert (kind, poly) == outcome(one_pass_connected_subgraph_poly, g)
+            assert sum(c for k, c in terms(poly) if k == g.num_vertices - 1) == matrix_tree_count(g)
+
+    def test_dense_22_frontier_is_seven(self):
+        assert max(frontier_widths(DENSE_22, _frontier_order(DENSE_22))) == 7
