@@ -58,10 +58,10 @@ each command's key every run's wall seconds, peak RSS and exit code, with
 the median seconds, the median peak RSS and the exit codes seen, and
 under "enumeration" every round's best seconds per graph with their
 median per graph, and under "tier1" the suite's wall seconds, pytest's
-summary line and its exit code.  A timed command's peak RSS is the ru_maxrss that wait4
-returns: that of the largest process in its tree, since the kernel folds
-the reaped descendants of a process (a locus sweep's forked workers) into
-it as a maximum, not a sum.
+summary line and its exit code.  A timed command's peak RSS is the
+ru_maxrss that wait4 returns: that of the largest process in its tree,
+since the kernel folds the reaped descendants of a process (a locus
+sweep's forked workers) into it as a maximum, not a sum.
 
 Every label after the first also gets "versus_first": the first label,
 and the ratio of each of its runs to the first label's run of the same
@@ -100,6 +100,7 @@ TIMED = {
 }
 TIMED_RUNS = 10
 ENUM_GRAPHS = ["dense_22.graph", "sparse_22.graph", "cap_24.graph", "k6"]
+ENUM_REPEATS = 40
 ENUM_SCRIPT = """
 import json, sys, time
 from relzeros import connected_subgraph_poly
@@ -108,13 +109,13 @@ best = {}
 for name in sys.argv[1:]:
     g = k6_disjoint_triangles() if name == "k6" else parse_graph(open(name).read())
     times = []
-    for _ in range(40):
+    for _ in range(%d):
         start = time.perf_counter()
         connected_subgraph_poly(g)
         times.append(time.perf_counter() - start)
     best[name] = min(times)
 print(json.dumps(best))
-"""
+""" % ENUM_REPEATS
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
             "__pycache__": "removed under src/ and bench/ before the first run"}
@@ -156,7 +157,7 @@ def describe(checkout, seeds, seconds):
         "runs": {},
         **{key: {"command": "relzeros " + " ".join(args), "runs": []}
            for key, args in TIMED.items()},
-        "enumeration": {"graphs": ENUM_GRAPHS, "repeats": 40, "runs": []},
+        "enumeration": {"graphs": ENUM_GRAPHS, "repeats": ENUM_REPEATS, "runs": []},
     }
 
 
@@ -196,7 +197,7 @@ def run_timed(checkout, args, workdir):
 
 
 def run_enumeration(checkout, workdir):
-    """The best of 40 in-process connected_subgraph_poly times per graph."""
+    """The best of ENUM_REPEATS in-process connected_subgraph_poly times per graph."""
     proc = subprocess.run([sys.executable, "-c", ENUM_SCRIPT, *ENUM_GRAPHS], cwd=workdir,
                           env=dict(ENV, PYTHONPATH=str(checkout / "src")),
                           capture_output=True, text=True, check=True)

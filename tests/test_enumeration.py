@@ -7,7 +7,7 @@ label and taking the edge merges two labels, which keeps every key
 canonical (labels numbered by first appearance); then, where vertices
 leave the frontier, their positions are dropped and the rest renumbered.
 The one-pass program built both candidates of every state and projected
-each through an itemgetter pick of the kept positions.
+each onto the kept positions before renumbering it.
 """
 
 from itertools import combinations
