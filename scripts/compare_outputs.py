@@ -75,14 +75,16 @@ GRAPHS = {
     "negative.graph": "vertices -1\n",
     "bad_field.graph": "vertices 2\n0 1 x\n",
 }
-# the transposed run collapses a in mpmath, above 53 bits; the next two
-# (8,192 and 4,096 samples) split across forked workers on a host with two
-# or more CPUs, where the default 2,000 samples stay one chunk; the last two
-# exit 2 and write no CSV
+# the transposed run collapses a in mpmath, above 53 bits; the next three
+# (8,192, 4,096 and 5,000 samples) split across forked workers on a host
+# with two or more CPUs, where the default 2,000 samples stay one chunk (on
+# two CPUs the 5,000-sample worker sends frames of 1,024, 1,024 and 452
+# samples, the others only whole frames); the last two exit 2 and write no CSV
 LOCUS = ([[case, "--precision", str(prec)] for case in ("b", "d", "k6") for prec in (53, 80)]
          + [["b", "--sweep", "a", "--precision", "80"],
             ["d", "--lambda", "0.1", "--samples", "8192"],
             ["k6", "--sweep", "a", "--samples", "4096"],
+            ["c", "--samples", "5000"],
             ["b", "--samples", "8"], ["b", "--lambda", "0"]])
 # exits 2 before any row: the precision is below 53 bits
 REPRODUCE_REJECTED = ["reproduce", "--suite", "k6", "--precision", "40"]

@@ -30,7 +30,15 @@ timed in process: in each of ten rounds, each checkout in turn runs one
 process (ENUM_SCRIPT) that times 40 calls of connected_subgraph_poly on
 each of compare_outputs.py's dense_22.graph, sparse_22.graph and
 cap_24.graph and on K6 with two disjoint triangles, and keeps the best
-of each (key "enumeration").  Last, each
+of each (key "enumeration").  The split of a locus sweep across forked
+workers is timed in process too: in each of ten rounds, each checkout in
+turn runs one process (SPLIT_SCRIPT) that times the locus-53 workload's
+seven sweeps (SPLIT_SWEEPS, a copy of bench/workloads.py's LOCUS_SWEEPS)
+five times on the CPUs it may run on, then pins itself to one of them
+with os.sched_setaffinity, so that every sweep stays one chunk, and times
+them five times more; it keeps the best of each five (key "split").
+These are uncorrected wall times, so the split's gain, the one-CPU time
+over the all-CPU time, is free of the host-clock probe's bias.  Last, each
 checkout in turn, the first one rotated on from the timed commands' last
 round, runs the tier-1 suite once,
 
@@ -57,7 +65,8 @@ each end-to-end metric and, under "median_clock", of those two, under
 each command's key every run's wall seconds, peak RSS and exit code, with
 the median seconds, the median peak RSS and the exit codes seen, and
 under "enumeration" every round's best seconds per graph with their
-median per graph, and under "tier1" the suite's wall seconds, pytest's
+median per graph, under "split" every round's two best seconds with
+their medians and the median of each round's gain, and under "tier1" the suite's wall seconds, pytest's
 summary line and its exit code.  A timed command's peak RSS is the
 ru_maxrss that wait4 returns: that of the largest process in its tree,
 since the kernel folds the reaped descendants of a process (a locus
@@ -67,7 +76,8 @@ Every label after the first also gets "versus_first": the first label,
 and the ratio of each of its runs to the first label's run of the same
 seed (per workload and end-to-end metric of BENCHMARK.json) or of the
 same round (per timed command, of the wall seconds; per enumerated
-graph, of the best seconds; per workload also of raw_pass_wall_s), with
+graph and per split timing, of the best seconds; per workload also of
+raw_pass_wall_s), with
 their median
 and the pairs won: the ratios below 1 for a metric whose better direction
 is "lower" (so, for a timed command, the rounds it ran faster), above 1
@@ -116,6 +126,33 @@ for name in sys.argv[1:]:
     best[name] = min(times)
 print(json.dumps(best))
 """ % ENUM_REPEATS
+SPLIT_SWEEPS = (("a", 1.0, 4096), ("b", 1.0, 4096), ("c", 1.0, 4096), ("d", 1.0, 4096),
+                ("e", 1.0, 4096), ("d", 0.1, 8192), ("k6", 1.0, 2048))
+SPLIT_TIMINGS = ["all_cpus_s", "one_cpu_s"]
+SPLIT_REPEATS = 5
+SPLIT_SCRIPT = """
+import json, os, time
+from relzeros import connected_subgraph_poly, trace_locus
+from relzeros.multigraph import k4_two_class, k6_disjoint_triangles
+polys = {case: connected_subgraph_poly(k6_disjoint_triangles() if case == "k6"
+                                       else k4_two_class(case))
+         for case in ("a", "b", "c", "d", "e", "k6")}
+
+def best():
+    times = []
+    for _ in range(%d):
+        start = time.perf_counter()
+        for case, lam, n in %r:
+            trace_locus(polys[case], "b", lam, n)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+cpus = os.sched_getaffinity(0)
+out = {"cpus": len(cpus), "all_cpus_s": best()}
+os.sched_setaffinity(0, {min(cpus)})
+out["one_cpu_s"] = best()
+print(json.dumps(out))
+""" % (SPLIT_REPEATS, SPLIT_SWEEPS)
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
             "__pycache__": "removed under src/ and bench/ before the first run"}
@@ -158,6 +195,7 @@ def describe(checkout, seeds, seconds):
         **{key: {"command": "relzeros " + " ".join(args), "runs": []}
            for key, args in TIMED.items()},
         "enumeration": {"graphs": ENUM_GRAPHS, "repeats": ENUM_REPEATS, "runs": []},
+        "split": {"sweeps": SPLIT_SWEEPS, "repeats": SPLIT_REPEATS, "runs": []},
     }
 
 
@@ -199,6 +237,15 @@ def run_timed(checkout, args, workdir):
 def run_enumeration(checkout, workdir):
     """The best of ENUM_REPEATS in-process connected_subgraph_poly times per graph."""
     proc = subprocess.run([sys.executable, "-c", ENUM_SCRIPT, *ENUM_GRAPHS], cwd=workdir,
+                          env=dict(ENV, PYTHONPATH=str(checkout / "src")),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def run_split(checkout, workdir):
+    """The best of SPLIT_REPEATS in-process times of the seven sweeps, on all
+    the process's CPUs and pinned to one."""
+    proc = subprocess.run([sys.executable, "-c", SPLIT_SCRIPT], cwd=workdir,
                           env=dict(ENV, PYTHONPATH=str(checkout / "src")),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -250,6 +297,9 @@ def versus_first(side, first, first_label, better):
     pairs = list(zip(side["enumeration"]["runs"], first["enumeration"]["runs"]))
     out["enumeration"] = {name: paired([r[name] / f[name] for r, f in pairs], "lower")
                           for name in ENUM_GRAPHS}
+    pairs = list(zip(side["split"]["runs"], first["split"]["runs"]))
+    out["split"] = {name: paired([r[name] / f[name] for r, f in pairs], "lower")
+                    for name in SPLIT_TIMINGS}
     return out
 
 
@@ -295,6 +345,11 @@ def main(argv=None):
                 run = run_enumeration(checkout, workdir)
                 record[label]["enumeration"]["runs"].append(run)
                 print("%s enumeration: %s" % (label, json.dumps(run)), flush=True)
+        for i in range(TIMED_RUNS):
+            for label, checkout in turns(sides, i):
+                run = run_split(checkout, workdir)
+                record[label]["split"]["runs"].append(run)
+                print("%s split: %s" % (label, json.dumps(run)), flush=True)
     for label, checkout in turns(sides, TIMED_RUNS):
         record[label]["tier1"] = run_tier1(checkout)
         print("%s tier1: %s" % (label, json.dumps(record[label]["tier1"])), flush=True)
@@ -310,6 +365,11 @@ def main(argv=None):
         enum = side["enumeration"]
         enum["median_best_s"] = {name: statistics.median(r[name] for r in enum["runs"])
                                  for name in ENUM_GRAPHS}
+        split = side["split"]
+        split["median_best_s"] = {name: statistics.median(r[name] for r in split["runs"])
+                                  for name in SPLIT_TIMINGS}
+        split["median_gain"] = statistics.median(r["one_cpu_s"] / r["all_cpus_s"]
+                                                 for r in split["runs"])
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     (first_label, _), *others = sides
     for label, _ in others:

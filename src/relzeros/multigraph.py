@@ -89,6 +89,8 @@ def is_connected(g):
     n = g.num_vertices
     if n <= 1:
         return True
+    if n > g.num_edges + 1:  # a spanning tree needs n - 1 edges
+        return False
     parent = list(range(n))
 
     def find(x):
@@ -140,9 +142,10 @@ def _sp_reductions(g):
             vertices.discard(lowest[1])
             yield ("pendant", e)
             continue
-        if 0 in lowest:
-            vertices.discard(lowest[0])
-            yield ("isolated", lowest[0])
+        if 0 in lowest:  # removing an edgeless vertex changes no degree: all go in turn
+            for v in sorted(v for v in vertices if not incident[v]):
+                vertices.discard(v)
+                yield ("isolated", v)
             continue
         seen = {}
         for e, (u, v) in edges.items():

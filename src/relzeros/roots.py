@@ -346,7 +346,7 @@ def bc_lambda_holds_univariate(p, lam, precision_bits=None):
     Zero roots sit on the boundary and never violate.  Roots that are
     exactly on the unit circle around -1 by way of shifted-cyclotomic
     factors (bundles of m parallel edges contribute (1+v)^m - 1) are
-    settled algebraically: they violate exactly when lam > 1, so that or an
+    settled algebraically: they violate exactly when lam > 1, so that or a
     constant quotient decides before any root is built.  Otherwise
     find_roots of the quotient alone decides, on the ladder of _climb.
     """

@@ -4,6 +4,7 @@ Every test here sees two CPUs, whatever the host has, so a sweep of 2,048
 samples or more runs as two chunks: the caller's and one worker's.
 """
 
+import io
 import marshal
 import math
 import os
@@ -216,27 +217,140 @@ def test_worker_that_fails_or_dies_is_solved_again(forks, monkeypatch, fail):
     assert_no_child_left()
 
 
+def in_caller(monkeypatch):
+    """The thetas of the samples the calling process solves, on top of earlier patches."""
+    caller, half_angle, thetas = os.getpid(), roots_module._half_angle_circle, []
+
+    def counting(lam, theta):
+        if os.getpid() == caller:
+            thetas.append(theta)
+        return half_angle(lam, theta)
+
+    monkeypatch.setattr(roots_module, "_half_angle_circle", counting)
+    return thetas
+
+
+def worker_sends(monkeypatch, edit):
+    """Make a forked worker send edit(stream) in place of the stream of frames it writes."""
+    real_open = open
+
+    class Edited(io.BytesIO):
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+
+        def close(self):
+            if not self.closed:
+                with real_open(self.fd, "wb") as f:
+                    f.write(edit(self.getvalue()))
+            super().close()
+
+    monkeypatch.setattr(forkmap, "open", lambda fd, mode: Edited(fd) if mode == "wb"
+                        else real_open(fd, mode), raising=False)
+
+
+def frames(stream):
+    """A worker's stream cut into its frames, each with its 4-byte length prefix."""
+    out = []
+    while stream:
+        end = 4 + int.from_bytes(stream[:4], "little")
+        out.append(stream[:end])
+        stream = stream[end:]
+    return out
+
+
+def framed(results):
+    frame = marshal.dumps(results)
+    return len(frame).to_bytes(4, "little") + frame
+
+
+def wrong_last_sample(stream):
+    *head, last = frames(stream)
+    return b"".join(head) + framed(marshal.loads(last[4:])[:-1] + [([], [], True)])
+
+
+@pytest.fixture(scope="module")
+def odd_sweep():
+    """Case b at lam 1 over 5,000 samples, solved in one loop: on two CPUs the
+    worker's 2,500 samples go in frames of 1,024, 1,024 and 452."""
+    return 5000, hexed(in_process_loop(family_bipoly("b"), "b", 1.0, 5000))
+
+
 @pytest.mark.parametrize("keep", [0, 2, 1000])
 def test_short_payload_is_solved_again(forks, monkeypatch, keep):
-    # the worker writes only the first `keep` bytes of its payload, then exits 0
+    # the worker sends only the first `keep` bytes of its one frame, then exits 0
     p = family_bipoly("b")
     want = hexed(in_process_loop(p, "b", 1.0, N))
-    monkeypatch.setattr(marshal, "dump", lambda obj, f: f.write(marshal.dumps(obj)[:keep]))
+    worker_sends(monkeypatch, lambda stream: stream[:keep])
+    solved = in_caller(monkeypatch)
     assert hexed(curve_samples(trace_locus(p, "b", 1.0, N))) == want
-    assert len(forks) == 1
+    assert len(forks) == 1 and len(solved) == N
     assert_no_child_left()
 
 
 def test_payload_of_a_worker_that_exits_nonzero_is_dropped(forks, monkeypatch):
-    # the whole payload arrives, with a wrong last sample, from a worker that
-    # exits with status 3: the caller solves its chunk again
+    # every frame arrives, the last with a wrong last sample, from a worker
+    # that exits with status 3: the caller solves its chunk again
     p = family_bipoly("b")
     want = hexed(in_process_loop(p, "b", 1.0, N))
-    dump, exit_ = marshal.dump, os._exit
-    monkeypatch.setattr(marshal, "dump", lambda obj, f: dump(obj[:-1] + [([], [], True)], f))
+    exit_ = os._exit
+    worker_sends(monkeypatch, wrong_last_sample)
     monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
+    solved = in_caller(monkeypatch)
     assert hexed(curve_samples(trace_locus(p, "b", 1.0, N))) == want
-    assert len(forks) == 1
+    assert len(forks) == 1 and len(solved) == N
+    assert_no_child_left()
+
+
+def one_result_short(stream):
+    *head, last = frames(stream)
+    return b"".join(head) + framed(marshal.loads(last[4:])[:-1])
+
+
+def one_result_more(stream):
+    *head, last = frames(stream)
+    results = marshal.loads(last[4:])
+    return b"".join(head) + framed(results + results[-1:])
+
+
+def unknown_type_code(stream):
+    first, second, *rest = frames(stream)
+    return b"".join([first, second[:4], b"\xff", second[5:], *rest])
+
+
+FRAME_EDITS = {
+    "cut in a length prefix": lambda s: frames(s)[0] + frames(s)[1][:3],
+    "cut in a later body": lambda s: b"".join(frames(s)[:2]) + frames(s)[2][:-1],
+    "last frame missing": lambda s: b"".join(frames(s)[:-1]),
+    "one trailing byte": lambda s: s + b"\0",
+    "bad marshal data": unknown_type_code,
+    "one result short": one_result_short,
+    "one result more": one_result_more,
+    "last frame not a list": lambda s: b"".join(frames(s)[:-1]) + framed(None),
+}
+
+
+@pytest.mark.parametrize("edit", FRAME_EDITS.values(), ids=FRAME_EDITS.keys())
+def test_stream_other_than_the_frames_is_solved_again(forks, monkeypatch, odd_sweep, edit):
+    # the worker exits 0 after it sends edit(its frames): the caller solves its chunk again
+    n, want = odd_sweep
+    worker_sends(monkeypatch, edit)
+    solved = in_caller(monkeypatch)
+    assert hexed(curve_samples(trace_locus(family_bipoly("b"), "b", 1.0, n))) == want
+    assert len(forks) == 1 and len(solved) == n
+    assert_no_child_left()
+
+
+def test_partial_last_frame_is_taken(forks, monkeypatch, odd_sweep):
+    # the worker checks its own frames; had they been other than 1,024, 1,024
+    # and 452 results, it would send nothing, and the caller would solve them
+    n, want = odd_sweep
+    sizes = [MIN_CHUNK, MIN_CHUNK, n // 2 - 2 * MIN_CHUNK]
+    worker_sends(monkeypatch, lambda s: s if [len(marshal.loads(f[4:])) for f in frames(s)]
+                 == sizes else b"")
+    solved = in_caller(monkeypatch)
+    assert hexed(curve_samples(trace_locus(family_bipoly("b"), "b", 1.0, n))) == want
+    assert len(forks) == 1 and len(solved) == n // 2
     assert_no_child_left()
 
 

@@ -264,6 +264,76 @@ def weighted_multigraphs(draw):
     return Multigraph(n, tuple(edges)), weights
 
 
+# The reduction generator as it was when each isolated vertex was its own
+# pass over every vertex, kept verbatim as the oracle for the steps' order.
+def reference_sp_reductions(g):
+    edges = {i: (u, v) for i, (u, v, _) in enumerate(g.edges)}  # id order
+    vertices = set(range(g.num_vertices))
+    while edges:
+        loop = next((e for e, (u, v) in edges.items() if u == v), None)
+        if loop is not None:
+            del edges[loop]
+            yield ("loop", loop)
+            continue
+        incident = {v: [] for v in vertices}
+        for e, (u, v) in edges.items():
+            incident[u].append(e)
+            incident[v].append(e)
+        lowest = {}
+        for v in sorted(vertices):
+            lowest.setdefault(len(incident[v]), v)
+        if 1 in lowest:
+            e, = incident[lowest[1]]
+            del edges[e]
+            vertices.discard(lowest[1])
+            yield ("pendant", e)
+            continue
+        if 0 in lowest:
+            vertices.discard(lowest[0])
+            yield ("isolated", lowest[0])
+            continue
+        seen = {}
+        for e, (u, v) in edges.items():
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                del edges[e]
+                yield ("parallel", seen[key], e)
+                break
+            seen[key] = e
+        else:
+            if 2 not in lowest:
+                return
+            mid = lowest[2]
+            e1, e2 = incident[mid]
+            a, b = (x for e in (e1, e2) for x in edges[e] if x != mid)
+            edges[e1] = (a, b)
+            del edges[e2]
+            vertices.discard(mid)
+            yield ("series", e1, e2)
+
+
+@st.composite
+def sparse_multigraphs(draw):
+    """1-16 vertices and 0-14 edges on a drawn subset of them, loops and
+    repeats allowed, sometimes around a cycle through the whole subset, so
+    that most graphs have isolated vertices, some from the start and some
+    once pendant edges go, and keep edges while they are reduced."""
+    n = draw(st.integers(1, 16))
+    used = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    edges = []
+    if draw(st.booleans()):
+        edges = [(u, v, 0) for u, v in zip(used, used[1:] + used[:1])]
+    end = st.sampled_from(used)
+    edges += draw(st.lists(st.tuples(end, end, st.integers(0, 1)), max_size=14))
+    return Multigraph(n, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=sparse_multigraphs())
+def test_same_steps_as_one_isolated_vertex_per_pass(g):
+    assert list(_sp_reductions(g)) == list(reference_sp_reductions(g))
+
+
 def test_step_order():
     # loop first, then the pendant, then the isolated vertex; each parallel
     # pair and series vertex keeps its lower edge id
