@@ -66,8 +66,8 @@ each command's key every run's wall seconds, peak RSS and exit code, with
 the median seconds, the median peak RSS and the exit codes seen, and
 under "enumeration" every round's best seconds per graph with their
 median per graph, under "split" every round's two best seconds with
-their medians and the median of each round's gain, and under "tier1" the suite's wall seconds, pytest's
-summary line and its exit code.  A timed command's peak RSS is the
+their medians and the median of each round's gain, and under "tier1"
+the suite's wall seconds, pytest's summary line and its exit code.  A timed command's peak RSS is the
 ru_maxrss that wait4 returns: that of the largest process in its tree,
 since the kernel folds the reaped descendants of a process (a locus
 sweep's forked workers) into it as a maximum, not a sum.
@@ -77,9 +77,7 @@ and the ratio of each of its runs to the first label's run of the same
 seed (per workload and end-to-end metric of BENCHMARK.json) or of the
 same round (per timed command, of the wall seconds; per enumerated
 graph and per split timing, of the best seconds; per workload also of
-raw_pass_wall_s), with
-their median
-and the pairs won: the ratios below 1 for a metric whose better direction
+raw_pass_wall_s), with their median and the pairs won: the ratios below 1 for a metric whose better direction
 is "lower" (so, for a timed command, the rounds it ran faster), above 1
 for "higher"; ties count for neither.  Each pair ran back to back, so
 its ratio is what the alternating order is for; on a host whose speed
@@ -234,18 +232,10 @@ def run_timed(checkout, args, workdir):
             "exit_code": proc.returncode}
 
 
-def run_enumeration(checkout, workdir):
-    """The best of ENUM_REPEATS in-process connected_subgraph_poly times per graph."""
-    proc = subprocess.run([sys.executable, "-c", ENUM_SCRIPT, *ENUM_GRAPHS], cwd=workdir,
-                          env=dict(ENV, PYTHONPATH=str(checkout / "src")),
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def run_split(checkout, workdir):
-    """The best of SPLIT_REPEATS in-process times of the seven sweeps, on all
-    the process's CPUs and pinned to one."""
-    proc = subprocess.run([sys.executable, "-c", SPLIT_SCRIPT], cwd=workdir,
+def run_in_process(checkout, workdir, script, *args):
+    """The JSON that an in-process timing script (ENUM_SCRIPT, SPLIT_SCRIPT)
+    prints, run on the checkout's src/ in workdir."""
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=workdir,
                           env=dict(ENV, PYTHONPATH=str(checkout / "src")),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -342,12 +332,12 @@ def main(argv=None):
                     print("%s %s: %s" % (label, key, json.dumps(run)), flush=True)
         for i in range(TIMED_RUNS):
             for label, checkout in turns(sides, i):
-                run = run_enumeration(checkout, workdir)
+                run = run_in_process(checkout, workdir, ENUM_SCRIPT, *ENUM_GRAPHS)
                 record[label]["enumeration"]["runs"].append(run)
                 print("%s enumeration: %s" % (label, json.dumps(run)), flush=True)
         for i in range(TIMED_RUNS):
             for label, checkout in turns(sides, i):
-                run = run_split(checkout, workdir)
+                run = run_in_process(checkout, workdir, SPLIT_SCRIPT)
                 record[label]["split"]["runs"].append(run)
                 print("%s split: %s" % (label, json.dumps(run)), flush=True)
     for label, checkout in turns(sides, TIMED_RUNS):
