@@ -38,7 +38,14 @@ five times on the CPUs it may run on, then pins itself to one of them
 with os.sched_setaffinity, so that every sweep stays one chunk, and times
 them five times more; it keeps the best of each five (key "split").
 These are uncorrected wall times, so the split's gain, the one-CPU time
-over the all-CPU time, is free of the host-clock probe's bias.  Last, each
+over the all-CPU time, is free of the host-clock probe's bias.  The
+multiprecision root layer is timed in process too: in each of ten rounds,
+each checkout in turn runs one process (MP_SCRIPT) that times, on each of
+the mp-roots workload's seven family members (MP_MEMBERS, a copy of
+bench/workloads.py's), find_roots at 256 bits, min_disc_distance and
+disc_verdict at lam 1, MP_REPEATS = 20 times, and keeps the best of each
+member (key "mp_members"): the Aberth stages, radii and finalization and
+the disc statistics without the benchmark's own checks.  Last, each
 checkout in turn, the first one rotated on from the timed commands' last
 round, runs the tier-1 suite once,
 
@@ -66,7 +73,9 @@ each command's key every run's wall seconds, peak RSS and exit code, with
 the median seconds, the median peak RSS and the exit codes seen, and
 under "enumeration" every round's best seconds per graph with their
 median per graph, under "split" every round's two best seconds with
-their medians and the median of each round's gain, and under "tier1"
+their medians and the median of each round's gain, under "mp_members"
+every round's best seconds per member with their median per member,
+and under "tier1"
 the suite's wall seconds, pytest's summary line and its exit code.  A timed command's peak RSS is the
 ru_maxrss that wait4 returns: that of the largest process in its tree,
 since the kernel folds the reaped descendants of a process (a locus
@@ -76,7 +85,7 @@ Every label after the first also gets "versus_first": the first label,
 and the ratio of each of its runs to the first label's run of the same
 seed (per workload and end-to-end metric of BENCHMARK.json) or of the
 same round (per timed command, of the wall seconds; per enumerated
-graph and per split timing, of the best seconds; per workload also of
+graph, per split timing and per member, of the best seconds; per workload also of
 raw_pass_wall_s), with their median and the pairs won: the ratios below 1 for a metric whose better direction
 is "lower" (so, for a timed command, the rounds it ran faster), above 1
 for "higher"; ties count for neither.  Each pair ran back to back, so
@@ -151,6 +160,25 @@ os.sched_setaffinity(0, {min(cpus)})
 out["one_cpu_s"] = best()
 print(json.dumps(out))
 """ % (SPLIT_REPEATS, SPLIT_SWEEPS)
+MP_MEMBERS = ("k4:b:1:7", "k4:b:6:1", "k4:d:1:9", "k4:b:11:1", "k4:b:1:12",
+              "k4:d:15:1", "k4:d:30:1")
+MP_REPEATS = 20
+MP_SCRIPT = """
+import json, sys, time
+from relzeros import cli, disc_verdict, find_roots, min_disc_distance
+best = {}
+for spec in sys.argv[1:]:
+    poly = cli.resolve_spec(spec)[1]
+    times = []
+    for _ in range(%d):
+        start = time.perf_counter()
+        rs = find_roots(poly, 256)
+        min_disc_distance(rs, 1)
+        disc_verdict(rs, 1)
+        times.append(time.perf_counter() - start)
+    best[spec] = min(times)
+print(json.dumps(best))
+""" % MP_REPEATS
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
             "__pycache__": "removed under src/ and bench/ before the first run"}
@@ -194,6 +222,7 @@ def describe(checkout, seeds, seconds):
            for key, args in TIMED.items()},
         "enumeration": {"graphs": ENUM_GRAPHS, "repeats": ENUM_REPEATS, "runs": []},
         "split": {"sweeps": SPLIT_SWEEPS, "repeats": SPLIT_REPEATS, "runs": []},
+        "mp_members": {"members": MP_MEMBERS, "repeats": MP_REPEATS, "runs": []},
     }
 
 
@@ -233,8 +262,8 @@ def run_timed(checkout, args, workdir):
 
 
 def run_in_process(checkout, workdir, script, *args):
-    """The JSON that an in-process timing script (ENUM_SCRIPT, SPLIT_SCRIPT)
-    prints, run on the checkout's src/ in workdir."""
+    """The JSON that an in-process timing script (ENUM_SCRIPT, SPLIT_SCRIPT,
+    MP_SCRIPT) prints, run on the checkout's src/ in workdir."""
     proc = subprocess.run([sys.executable, "-c", script, *args], cwd=workdir,
                           env=dict(ENV, PYTHONPATH=str(checkout / "src")),
                           capture_output=True, text=True, check=True)
@@ -290,6 +319,9 @@ def versus_first(side, first, first_label, better):
     pairs = list(zip(side["split"]["runs"], first["split"]["runs"]))
     out["split"] = {name: paired([r[name] / f[name] for r, f in pairs], "lower")
                     for name in SPLIT_TIMINGS}
+    pairs = list(zip(side["mp_members"]["runs"], first["mp_members"]["runs"]))
+    out["mp_members"] = {name: paired([r[name] / f[name] for r, f in pairs], "lower")
+                         for name in MP_MEMBERS}
     return out
 
 
@@ -340,6 +372,11 @@ def main(argv=None):
                 run = run_in_process(checkout, workdir, SPLIT_SCRIPT)
                 record[label]["split"]["runs"].append(run)
                 print("%s split: %s" % (label, json.dumps(run)), flush=True)
+        for i in range(TIMED_RUNS):
+            for label, checkout in turns(sides, i):
+                run = run_in_process(checkout, workdir, MP_SCRIPT, *MP_MEMBERS)
+                record[label]["mp_members"]["runs"].append(run)
+                print("%s mp_members: %s" % (label, json.dumps(run)), flush=True)
     for label, checkout in turns(sides, TIMED_RUNS):
         record[label]["tier1"] = run_tier1(checkout)
         print("%s tier1: %s" % (label, json.dumps(record[label]["tier1"])), flush=True)
@@ -360,6 +397,9 @@ def main(argv=None):
                                   for name in SPLIT_TIMINGS}
         split["median_gain"] = statistics.median(r["one_cpu_s"] / r["all_cpus_s"]
                                                  for r in split["runs"])
+        members = side["mp_members"]
+        members["median_best_s"] = {name: statistics.median(r[name] for r in members["runs"])
+                                    for name in MP_MEMBERS}
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     (first_label, _), *others = sides
     for label, _ in others:

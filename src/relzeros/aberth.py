@@ -66,7 +66,8 @@ import cmath
 import functools
 import math
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .polycore import MIN_PRECISION, _dyadic
 
@@ -134,10 +135,7 @@ def _gaussian_integers(coeffs):
     if isinstance(coeffs[0], int):
         return [(c, 0) for c in coeffs]
     dyadic = _dyadic([x for c in coeffs for x in (c.real, c.imag)])
-    if dyadic is None:
-        return None
-    vals, _ = dyadic
-    return list(zip(vals[::2], vals[1::2]))
+    return dyadic and list(zip(dyadic[0][::2], dyadic[0][1::2]))
 
 
 def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
@@ -287,15 +285,15 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
         if done:
             break
     # round each root to prec bits of its larger part, as one complex value:
-    # the guard bits' noise goes, so a real root comes out real and a root
-    # with a short dyadic expansion exact
+    # the guard bits' noise goes, so a real root comes out real, a root with a
+    # short dyadic expansion exact, and from_man_exp and conjugate() exact
     out = []
     with mp.workprec(prec):
         for x, y in zip(zx[:free], zy):
             g = max(max(abs(x), abs(y)).bit_length() - prec, 0)
-            half = (1 << g) >> 1
-            out.append(mpc(mpf(((x + half) >> g, g - F)), mpf(((y + half) >> g, g - F))))
-        out += [z.conjugate() for z in out[:pairs]]  # exact: no part has more than prec bits
+            half, e = (1 << g) >> 1, g - F
+            out.append(mp.make_mpc(tuple(from_man_exp((v + half) >> g, e) for v in (x, y))))
+        out += [z.conjugate() for z in out[:pairs]]
     return out, done
 
 
@@ -341,13 +339,14 @@ def _radius(gauss, z, prec):
 def _with_radii(gauss, points, prec, circle):
     """(z, _radius at z, circle) for each point z, with one _radius per
     conjugate pair where the coefficients are real: then a root within r of
-    z is also one within r of conj(z)."""
+    z is also one within r of conj(z).  Points are keyed on their parts' raw
+    libmp tuples, with the sign of Im dropped for real coefficients."""
     real = gauss is not None and not any(b for _, b in gauss)
     radii = {}
     out = []
     for z in points:
-        with mp.workprec(prec):  # exact: no part of a point has more than prec bits
-            key = (z.re, abs(z.im) if real else z.im)
+        im = z.im._mpf_
+        key = (z.re._mpf_, im[1:] if real else im)
         if key not in radii:
             radii[key] = _radius(gauss, z, prec)
         out.append((z, radii[key], circle))

@@ -34,8 +34,8 @@ class ComplexPoint:
     precision they choose and wrap the result with from_mpc.  Strings, wide
     integers and mpf values with more mantissa bits than the requested
     precision are rounded to it on construction; floats are exact at any
-    precision.
-    """
+    precision; two mpf parts of at most precision bits are kept, unrounded,
+    with no mp.workprec entered."""
 
     __slots__ = ("re", "im", "precision")
 
@@ -43,10 +43,10 @@ class ComplexPoint:
         precision = int(precision)
         if precision < MIN_PRECISION:
             raise ValueError("precision must be at least %d bits" % MIN_PRECISION)
-        with mp.workprec(precision):
-            self.re = mpf(re)
-            self.im = mpf(im)
-        self.precision = precision
+        if not (type(re) is type(im) is mpf and max(re._mpf_[3], im._mpf_[3]) <= precision):
+            with mp.workprec(precision):
+                re, im = mpf(re), mpf(im)
+        self.re, self.im, self.precision = re, im, precision
 
     @classmethod
     def from_mpc(cls, z, precision):
@@ -122,6 +122,16 @@ def _dyadic(xs):
             for sign, man, exp, _ in parts], low
 
 
+def _grid(points, *head):
+    """_dyadic of the mpfs head and every point's re and im: (head's integers,
+    the points' (re, im) integer pairs), or if one is inf or nan (None, the mpf pairs)."""
+    dyadic = _dyadic([*head, *(x for z in points for x in (z.re, z.im))])
+    if dyadic is None:
+        return None, [(z.re, z.im) for z in points]
+    ints = dyadic[0][len(head):]
+    return dyadic[0][:len(head)], list(zip(ints[::2], ints[1::2]))
+
+
 class ExactUniPoly:
     """Univariate polynomial over the integers, stored densely.
 
@@ -147,10 +157,7 @@ class ExactUniPoly:
 
     def low_order_zeros(self):
         """Multiplicity of the root v = 0 (number of leading zero coefficients)."""
-        k = 0
-        while k < len(self.coeffs) and self.coeffs[k] == 0:
-            k += 1
-        return k
+        return next((k for k, c in enumerate(self.coeffs) if c), len(self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -53,6 +53,7 @@ from .polycore import (
     as_complex_point,
     _circle_points,
     _dyadic,
+    _grid,
     _shifted_cyclotomic,
     _strip_circle_factors,
     taylor_shift,
@@ -115,7 +116,7 @@ def _nstr_up(x, digits):
     """mp.nstr(x, digits) for a finite x >= 0, or where that reads below x,
     the next decimal of as many significant digits: a bound stays a bound."""
     s = mp.nstr(x, digits)
-    (m,), low = _dyadic([x])
+    m, low = x.man_exp
     if Fraction(s) < m * Fraction(2) ** low:
         up = Context(prec=digits).next_plus(Decimal(s))
         # near enough to up that nstr rounds it back to up's own digits
@@ -193,17 +194,18 @@ def _circle_roots(orders, prec):
     finite where p's is inf at a multiple root."""
     built = {m: _with_radii([(c, 0) for c in _shifted_cyclotomic(m)], _circle_points(m, prec),
                             prec, True)
-             for m in dict.fromkeys(orders)}
+             for m in set(orders)}
     return [t for m in orders for t in built[m]]
 
 
-def _finalize(coeffs, roots_mpc, zero_mult, prec, converged, circle=()):
+def _finalize(coeffs, roots_mpc, zero_mult, prec, converged, circle):
     """The RootSet of the iterated roots with their radii on coeffs, and of
-    the circle roots, sorted by (re, im); NonconvergenceError with it as
-    .partial unless converged."""
+    the circle roots, sorted by (re, im), on one integer grid unless a part
+    is inf or nan; NonconvergenceError with it as .partial unless converged."""
     found = _with_radii(_gaussian_integers(coeffs),
-                        [ComplexPoint.from_mpc(z, prec) for z in roots_mpc], prec, False)
-    found = sorted([*found, *circle], key=lambda t: (t[0].re, t[0].im))
+                        [ComplexPoint.from_mpc(z, prec) for z in roots_mpc], prec, False) + circle
+    keys = _grid([t[0] for t in found])[1]
+    found = [found[i] for i in sorted(range(len(found)), key=keys.__getitem__)]
     cols = [list(col) for col in zip(*found)] or [[], [], []]
     rs = RootSet(zero_mult, cols[0], cols[1], prec, cols[2])
     if not converged:
@@ -236,13 +238,13 @@ def find_roots(p, precision_bits=None):
 
 def _iterate(coeffs, prec):
     """(unsorted roots as mpc, converged) of coefficients, all integers or
-    else all mpc, with a nonzero constant term: the Aberth stages of find_roots."""
+    else all mpc, with a nonzero constant term: the Aberth stages of find_roots.
+    Exact integers start from the solve in u = 1 + v, other coefficients
+    from the solve in v; where that fails, the fixed-point loop starts cold."""
     if prec < MIN_PRECISION:
         raise ValueError("precision must be at least %d bits" % MIN_PRECISION)
     if len(coeffs) < 2:
         return [], True
-    # exact integers start from the solve in u = 1 + v, other coefficients
-    # from the solve in v; where that fails, the fixed-point loop starts cold
     starts, ok = ((_shifted_starts(coeffs), True) if isinstance(coeffs[0], int)
                   else _solve_floats(coeffs) or (None, False))
     if prec <= MIN_PRECISION and starts is not None:
@@ -271,12 +273,11 @@ def min_disc_distance(root_set, lam):
     """min over roots of |lam + v|; the deflated zero root contributes lam.
 
     For lam = 1 this is the minimum-|1+v| statistic of the reference table.
+    A nonzero root's part is min_disc_root's: an exact argmin, one rounding.
     """
+    dists = [min_disc_root(root_set, lam)[1]] if root_set.roots else []
     with mp.workprec(root_set.precision):
-        lamv = _positive_lambda(lam)
-    dists = [lamv] if root_set.zero_multiplicity > 0 else []
-    if root_set.roots:
-        dists.append(min_disc_root(root_set, lam)[1])
+        dists += [_positive_lambda(lam)] * root_set.zero_multiplicity
     if not dists:
         raise ValueError("empty root set")
     return min(dists)
@@ -286,22 +287,21 @@ def min_disc_root(root_set, lam=1, positive_imag=False):
     """The nonzero root minimizing |lam + v| and its distance.
 
     With positive_imag, only roots with Im > 0 are considered (picks one
-    representative of a conjugate pair).
+    representative of a conjugate pair).  The root is the first with the
+    least exact (lam + Re v)^2 + (Im v)^2, lam rounded to the precision of
+    root_set, and only its |lam + v| is computed, rounded once at that
+    precision (where a part is inf or nan, every rounded |lam + v| decides).
     """
-    prec = root_set.precision
-    with mp.workprec(prec):
+    with mp.workprec(root_set.precision):
         lamv = _positive_lambda(lam)
-        best = None
-        best_d = None
-        for z in root_set.roots:
-            if positive_imag and not z.im > 0:
-                continue
-            d = abs(lamv + z.to_mpc())
-            if best_d is None or d < best_d:
-                best, best_d = z, d
-        if best is None:
+        roots = [z for z in root_set.roots if not positive_imag or z.im > 0]
+        if not roots:
             raise ValueError("no candidate roots")
-        return best, best_d
+        head, pairs = _grid(roots, lamv)
+        keys = ([abs(lamv + z.to_mpc()) for z in roots] if head is None
+                else [(head[0] + x) ** 2 + y * y for x, y in pairs])
+        best = roots[keys.index(min(keys))]
+        return best, abs(lamv + best.to_mpc())
 
 
 def _disc_status(z, err, lam):
@@ -383,17 +383,8 @@ def lambda_star_univariate(p, precision_bits=None):
     """
     rs = find_roots(p, precision_bits)
     with mp.workprec(rs.precision):
-        best = None
-        for z in rs.roots:
-            den = z.re * z.re + z.im * z.im
-            if den == 0:
-                continue
-            re_inv = z.re / den
-            if re_inv < 0:
-                cand = -1 / (2 * re_inv)
-                if best is None or cand < best:
-                    best = cand
-        return best if best is not None else mpf("inf")
+        re_inv = [z.re / den for z in rs.roots if (den := z.re * z.re + z.im * z.im)]
+        return min((-1 / (2 * x) for x in re_inv if x < 0), default=mpf("inf"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import random
+import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relzeros import (
     GraphParseError,
@@ -14,6 +18,7 @@ from relzeros import (
     k6_disjoint_triangles,
     parse_graph,
 )
+from relzeros.multigraph import _sp_reductions
 from util_graphs import (
     MinorOracleLimitError,
     format_graph,
@@ -226,6 +231,48 @@ class TestSeriesParallel:
             s = [rng.randint(1, 3) for _ in range(g.num_edges)]
             assert is_series_parallel(parallel_expand(g, m)) == sp
             assert is_series_parallel(subdivide(g, s)) == sp
+
+
+@st.composite
+def padded_multigraphs(draw):
+    """(g, padded): a multigraph of 1-8 vertices and 0-12 edges, loops and
+    parallel edges allowed, and the same graph with 0-3 edgeless vertices
+    before, between and after its vertices, which keep their order."""
+    n = draw(st.integers(1, 8))
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end, st.integers(0, 1)), max_size=12))
+    gaps = [draw(st.integers(0, 3)) for _ in range(n + 1)]
+    new = [v + sum(gaps[:v + 1]) for v in range(n)]
+    padded = Multigraph(n + sum(gaps), tuple((new[u], new[v], c) for u, v, c in edges))
+    return Multigraph(n, tuple(edges)), padded
+
+
+def non_isolated_steps(g):
+    return [step for step in _sp_reductions(g) if step[0] != "isolated"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=padded_multigraphs())
+def test_edgeless_vertices_never_change_the_verdict(case):
+    # the reductions on the whole padded graph make the same steps but the
+    # isolated ones, and the verdict is what they decided
+    g, padded = case
+    steps = non_isolated_steps(padded)
+    assert steps == non_isolated_steps(g)
+    assert is_series_parallel(padded) == is_series_parallel(g) == (len(steps) == g.num_edges)
+
+
+@pytest.mark.parametrize("ends, sp", [((0, 1, 2), True), ((0, 10, 500_000, 999_999), False)])
+def test_huge_declared_vertex_count_takes_no_memory(ends, sp):
+    # a triangle, and K4, among 10^6 declared vertices: nothing is built per vertex
+    g = Multigraph(10 ** 6, tuple((u, v, 0) for u, v in combinations(ends, 2)))
+    tracemalloc.start()
+    try:
+        assert is_series_parallel(g) is sp
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 class TestK4MinorOracle:

@@ -70,6 +70,33 @@ class TestComplexPoint:
         assert (w.real._mpf_, w.imag._mpf_) == (z.re._mpf_, z.im._mpf_)
         assert w.real.bc > 53
 
+    def test_narrow_mpf_parts_are_kept_with_no_context(self, monkeypatch):
+        # parts of at most precision bits are wrapped as they are; a wider
+        # part, or one that is not an mpf, is rounded inside mp.workprec
+        with mp.workprec(256):
+            third = mpf(1) / 3
+        entered = []
+        workprec = mp.workprec
+        monkeypatch.setattr(mp, "workprec", lambda prec: entered.append(prec) or workprec(prec))
+        z = ComplexPoint(third, mpf(-0.75), 256)
+        assert z.re is third and z.im == -0.75 and entered == []
+        w = ComplexPoint(third, mpf(-0.75), 128)
+        assert entered == [128] and w.re.bc == 128 and w.re != third
+        assert ComplexPoint(1, mpf(2), 64).re == 1 and entered == [128, 64]
+
+    @settings(max_examples=200, deadline=None)
+    @given(man=st.integers(-2 ** 300, 2 ** 300), exp=st.integers(-400, 100),
+           other=st.sampled_from([0, 1.5, "0.1", "nan", "-inf"]),
+           prec=st.sampled_from([53, 64, 128, 256, 512]))
+    def test_construction_rounds_as_in_a_context(self, man, exp, other, prec):
+        # the same parts, bit for bit, as mpf() inside mp.workprec(prec)
+        with mp.workprec(400):
+            x, y = mp.ldexp(man, exp), mpf(other)
+        for re, im in ((x, y), (y, x), (x, x)):
+            z = ComplexPoint(re, im, prec)
+            with mp.workprec(prec):
+                assert (z.re._mpf_, z.im._mpf_) == (mpf(re)._mpf_, mpf(im)._mpf_)
+
     def test_coercion(self):
         assert as_complex_point(3) == ComplexPoint(3, 0)
         assert as_complex_point(1 + 2j) == ComplexPoint(1, 2)

@@ -1,10 +1,11 @@
 import json
 import math
 import random
+from unittest import mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -414,18 +415,30 @@ def assert_roots_match(got, want, coeffs=None):
     so a conjugate pair swaps places when the last bit of its real part moves.
 
     With coeffs, the two discs may add up: each holds a root, 0 only at an
-    exact one, so two roots near one root of p meet within the sum."""
+    exact one, so two roots near one root of p meet within the sum.  The
+    pairs are a bipartite matching, found by augmenting paths, and not each
+    root's nearest one: in a tight cluster the nearest root of want can sit
+    in the disc that holds another root of the cluster (TRIPLE_ROOT_COEFFS)."""
     assert got.zero_multiplicity == want.zero_multiplicity
     assert got.precision == want.precision and len(got.roots) == len(want.roots)
     assert all(mp.isfinite(e) for e in got.error_radii + want.error_radii)
     with mp.workprec(got.precision + 64):
-        free = [(z.to_mpc(), e) for z, e in zip(want.roots, want.error_radii)]
-        for z, e in zip(got.roots, got.error_radii):
-            z = z.to_mpc()
-            d, i = min((abs(z - w), i) for i, (w, _) in enumerate(free))
-            w, f = free.pop(i)
-            bound = max(e, f) if coeffs is None else e + f
-            assert d <= bound, (complex(z), d, e, f)
+        near = [[j for j, (w, f) in enumerate(zip(want.roots, want.error_radii))
+                 if abs(z.to_mpc() - w.to_mpc()) <= (max(e, f) if coeffs is None else e + f)]
+                for z, e in zip(got.roots, got.error_radii)]
+    partner = {}  # root of want -> the root of got it is matched with
+
+    def augment(i, seen):
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in partner or augment(partner[j], seen):
+                    partner[j] = i
+                    return True
+        return False
+
+    for i, z in enumerate(got.roots):
+        assert augment(i, set()), (complex(z), near)
 
 
 def expand_roots(roots, prec, lead=1):
@@ -1024,10 +1037,38 @@ def dyadic_root_polys(draw):
     return expand_roots(roots, 128, lead)
 
 
+# the planted triple root 510510 + 1110i, split by 128-bit coefficient
+# rounding into three roots about 6e-8 apart; built from raw libmp (re, im)
+# tuples, low to high
+TRIPLE_ROOT_COEFFS = [ComplexPoint(mp.make_mpf(re), mp.make_mpf(im), 128) for re, im in (
+    ((0, 6453234047051843738625, -56, 73), (1, 989309003248085053408875, -56, 80)),
+    ((1, 17404108040556065091655809168724560413, -40, 124),
+     (1, 232502259597098250499261164811425059789, -51, 128)),
+    ((0, 53621973752238195555890386978117572735, -59, 126),
+     (0, 233181219771575599530836348604650565, -59, 118)),
+    ((1, 91104715336635, 1, 47), (1, 456761316666814752954627170561, -60, 99)),
+    ((0, 118972159, 0, 27), (0, 0, 0, 0)),
+)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(coeffs=dyadic_root_polys())
+@example(coeffs=TRIPLE_ROOT_COEFFS)
 def test_random_dyadic_poly_matches_reference(coeffs):
     assert_roots_match(find_roots(coeffs, 128), reference_find_roots(coeffs, 128), coeffs)
+
+
+def test_triple_root_discs_hold_the_true_roots():
+    # every radius of both solvers bounds a root of the 800-bit mp.polyroots,
+    # so where their discs were paired wrongly, the pairing was at fault
+    with mp.workprec(800):
+        true = mp.polyroots([c.to_mpc() for c in reversed(TRIPLE_ROOT_COEFFS)],
+                            maxsteps=400, extraprec=1600)
+        for rs in (find_roots(TRIPLE_ROOT_COEFFS, 128),
+                   reference_find_roots(TRIPLE_ROOT_COEFFS, 128)):
+            assert len(rs.roots) == 4
+            for z, e in zip(rs.roots, rs.error_radii):
+                assert min(abs(z.to_mpc() - r) for r in true) <= e, (complex(z), e)
 
 
 def fraction_disc_inside(z, lam):
@@ -1098,6 +1139,181 @@ class TestMinDiscDistance:
         rs = find_roots(K4_UNIVARIATE)
         with pytest.raises(ValueError):
             min_disc_distance(rs, 0)
+
+    def test_exact_smaller_distance_wins_a_rounded_tie(self):
+        # |1 + v| is 1 + 2^-81 + ... for the first root and exactly 1 for the
+        # second: both round to 1 at 53 bits, where the rounded comparison
+        # kept the first root and the exact one picks the second
+        first, second = ComplexPoint(-1 + 2.0 ** -40, 1, 53), ComplexPoint(-1, 1, 53)
+        rs = roots_module.RootSet(0, [first, second], [mpf(0)] * 2, 53)
+        assert reference_min_disc_root(rs, 1) == (first, 1)
+        z, d = min_disc_root(rs, 1)
+        assert z is second and d._mpf_ == mpf(1)._mpf_
+        assert min_disc_distance(rs, 1) == 1
+
+
+# min_disc_root before its exact argmin, kept verbatim: every |lam + v| is
+# rounded at the precision of the root set, and the first least one wins
+def reference_min_disc_root(root_set, lam=1, positive_imag=False):
+    prec = root_set.precision
+    with mp.workprec(prec):
+        lamv = roots_module._positive_lambda(lam)
+        best = None
+        best_d = None
+        for z in root_set.roots:
+            if positive_imag and not z.im > 0:
+                continue
+            d = abs(lamv + z.to_mpc())
+            if best_d is None or d < best_d:
+                best, best_d = z, d
+        if best is None:
+            raise ValueError("no candidate roots")
+        return best, best_d
+
+
+# lambda_star_univariate's loop before it became two comprehensions, kept verbatim
+def reference_lambda_star(rs):
+    with mp.workprec(rs.precision):
+        best = None
+        for z in rs.roots:
+            den = z.re * z.re + z.im * z.im
+            if den == 0:
+                continue
+            re_inv = z.re / den
+            if re_inv < 0:
+                cand = -1 / (2 * re_inv)
+                if best is None or cand < best:
+                    best = cand
+        return best if best is not None else mpf("inf")
+
+
+@st.composite
+def root_sets(draw, finite=True):
+    """RootSets at 53-1024 bits whose parts have at most that many bits,
+    from 2^-80 to 2^8 in size, some at -1 and 0, with conjugate pairs and
+    repeated roots (the same object or an equal one), and without finite,
+    some parts inf or nan."""
+    prec = draw(st.sampled_from([53, 64, 128, 256, 512, 1024]))
+
+    def part():
+        kinds = ["dyadic"] * 6 + ["-1", "0"] + ([] if finite else ["inf", "nan"])
+        kind = draw(st.sampled_from(kinds))
+        if kind != "dyadic":
+            return mpf(kind)
+        man = draw(st.integers(-(2 ** prec) + 1, 2 ** prec - 1))
+        with mp.workprec(prec):
+            return mp.ldexp(man, draw(st.integers(-80, 8)) - max(man.bit_length(), 1))
+
+    roots = []
+    for _ in range(draw(st.integers(1, 10))):
+        z = ComplexPoint(part(), part(), prec)
+        roots.append(z)
+        if draw(st.booleans()):
+            roots.append(ComplexPoint(z.re, -z.im, prec))
+        if draw(st.integers(0, 3)) == 0:
+            roots.append(draw(st.sampled_from([roots[0], ComplexPoint(z.re, z.im, prec)])))
+    roots = draw(st.permutations(roots))
+    return roots_module.RootSet(draw(st.integers(0, 2)), roots, [mpf(0)] * len(roots), prec)
+
+
+def exact_square_distance(z, lamv):
+    return (as_fraction(lamv) + as_fraction(z.re)) ** 2 + as_fraction(z.im) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(rs=root_sets(), lam=st.sampled_from([1, 0.1, 2, "0.3"]), positive_imag=st.booleans())
+def test_min_disc_root_matches_the_rounded_loop(rs, lam, positive_imag):
+    # the same root and the same distance, bit for bit; only where the
+    # rounded distances tie, or come within an ulp of each other, may the
+    # exact argmin pick another root, and then it is the exactly nearer one
+    if positive_imag and not any(z.im > 0 for z in rs.roots):
+        for fn in (min_disc_root, reference_min_disc_root):
+            with pytest.raises(ValueError, match="no candidate roots"):
+                fn(rs, lam, positive_imag)
+        return
+    z, d = min_disc_root(rs, lam, positive_imag)
+    w, e = reference_min_disc_root(rs, lam, positive_imag)
+    with mp.workprec(rs.precision):
+        lamv = mpf(lam)
+        if z is not w:
+            assert exact_square_distance(z, lamv) < exact_square_distance(w, lamv)
+            assert abs(d - e) <= mp.ldexp(e, 1 - rs.precision)
+            return
+        assert d._mpf_ == e._mpf_
+        if not positive_imag:  # the deflated zero roots add lam
+            want = min([lamv] * rs.zero_multiplicity + [e])
+            assert min_disc_distance(rs, lam)._mpf_ == want._mpf_
+
+
+@settings(max_examples=200, deadline=None)
+@given(rs=root_sets(finite=False), lam=st.sampled_from([1, 0.1, 2, "0.3"]))
+def test_min_disc_root_with_non_finite_parts_matches_the_rounded_loop(rs, lam):
+    # an inf or nan part sends the whole set to the rounded comparison
+    assume(not all(mp.isfinite(x) for v in rs.roots for x in (v.re, v.im)))
+    (z, d), (w, e) = min_disc_root(rs, lam), reference_min_disc_root(rs, lam)
+    assert z is w and d._mpf_ == e._mpf_
+
+
+@settings(max_examples=200, deadline=None)
+@given(rs=root_sets(finite=False))
+def test_lambda_star_matches_the_loop(rs):
+    with mock.patch.object(roots_module, "find_roots", lambda p, prec: rs):
+        got = lambda_star_univariate(None)
+    assert got._mpf_ == reference_lambda_star(rs)._mpf_
+
+
+@st.composite
+def finalize_cases(draw):
+    """(prec, roots as mpc, (point, tag, True) circle triples): parts from a
+    small pool, so that keys tie, or of any size, and some inf or nan."""
+    prec = draw(st.sampled_from([53, 128, 256]))
+    with mp.workprec(prec):
+        pool = [mpf(0), mpf(-1), mpf("0.5"), mp.ldexp(3, -200), mpf(2) / 3]
+    finite = draw(st.booleans())
+    extra = [] if finite else [mpf("inf"), mpf("-inf"), mpf("nan")]
+
+    def part():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(pool + extra))
+        with mp.workprec(prec):
+            return mp.ldexp(draw(st.integers(-2 ** 60, 2 ** 60)), draw(st.integers(-300, 10)))
+
+    points = [ComplexPoint(part(), part(), prec) for _ in range(draw(st.integers(0, 12)))]
+    found = [ComplexPoint(part(), part(), prec).to_mpc() for _ in range(draw(st.integers(0, 4)))]
+    return prec, found, [(z, mpf(i), True) for i, z in enumerate(points)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=finalize_cases())
+def test_finalize_order_is_the_mpf_sort(case):
+    # the integer keys of one grid order the roots as the (mpf, mpf) keys did,
+    # ties in input order; with an inf or nan part the mpf keys sort them
+    prec, found, circle = case
+    gauss = [(2, 0), (-3, 0), (1, 0)]
+    rs = roots_module._finalize([2, -3, 1], found, 0, prec, True, circle)
+    radii = aberth._with_radii(gauss, [ComplexPoint.from_mpc(z, prec) for z in found], prec, False)
+    want = sorted([*radii, *circle], key=lambda t: (t[0].re, t[0].im))
+    assert [(z.re._mpf_, z.im._mpf_) for z in rs.roots] == [
+        (t[0].re._mpf_, t[0].im._mpf_) for t in want]
+    assert [e._mpf_ for e in rs.error_radii] == [t[1]._mpf_ for t in want]
+    assert rs.on_circle == [t[2] for t in want]
+
+
+@pytest.mark.parametrize("gauss, calls", [([(5, 0), (1, 0), (7, 0)], 3),
+                                          ([(5, 1), (1, 0), (7, 0)], 5)])
+def test_one_radius_per_conjugate_pair(monkeypatch, gauss, calls):
+    # real coefficients: a point and its mirror share one _radius, keyed on
+    # the raw tuples; complex ones: each point but the repeated one has its own
+    seen = []
+    radius = aberth._radius
+    monkeypatch.setattr(aberth, "_radius", lambda g, z, prec: seen.append(z) or radius(g, z, prec))
+    a, b = ComplexPoint("0.5", "1.25", 64), ComplexPoint(-2, "0.75", 64)
+    points = [a, ComplexPoint(b.re, -b.im, 64), b, ComplexPoint(a.re, -a.im, 64),
+              ComplexPoint(3, 0, 64), ComplexPoint(a.re, a.im, 64)]
+    out = aberth._with_radii(gauss, points, 64, False)
+    assert len(seen) == calls and [t[0] for t in out] == points
+    assert out[5][1] is out[0][1]
+    assert (out[3][1] is out[0][1]) == (calls == 3)
 
 
 class TestDiscDecision:
