@@ -285,8 +285,8 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
         if done:
             break
     # round each root to prec bits of its larger part, as one complex value:
-    # the guard bits' noise goes, so a real root comes out real, a root with a
-    # short dyadic expansion exact, and from_man_exp and conjugate() exact
+    # the guard bits' noise goes, so a real root comes out real and a root
+    # with a short dyadic expansion exact; from_man_exp and conjugate() round nothing
     out = []
     with mp.workprec(prec):
         for x, y in zip(zx[:free], zy):

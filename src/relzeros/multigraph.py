@@ -173,7 +173,7 @@ def is_series_parallel(g):
     Disconnected graphs are handled componentwise by the same rules, run on
     the vertices with an edge in ascending order: edgeless ones cost nothing.
     """
-    ids = {v: i for i, v in enumerate(sorted({x for u, v, _ in g.edges for x in (u, v)}))}
+    ids = {w: i for i, w in enumerate(sorted({x for u, v, _ in g.edges for x in (u, v)}))}
     h = Multigraph(len(ids), [(ids[u], ids[v], c) for u, v, c in g.edges])
     return sum(step[0] != "isolated" for step in _sp_reductions(h)) == g.num_edges
 

@@ -1220,7 +1220,7 @@ def exact_square_distance(z, lamv):
     return (as_fraction(lamv) + as_fraction(z.re)) ** 2 + as_fraction(z.im) ** 2
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(rs=root_sets(), lam=st.sampled_from([1, 0.1, 2, "0.3"]), positive_imag=st.booleans())
 def test_min_disc_root_matches_the_rounded_loop(rs, lam, positive_imag):
     # the same root and the same distance, bit for bit; only where the
@@ -1245,7 +1245,7 @@ def test_min_disc_root_matches_the_rounded_loop(rs, lam, positive_imag):
             assert min_disc_distance(rs, lam)._mpf_ == want._mpf_
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(rs=root_sets(finite=False), lam=st.sampled_from([1, 0.1, 2, "0.3"]))
 def test_min_disc_root_with_non_finite_parts_matches_the_rounded_loop(rs, lam):
     # an inf or nan part sends the whole set to the rounded comparison
@@ -1254,7 +1254,7 @@ def test_min_disc_root_with_non_finite_parts_matches_the_rounded_loop(rs, lam):
     assert z is w and d._mpf_ == e._mpf_
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(rs=root_sets(finite=False))
 def test_lambda_star_matches_the_loop(rs):
     with mock.patch.object(roots_module, "find_roots", lambda p, prec: rs):
@@ -1283,7 +1283,7 @@ def finalize_cases(draw):
     return prec, found, [(z, mpf(i), True) for i, z in enumerate(points)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(case=finalize_cases())
 def test_finalize_order_is_the_mpf_sort(case):
     # the integer keys of one grid order the roots as the (mpf, mpf) keys did,
