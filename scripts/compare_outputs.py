@@ -76,10 +76,11 @@ GRAPHS = {
     "bad_field.graph": "vertices 2\n0 1 x\n",
 }
 # the transposed run collapses a in mpmath, above 53 bits; the next three
-# (8,192, 4,096 and 5,000 samples) split across forked workers on a host
-# with two or more CPUs, where the default 2,000 samples stay one chunk (on
-# two CPUs the 5,000-sample worker sends frames of 1,024, 1,024 and 452
-# samples, the others only whole frames); the last two exit 2 and write no CSV
+# (8,192, 4,096 and 5,000 samples) solve the first 4,096, 2,048 and 2,500 of
+# them, split across forked workers on a host with two or more CPUs, where
+# the default 2,000 samples solve 1,000 in one chunk (on two CPUs the
+# 5,000-sample worker sends frames of 512, 512 and 226 samples, the others
+# only whole frames); the last two exit 2 and write no CSV
 LOCUS = ([[case, "--precision", str(prec)] for case in ("b", "d", "k6") for prec in (53, 80)]
          + [["b", "--sweep", "a", "--precision", "80"],
             ["d", "--lambda", "0.1", "--samples", "8192"],

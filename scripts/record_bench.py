@@ -31,12 +31,15 @@ process (ENUM_SCRIPT) that times 40 calls of connected_subgraph_poly on
 each of compare_outputs.py's dense_22.graph, sparse_22.graph and
 cap_24.graph and on K6 with two disjoint triangles, and keeps the best
 of each (key "enumeration").  The split of a locus sweep across forked
-workers is timed in process too: in each of ten rounds, each checkout in
-turn runs one process (SPLIT_SCRIPT) that times the locus-53 workload's
-seven sweeps (SPLIT_SWEEPS, a copy of bench/workloads.py's LOCUS_SWEEPS)
-five times on the CPUs it may run on, then pins itself to one of them
-with os.sched_setaffinity, so that every sweep stays one chunk, and times
-them five times more; it keeps the best of each five (key "split").
+workers is timed in process too: in each of ten rounds, each checkout
+starts one process (SPLIT_SCRIPT) that times one pass of the locus-53
+workload's seven sweeps (SPLIT_SWEEPS, a copy of bench/workloads.py's
+LOCUS_SWEEPS) each time it is told to, either on the CPUs it may run on
+or pinned to one of them with os.sched_setaffinity, so that every sweep
+stays one chunk.  The checkouts take turns pass by pass, in the round's
+order: all CPUs, then one CPU, SPLIT_REPEATS = 10 times, so that a slow
+stretch of a shared host falls on both alike; the best of each ten is
+kept (key "split").
 These are uncorrected wall times, so the split's gain, the one-CPU time
 over the all-CPU time, is free of the host-clock probe's bias.  The
 multiprecision root layer is timed in process too: in each of ten rounds,
@@ -136,30 +139,23 @@ print(json.dumps(best))
 SPLIT_SWEEPS = (("a", 1.0, 4096), ("b", 1.0, 4096), ("c", 1.0, 4096), ("d", 1.0, 4096),
                 ("e", 1.0, 4096), ("d", 0.1, 8192), ("k6", 1.0, 2048))
 SPLIT_TIMINGS = ["all_cpus_s", "one_cpu_s"]
-SPLIT_REPEATS = 5
+SPLIT_REPEATS = 10
 SPLIT_SCRIPT = """
-import json, os, time
+import os, sys, time
 from relzeros import connected_subgraph_poly, trace_locus
 from relzeros.multigraph import k4_two_class, k6_disjoint_triangles
 polys = {case: connected_subgraph_poly(k6_disjoint_triangles() if case == "k6"
                                        else k4_two_class(case))
          for case in ("a", "b", "c", "d", "e", "k6")}
-
-def best():
-    times = []
-    for _ in range(%d):
-        start = time.perf_counter()
-        for case, lam, n in %r:
-            trace_locus(polys[case], "b", lam, n)
-        times.append(time.perf_counter() - start)
-    return min(times)
-
 cpus = os.sched_getaffinity(0)
-out = {"cpus": len(cpus), "all_cpus_s": best()}
-os.sched_setaffinity(0, {min(cpus)})
-out["one_cpu_s"] = best()
-print(json.dumps(out))
-""" % (SPLIT_REPEATS, SPLIT_SWEEPS)
+print(len(cpus), flush=True)
+for line in iter(sys.stdin.readline, ""):
+    os.sched_setaffinity(0, cpus if line == "all\\n" else {min(cpus)})
+    start = time.perf_counter()
+    for case, lam, n in %r:
+        trace_locus(polys[case], "b", lam, n)
+    print(time.perf_counter() - start, flush=True)
+""" % (SPLIT_SWEEPS,)
 MP_MEMBERS = ("k4:b:1:7", "k4:b:6:1", "k4:d:1:9", "k4:b:11:1", "k4:b:1:12",
               "k4:d:15:1", "k4:d:30:1")
 MP_REPEATS = 20
@@ -262,12 +258,38 @@ def run_timed(checkout, args, workdir):
 
 
 def run_in_process(checkout, workdir, script, *args):
-    """The JSON that an in-process timing script (ENUM_SCRIPT, SPLIT_SCRIPT,
-    MP_SCRIPT) prints, run on the checkout's src/ in workdir."""
+    """The JSON that an in-process timing script (ENUM_SCRIPT, MP_SCRIPT)
+    prints, run on the checkout's src/ in workdir."""
     proc = subprocess.run([sys.executable, "-c", script, *args], cwd=workdir,
                           env=dict(ENV, PYTHONPATH=str(checkout / "src")),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def run_split_round(order, workdir):
+    """One round of the split timing: a SPLIT_SCRIPT process per checkout,
+    each told in turn, in the round's order, to time one pass of the sweeps on
+    all its CPUs and then one pinned to one, SPLIT_REPEATS times; the best
+    of each per checkout."""
+    procs = {label: subprocess.Popen([sys.executable, "-c", SPLIT_SCRIPT], cwd=workdir,
+                                     env=dict(ENV, PYTHONPATH=str(checkout / "src")),
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+             for label, checkout in order}
+    try:
+        best = {label: {"cpus": int(proc.stdout.readline()), "all_cpus_s": float("inf"),
+                        "one_cpu_s": float("inf")} for label, proc in procs.items()}
+        for _ in range(SPLIT_REPEATS):
+            for command, key in (("all", "all_cpus_s"), ("one", "one_cpu_s")):
+                for label, proc in procs.items():
+                    proc.stdin.write(command + "\n")
+                    proc.stdin.flush()
+                    best[label][key] = min(best[label][key], float(proc.stdout.readline()))
+        return best
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+            proc.stdout.close()
 
 
 def run_tier1(checkout):
@@ -368,8 +390,7 @@ def main(argv=None):
                 record[label]["enumeration"]["runs"].append(run)
                 print("%s enumeration: %s" % (label, json.dumps(run)), flush=True)
         for i in range(TIMED_RUNS):
-            for label, checkout in turns(sides, i):
-                run = run_in_process(checkout, workdir, SPLIT_SCRIPT)
+            for label, run in run_split_round(turns(sides, i), workdir).items():
                 record[label]["split"]["runs"].append(run)
                 print("%s split: %s" % (label, json.dumps(run)), flush=True)
         for i in range(TIMED_RUNS):

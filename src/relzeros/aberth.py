@@ -138,6 +138,20 @@ def _gaussian_integers(coeffs):
     return dyadic and list(zip(dyadic[0][::2], dyadic[0][1::2]))
 
 
+def _scaled(v, F):
+    """int(mp.ldexp(v, F)) for a finite float or mpf v: v * 2^F truncated
+    toward zero, by a shift of its exact integer ratio, with no float that
+    could overflow."""
+    if isinstance(v, float):
+        n, d = v.as_integer_ratio()
+        s = F + 1 - d.bit_length()
+    else:
+        sign, n, e, _ = v._mpf_
+        n, s = -n if sign else n, F + e
+    m = abs(n) << s if s >= 0 else abs(n) >> -s
+    return -m if n < 0 else m
+
+
 def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
     """Aberth on Gaussian integers: each root is an (x, y) pair standing for
     (x + iy) / 2^F, and every product is rounded back to that scale.
@@ -191,8 +205,8 @@ def _aberth_fixed(gauss, starts, prec, max_sweeps=MAX_SWEEPS):
     for starts, pairs in tries + [(starts, 0)]:
         free = n - pairs  # the iterated roots; the mirrors of the first pairs follow
         starts = starts + [s.conjugate() for s in starts[:pairs]]
-        zx = [int(mp.ldexp(s.real, F)) for s in starts]
-        zy = [int(mp.ldexp(s.imag, F)) for s in starts]
+        zx = [_scaled(s.real, F) for s in starts]
+        zy = [_scaled(s.imag, F) for s in starts]
         converged = [False] * free
         last = [0] * free  # each root's |previous correction|^2; 0 before the first
         done = False

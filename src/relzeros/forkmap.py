@@ -13,10 +13,11 @@ import signal
 import threading
 from contextlib import suppress
 
-# A split's fixed cost is about 3 ms: a no-op split of 2,048 items took 2.9-3.3 ms
-# (median of 30) in a 27 MB process holding six 4,096-sample curves, on 2 CPUs,
-# where a 53-bit chunk of this size takes 16-32 ms on one CPU.
-MIN_CHUNK = 1024
+# A split's fixed cost is about 3.5 ms: a no-op split of 1,024 items took 3.7 ms
+# (median of 30; 3.2 ms for 512 items) in a 28 MB process holding six 4,096-
+# sample curves, on 2 CPUs, where a 53-bit chunk of 512 samples takes 10-19 ms
+# on one CPU (60 ms for k6), so a second chunk of this size saves 5-9 ms.
+MIN_CHUNK = 512
 
 
 def chunk_count(cpus, n):

@@ -31,7 +31,8 @@ sweeps, with an mpmath tie-break where a float |.| lands within a few ulps
 of a trim or disc threshold, so they match find_roots at 53 bits; in
 mpmath at the working precision elsewhere, where a locus sample runs only
 _iterate, the Aberth stages of find_roots, and computes no radius.  A sweep
-of 2,048 samples or more runs on all the process's CPUs, bit for bit.
+solves the first half of its grid, on all the process's CPUs where that half
+is large enough, and builds the rest as its exact conjugate.
 """
 
 from __future__ import annotations
@@ -514,11 +515,16 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     inside |lam + root| < lam; deflated zero roots appear as exact zeros and
     are never flagged.
 
-    At 53 bits samples are solved in hardware floats, with an mpmath
-    tie-break at the trim and flag thresholds: the same curve as find_roots.
-    The grid is solved in contiguous chunks of at least 1,024 samples, at most
-    one per CPU, all but the first by forked workers (relzeros.forkmap); every
-    root, flag and gap is the one-chunk loop's, bit for bit.
+    Only the first ceil(n_samples/2) samples are solved.  The grid is
+    symmetric, theta_j + theta_(n-1-j) = 2*pi, and integer rows collapse at
+    conj(w) to the conjugate coefficients, so sample n-1-j is built from
+    sample j by _mirror: its exact conjugate, not a solve at its own theta,
+    whose float w is conj(w) only to rounding.  At 53 bits the solved samples
+    are solved in hardware floats, with an mpmath tie-break at the trim and
+    flag thresholds: the same curve as find_roots.  They are solved in
+    contiguous chunks of at least forkmap.MIN_CHUNK samples, at most one per
+    CPU, all but the first by forked workers (relzeros.forkmap); every root,
+    flag and gap is the one-chunk loop's, bit for bit.
     """
     lam = _check_locus_args(p, swept, lam, n_samples, precision_bits)
     work = p if swept == "b" else p.transposed()
@@ -535,11 +541,29 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
             sample = _locus_sample(cps, lam, precision_bits, generic_degree)
         return sample
 
-    from .forkmap import forkmap  # here, so that only a sweep compiles it
+    from .forkmap import forkmap  # here, so that only a sweep or a scan compiles it
 
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
-    roots, flags, gaps = map(list, zip(*forkmap(solve, thetas)))
+    samples = forkmap(solve, thetas[: (n_samples + 1) // 2])
+    samples += map(_mirror, samples[n_samples // 2 - 1::-1])
+    roots, flags, gaps = map(list, zip(*samples))
     return LocusCurve(lam, thetas, roots, flags, gaps)
+
+
+def _mirror(sample):
+    """The sample at 2*pi - theta, from the one at theta: every root
+    conjugated, with no -0.0 part, and its flag with it (|lam + conj z| =
+    |lam + z|); the leading exact zeros, the deflated ones, first and the
+    rest sorted by (re, im) as a solve sorts them; the same gap.  Each list
+    is one concatenation, which allocates no spare room."""
+    roots, flags, gap = sample
+    z = 0
+    while z < len(roots) and roots[z] == 0:
+        z += 1
+    # the index keeps the sort stable: tied roots keep the solve's order
+    keyed = sorted((r.real + 0.0, 0.0 - r.imag, i) for i, r in enumerate(roots) if i >= z)
+    return (roots[:z] + [complex(x, y) for x, y, _ in keyed],
+            flags[:z] + [flags[i] for _, _, i in keyed], gap)
 
 
 def _locus_sample_floats(coeffs, lam, generic_degree):
@@ -601,7 +625,8 @@ def region_endpoint_angle(p, plane):
     """Angle fraction of the violation-region endpoint in the given plane.
 
     Sweeps the plane's own variable along the unit circle at _ENDPOINT_SCAN
-    points of theta in (0, pi), solved in 53-bit floats, and bisects the
+    points of theta in (0, pi), solved in 53-bit floats on all the process's
+    CPUs (relzeros.forkmap, bit for bit the loop's), and bisects the
     sign change of min over the other variable's nonzero roots of
     |1 + root| - 1.  At the crossing both variables sit on their circles,
     so the swept angle is the endpoint angle.  Analytic cases show no sign
@@ -625,8 +650,10 @@ def region_endpoint_angle(p, plane):
         except OverflowError:  # a finite complex whose modulus is not
             raise ValueError(overflow) from None
 
+    from .forkmap import forkmap
+
     thetas = [math.pi * (j + 1) / (_ENDPOINT_SCAN + 1) for j in range(_ENDPOINT_SCAN)]
-    values = [indicator(t) for t in thetas]
+    values = forkmap(indicator, thetas)
     crossing = None
     for i in range(_ENDPOINT_SCAN - 1):
         if values[i] < 0 <= values[i + 1]:

@@ -1,7 +1,10 @@
 """trace_locus split across forked workers gives the in-process loop's curve.
 
-Every test here sees two CPUs, whatever the host has, so a sweep of 2,048
-samples or more runs as two chunks: the caller's and one worker's.
+Every test here sees two CPUs, whatever the host has, so a sweep whose
+solved first half has 2 * MIN_CHUNK samples or more (a grid of
+4 * MIN_CHUNK - 1 or more) runs that half as two chunks: the caller's and one
+worker's.  The loop solves the same half, and the rest of its curve is the
+exact conjugate, built by the tests' own oracle.
 """
 
 import io
@@ -15,14 +18,15 @@ import time
 import pytest
 from mpmath import mp, mpc
 
-from relzeros import ExactBiPoly, forkmap, trace_locus
+from relzeros import ExactBiPoly, forkmap, region_endpoint_angle, trace_locus
 from relzeros import roots as roots_module
 from relzeros.forkmap import MIN_CHUNK, chunk_count
 from relzeros.reference import family_bipoly
 from relzeros.roots import (_collapse_hardware, _half_angle_circle, _hardware_rows,
                             _locus_sample, _locus_sample_floats, _rows)
+from util_graphs import hexed, mirrored_locus
 
-N = 2 * MIN_CHUNK  # the smallest grid that splits on two CPUs
+N = 4 * MIN_CHUNK  # a grid whose solved half, 2 * MIN_CHUNK samples, splits on two CPUs
 
 
 @pytest.fixture(autouse=True)
@@ -52,11 +56,12 @@ def assert_no_child_left():
 
 
 def in_process_loop(p, swept, lam, n, prec=53):
-    """trace_locus's samples, solved one by one in this process."""
+    """trace_locus's samples: its solved first half solved one by one in this
+    process, the rest the exact conjugates of their partners."""
     work = p if swept == "b" else p.transposed()
     rows, exact_rows = _hardware_rows(work), _rows(work)
     out = []
-    for t in (2 * math.pi * (j + 1) / (n + 1) for j in range(n)):
+    for t in (2 * math.pi * (j + 1) / (n + 1) for j in range((n + 1) // 2)):
         w = _half_angle_circle(lam, t)
         if prec == 53:
             out.append(_locus_sample_floats(_collapse_hardware(rows, w), lam, work.degree_a))
@@ -64,7 +69,7 @@ def in_process_loop(p, swept, lam, n, prec=53):
             with mp.workprec(prec):
                 cps = _collapse_hardware(exact_rows, mpc(w))
             out.append(_locus_sample(cps, lam, prec, work.degree_a))
-    return out
+    return mirrored_locus(out, n)
 
 
 def raising_at(monkeypatch, index, n=N):
@@ -100,18 +105,14 @@ def die():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def hexed(samples):
-    return [([(z.real.hex(), z.imag.hex()) for z in roots], flags, gap)
-            for roots, flags, gap in samples]
-
-
 def curve_samples(curve):
     return list(zip(curve.roots, curve.violation_flags, curve.gaps))
 
 
 @pytest.mark.parametrize("cpus, n, k", [
-    (1, 10 ** 6, 1), (2, 16, 1), (2, 1024, 1), (2, 2047, 1), (2, 2048, 2), (2, 8192, 2),
-    (4, 3072, 3), (4, 4096, 4), (4, 65536, 4), (64, 65536, 64), (64, 4096, 4)])
+    (1, 10 ** 6, 1), (2, 16, 1), (2, 512, 1), (2, 1023, 1), (2, 1024, 2), (2, 2048, 2),
+    (2, 8192, 2), (4, 1536, 3), (4, 2048, 4), (4, 4096, 4), (4, 65536, 4), (64, 65536, 64),
+    (64, 2048, 4), (64, 4096, 8)])
 def test_chunk_count_rule(cpus, n, k):
     assert chunk_count(cpus, n) == k
 
@@ -136,8 +137,19 @@ def test_split_sweep_above_53_bits_matches_the_loop(forks):
 
 
 def test_small_sweep_forks_nothing(forks):
-    trace_locus(family_bipoly("d"), "b", 1.0, N - 1)
+    # 4 * MIN_CHUNK - 2 samples: a solved half of 2 * MIN_CHUNK - 1
+    trace_locus(family_bipoly("d"), "b", 1.0, N - 2)
     assert forks == []
+
+
+def test_odd_grid_splits_its_solved_half(forks):
+    # 4 * MIN_CHUNK - 1 samples: the solved half, 2 * MIN_CHUNK with the
+    # middle sample at theta = pi, splits; the other 2 * MIN_CHUNK - 1 mirror it
+    p = family_bipoly("k6")
+    curve = trace_locus(p, "a", 1.0, N - 1)
+    assert len(forks) == 1
+    assert hexed(curve_samples(curve)) == hexed(in_process_loop(p, "a", 1.0, N - 1))
+    assert_no_child_left()
 
 
 def test_fork_that_fails_gives_the_same_curve(monkeypatch):
@@ -165,7 +177,7 @@ def test_other_threads_keep_the_sweep_in_process(forks):
     assert hexed(curve_samples(curve)) == hexed(in_process_loop(family_bipoly("d"), "b", 1.0, N))
 
 
-@pytest.mark.parametrize("index", [N - 3, 5])  # the worker's chunk, then the caller's
+@pytest.mark.parametrize("index", [N // 2 - 3, 5])  # the worker's chunk, then the caller's
 def test_sample_that_raises_surfaces_as_in_the_loop(forks, monkeypatch, index):
     raising_at(monkeypatch, index)
     with pytest.raises(ArithmeticError) as split:
@@ -200,7 +212,7 @@ def test_caller_error_kills_a_busy_worker(forks, monkeypatch):
 
 def test_first_exception_of_the_grid_wins(forks, monkeypatch):
     # samples in both chunks raise: the caller's, earlier on the grid, is the one seen
-    raising_at(monkeypatch, N - 3)
+    raising_at(monkeypatch, N // 2 - 3)
     raising_at(monkeypatch, 7)
     with pytest.raises(ArithmeticError, match="^sample 7 failed$"):
         trace_locus(family_bipoly("d"), "b", 1.0, N)
@@ -272,7 +284,7 @@ def wrong_last_sample(stream):
 @pytest.fixture(scope="module")
 def odd_sweep():
     """Case b at lam 1 over 5,000 samples, solved in one loop: on two CPUs the
-    worker's 2,500 samples go in frames of 1,024, 1,024 and 452."""
+    worker's 1,250 of the 2,500 solved samples go in frames of 512, 512 and 226."""
     return 5000, hexed(in_process_loop(family_bipoly("b"), "b", 1.0, 5000))
 
 
@@ -284,7 +296,7 @@ def test_short_payload_is_solved_again(forks, monkeypatch, keep):
     worker_sends(monkeypatch, lambda stream: stream[:keep])
     solved = in_caller(monkeypatch)
     assert hexed(curve_samples(trace_locus(p, "b", 1.0, N))) == want
-    assert len(forks) == 1 and len(solved) == N
+    assert len(forks) == 1 and len(solved) == N // 2
     assert_no_child_left()
 
 
@@ -298,7 +310,7 @@ def test_payload_of_a_worker_that_exits_nonzero_is_dropped(forks, monkeypatch):
     monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
     solved = in_caller(monkeypatch)
     assert hexed(curve_samples(trace_locus(p, "b", 1.0, N))) == want
-    assert len(forks) == 1 and len(solved) == N
+    assert len(forks) == 1 and len(solved) == N // 2
     assert_no_child_left()
 
 
@@ -337,20 +349,50 @@ def test_stream_other_than_the_frames_is_solved_again(forks, monkeypatch, odd_sw
     worker_sends(monkeypatch, edit)
     solved = in_caller(monkeypatch)
     assert hexed(curve_samples(trace_locus(family_bipoly("b"), "b", 1.0, n))) == want
-    assert len(forks) == 1 and len(solved) == n
+    assert len(forks) == 1 and len(solved) == n // 2
     assert_no_child_left()
 
 
 def test_partial_last_frame_is_taken(forks, monkeypatch, odd_sweep):
-    # the worker checks its own frames; had they been other than 1,024, 1,024
-    # and 452 results, it would send nothing, and the caller would solve them
+    # the worker checks its own frames; had they been other than 512, 512
+    # and 226 results, it would send nothing, and the caller would solve them
     n, want = odd_sweep
-    sizes = [MIN_CHUNK, MIN_CHUNK, n // 2 - 2 * MIN_CHUNK]
+    sizes = [MIN_CHUNK, MIN_CHUNK, n // 4 - 2 * MIN_CHUNK]
     worker_sends(monkeypatch, lambda s: s if [len(marshal.loads(f[4:])) for f in frames(s)]
                  == sizes else b"")
     solved = in_caller(monkeypatch)
     assert hexed(curve_samples(trace_locus(family_bipoly("b"), "b", 1.0, n))) == want
-    assert len(forks) == 1 and len(solved) == n // 2
+    assert len(forks) == 1 and len(solved) == n // 4
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("case, plane", [("b", "a"), ("b", "b"), ("d", "a"), ("d", "b")])
+def test_split_endpoint_scan_matches_the_loop(forks, monkeypatch, case, plane):
+    # the 1,024 scan points are two chunks of MIN_CHUNK on two CPUs, one on one
+    split = region_endpoint_angle(family_bipoly(case), plane)
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert region_endpoint_angle(family_bipoly(case), plane) == split
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("points", [[700], [100, 700]])
+def test_scan_error_is_the_loops(forks, monkeypatch, points):
+    # the scan points raise in the worker's chunk alone, or in both: the first
+    # on the grid is the one seen, as in the loop
+    bad = {math.pi * (j + 1) / 1025: j for j in points}
+    half_angle = roots_module._half_angle_circle
+
+    def failing(lam, theta):
+        if theta in bad:
+            raise ArithmeticError("point %d failed" % bad[theta])
+        return half_angle(lam, theta)
+
+    monkeypatch.setattr(roots_module, "_half_angle_circle", failing)
+    with pytest.raises(ArithmeticError, match="^point %d failed$" % points[0]):
+        region_endpoint_angle(family_bipoly("b"), "a")
+    assert len(forks) == 1
     assert_no_child_left()
 
 

@@ -16,16 +16,16 @@ from relzeros.reference import family_bipoly
 from relzeros.roots import (_collapse_hardware, _half_angle_circle, _hardware_rows,
                             _locus_sample, _rows)
 from refdata import CASE_POLYS
-from util_graphs import collapse_in_a
+from util_graphs import assert_mirrored, collapse_in_a
 
 
 @pytest.fixture
 def constructions(monkeypatch):
     """A list that grows by one for every ComplexPoint built.
 
-    It counts in this process only: a sweep of 2 * forkmap.MIN_CHUNK samples
-    or more solves its later chunks in forked workers, so every sweep that a
-    counting test makes stays below that size."""
+    It counts in this process only: a sweep of 4 * forkmap.MIN_CHUNK - 1
+    samples or more solves later chunks of its first half in forked workers,
+    so every sweep that a counting test makes stays below that size."""
     built = []
     init = ComplexPoint.__init__
 
@@ -118,13 +118,16 @@ def test_sweep_above_53_bits_builds_no_root_set(constructions, monkeypatch):
 
 def test_roots_above_53_bits_are_complex_flagged_at_full_precision():
     # gapped: a^1 has no term, so one coefficient of every sample is an
-    # empty row's exact zero
+    # empty row's exact zero; the solved half against find_roots, the rest
+    # the exact conjugate
     gapped = ExactBiPoly({(2, 0): 3, (0, 2): -5, (2, 2): 7, (0, 0): 1})
     prec = 80
     for p, lam in ((CASE_POLYS["d"], 0.1), (gapped, 1.0)):
         curve = trace_locus(p, "b", lam, 32, prec)
         assert curve.gap_count() == 0
-        for theta, roots, flags in zip(curve.theta_samples, curve.roots, curve.violation_flags):
+        assert_mirrored(curve)
+        for theta, roots, flags in list(zip(curve.theta_samples, curve.roots,
+                                            curve.violation_flags))[:16]:
             w = _half_angle_circle(lam, theta)
             rs = find_roots(collapse_in_a(p, ComplexPoint(w.real, w.imag, prec)), prec)
             zeros = rs.zero_multiplicity
@@ -147,13 +150,15 @@ def test_non_finite_sample_falls_back_to_complex_points():
     # is near 2, though every coefficient is finite; on this grid |1e308 * w|
     # itself does too, where abs() raises OverflowError.  Those samples are
     # collapsed again in mpmath and solved through _locus_sample on mpc
-    # coefficients, the rest in floats.
+    # coefficients, the rest in floats; the second half of the curve mirrors
+    # the first.
     p = ExactBiPoly({(0, 1): 10 ** 308, (1, 0): 10 ** 307})
     curve = trace_locus(p, "b", 1.0, 64)
+    assert_mirrored(curve)
     rows = _hardware_rows(p)
     seen = set()
-    for theta, roots, flags, gap in zip(curve.theta_samples, curve.roots,
-                                        curve.violation_flags, curve.gaps):
+    for theta, roots, flags, gap in list(zip(curve.theta_samples, curve.roots,
+                                             curve.violation_flags, curve.gaps))[:32]:
         w = _half_angle_circle(1.0, theta)
         coeffs = _collapse_hardware(rows, w)
         try:

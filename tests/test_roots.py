@@ -1,13 +1,15 @@
 import json
 import math
 import random
+import warnings
 from unittest import mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, note, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from relzeros import (
     ComplexPoint,
@@ -40,7 +42,8 @@ from relzeros import (
 from relzeros import aberth
 from relzeros import roots as roots_module
 from relzeros import polycore
-from relzeros.polycore import _shifted_cyclotomic, _strip_circle_factors, as_complex_point
+from relzeros.polycore import (MIN_PRECISION, _shifted_cyclotomic, _strip_circle_factors,
+                               as_complex_point)
 from relzeros.roots import (
     MAX_SWEEPS,
     NonconvergenceError,
@@ -50,7 +53,8 @@ from relzeros.roots import (
     _locus_sample_floats,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
-from util_graphs import distance, parallel_bundle_graph, parallel_expand, subdivide
+from util_graphs import (assert_mirrored, distance, parallel_bundle_graph, parallel_expand,
+                         subdivide)
 
 
 class TestFindRoots:
@@ -409,6 +413,23 @@ def reference_find_roots(p, prec, warm=True):
     return roots_module._finalize(coeffs, roots, zero_mult, prec, ok, circle)
 
 
+def matching(near):
+    """A partner for each i among near[i], all distinct, found by augmenting
+    paths, as {partner: i}; None if there is none."""
+    partner = {}
+
+    def augment(i, seen):
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in partner or augment(partner[j], seen):
+                    partner[j] = i
+                    return True
+        return False
+
+    return partner if all(augment(i, set()) for i in range(len(near))) else None
+
+
 def assert_roots_match(got, want, coeffs=None):
     """Each root of got lies within the larger of the two error radii of a
     distinct root of want; no radius may be inf.  Matched as multisets: _finalize sorts by (re, im),
@@ -426,19 +447,7 @@ def assert_roots_match(got, want, coeffs=None):
         near = [[j for j, (w, f) in enumerate(zip(want.roots, want.error_radii))
                  if abs(z.to_mpc() - w.to_mpc()) <= (max(e, f) if coeffs is None else e + f)]
                 for z, e in zip(got.roots, got.error_radii)]
-    partner = {}  # root of want -> the root of got it is matched with
-
-    def augment(i, seen):
-        for j in near[i]:
-            if j not in seen:
-                seen.add(j)
-                if j not in partner or augment(partner[j], seen):
-                    partner[j] = i
-                    return True
-        return False
-
-    for i, z in enumerate(got.roots):
-        assert augment(i, set()), (complex(z), near)
+    assert matching(near) is not None, ([complex(z) for z in got.roots], near)
 
 
 def expand_roots(roots, prec, lead=1):
@@ -631,6 +640,28 @@ def fraction_residual(coeffs, z):
     for c in reversed(coeffs):
         px, py = px * x - py * y + c, px * y + py * x
     return px, py
+
+
+# F reaches 1,024 bits and more for a high precision; 2^F then overflows a float
+SCALES = st.one_of(st.integers(0, 1200), st.sampled_from([1074, 1075, 2 ** 14]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308, -1.7976931348623157e308,
+                                    -0.0])),
+       F=SCALES)
+def test_scaled_start_is_the_ldexp_integer(x, F):
+    # the fixed-point start of a float part, both signs, subnormals included
+    assert aberth._scaled(x, F) == int(mp.ldexp(x, F))
+
+
+@settings(max_examples=200, deadline=None)
+@given(man=st.integers(-2 ** 300, 2 ** 300), exp=st.integers(-1500, 1500), F=SCALES)
+def test_scaled_cold_start_is_the_ldexp_integer(man, exp, F):
+    # the fixed-point start of an mpf part, as the cold start circles make them
+    x = mp.make_mpf(from_man_exp(man, exp))
+    assert aberth._scaled(x, F) == int(mp.ldexp(x, F))
 
 
 def test_radii_enclose_the_high_precision_roots():
@@ -1545,9 +1576,10 @@ def reference_locus_sample(coeffs, lam, generic_degree):
 
 
 def reference_locus(p, swept, lam, n_samples):
+    """The reference samples of the solved first half of an n_samples grid."""
     work = p if swept == "b" else p.transposed()
     rows = _hardware_rows(work)
-    thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
+    thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range((n_samples + 1) // 2)]
     return [reference_locus_sample(_collapse_hardware(rows, _half_angle_circle(lam, t)),
                                    lam, work.degree_a)
             for t in thetas]
@@ -1563,11 +1595,15 @@ def assert_same_sample(got, want):
 
 
 def assert_matches_reference(p, swept, lam, n_samples):
+    """The solved first half of the curve is the reference's, bit for bit, and
+    the rest is its exact conjugate, to the sign of every zero part."""
     curve = trace_locus(p, swept, lam, n_samples)
     want = reference_locus(p, swept, float(lam), n_samples)
-    assert len(want) == len(curve.roots) == n_samples
-    for got, ref in zip(zip(curve.roots, curve.violation_flags, curve.gaps), want):
+    samples = list(zip(curve.roots, curve.violation_flags, curve.gaps))
+    assert len(want) == (n_samples + 1) // 2 and len(samples) == n_samples
+    for got, ref in zip(samples, want):
         assert_same_sample(got, ref)
+    assert_mirrored(curve)
 
 
 class TestLocusHardwarePath:
@@ -1654,6 +1690,60 @@ def bipolys(draw):
        lam=st.sampled_from([1.0, 0.1, 0.01]), n_samples=st.integers(16, 64))
 def test_random_bipoly_locus_matches_reference(p, swept, lam, n_samples):
     assert_matches_reference(p, swept, lam, n_samples)
+
+
+def direct_sample(work, lam, theta, prec):
+    """trace_locus's sample of work at theta, solved there, and the
+    coefficients it solved, as mpc."""
+    w = _half_angle_circle(lam, theta)
+    if prec == MIN_PRECISION:
+        coeffs = _collapse_hardware(_hardware_rows(work), w)
+        sample = _locus_sample_floats(coeffs, lam, work.degree_a)
+        if sample:
+            return sample, [mpc(c) for c in coeffs]
+    with mp.workprec(prec):
+        coeffs = _collapse_hardware(roots_module._rows(work), mpc(w))
+    return roots_module._locus_sample(coeffs, lam, prec, work.degree_a), coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=bipolys(), swept=st.sampled_from(["a", "b"]), prec=st.sampled_from([53, 80]),
+       lam=st.sampled_from([1.0, 0.1]), n_samples=st.integers(16, 48))
+def test_mirrored_samples_match_a_direct_solve(p, swept, prec, lam, n_samples):
+    # each mirrored sample has the zero roots, root count, gap and flags of
+    # the sample solved at its own theta, and each nonzero root lies within
+    # r + r' of a distinct root of it, r and r' the error radii (_radius, a
+    # rigorous bound on the polynomial solved there) of the two roots; a flag
+    # may differ only where that bound reaches the circle |lam + x| = lam,
+    # and each such case is reported as a warning
+    curve = trace_locus(p, swept, lam, n_samples, prec)
+    work = p if swept == "b" else p.transposed()
+    for j in range((n_samples + 1) // 2, n_samples):
+        (roots, flags, gap), coeffs = direct_sample(work, lam, curve.theta_samples[j], prec)
+        got = (curve.roots[j], curve.violation_flags[j], curve.gaps[j])
+        assert (len(got[0]), got[2]) == (len(roots), gap)
+        zeros = next((i for i, z in enumerate(roots) if z != 0), len(roots))
+        assert got[0][:zeros] == roots[:zeros] and got[1][:zeros] == flags[:zeros] == [False] * zeros
+        gauss = aberth._gaussian_integers(coeffs[zeros:len(roots) + 1])
+
+        def radius(z):
+            return aberth._radius(gauss, ComplexPoint(z.real, z.imag, prec), prec)
+
+        mirrored = [(mpc(z), radius(z), f) for z, f in zip(got[0][zeros:], got[1][zeros:])]
+        direct = [(mpc(z), radius(z), f) for z, f in zip(roots[zeros:], flags[zeros:])]
+        with mp.workprec(2 * prec):
+            near = [[k for k, (d, rd, _) in enumerate(direct) if abs(m - d) <= rm + rd]
+                    for m, rm, _ in mirrored]
+            partner = matching(near)
+            assert partner is not None, (j, got, roots, near)
+            for k, i in partner.items():
+                (m, rm, fm), (d, rd, fd) = mirrored[i], direct[k]
+                if fm != fd:
+                    assert abs(abs(lam + d) - lam) <= rm + rd, (j, complex(m), complex(d))
+                    note("sample %d: flag %s against %s, the bound %s reaching the circle"
+                         % (j, fm, fd, rm + rd))
+                    warnings.warn("a mirrored flag differs from the direct solve's at a "
+                                  "root within its error bound of the circle")
 
 
 def reference_endpoint_angle(p, plane):

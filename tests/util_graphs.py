@@ -277,3 +277,35 @@ def reference_taylor_shift(coeffs, s):
     if s < 0:
         cs[1::2] = [-c for c in cs[1::2]]
     return cs
+
+
+def conjugate_sample(sample):
+    """The exact conjugate of a locus sample (roots, flags, gap): each root
+    conjugated, any zero part +0.0, with its flag; the leading exact zeros
+    first and the rest in a stable sort on (re, im); the same gap.  The
+    oracle of trace_locus's mirrored half."""
+    roots, flags, gap = sample
+    pairs = [(complex(z.real + 0.0, -z.imag + 0.0), f) for z, f in zip(roots, flags)]
+    zeros = next((i for i, z in enumerate(roots) if z != 0), len(roots))
+    pairs[zeros:] = sorted(pairs[zeros:], key=lambda t: (t[0].real, t[0].imag))
+    return [z for z, _ in pairs], [f for _, f in pairs], gap
+
+
+def mirrored_locus(solved, n):
+    """The n samples of a locus curve from its solved first ceil(n/2):
+    sample n-1-j is the conjugate of sample j."""
+    return solved + [conjugate_sample(solved[n - 1 - j]) for j in range(len(solved), n)]
+
+
+def hexed(samples):
+    """Locus samples with each root part as float.hex, so that 0.0 and -0.0 differ."""
+    return [([(z.real.hex(), z.imag.hex()) for z in roots], flags, gap)
+            for roots, flags, gap in samples]
+
+
+def assert_mirrored(curve):
+    """Each sample after the curve's solved first half is the exact conjugate
+    of its partner, to the sign of every zero part."""
+    samples = list(zip(curve.roots, curve.violation_flags, curve.gaps))
+    n = len(samples)
+    assert hexed(samples) == hexed(mirrored_locus(samples[:(n + 1) // 2], n))
