@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
+from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -515,16 +516,15 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     inside |lam + root| < lam; deflated zero roots appear as exact zeros and
     are never flagged.
 
-    Only the first ceil(n_samples/2) samples are solved.  The grid is
+    Only the first ceil(n_samples/2) samples are solved: the grid is
     symmetric, theta_j + theta_(n-1-j) = 2*pi, and integer rows collapse at
-    conj(w) to the conjugate coefficients, so sample n-1-j is built from
-    sample j by _mirror: its exact conjugate, not a solve at its own theta,
-    whose float w is conj(w) only to rounding.  At 53 bits the solved samples
-    are solved in hardware floats, with an mpmath tie-break at the trim and
-    flag thresholds: the same curve as find_roots.  They are solved in
-    contiguous chunks of at least forkmap.MIN_CHUNK samples, at most one per
-    CPU, all but the first by forked workers (relzeros.forkmap); every root,
-    flag and gap is the one-chunk loop's, bit for bit.
+    conj(w) to the conjugate coefficients, so sample n-1-j is the exact
+    conjugate of sample j (_mirror), where a solve at its own float theta
+    would differ in the trailing digits.  At 53 bits the solved samples are
+    solved in hardware floats, with an mpmath tie-break at the trim and flag
+    thresholds: the same samples as find_roots.  They run in contiguous
+    chunks of at least forkmap.MIN_CHUNK, at most one per CPU, all but the
+    first in forked workers (relzeros.forkmap), bit for bit the one-chunk loop.
     """
     lam = _check_locus_args(p, swept, lam, n_samples, precision_bits)
     work = p if swept == "b" else p.transposed()
@@ -544,9 +544,10 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     from .forkmap import forkmap  # here, so that only a sweep or a scan compiles it
 
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
-    samples = forkmap(solve, thetas[: (n_samples + 1) // 2])
-    samples += map(_mirror, samples[n_samples // 2 - 1::-1])
-    roots, flags, gaps = map(list, zip(*samples))
+    solved = forkmap(solve, thetas[: (n_samples + 1) // 2])
+    # sample n-1-j mirrors sample j: the solved half reversed, less an odd grid's middle
+    mirrored = map(_mirror, islice(reversed(solved), n_samples % 2, None))
+    roots, flags, gaps = map(list, zip(*solved, *mirrored))
     return LocusCurve(lam, thetas, roots, flags, gaps)
 
 
@@ -555,15 +556,18 @@ def _mirror(sample):
     conjugated, with no -0.0 part, and its flag with it (|lam + conj z| =
     |lam + z|); the leading exact zeros, the deflated ones, first and the
     rest sorted by (re, im) as a solve sorts them; the same gap.  Each list
-    is one concatenation, which allocates no spare room."""
+    is a concatenation or a copy, which allocates no spare room."""
     roots, flags, gap = sample
     z = 0
     while z < len(roots) and roots[z] == 0:
         z += 1
+    rest = [r.conjugate() + 0j for r in roots[z:]]  # + 0j turns each -0.0 into 0.0
+    if len({r.real for r in rest}) == len(rest):  # no tie in Re: the solve's order holds
+        return [0j] * z + rest, flags[:], gap
     # the index keeps the sort stable: tied roots keep the solve's order
-    keyed = sorted((r.real + 0.0, 0.0 - r.imag, i) for i, r in enumerate(roots) if i >= z)
-    return (roots[:z] + [complex(x, y) for x, y, _ in keyed],
-            flags[:z] + [flags[i] for _, _, i in keyed], gap)
+    keyed = sorted(zip(map(_real_imag, rest), range(z, len(roots))))
+    return ([0j] * z + [rest[i - z] for _, i in keyed],
+            flags[:z] + [flags[i] for _, i in keyed], gap)
 
 
 def _locus_sample_floats(coeffs, lam, generic_degree):

@@ -53,8 +53,8 @@ from relzeros.roots import (
     _locus_sample_floats,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
-from util_graphs import (assert_mirrored, distance, parallel_bundle_graph, parallel_expand,
-                         subdivide)
+from util_graphs import (assert_mirrored, conjugate_sample, distance, hexed,
+                         parallel_bundle_graph, parallel_expand, subdivide)
 
 
 class TestFindRoots:
@@ -1744,6 +1744,28 @@ def test_mirrored_samples_match_a_direct_solve(p, swept, prec, lam, n_samples):
                          % (j, fm, fd, rm + rd))
                     warnings.warn("a mirrored flag differs from the direct solve's at a "
                                   "root within its error bound of the circle")
+
+
+PARTS = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def solved_samples(draw):
+    """A locus sample as a solve leaves it: leading exact zeros, then roots
+    in a stable (re, im) sort, with ties in Re, repeated roots and -0.0
+    parts, and any flags."""
+    zeros = draw(st.integers(0, 2))
+    rest = sorted(draw(st.lists(st.builds(complex, PARTS, PARTS), max_size=6)),
+                  key=lambda z: (z.real, z.imag))
+    flags = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+    return [0j] * zeros + rest, [False] * zeros + flags, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=solved_samples())
+def test_mirror_is_the_exact_conjugate(sample):
+    # both of _mirror's paths, a sample with no tie in Re and one with ties
+    assert hexed([roots_module._mirror(sample)]) == hexed([conjugate_sample(sample)])
 
 
 def reference_endpoint_angle(p, plane):
