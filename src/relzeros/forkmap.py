@@ -13,10 +13,10 @@ import signal
 import threading
 from contextlib import suppress
 
-# A split's fixed cost is about 3.5 ms: a no-op split of 1,024 items took 3.7 ms
-# (median of 30; 3.2 ms for 512 items) in a 28 MB process holding six 4,096-
-# sample curves, on 2 CPUs, where a 53-bit chunk of 512 samples takes 10-19 ms
-# on one CPU (60 ms for k6), so a second chunk of this size saves 5-9 ms.
+# A split's fixed cost is about 3 ms: a no-op split of 1,024 items took 2.5-3.7 ms
+# (medians of 30) in a 28 MB process holding six 4,096-sample curves, on 2 CPUs,
+# where a 53-bit chunk of 512 samples takes 5-19 ms on one CPU (49-60 ms for
+# k6), so a second chunk of this size saves half of that, 3-9 ms or more.
 MIN_CHUNK = 512
 
 
