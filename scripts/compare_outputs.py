@@ -75,14 +75,17 @@ GRAPHS = {
     "negative.graph": "vertices -1\n",
     "bad_field.graph": "vertices 2\n0 1 x\n",
 }
-# the transposed run collapses a in mpmath, above 53 bits; the next three
-# (8,192, 4,096 and 5,000 samples) solve the first 4,096, 2,048 and 2,500 of
-# them, split across forked workers on a host with two or more CPUs, where
-# the default 2,000 samples solve 1,000 in one chunk (on two CPUs the
-# 5,000-sample worker sends frames of 512, 512 and 226 samples, the others
-# only whole frames); the last two exit 2 and write no CSV
+# the transposed run collapses a in mpmath, above 53 bits; the 17-sample k6
+# run at 80 bits has 8 samples where (1 + b)^9 = 1 and a coefficient
+# vanishes, gaps as at 53 bits (2,000 samples hit only two such points); the
+# next three (8,192, 4,096 and 5,000 samples) solve the first 4,096, 2,048
+# and 2,500 of them, split across forked workers on a host with two or more
+# CPUs, where the default 2,000 samples solve 1,000 in one chunk (on two CPUs
+# the 5,000-sample worker sends frames of 512, 512 and 226 samples, the
+# others only whole frames); the last two exit 2 and write no CSV
 LOCUS = ([[case, "--precision", str(prec)] for case in ("b", "d", "k6") for prec in (53, 80)]
          + [["b", "--sweep", "a", "--precision", "80"],
+            ["k6", "--precision", "80", "--samples", "17"],
             ["d", "--lambda", "0.1", "--samples", "8192"],
             ["k6", "--sweep", "a", "--samples", "4096"],
             ["c", "--samples", "5000"],

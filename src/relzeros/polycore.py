@@ -6,20 +6,21 @@ far past what doubles or 64-bit integers can hold exactly, and their
 reprs and JSON print every digit.  A :class:`ComplexPoint` carries a
 rounded value with the precision (in bits) it was computed at; it has no
 arithmetic of its own, and _dyadic turns mpf values into exact integers.
-Exact helpers on low-to-high coefficient lists shift the variable by +-1
-and divide out the shifted cyclotomic factors, whose roots lie exactly on
-|1 + v| = 1 and come in closed form from _circle_points; the candidate
-orders m, with phi(m) at most the degree, are enumerated as products of
-prime powers.  kth_root_branch and find_minimal_k follow one root through
-the paper's series construction, v_k = -1 + (1 + v)^(1/k).
+Exact helpers on low-to-high coefficient lists shift the variable by +-1,
+take square-free parts (Yun) and divide out the shifted cyclotomic factors,
+whose roots lie exactly on |1 + v| = 1 and come in closed form from
+_circle_points; their candidate orders m, phi(m) at most the degree, are
+products of prime powers.  kth_root_branch and find_minimal_k follow one
+root through the paper's series construction, v_k = -1 + (1 + v)^(1/k).
 """
 
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from mpmath import mp, mpc, mpf
 
@@ -287,25 +288,51 @@ def cycle_poly(n):
     return ExactUniPoly([0] * (n - 1) + [n, 1])
 
 
-def _exact_divide_monic(num, den):
-    """Quotient of exact integer polynomials if den divides num, else None.
-
-    den must be monic; coefficients are low-to-high.
-    """
-    dn, dd = len(num) - 1, len(den) - 1
-    if dd > dn:
-        return None
-    rem = list(num)
-    quot = [0] * (dn - dd + 1)
-    for i in range(dn - dd, -1, -1):
+def _divide_monic(num, den):
+    """(quotient, remainder of len(den) - 1) of low-to-high polynomials, den monic."""
+    dd = len(den) - 1
+    rem, quot = list(num), [0] * max(len(num) - dd, 0)
+    for i in range(len(quot) - 1, -1, -1):
         c = rem[i + dd]
         if c:
             quot[i] = c
             for j in range(dd + 1):
                 rem[i + j] -= c * den[j]
-    if any(rem):
-        return None
-    return quot
+    return quot, rem[:dd]
+
+
+def _monic_gcd(f, g):
+    """The monic gcd over Q of low-to-high polynomials, f with no trailing zero."""
+    while any(g):
+        while not g[-1]:
+            g = g[:-1]
+        g = [Fraction(c) / g[-1] for c in g]
+        f, g = g, _divide_monic(f, g)[1]
+    return [Fraction(c) / f[-1] for c in f]
+
+
+def _derivative(cs):
+    return [k * c for k, c in enumerate(cs)][1:]
+
+
+def _square_free_parts(coeffs):
+    """Yun's square-free decomposition of a polynomial with no trailing zero:
+    monic a_1, a_2, ... over Q, square-free and pairwise coprime, with coeffs
+    = c a_1 a_2^2 a_3^3 ..., so the roots of a_i are those of multiplicity i."""
+    g = _monic_gcd(coeffs, _derivative(coeffs))
+    b, c = _divide_monic(coeffs, g)[0], _divide_monic(_derivative(coeffs), g)[0]
+    parts = []
+    while len(b) > 1:
+        d = [x - y for x, y in zip(c, _derivative(b))]
+        parts.append(_monic_gcd(b, d))
+        b, c = _divide_monic(b, parts[-1])[0], _divide_monic(d, parts[-1])[0]
+    return parts
+
+
+def _integer_multiple(cs):
+    """The rational polynomial cs times the lcm of its denominators."""
+    m = lcm(*(c.denominator for c in cs))
+    return [int(c * m) for c in cs]
 
 
 @cache
@@ -334,7 +361,7 @@ def _shifted_cyclotomic(m):
     coeffs = list(shifted_power(m).coeffs)
     for d in range(1, m):
         if m % d == 0:
-            coeffs = _exact_divide_monic(coeffs, list(_shifted_cyclotomic(d)))
+            coeffs = _divide_monic(coeffs, list(_shifted_cyclotomic(d)))[0]
     return tuple(coeffs)
 
 
@@ -381,8 +408,8 @@ def _strip_circle_factors(coeffs):
     at_one = sum(out)
     for m in _circle_factor_orders(len(out) - 1):
         while len(out) > 1 and at_one % _cyclotomic_at_two(m) == 0:
-            quot = _exact_divide_monic(out, list(_shifted_cyclotomic(m)))
-            if quot is None:
+            quot, rem = _divide_monic(out, list(_shifted_cyclotomic(m)))
+            if any(rem):
                 break
             out = quot
             at_one = sum(out)

@@ -9,7 +9,7 @@ q's exact zero roots started at v = -1: the family members' roots crowd
 |1 + v| = 1, so q's coefficients span a few bits where p's span dozens,
 and the float roots land next to the true ones.  At 53 bits these float
 roots are the result.  Other coefficients, taken as mpc, are solved in v,
-where their roots (branch fits, locus samples) need fewer sweeps.  A
+where their roots (locus samples) need fewer sweeps.  A
 failed float solve leaves the fixed-point loop to start from circles, at
 every precision.
 
@@ -28,11 +28,11 @@ An ambiguous disc verdict climbs one ladder, _climb, for the CLI and
 bc_lambda_holds_univariate alike.  One Horner pass over integer rows
 collapses a bivariate polynomial at a point: in floats for 53-bit locus
 sweeps, with an mpmath tie-break where a float |.| lands within a few ulps
-of a trim or disc threshold, so they match find_roots at 53 bits; in
-mpmath at the working precision elsewhere, where a locus sample runs only
-_iterate, the Aberth stages of find_roots, and computes no radius.  A sweep
-solves the first half of its grid, on all the process's CPUs where that half
-is large enough, and builds the rest as its exact conjugate.
+of a trim or disc threshold, so they match find_roots at 53 bits; above,
+in mpmath at a point computed at the sweep's precision, where a sample runs
+only _iterate, the Aberth stages of find_roots, and computes no radius.  A
+sweep solves the first half of its grid, on all the process's CPUs where
+that half is large enough, and builds the rest as its exact conjugate.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
@@ -54,15 +54,21 @@ from .polycore import (
     ExactUniPoly,
     as_complex_point,
     _circle_points,
+    _derivative,
+    _divide_monic,
     _dyadic,
     _grid,
+    _integer_multiple,
+    _monic_gcd,
     _shifted_cyclotomic,
+    _square_free_parts,
     _strip_circle_factors,
     taylor_shift,
 )
 
 AUTO_HIGH_PRECISION = 256
 MAX_DECISION_PRECISION = 1024
+_BRANCH_CLUSTER_RADIUS = 0.1  # the farthest a branch's a/b may lie from its hint
 
 
 class ZeroPolynomialError(ValueError):
@@ -86,7 +92,7 @@ class NoViolationRegionError(RuntimeError):
 
 
 class BranchFitError(RuntimeError):
-    """Root-branch tracking failed (lost cluster, collision, or ambiguous fit)."""
+    """No tangent-cone root near the hint, or none with an exact first step."""
 
 
 class RootSet(NamedTuple):
@@ -519,12 +525,15 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     Only the first ceil(n_samples/2) samples are solved: the grid is
     symmetric, theta_j + theta_(n-1-j) = 2*pi, and integer rows collapse at
     conj(w) to the conjugate coefficients, so sample n-1-j is the exact
-    conjugate of sample j (_mirror), where a solve at its own float theta
-    would differ in the trailing digits.  At 53 bits the solved samples are
-    solved in hardware floats, with an mpmath tie-break at the trim and flag
-    thresholds: the same samples as find_roots.  They run in contiguous
-    chunks of at least forkmap.MIN_CHUNK, at most one per CPU, all but the
-    first in forked workers (relzeros.forkmap), bit for bit the one-chunk loop.
+    conjugate of sample j (_mirror), where a solve at its own theta would
+    differ in the trailing digits.  At 53 bits a sample is solved in hardware
+    floats at the float theta, with an mpmath tie-break at the trim and flag
+    thresholds: the same samples as find_roots.  Above 53 bits theta and w
+    are computed in mpmath at the sweep's precision, so a coefficient that
+    vanishes at the true point is trimmed, not left as a float w's noise.
+    Solved samples run in contiguous chunks of at least forkmap.MIN_CHUNK, at
+    most one per CPU, all but the first in forked workers (relzeros.forkmap),
+    bit for bit the one-chunk loop.
     """
     lam = _check_locus_args(p, swept, lam, n_samples, precision_bits)
     work = p if swept == "b" else p.transposed()
@@ -532,11 +541,14 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     rows = _hardware_rows(work) if precision_bits == MIN_PRECISION else None
     exact_rows = _rows(work)
 
-    def solve(theta):
-        w = _half_angle_circle(lam, theta)
+    def solve(j):
+        w = _half_angle_circle(lam, thetas[j])
         sample = rows and _locus_sample_floats(_collapse_hardware(rows, w), lam, generic_degree)
         if not sample:  # a float collapse that leaves the float range is redone in mpmath
             with mp.workprec(precision_bits):
+                if precision_bits > MIN_PRECISION:  # theta and w at the sweep's precision
+                    c, s = mp.cos_sin(mp.pi * (j + 1) / (n_samples + 1))
+                    w = lam * mpc(-2 * s * s, 2 * s * c)
                 cps = _collapse_hardware(exact_rows, mpc(w))
             sample = _locus_sample(cps, lam, precision_bits, generic_degree)
         return sample
@@ -544,7 +556,7 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     from .forkmap import forkmap  # here, so that only a sweep or a scan compiles it
 
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
-    solved = forkmap(solve, thetas[: (n_samples + 1) // 2])
+    solved = forkmap(solve, range((n_samples + 1) // 2))
     # sample n-1-j mirrors sample j: the solved half reversed, less an odd grid's middle
     mirrored = map(_mirror, islice(reversed(solved), n_samples % 2, None))
     roots, flags, gaps = map(list, zip(*solved, *mirrored))
@@ -709,117 +721,48 @@ def analytic_disc_margin(expansion):
         return g1 * g1 - g1 - 2 * g2
 
 
-_BRANCH_SCALES = ("1e-3", "1e-4", "1e-5")
-_BRANCH_PRECISION = 128
-_BRANCH_CLUSTER_RADIUS = 0.1
-
-
 def estimate_branch_coefficients(p, leading_hint):
-    """Fit the expansion of the root branch a(b) with a/b nearest leading_hint.
-
-    Tracks the roots with |a/b - leading_hint| <= 0.1 at b = 1e-3, 1e-4,
-    1e-5 (real positive), solved at 128 bits.  A cluster of two roots is
-    treated as a conjugate/sign pair: their half-difference identifies the
-    subleading exponent by log-ratio fit (threshold 1.75 between b^2 and
-    b^(3/2)); a single root is fitted by exact three-scale interpolation.
-    Estimates from different scale pairs must agree to three significant
-    digits or BranchFitError is raised.
-    """
+    """The branch a(b) = t b + ... with t nearest leading_hint, by the first
+    Newton-Puiseux step (Walker 1950; Duval 1989), exact but for t and one
+    quotient rounded to 128 bits.  With a = u b, p = b^m (T(u) + b N(u) + ...)
+    and Yun's square-free decomposition of T gives t's multiplicity exactly.
+    A real simple t starts the analytic branch t b + g2 b^2, g2 = -N(t)/T'(t);
+    a double t where N(t) != 0 the half-power branch t b + d b^(3/2), with
+    d^2 = -2 N(t)/T''(t) and Re(conj(d) (hint - t)) > 0, or where that is 0,
+    the larger (Im d, Re d).  BranchFitError where t lies over 0.1 from the
+    hint, where a simple t is not real, and where a further Newton-polygon
+    step is needed: multiplicity 3 or more, or a double t where N vanishes."""
     if not isinstance(p, ExactBiPoly):
         raise TypeError("expected ExactBiPoly")
-    prec = _BRANCH_PRECISION
-    hint = complex(as_complex_point(leading_hint))
+    if not p:
+        raise ZeroPolynomialError("polynomial is identically zero")
+    low = min(da + db for da, db in p.terms)
+    t_poly, n_poly = (ExactUniPoly(p.terms.get((k, low + r - k), 0) for k in range(low + 2)).coeffs
+                      for r in (0, 1))
+    parts = list(enumerate(_square_free_parts(t_poly), 1))  # (multiplicity, factor)
+    if len(parts) > 1:  # multiplicity 0: a double root where N vanishes
+        g = _monic_gcd(parts[1][1], n_poly)
+        parts[1:2] = [(0, g), (2, _divide_monic(parts[1][1], g)[0])]
+    prec, hint = 128, complex(as_complex_point(leading_hint))
     with mp.workprec(prec):
-        scales = [mpf(s) for s in _BRANCH_SCALES]
-    clusters = []
-    snap = mpf(2) ** -(prec // 2)
-    rows = _rows(p)
-
-    def pair_order(v):
-        # tiny imaginary noise on real roots must not scramble the pairing
-        im = v.imag if abs(v.imag) > snap else mpf(0)
-        return (im, v.real)
-
-    for b0 in scales:
-        with mp.workprec(prec):
-            rs = find_roots(_collapse_hardware(rows, mpc(b0)), prec)
-            sel = [z.to_mpc() for z in rs.roots
-                   if abs(z.to_mpc() / b0 - hint) <= _BRANCH_CLUSTER_RADIUS]
-            sel.sort(key=pair_order, reverse=True)
-        if not sel:
-            raise BranchFitError("no root with a/b near %r at b=%s" % (hint, b0))
-        clusters.append(sel)
-    sizes = {len(c) for c in clusters}
-    if len(sizes) != 1:
-        raise BranchFitError("branch cluster changed size across scales (root collision)")
-    size = sizes.pop()
-    if size > 2:
-        raise BranchFitError("more than two roots share the branch cluster")
-
-    with mp.workprec(prec):
-        b1, b2, b3 = scales
-        if size == 2:
-            return _fit_pair(scales, clusters, prec)
-        f = [cl[0] / b for b, cl in zip(scales, clusters)]
-        g12 = f[0] - f[1]
-        g23 = f[1] - f[2]
-        floor = mp.ldexp(1 + abs(f[2]), -(prec - 24))
-        if abs(g23) <= floor and abs(g12) <= floor:
-            lead = ComplexPoint.from_mpc(f[2], prec)
-            return BranchExpansion("analytic", lead, ComplexPoint(0, 0, prec), 2.0)
-        exponent = 1 + mp.log(abs(g12) / abs(g23)) / mp.log(10)
-        if exponent >= 1.75:
-            g3 = (g12 / (b1 - b2) - g23 / (b2 - b3)) / (b1 - b3)
-            g2 = g23 / (b2 - b3) - g3 * (b2 + b3)
-            g1 = f[2] - g2 * b3 - g3 * b3 ** 2
-            g1_linear = f[2] - (g23 / (b2 - b3)) * b3
-            if abs(g1_linear - g1) > 1e-3 * (1 + abs(g1)):
-                raise BranchFitError("analytic fit inconsistent across scales")
-            if abs(g1.imag) > 1e-6 * (1 + abs(g1)) or abs(g2.imag) > 1e-6 * (1 + abs(g2)):
-                raise BranchFitError("analytic branch produced non-real coefficients")
-            return BranchExpansion(
-                "analytic",
-                ComplexPoint(g1.real, 0, prec),
-                ComplexPoint(g2.real, 0, prec),
-                2.0,
-            )
-        sq2, sq3 = mp.sqrt(b2), mp.sqrt(b3)
-        d2 = (f[1] - f[2]) / (sq2 - sq3)
-        d1 = f[2] - d2 * sq3
-        d2_alt = (f[0] - f[1]) / (mp.sqrt(b1) - sq2)
-        if abs(d2 - d2_alt) > 1e-3 * max(abs(d2), mpf("1e-30")):
-            raise BranchFitError("half-power fit inconsistent across scales")
-        return BranchExpansion(
-            "half-power",
-            ComplexPoint.from_mpc(d1, prec),
-            ComplexPoint.from_mpc(d2, prec),
-            1.5,
-        )
-
-
-def _fit_pair(scales, clusters, prec):
-    b1, b2, b3 = scales
-    sums = [(cl[0] + cl[1]) / (2 * b) for b, cl in zip(scales, clusters)]
-    halves = [(cl[0] - cl[1]) / 2 for cl in clusters]
-    if abs(halves[2]) == 0:
-        raise BranchFitError("branch pair collapsed (zero separation)")
-    exponent = mp.log(abs(halves[1]) / abs(halves[2])) / mp.log(10)
-    if exponent >= 1.75:
-        raise BranchFitError("paired roots separate analytically; pass distinct hints")
-    dd = [h / b ** mpf("1.5") for h, b in zip(halves, scales)]
-    sub = (dd[2] * b2 - dd[1] * b3) / (b2 - b3)
-    sub_alt = (dd[1] * b1 - dd[0] * b2) / (b1 - b2)
-    if abs(sub - sub_alt) > 1e-3 * max(abs(sub), mpf("1e-30")):
-        raise BranchFitError("half-power fit inconsistent across scales")
-    lead = (sums[2] * b2 - sums[1] * b3) / (b2 - b3)
-    lead_alt = (sums[1] * b1 - sums[0] * b2) / (b1 - b2)
-    if abs(lead - lead_alt) > 1e-3 * (1 + abs(lead)):
-        raise BranchFitError("half-power leading fit inconsistent across scales")
-    if abs(sub) == 0:
-        raise BranchFitError("half-power subleading coefficient vanished")
-    return BranchExpansion(
-        "half-power",
-        ComplexPoint.from_mpc(lead, prec),
-        ComplexPoint.from_mpc(sub, prec),
-        1.5,
-    )
+        near = [(abs(t - hint), i, t) for i, f in parts if len(f) > 1
+                for rs in [find_roots(_integer_multiple(f), prec)]
+                for t in [mpc(0)] * rs.zero_multiplicity + [z.to_mpc() for z in rs.roots]]
+        dist, i, t = min(near, key=itemgetter(0), default=(math.inf, 0, 0))
+        if dist > _BRANCH_CLUSTER_RADIUS:
+            raise BranchFitError("no root of T within %s of %r" % (_BRANCH_CLUSTER_RADIUS, hint))
+        if i == 1 and t.imag:
+            raise BranchFitError("simple root %s is not real" % mp.nstr(t, 15))
+        if i not in (1, 2):
+            raise BranchFitError("root %s has multiplicity %s: a further Newton-polygon step "
+                                 "is needed" % (mp.nstr(t, 15), i or "2 and N vanishes there"))
+        n_t = mp.polyval(n_poly[::-1], t.real if i == 1 else t)
+        if i == 1:  # g2, real as t is
+            sub = -n_t / mp.polyval(_derivative(t_poly)[::-1], t.real)
+        else:  # d
+            sub = mp.sqrt(-2 * n_t / mp.polyval(_derivative(_derivative(t_poly))[::-1], t))
+            side = (sub.conjugate() * (hint - t)).real
+            if side < 0 or side == 0 and (sub.imag, sub.real) < (-sub.imag, -sub.real):
+                sub = -sub
+        return BranchExpansion(("analytic", "half-power")[i - 1], ComplexPoint.from_mpc(t, prec),
+                               ComplexPoint.from_mpc(sub, prec), 1 + 1 / i)  # u - t ~ b^(1/i)

@@ -16,7 +16,7 @@ import threading
 import time
 
 import pytest
-from mpmath import mp, mpc
+from mpmath import mp
 
 from relzeros import ExactBiPoly, forkmap, region_endpoint_angle, trace_locus
 from relzeros import roots as roots_module
@@ -24,7 +24,7 @@ from relzeros.forkmap import MIN_CHUNK, chunk_count
 from relzeros.reference import family_bipoly
 from relzeros.roots import (_collapse_hardware, _half_angle_circle, _hardware_rows,
                             _locus_sample, _locus_sample_floats, _rows)
-from util_graphs import hexed, mirrored_locus
+from util_graphs import grid_point, hexed, mirrored_locus
 
 N = 4 * MIN_CHUNK  # a grid whose solved half, 2 * MIN_CHUNK samples, splits on two CPUs
 
@@ -61,13 +61,13 @@ def in_process_loop(p, swept, lam, n, prec=53):
     work = p if swept == "b" else p.transposed()
     rows, exact_rows = _hardware_rows(work), _rows(work)
     out = []
-    for t in (2 * math.pi * (j + 1) / (n + 1) for j in range((n + 1) // 2)):
-        w = _half_angle_circle(lam, t)
+    for j in range((n + 1) // 2):
         if prec == 53:
+            w = _half_angle_circle(lam, 2 * math.pi * (j + 1) / (n + 1))
             out.append(_locus_sample_floats(_collapse_hardware(rows, w), lam, work.degree_a))
         else:
             with mp.workprec(prec):
-                cps = _collapse_hardware(exact_rows, mpc(w))
+                cps = _collapse_hardware(exact_rows, grid_point(lam, j, n))
             out.append(_locus_sample(cps, lam, prec, work.degree_a))
     return mirrored_locus(out, n)
 

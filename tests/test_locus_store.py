@@ -16,7 +16,7 @@ from relzeros.reference import family_bipoly
 from relzeros.roots import (_collapse_hardware, _half_angle_circle, _hardware_rows,
                             _locus_sample, _rows)
 from refdata import CASE_POLYS
-from util_graphs import assert_mirrored, collapse_in_a
+from util_graphs import assert_mirrored, collapse_in_a, grid_point
 
 
 @pytest.fixture
@@ -116,6 +116,18 @@ def test_sweep_above_53_bits_builds_no_root_set(constructions, monkeypatch):
     assert calls == [] and constructions == []
 
 
+def test_degenerate_samples_above_53_bits_are_gaps():
+    # k6 at theta = 2*pi*(j+1)/18, j odd, where (1 + b)^9 = 1: a coefficient
+    # vanishes there, so a collapse at a float w leaves it as noise above the
+    # 80-bit trim threshold, with roots of modulus 1e4 to 2e8; at a w of the
+    # sweep's precision it is trimmed, and these are gaps as at 53 bits
+    k6 = family_bipoly("k6")
+    for prec in (53, 80):
+        curve = trace_locus(k6, "b", 1.0, 17, prec)
+        assert [j for j, gap in enumerate(curve.gaps) if gap] == list(range(1, 17, 2))
+        assert max(abs(z) for j in range(1, 17, 2) for z in curve.roots[j]) < 4
+
+
 def test_roots_above_53_bits_are_complex_flagged_at_full_precision():
     # gapped: a^1 has no term, so one coefficient of every sample is an
     # empty row's exact zero; the solved half against find_roots, the rest
@@ -126,10 +138,10 @@ def test_roots_above_53_bits_are_complex_flagged_at_full_precision():
         curve = trace_locus(p, "b", lam, 32, prec)
         assert curve.gap_count() == 0
         assert_mirrored(curve)
-        for theta, roots, flags in list(zip(curve.theta_samples, curve.roots,
-                                            curve.violation_flags))[:16]:
-            w = _half_angle_circle(lam, theta)
-            rs = find_roots(collapse_in_a(p, ComplexPoint(w.real, w.imag, prec)), prec)
+        for j, (roots, flags) in enumerate(zip(curve.roots[:16], curve.violation_flags)):
+            with mp.workprec(prec):
+                w = ComplexPoint.from_mpc(grid_point(lam, j, 32), prec)
+            rs = find_roots(collapse_in_a(p, w), prec)
             zeros = rs.zero_multiplicity
             assert roots == [0j] * zeros + [complex(z) for z in rs.roots]
             with mp.workprec(prec):

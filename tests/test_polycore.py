@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -17,8 +18,11 @@ from relzeros import (
 from relzeros.polycore import (
     _circle_factor_orders,
     _cyclotomic_at_two,
-    _exact_divide_monic,
+    _derivative,
+    _divide_monic,
+    _monic_gcd,
     _shifted_cyclotomic,
+    _square_free_parts,
     _strip_circle_factors,
     taylor_shift,
 )
@@ -243,8 +247,8 @@ def reference_strip_circle_factors(coeffs):
             f_at_one = sum(factor)
             if at_one and f_at_one and at_one % f_at_one:
                 break
-            quot = _exact_divide_monic(out, list(factor))
-            if quot is None:
+            quot, rem = _divide_monic(out, list(factor))
+            if any(rem):
                 break
             out = quot
             at_one = sum(out)
@@ -296,6 +300,46 @@ class TestCircleFactors:
         for m in orders:
             product = product * ExactUniPoly(_shifted_cyclotomic(m))
         assert product == ExactUniPoly(coeffs)
+
+
+def poly_mul(f, g):
+    """The product of two low-to-high coefficient lists."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+class TestSquareFreeParts:
+    @settings(max_examples=150, deadline=None)
+    @given(factors=st.lists(st.tuples(st.lists(st.integers(-4, 4), min_size=2, max_size=3),
+                                      st.integers(1, 4)), min_size=1, max_size=4),
+           scale=st.integers(-6, 6).filter(bool))
+    def test_parts_rebuild_the_polynomial(self, factors, scale):
+        # a product of random integer factors, repeated: the parts are monic,
+        # square-free and pairwise coprime, and prod a_i^i is p over its
+        # leading coefficient
+        p = [scale]
+        for f, k in factors:
+            assume(f[-1])
+            for _ in range(k):
+                p = poly_mul(p, f)
+        parts = _square_free_parts(p)
+        rebuilt = [1]
+        for i, a in enumerate(parts, 1):
+            assert a[-1] == 1 and _monic_gcd(a, _derivative(a)) == [1]
+            assert all(_monic_gcd(a, b) == [1] for b in parts[i:])
+            for _ in range(i):
+                rebuilt = poly_mul(rebuilt, a)
+        assert [p[-1] * c for c in rebuilt] == p
+
+    def test_multiplicities(self):
+        # u (u + 3)^2 (u - 1)^4: no root of multiplicity 3
+        p = poly_mul(poly_mul([0, 1], poly_mul([3, 1], [3, 1])),
+                     poly_mul(poly_mul([-1, 1], [-1, 1]), poly_mul([-1, 1], [-1, 1])))
+        assert _square_free_parts(p) == [[0, 1], [3, 1], [1], [-1, 1]]
+        assert _square_free_parts([5]) == [] and _square_free_parts([2, 6]) == [[Fraction(1, 3), 1]]
 
 
 class TestEvaluation:

@@ -44,8 +44,10 @@ from relzeros import roots as roots_module
 from relzeros import polycore
 from relzeros.polycore import (MIN_PRECISION, _shifted_cyclotomic, _strip_circle_factors,
                                as_complex_point)
+from relzeros.reference import BRANCH_EXPANSIONS
 from relzeros.roots import (
     MAX_SWEEPS,
+    BranchFitError,
     NonconvergenceError,
     _collapse_hardware,
     _half_angle_circle,
@@ -53,7 +55,7 @@ from relzeros.roots import (
     _locus_sample_floats,
 )
 from refdata import CASE_POLYS, K4_UNIVARIATE
-from util_graphs import (assert_mirrored, conjugate_sample, distance, hexed,
+from util_graphs import (assert_mirrored, conjugate_sample, distance, grid_point, hexed,
                          parallel_bundle_graph, parallel_expand, subdivide)
 
 
@@ -1692,17 +1694,18 @@ def test_random_bipoly_locus_matches_reference(p, swept, lam, n_samples):
     assert_matches_reference(p, swept, lam, n_samples)
 
 
-def direct_sample(work, lam, theta, prec):
-    """trace_locus's sample of work at theta, solved there, and the
+def direct_sample(work, lam, j, n, prec):
+    """trace_locus's sample j of n of work, solved at its own theta, and the
     coefficients it solved, as mpc."""
-    w = _half_angle_circle(lam, theta)
+    w = _half_angle_circle(lam, 2 * math.pi * (j + 1) / (n + 1))
     if prec == MIN_PRECISION:
         coeffs = _collapse_hardware(_hardware_rows(work), w)
         sample = _locus_sample_floats(coeffs, lam, work.degree_a)
         if sample:
             return sample, [mpc(c) for c in coeffs]
     with mp.workprec(prec):
-        coeffs = _collapse_hardware(roots_module._rows(work), mpc(w))
+        w = mpc(w) if prec == MIN_PRECISION else grid_point(lam, j, n)
+        coeffs = _collapse_hardware(roots_module._rows(work), w)
     return roots_module._locus_sample(coeffs, lam, prec, work.degree_a), coeffs
 
 
@@ -1719,7 +1722,7 @@ def test_mirrored_samples_match_a_direct_solve(p, swept, prec, lam, n_samples):
     curve = trace_locus(p, swept, lam, n_samples, prec)
     work = p if swept == "b" else p.transposed()
     for j in range((n_samples + 1) // 2, n_samples):
-        (roots, flags, gap), coeffs = direct_sample(work, lam, curve.theta_samples[j], prec)
+        (roots, flags, gap), coeffs = direct_sample(work, lam, j, n_samples, prec)
         got = (curve.roots[j], curve.violation_flags[j], curve.gaps[j])
         assert (len(got[0]), got[2]) == (len(roots), gap)
         zeros = next((i for i, z in enumerate(roots) if z != 0), len(roots))
@@ -1867,6 +1870,116 @@ class TestBranchEstimation:
         exp = estimate_branch_coefficients(CASE_POLYS["d"], -3.0)
         with pytest.raises(ValueError):
             analytic_disc_margin(exp)
+
+
+def bipoly_product(*factors):
+    """The product of bivariate polynomials given as {(deg_a, deg_b): c} dicts."""
+    out = {(0, 0): 1}
+    for f in factors:
+        prod = {}
+        for (i, j), c in out.items():
+            for (k, m), d in f.items():
+                prod[(i + k, j + m)] = prod.get((i + k, j + m), 0) + c * d
+        out = prod
+    return ExactBiPoly(out)
+
+
+def exact(x):
+    """The finite mpf x as a Fraction (man_exp drops the sign)."""
+    sign, man, e, _ = x._mpf_
+    return (-man if sign else man) * Fraction(2) ** e
+
+
+def assert_near(got, want, scale=1):
+    """got (an mpf) within 2^-100 max(1, |want|) of the Fraction want."""
+    assert abs(exact(got) - want) <= Fraction(1, 2 ** 100) * max(1, abs(want)) * scale, (got, want)
+
+
+class TestTangentCone:
+    """estimate_branch_coefficients against exact answers: the published
+    expansions in closed form, and planted tangent cones."""
+
+    @pytest.mark.parametrize("case, idx, lead, sub", [
+        ("a", 0, lambda: -1, lambda: mpf(5) / 8),
+        ("b", 0, lambda: -1, lambda: mpf(1) / 2),
+        ("c", 0, lambda: -mpf(1) / 3, lambda: mpf(1) / 8),
+        ("c", 1, lambda: -3, lambda: mpf(31) / 8),
+        ("d", 0, lambda: -3, lambda: mpc(0, mp.sqrt(3))),
+        ("e", 0, lambda: -1, lambda: mpf(3) / 4),
+        ("e", 1, lambda: -3 + 2 * mp.sqrt(2), lambda: mpf(9) / 16 * (10 - 7 * mp.sqrt(2))),
+        ("e", 2, lambda: -3 - 2 * mp.sqrt(2), lambda: mpf(9) / 16 * (10 + 7 * mp.sqrt(2))),
+    ], ids=["a-0", "b-0", "c-0", "c-1", "d-0", "e-0", "e-1", "e-2"])
+    def test_published_expansions_are_exact(self, case, idx, lead, sub):
+        hint, kind, _, _ = BRANCH_EXPANSIONS[case][idx]
+        exp = estimate_branch_coefficients(CASE_POLYS[case], hint)
+        assert exp.kind == kind and exp.leading.precision == exp.subleading.precision == 128
+        with mp.workprec(128):
+            for got, want in ((exp.leading, lead()), (exp.subleading, sub())):
+                assert abs(got.to_mpc() - want) <= mpf(2) ** -100, (got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(-12, 12), q=st.integers(1, 6), s=st.integers(-4, 4),
+           n=st.lists(st.integers(-9, 9), min_size=4, max_size=4), high=st.integers(-9, 9))
+    def test_planted_simple_root(self, p, q, s, n, high):
+        # (q a - p b)(a - s b) + N(a, b) + high a^2 b^2, N of degree 3: the
+        # root t = p/q of T(u) = (q u - p)(u - s) starts the analytic branch
+        # a = t b + g2 b^2, g2 = -N(t, 1)/T'(t) = -N(t, 1)/(p - q s)
+        assume(p != q * s)
+        cone = bipoly_product({(1, 0): q, (0, 1): -p}, {(1, 0): 1, (0, 1): -s})
+        terms = {**cone.terms, (2, 2): high, **{(k, 3 - k): c for k, c in enumerate(n)}}
+        exp = estimate_branch_coefficients(ExactBiPoly(terms), p / q)
+        t = Fraction(p, q)
+        assert exp.kind == "analytic" and exp.exponent == 2.0
+        assert exp.leading.im == exp.subleading.im == 0
+        assert_near(exp.leading.re, t)
+        assert_near(exp.subleading.re, -sum(c * t ** k for k, c in enumerate(n)) / (p - q * s))
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(-12, 12), q=st.integers(1, 6), c=st.integers(-20, 20).filter(bool),
+           side=st.sampled_from([-1, 0, 1]))
+    @example(p=1, q=3, c=-1, side=0)  # the float 1/3 lies below t = 1/3
+    def test_planted_double_root(self, p, q, c, side):
+        # (q a - p b)^2 + c b^3: the double root t = p/q of T starts the
+        # half-power branch a = t b + d b^(3/2), d^2 = -2 N(t)/T''(t) = -c/q^2;
+        # d is the square root on the hint's side of t, or where the hint is
+        # t or d is imaginary, the one with the larger (Im d, Re d)
+        hint = p / q + side * 0.05
+        cone = bipoly_product({(1, 0): q, (0, 1): -p}, {(1, 0): q, (0, 1): -p})
+        exp = estimate_branch_coefficients(ExactBiPoly({**cone.terms, (0, 3): c}), hint)
+        assert exp.kind == "half-power" and exp.exponent == 1.5
+        assert exp.leading.im == 0
+        assert_near(exp.leading.re, Fraction(p, q))
+        d = exp.subleading
+        with mp.workprec(256):
+            square = d.to_mpc() ** 2
+        assert_near(square.real, Fraction(-c, q * q), 4)
+        assert_near(square.imag, 0, 4)
+        if c < 0:  # the float hint's own side of t: p / q may round either way
+            assert d.im == 0 and d.re * ((Fraction(hint) - Fraction(p, q)) or 1) > 0
+        else:
+            assert d.re == 0 and d.im > 0
+
+    def test_triple_root_needs_a_further_step(self):
+        # (a + b)^3 - b^4: T = (u + 1)^3
+        p = ExactBiPoly({**bipoly_product(*[{(1, 0): 1, (0, 1): 1}] * 3).terms, (0, 4): -1})
+        with pytest.raises(BranchFitError, match="multiplicity 3: a further Newton-polygon step"):
+            estimate_branch_coefficients(p, -1.0)
+
+    def test_double_root_where_n_vanishes_needs_a_further_step(self):
+        # T = (u + 1)^2 (u - 3)^2 and N = u + 1: N vanishes at the double
+        # root -1 but not at 3, where d^2 = -2 N(3)/T''(3) = -8/32
+        cone = bipoly_product(*[{(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -3}] * 2)
+        p = ExactBiPoly({**cone.terms, (1, 4): 1, (0, 5): 1})
+        with pytest.raises(BranchFitError, match="N vanishes there: a further Newton-polygon"):
+            estimate_branch_coefficients(p, -1.0)
+        exp = estimate_branch_coefficients(p, 3.0)
+        assert exp.kind == "half-power"
+        assert (exp.leading, exp.subleading) == (3, 0.5j)
+
+    def test_non_real_simple_root_raises(self):
+        # T = u^2 + 1: the simple roots +-i start no real analytic branch
+        with pytest.raises(BranchFitError, match="not real"):
+            estimate_branch_coefficients(ExactBiPoly({(2, 0): 1, (0, 2): 1, (0, 3): 1}), 1j)
 
 
 class TestRootBranchConstruction:

@@ -279,6 +279,14 @@ def reference_taylor_shift(coeffs, s):
     return cs
 
 
+def grid_point(lam, j, n):
+    """trace_locus's sweep point above 53 bits: lam (e^(i theta) - 1) at
+    theta = 2 pi (j + 1)/(n + 1) in the half-angle form, both in mpmath at
+    the working precision."""
+    c, s = mp.cos_sin(mp.pi * (j + 1) / (n + 1))
+    return lam * mpc(-2 * s * s, 2 * s * c)
+
+
 def conjugate_sample(sample):
     """The exact conjugate of a locus sample (roots, flags, gap): each root
     conjugated, any zero part +0.0, with its flag; the leading exact zeros
