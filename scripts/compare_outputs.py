@@ -19,13 +19,17 @@ working directory, it runs
 and compares stdout, stderr, exit code and, for locus, the CSV written.
 It prints every difference, and every command that wrote a Python
 traceback in either checkout (a crash both share compares as equal), and
-exits 1 if there is any, 0 otherwise.
+exits 1 if there is any, 0 otherwise.  A locus CSV that differs counts as
+one difference, printed with a summary line: its rows on each side,
+whether the thetas and the flags are identical, how many roots differ and
+the largest relative change of a root, |new - old| / |old|.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,8 +85,9 @@ GRAPHS = {
 # next three (8,192, 4,096 and 5,000 samples) solve the first 4,096, 2,048
 # and 2,500 of them, split across forked workers on a host with two or more
 # CPUs, where the default 2,000 samples solve 1,000 in one chunk (on two CPUs
-# the 5,000-sample worker sends frames of 512, 512 and 226 samples, the
-# others only whole frames); the last two exit 2 and write no CSV
+# the 5,000-sample sweep splits 1,024 against 1,476 at a multiple of 512, and
+# its worker sends frames of 512, 512 and 452 samples, the others only whole
+# frames); the last two exit 2 and write no CSV
 LOCUS = ([[case, "--precision", str(prec)] for case in ("b", "d", "k6") for prec in (53, 80)]
          + [["b", "--sweep", "a", "--precision", "80"],
             ["k6", "--precision", "80", "--samples", "17"],
@@ -130,6 +135,19 @@ def outputs(checkout):
     return out
 
 
+def csv_summary(a, b):
+    """The summary line of two locus CSVs (rows of theta,re,im,violation)."""
+    ra, rb = ([line.split(",") for line in text.splitlines()[1:]] for text in (a, b))
+    same = ["identical" if [r[i] for r in ra] == [r[i] for r in rb] else "differ" for i in (0, 3)]
+    changes = []
+    for x, y in zip(ra, rb):
+        if x[1:3] != y[1:3]:
+            old, new = (complex(float(r[1]), float(r[2])) for r in (x, y))
+            changes.append(abs(new - old) / abs(old) if old else math.inf)
+    return ("  %d rows -> %d rows; thetas %s, flags %s; %d roots differ, largest relative "
+            "change %.2g" % (len(ra), len(rb), *same, len(changes), max(changes, default=0.0)))
+
+
 def differences(key, old, new):
     for field in old.keys() | new.keys():
         a, b = old.get(field), new.get(field)
@@ -150,8 +168,10 @@ def differences(key, old, new):
             j = next((j for j, (x, y) in enumerate(zip(la[i], lb[i])) if x != y),
                      min(len(la[i]), len(lb[i])))
             start = max(0, j - 60)
-            yield ("%s: %s differs at line %d, column %d\n  - %s\n  + %s"
-                   % (key, field, i + 1, j + 1, la[i][start:j + 60], lb[i][start:j + 60]))
+            summary = "\n" + csv_summary(a, b) if field == "csv" else ""
+            yield ("%s: %s differs at line %d, column %d\n  - %s\n  + %s%s"
+                   % (key, field, i + 1, j + 1, la[i][start:j + 60], lb[i][start:j + 60],
+                      summary))
         else:
             yield "%s: %s %r -> %r" % (key, field, a, b)
 

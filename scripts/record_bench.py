@@ -8,8 +8,16 @@ checkout in turn runs
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-where T is the run_seconds of BENCHMARK.json.  Then each checkout in turn
-times ten runs of each of
+where T is the run_seconds of BENCHMARK.json, then, for every seed, each
+checkout in turn runs one traced locus-53 run,
+
+    python3 bench/run.py --workload locus-53 --seed S --seconds 15 --trace 1
+
+whose per-layer metrics (key "traced_locus_53") time the 53-bit locus
+layers, TRACED_LAYERS: the seven sweeps of a pass
+(roots.trace_locus.busy_s) and its four endpoint scans
+(roots.region_endpoint_angle.busy_s), in the mean traced pass of the run.
+Then each checkout in turn times ten runs of each of
 
     python3 -m relzeros reproduce --suite all --json     (key "reproduce")
     python3 -m relzeros roots k6:20:20                   (key "roots_k6_20_20")
@@ -79,7 +87,9 @@ median per graph, under "split" every round's two best seconds with
 their medians and the median of each round's gain, under "mp_members"
 every round's best seconds per member with their median per member,
 and under "tier1"
-the suite's wall seconds, pytest's summary line and its exit code.  A timed command's peak RSS is the
+the suite's wall seconds, pytest's summary line and its exit code, and under
+"traced_locus_53" every traced run's metrics, with the median of each of
+TRACED_LAYERS.  A timed command's peak RSS is the
 ru_maxrss that wait4 returns: that of the largest process in its tree,
 since the kernel folds the reaped descendants of a process (a locus
 sweep's forked workers) into it as a maximum, not a sum.
@@ -89,7 +99,8 @@ and the ratio of each of its runs to the first label's run of the same
 seed (per workload and end-to-end metric of BENCHMARK.json) or of the
 same round (per timed command, of the wall seconds; per enumerated
 graph, per split timing and per member, of the best seconds; per workload also of
-raw_pass_wall_s), with their median and the pairs won: the ratios below 1 for a metric whose better direction
+raw_pass_wall_s; per traced layer, of its seconds in the run of the same
+seed), with their median and the pairs won: the ratios below 1 for a metric whose better direction
 is "lower" (so, for a timed command, the rounds it ran faster), above 1
 for "higher"; ties count for neither.  Each pair ran back to back, so
 its ratio is what the alternating order is for; on a host whose speed
@@ -175,6 +186,8 @@ for spec in sys.argv[1:]:
     best[spec] = min(times)
 print(json.dumps(best))
 """ % MP_REPEATS
+TRACED_WORKLOAD, TRACED_SECONDS = "locus-53", 15
+TRACED_LAYERS = ("roots.trace_locus.busy_s", "roots.region_endpoint_angle.busy_s")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
             "__pycache__": "removed under src/ and bench/ before the first run"}
@@ -219,28 +232,33 @@ def describe(checkout, seeds, seconds):
         "enumeration": {"graphs": ENUM_GRAPHS, "repeats": ENUM_REPEATS, "runs": []},
         "split": {"sweeps": SPLIT_SWEEPS, "repeats": SPLIT_REPEATS, "runs": []},
         "mp_members": {"members": MP_MEMBERS, "repeats": MP_REPEATS, "runs": []},
+        "traced_locus_53": {"command": "python3 bench/run.py --workload %s --seed S --seconds "
+                                       "%d --trace 1" % (TRACED_WORKLOAD, TRACED_SECONDS),
+                            "layers": TRACED_LAYERS, "runs": []},
     }
 
 
-def run_bench(checkout, workload, seed, seconds):
-    """One untraced benchmark run: its end-to-end metrics and checks."""
+def run_bench(checkout, workload, seed, seconds, trace=0):
+    """One benchmark run, untraced unless trace is 1: its metrics and checks."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, env=ENV, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
         raise RuntimeError("bench/run.py failed in %s (exit %d): %s"
                            % (checkout, proc.returncode, proc.stderr[-2000:]))
     info, result = json.loads(lines[-2]), json.loads(lines[-1])
-    return {
+    run = {
         "seed": seed,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        "clock": {"probe_median_s": info["probe_median_s"],
-                  "raw_pass_wall_s": statistics.median(info["raw_pass_walls"])},
     }
+    if not trace:  # a traced run's line before last names its trace file, not its clock
+        run["clock"] = {"probe_median_s": info["probe_median_s"],
+                        "raw_pass_wall_s": statistics.median(info["raw_pass_walls"])}
+    return run
 
 
 def run_timed(checkout, args, workdir):
@@ -344,6 +362,10 @@ def versus_first(side, first, first_label, better):
     pairs = list(zip(side["mp_members"]["runs"], first["mp_members"]["runs"]))
     out["mp_members"] = {name: paired([r[name] / f[name] for r, f in pairs], "lower")
                          for name in MP_MEMBERS}
+    pairs = list(zip(side["traced_locus_53"]["runs"], first["traced_locus_53"]["runs"]))
+    out["traced_locus_53"] = {name: paired([r["metrics"][name] / f["metrics"][name]
+                                            for r, f in pairs], "lower")
+                              for name in TRACED_LAYERS}
     return out
 
 
@@ -373,6 +395,13 @@ def main(argv=None):
                 run = run_bench(checkout, workload, seed, seconds)
                 record[label]["runs"].setdefault(workload, []).append(run)
                 print("%s %s seed %d: %s" % (label, workload, seed, json.dumps(run)), flush=True)
+    for i, seed in enumerate(args.seeds):
+        for label, checkout in turns(sides, i):
+            run = run_bench(checkout, TRACED_WORKLOAD, seed, TRACED_SECONDS, trace=1)
+            record[label]["traced_locus_53"]["runs"].append(run)
+            print("%s traced %s seed %d: %s" % (label, TRACED_WORKLOAD, seed,
+                                                json.dumps({k: run["metrics"][k]
+                                                            for k in TRACED_LAYERS})), flush=True)
     from compare_outputs import GRAPHS  # scripts/ is on sys.path when this runs as a script
 
     with tempfile.TemporaryDirectory() as workdir:
@@ -421,6 +450,9 @@ def main(argv=None):
         members = side["mp_members"]
         members["median_best_s"] = {name: statistics.median(r[name] for r in members["runs"])
                                     for name in MP_MEMBERS}
+        traced = side["traced_locus_53"]
+        traced["median"] = {name: statistics.median(r["metrics"][name] for r in traced["runs"])
+                            for name in TRACED_LAYERS}
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     (first_label, _), *others = sides
     for label, _ in others:

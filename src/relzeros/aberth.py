@@ -10,13 +10,16 @@ the evaluation itself, at which point further sweeps cannot improve it,
 or once its correction is below 2^-(prec-10)*(1+|z|).
 
 The float loop's arithmetic is fixed operation for operation: its roots
-are printed to the last bit (locus CSVs, 53-bit roots) and seed the
-fixed-point loop, some of whose roots stop at their float start, so any
-change of rounding moves outputs; tests/test_aberth_hardware.py holds it
-to an earlier form bit for bit.  Only the bookkeeping around it may
+are printed to the last bit (53-bit roots, cold locus samples) and seed
+the fixed-point loop, some of whose roots stop at their float start, so
+any change of rounding moves outputs; tests/test_aberth_hardware.py holds
+it to an earlier form bit for bit.  Only the bookkeeping around it may
 change.  A locus sweep calls it tens of thousands of times at degree 1-6,
 so it stays one flat function: a Python call per root or per sweep shows.
 Unit start points are built once per degree; each z_k is a fresh object.
+Given start points (a locus sample's: the roots of the sample before), it
+starts from copies of them; the roots of such a warm solve agree with a
+cold solve's to the solve's error, not to the last bit.
 
 The fixed-point loop runs on Python integers: coefficients are exact
 Gaussian integers, roots are integer pairs at a scale of 2^F, fine enough
@@ -81,11 +84,14 @@ def _start_circle(n):  # the unit start points, the noise factor and 1/n
     return units, (2 * n + 2) * 2.0 ** -MIN_PRECISION, 1.0 / n
 
 
-def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS):
+def _aberth_hardware(cs, max_sweeps=MAX_SWEEPS, starts=None):
     n = len(cs) - 1
     units, noise, inv_n = _start_circle(n)
-    r = abs(cs[0] / cs[-1]) ** inv_n
-    z = [r * u for u in units]  # fresh objects, never the cached units
+    if starts is None:
+        r = abs(cs[0] / cs[-1]) ** inv_n
+        z = [r * u for u in units]  # fresh objects, never the cached units
+    else:  # the n given points, each copied to an object of its own
+        z = [complex(s.real, s.imag) for s in starts]
     top, top_mag = cs[-1], abs(cs[-1])
     rest = [(c, abs(c)) for c in reversed(cs[:-1])]
     mods = [abs(zk) for zk in z]  # |z_k|, taken where z_k is set

@@ -1,11 +1,10 @@
 """A map over contiguous chunks, each after the first solved in a forked worker.
 
-A worker solves its whole chunk before it writes, so it never waits on the
-pipe while it computes.  Then it sends its results in frames of MIN_CHUNK
-(the last one may be shorter), each a 4-byte little-endian length and one
-marshal.dumps, which keeps complex, float and bool exact.  The caller reads
-each frame whole and unmarshals it in C, so it holds one frame's bytes at
-a time, never the whole payload."""
+Chunks start at the multiples of MIN_CHUNK nearest an even split, where a
+chained fn restarts.  A worker solves its whole chunk before it writes, so
+it never waits on the pipe while it computes, then sends frames of
+MIN_CHUNK results (the last may be shorter): a 4-byte little-endian length
+and a marshal.dumps (exact for complex, float and bool), read one by one."""
 
 import marshal
 import os
@@ -13,15 +12,14 @@ import signal
 import threading
 from contextlib import suppress
 
-# A split's fixed cost is about 3 ms: a no-op split of 1,024 items took 2.5-3.7 ms
-# (medians of 30) in a 28 MB process holding six 4,096-sample curves, on 2 CPUs,
-# where a 53-bit chunk of 512 samples takes 5-19 ms on one CPU (49-60 ms for
-# k6), so a second chunk of this size saves half of that, 3-9 ms or more.
+# A split's fixed cost is about 3 ms (a no-op split of 1,024 items: 2.5-3.7 ms, medians
+# of 30, in a 28 MB process with six 4,096-sample curves, on 2 CPUs); a 53-bit chunk of
+# 512 samples took 5-19 ms on one CPU (k6 49-60 ms), so a second one saves 3-9 ms or more.
 MIN_CHUNK = 512
 
 
 def chunk_count(cpus, n):
-    """At most one chunk per CPU, each of at least MIN_CHUNK of the n items."""
+    """At most one chunk per CPU and one per MIN_CHUNK of the n items."""
     return max(1, min(cpus, n // MIN_CHUNK))
 
 
@@ -41,14 +39,16 @@ def _read_part(f, n):
 
 
 def forkmap(fn, items):
-    """[fn(x) for x in items], bit for bit.  The caller solves the first chunk,
-    then any whose worker failed, died, exited nonzero or sent other than its
-    frames, so exceptions keep the loop's order; and all where os.fork is
-    missing or raises OSError, or beside other threads.  Workers are reaped,
-    and killed first on an error."""
+    """[fn(x) for x in items], bit for bit where fn(x) depends on x and the
+    items before it back to a multiple of MIN_CHUNK.  The caller solves the
+    first chunk, then any whose worker failed, died, exited nonzero or sent
+    other than its frames, so exceptions keep the loop's order; and all where
+    os.fork is missing or raises OSError, or beside other threads.  Workers
+    are reaped, and killed first on an error."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = chunk_count(cpus, len(items)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
-    chunks = [items[len(items) * i // k:len(items) * (i + 1) // k] for i in range(k)]
+    cut = [(2 * len(items) * i // k + MIN_CHUNK) // (2 * MIN_CHUNK) * MIN_CHUNK for i in range(k)]
+    chunks = [items[a:b] for a, b in zip(cut, cut[1:] + [len(items)])]
     workers = {}  # chunk index -> (pid, read end of its pipe)
     try:
         for i in range(1, k):

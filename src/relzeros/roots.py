@@ -28,16 +28,19 @@ An ambiguous disc verdict climbs one ladder, _climb, for the CLI and
 bc_lambda_holds_univariate alike.  One Horner pass over integer rows
 collapses a bivariate polynomial at a point: in floats for 53-bit locus
 sweeps, with an mpmath tie-break where a float |.| lands within a few ulps
-of a trim or disc threshold, so they match find_roots at 53 bits; above,
-in mpmath at a point computed at the sweep's precision, where a sample runs
-only _iterate, the Aberth stages of find_roots, and computes no radius.  A
-sweep solves the first half of its grid, on all the process's CPUs where
-that half is large enough, and builds the rest as its exact conjugate.
+of a trim or disc threshold, so a cold sample matches find_roots at 53
+bits, and each point but every MIN_CHUNK-th starts from the float roots of
+the point before (_chain_map); above, in mpmath at a point computed at the
+sweep's precision, where a sample runs only _iterate, the Aberth stages of
+find_roots, and computes no radius.  A sweep solves the first half of its
+grid, on all the process's CPUs where that half is large enough, and
+builds the rest as its exact conjugate.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import islice
@@ -456,18 +459,28 @@ def _trim(mags, prec):
     return hi, tie or (hi >= 0 and mags[hi] <= thresh + band)
 
 
-def _solve_hardware(coeffs, mags):
+def _solve_hardware(coeffs, mags, chain=None):
     """Trim, deflate and solve float coefficients at 53 bits, given their
-    float |c|: (top kept index, zero multiplicity, unsorted roots, converged)."""
+    float |c|: (top kept index, zero multiplicity, unsorted roots, converged).
+    With a chain (_chain_map) it starts from chain[0] where that holds as
+    many roots as it finds, and redoes a warm solve that does not converge
+    cold; chain[0] becomes a copy of the roots if they converged, else None."""
     hi, tie = _trim(mags, MIN_PRECISION)
     if tie:
         with mp.workprec(MIN_PRECISION):
             hi, _ = _trim([float(abs(mpc(c))) for c in coeffs], MIN_PRECISION)
     cs = coeffs[: hi + 1]
     zero_mult = _deflate(cs)
-    if len(cs) < 2:
-        return hi, zero_mult, [], True
-    return (hi, zero_mult, *_aberth_hardware(cs))
+    roots, ok = [], len(cs) < 2
+    starts = chain and chain[0]
+    if starts and len(starts) == len(cs) - 1:
+        with suppress(OverflowError):
+            roots, ok = _aberth_hardware(cs, starts=starts)
+    if not ok:
+        roots, ok = _aberth_hardware(cs)
+    if chain:
+        chain[0] = roots[:] if ok else None
+    return hi, zero_mult, roots, ok
 
 
 class LocusCurve(NamedTuple):
@@ -528,12 +541,15 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     conjugate of sample j (_mirror), where a solve at its own theta would
     differ in the trailing digits.  At 53 bits a sample is solved in hardware
     floats at the float theta, with an mpmath tie-break at the trim and flag
-    thresholds: the same samples as find_roots.  Above 53 bits theta and w
-    are computed in mpmath at the sweep's precision, so a coefficient that
-    vanishes at the true point is trimmed, not left as a float w's noise.
-    Solved samples run in contiguous chunks of at least forkmap.MIN_CHUNK, at
-    most one per CPU, all but the first in forked workers (relzeros.forkmap),
-    bit for bit the one-chunk loop.
+    thresholds, from sample j-1's raw float roots (the kernel's unsorted
+    output) where j is not a multiple of forkmap.MIN_CHUNK, j-1 converged in
+    floats and both have as many roots to solve; else, or where that warm
+    solve does not converge, cold: find_roots' sample to the last bit.  Above
+    53 bits theta and w are computed in mpmath at the sweep's precision, so a
+    coefficient that vanishes at the true point is trimmed, not left as a
+    float w's noise.  Solved samples run in contiguous chunks cut at those
+    restart points, at most one per CPU, all but the first in forked workers
+    (relzeros.forkmap): a curve depends on (p, swept, lam, n_samples) alone.
     """
     lam = _check_locus_args(p, swept, lam, n_samples, precision_bits)
     work = p if swept == "b" else p.transposed()
@@ -541,10 +557,12 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
     rows = _hardware_rows(work) if precision_bits == MIN_PRECISION else None
     exact_rows = _rows(work)
 
-    def solve(j):
+    def solve(j, chain):
         w = _half_angle_circle(lam, thetas[j])
-        sample = rows and _locus_sample_floats(_collapse_hardware(rows, w), lam, generic_degree)
+        sample = rows and _locus_sample_floats(_collapse_hardware(rows, w), lam, generic_degree,
+                                               chain)
         if not sample:  # a float collapse that leaves the float range is redone in mpmath
+            chain[0] = None
             with mp.workprec(precision_bits):
                 if precision_bits > MIN_PRECISION:  # theta and w at the sweep's precision
                     c, s = mp.cos_sin(mp.pi * (j + 1) / (n_samples + 1))
@@ -553,14 +571,28 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
             sample = _locus_sample(cps, lam, precision_bits, generic_degree)
         return sample
 
-    from .forkmap import forkmap  # here, so that only a sweep or a scan compiles it
-
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range(n_samples)]
-    solved = forkmap(solve, range((n_samples + 1) // 2))
+    solved = _chain_map(solve, (n_samples + 1) // 2)
     # sample n-1-j mirrors sample j: the solved half reversed, less an odd grid's middle
     mirrored = map(_mirror, islice(reversed(solved), n_samples % 2, None))
     roots, flags, gaps = map(list, zip(*solved, *mirrored))
     return LocusCurve(lam, thetas, roots, flags, gaps)
+
+
+def _chain_map(fn, n):
+    """[fn(j, chain) for j in range(n)] on forkmap, which calls fn in order
+    from each multiple of MIN_CHUNK: chain[0] holds the raw float roots that
+    point j-1 left (_solve_hardware), or None at a multiple of MIN_CHUNK."""
+    from .forkmap import MIN_CHUNK, forkmap  # here, so that only a sweep or a scan compiles it
+
+    chain = [None]
+
+    def step(j):
+        if not j % MIN_CHUNK:
+            chain[0] = None
+        return fn(j, chain)
+
+    return forkmap(step, range(n))
 
 
 def _mirror(sample):
@@ -582,14 +614,14 @@ def _mirror(sample):
             flags[:z] + [flags[i] for _, i in keyed], gap)
 
 
-def _locus_sample_floats(coeffs, lam, generic_degree):
+def _locus_sample_floats(coeffs, lam, generic_degree, chain=None):
     """_locus_sample at 53 bits in floats (_iterate only converts the float
-    roots there); None on a non-finite coefficient or root, or on a modulus
-    that overflows a float."""
+    roots there), warm from chain as in _solve_hardware; None on a non-finite
+    coefficient or root, or on a modulus that overflows a float."""
     try:
         if not math.isfinite(sum(mags := list(map(abs, coeffs)))):
             return None
-        hi, zero_mult, roots, ok = _solve_hardware(coeffs, mags)
+        hi, zero_mult, roots, ok = _solve_hardware(coeffs, mags, chain)
         roots.sort(key=_real_imag)
         dists = [abs(lam + z) for z in roots]
     except OverflowError:
@@ -642,11 +674,12 @@ def region_endpoint_angle(p, plane):
 
     Sweeps the plane's own variable along the unit circle at _ENDPOINT_SCAN
     points of theta in (0, pi), solved in 53-bit floats on all the process's
-    CPUs (relzeros.forkmap, bit for bit the loop's), and bisects the
-    sign change of min over the other variable's nonzero roots of
-    |1 + root| - 1.  At the crossing both variables sit on their circles,
-    so the swept angle is the endpoint angle.  Analytic cases show no sign
-    change and raise NoViolationRegionError.
+    CPUs, each warm from the point before as in trace_locus (_chain_map),
+    and bisects, with a cold solve at each midpoint, the sign change of min
+    over the other variable's nonzero roots of |1 + root| - 1.  At the
+    crossing both variables sit on their circles, so the swept angle is the
+    endpoint angle.  Analytic cases show no sign change and raise
+    NoViolationRegionError.
     """
     if not isinstance(p, ExactBiPoly):
         raise TypeError("expected ExactBiPoly")
@@ -658,18 +691,16 @@ def region_endpoint_angle(p, plane):
     if rows is None:
         raise ValueError(overflow)
 
-    def indicator(theta):
+    def indicator(theta, chain=None):
         coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
         try:
-            roots = _solve_hardware(coeffs, list(map(abs, coeffs)))[2]
+            roots = _solve_hardware(coeffs, list(map(abs, coeffs)), chain)[2]
             return min(abs(1 + r) for r in roots) - 1.0 if roots else math.inf
         except OverflowError:  # a finite complex whose modulus is not
             raise ValueError(overflow) from None
 
-    from .forkmap import forkmap
-
     thetas = [math.pi * (j + 1) / (_ENDPOINT_SCAN + 1) for j in range(_ENDPOINT_SCAN)]
-    values = forkmap(indicator, thetas)
+    values = _chain_map(lambda j, chain: indicator(thetas[j], chain), _ENDPOINT_SCAN)
     crossing = None
     for i in range(_ENDPOINT_SCAN - 1):
         if values[i] < 0 <= values[i + 1]:

@@ -137,3 +137,27 @@ def test_warm_start_inputs_match_reference(families, monkeypatch, member, max_sw
     got = bits(_aberth_hardware(cs, max_sweeps))
     assert got == bits(reference_aberth_hardware(cs, max_sweeps))
     assert got[1] == (max_sweeps == MAX_SWEEPS)
+
+
+@pytest.mark.parametrize("cs", [
+    # (v - 1)(v - 2)(v - 3)(v - 4)
+    [24 + 0j, -50 + 0j, 35 + 0j, -10 + 0j, 1 + 0j],
+    # (v - 1)^2 (v + 2)^2
+    [4 + 0j, -4 + 0j, -3 + 0j, 2 + 0j, 1 + 0j],
+    [1 - 2j, 0.5 + 0j, -3 + 1j, 2 + 0j],
+])
+@pytest.mark.parametrize("start", [complex("nan"), 1e300 + 0j], ids=["nan", "huge"])
+def test_warm_start_that_does_not_converge_gives_the_cold_bits(cs, start):
+    # nan starts never converge, and huge ones overflow, raising where the
+    # Horner bound is inf; the chained solve of a locus sample then solves
+    # cold, and hands the cold roots on as the next sample's starts
+    starts = [start] * (len(cs) - 1)
+    try:
+        assert not _aberth_hardware(cs, starts=starts)[1]
+    except OverflowError:
+        assert start == 1e300
+    chain = [starts]
+    hi, zero_mult, got, ok = roots._solve_hardware(cs, [abs(c) for c in cs], chain)
+    assert (hi, zero_mult) == (len(cs) - 1, 0)
+    assert bits((got, ok)) == bits(reference_aberth_hardware(cs)) and ok
+    assert chain[0] == got and chain[0] is not got

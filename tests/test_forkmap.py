@@ -1,13 +1,16 @@
-"""trace_locus split across forked workers gives the in-process loop's curve.
+"""trace_locus split across forked workers gives the one-chunk curve.
 
 Every test here sees two CPUs, whatever the host has, so a sweep whose
 solved first half has 2 * MIN_CHUNK samples or more (a grid of
 4 * MIN_CHUNK - 1 or more) runs that half as two chunks: the caller's and one
-worker's.  The loop solves the same half, and the rest of its curve is the
-exact conjugate, built by the tests' own oracle.
+worker's.  At 53 bits each sample starts from the roots of the sample
+before it, and the chain restarts cold at every multiple of MIN_CHUNK,
+where forkmap cuts; so the split curve is the one trace_locus gives on one
+CPU, in one chunk, which is the chained loop of the tests' own oracle.
 """
 
 import io
+import itertools
 import marshal
 import math
 import os
@@ -57,19 +60,37 @@ def assert_no_child_left():
 
 def in_process_loop(p, swept, lam, n, prec=53):
     """trace_locus's samples: its solved first half solved one by one in this
-    process, the rest the exact conjugates of their partners."""
+    process, at 53 bits each warm from the raw roots the sample before left
+    in chain but at a multiple of MIN_CHUNK, the rest the exact conjugates
+    of their partners."""
     work = p if swept == "b" else p.transposed()
     rows, exact_rows = _hardware_rows(work), _rows(work)
     out = []
     for j in range((n + 1) // 2):
         if prec == 53:
+            chain = chain if j % MIN_CHUNK else [None]
             w = _half_angle_circle(lam, 2 * math.pi * (j + 1) / (n + 1))
-            out.append(_locus_sample_floats(_collapse_hardware(rows, w), lam, work.degree_a))
+            out.append(_locus_sample_floats(_collapse_hardware(rows, w), lam, work.degree_a,
+                                            chain))
         else:
             with mp.workprec(prec):
                 cps = _collapse_hardware(exact_rows, grid_point(lam, j, n))
             out.append(_locus_sample(cps, lam, prec, work.degree_a))
     return mirrored_locus(out, n)
+
+
+def one_cpu(p, swept, lam, n, prec=53):
+    """trace_locus's samples on one CPU: its solved half in one chunk, in this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return hexed(curve_samples(trace_locus(p, swept, lam, n, prec)))
+
+
+def one_cpu_angle(p, plane):
+    """region_endpoint_angle on one CPU: its scan in one chunk, in this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return region_endpoint_angle(p, plane)
 
 
 def raising_at(monkeypatch, index, n=N):
@@ -117,6 +138,40 @@ def test_chunk_count_rule(cpus, n, k):
     assert chunk_count(cpus, n) == k
 
 
+@pytest.mark.parametrize("cpus, n, sizes", [
+    (2, 1024, [512, 512]), (2, 1535, [512, 1023]), (2, 2500, [1024, 1476]),
+    (3, 2500, [1024, 512, 964]), (4, 4096, [1024] * 4), (3, 2000, [512, 1024, 464])])
+def test_chunks_are_cut_at_the_multiples_of_min_chunk_nearest_an_even_split(
+        forks, monkeypatch, cpus, n, sizes):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pids = forkmap.forkmap(lambda x: os.getpid(), list(range(n)))
+    runs = [len(list(group)) for _, group in itertools.groupby(pids)]
+    assert runs == sizes and len(forks) == cpus - 1
+    assert_no_child_left()
+
+
+def test_one_chunk_is_the_chained_loop(forks):
+    # on one CPU the solved half is one chunk: sample 0 and sample MIN_CHUNK
+    # cold, every other warm from the sample before
+    p = family_bipoly("k6")
+    assert one_cpu(p, "a", 1.0, 2 * MIN_CHUNK + 1) == \
+        hexed(in_process_loop(p, "a", 1.0, 2 * MIN_CHUNK + 1))
+    assert forks == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_curve_and_angle_do_not_depend_on_the_cpu_count(forks, monkeypatch, cpus):
+    # c over 5,000 samples solves 2,500: one chunk; 1,024 and 1,476; or
+    # 1,024, 512 and 964.  The 1,024-point scan is one chunk or two
+    p = family_bipoly("c")
+    want = one_cpu(p, "b", 1.0, 5000), one_cpu_angle(family_bipoly("b"), "a")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    curve = hexed(curve_samples(trace_locus(p, "b", 1.0, 5000)))
+    assert (curve, region_endpoint_angle(family_bipoly("b"), "a")) == want
+    assert len(forks) == {1: 0, 2: 2, 3: 3}[cpus]  # the scan forks one worker on 2 or 3
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("lam", [1.0, 0.1])
 @pytest.mark.parametrize("swept", ["a", "b"])
 @pytest.mark.parametrize("case", ["a", "b", "c", "d", "e", "k6"])
@@ -124,7 +179,7 @@ def test_split_sweep_matches_the_loop_bit_for_bit(forks, case, swept, lam):
     p = family_bipoly(case)
     curve = trace_locus(p, swept, lam, N)
     assert len(forks) == 1
-    assert hexed(curve_samples(curve)) == hexed(in_process_loop(p, swept, lam, N))
+    assert hexed(curve_samples(curve)) == one_cpu(p, swept, lam, N)
     assert_no_child_left()
 
 
@@ -132,6 +187,7 @@ def test_split_sweep_above_53_bits_matches_the_loop(forks):
     p = family_bipoly("b")
     curve = trace_locus(p, "b", 0.1, N, 80)
     assert len(forks) == 1 and curve.violation_count() > 0
+    assert hexed(curve_samples(curve)) == one_cpu(p, "b", 0.1, N, 80)
     assert hexed(curve_samples(curve)) == hexed(in_process_loop(p, "b", 0.1, N, 80))
     assert_no_child_left()
 
@@ -148,18 +204,18 @@ def test_odd_grid_splits_its_solved_half(forks):
     p = family_bipoly("k6")
     curve = trace_locus(p, "a", 1.0, N - 1)
     assert len(forks) == 1
-    assert hexed(curve_samples(curve)) == hexed(in_process_loop(p, "a", 1.0, N - 1))
+    assert hexed(curve_samples(curve)) == one_cpu(p, "a", 1.0, N - 1)
     assert_no_child_left()
+
+
+def raise_os_error():
+    raise OSError("fork failed")
 
 
 def test_fork_that_fails_gives_the_same_curve(monkeypatch):
     p = family_bipoly("d")
-    want = hexed(in_process_loop(p, "b", 0.1, N))
-
-    def failing_fork():
-        raise OSError("fork failed")
-
-    monkeypatch.setattr(os, "fork", failing_fork)
+    want = one_cpu(p, "b", 0.1, N)
+    monkeypatch.setattr(os, "fork", raise_os_error)
     assert hexed(curve_samples(trace_locus(p, "b", 0.1, N))) == want
     assert_no_child_left()
 
@@ -174,7 +230,7 @@ def test_other_threads_keep_the_sweep_in_process(forks):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive() and forks == []
-    assert hexed(curve_samples(curve)) == hexed(in_process_loop(family_bipoly("d"), "b", 1.0, N))
+    assert hexed(curve_samples(curve)) == one_cpu(family_bipoly("d"), "b", 1.0, N)
 
 
 @pytest.mark.parametrize("index", [N // 2 - 3, 5])  # the worker's chunk, then the caller's
@@ -222,7 +278,7 @@ def test_first_exception_of_the_grid_wins(forks, monkeypatch):
 @pytest.mark.parametrize("fail", [raise_here, die], ids=["raises", "killed"])
 def test_worker_that_fails_or_dies_is_solved_again(forks, monkeypatch, fail):
     p = family_bipoly("b")
-    want = hexed(in_process_loop(p, "b", 1.0, N))
+    want = one_cpu(p, "b", 1.0, N)
     monkeypatch.setattr(roots_module, "_half_angle_circle", in_worker(fail))
     assert hexed(curve_samples(trace_locus(p, "b", 1.0, N))) == want
     assert len(forks) == 1
@@ -283,16 +339,16 @@ def wrong_last_sample(stream):
 
 @pytest.fixture(scope="module")
 def odd_sweep():
-    """Case b at lam 1 over 5,000 samples, solved in one loop: on two CPUs the
-    worker's 1,250 of the 2,500 solved samples go in frames of 512, 512 and 226."""
-    return 5000, hexed(in_process_loop(family_bipoly("b"), "b", 1.0, 5000))
+    """Case b at lam 1 over 5,000 samples, solved on one CPU: on two CPUs the
+    worker's 1,476 of the 2,500 solved samples go in frames of 512, 512 and 452."""
+    return 5000, one_cpu(family_bipoly("b"), "b", 1.0, 5000)
 
 
 @pytest.mark.parametrize("keep", [0, 2, 1000])
 def test_short_payload_is_solved_again(forks, monkeypatch, keep):
     # the worker sends only the first `keep` bytes of its one frame, then exits 0
     p = family_bipoly("b")
-    want = hexed(in_process_loop(p, "b", 1.0, N))
+    want = one_cpu(p, "b", 1.0, N)
     worker_sends(monkeypatch, lambda stream: stream[:keep])
     solved = in_caller(monkeypatch)
     assert hexed(curve_samples(trace_locus(p, "b", 1.0, N))) == want
@@ -304,7 +360,7 @@ def test_payload_of_a_worker_that_exits_nonzero_is_dropped(forks, monkeypatch):
     # every frame arrives, the last with a wrong last sample, from a worker
     # that exits with status 3: the caller solves its chunk again
     p = family_bipoly("b")
-    want = hexed(in_process_loop(p, "b", 1.0, N))
+    want = one_cpu(p, "b", 1.0, N)
     exit_ = os._exit
     worker_sends(monkeypatch, wrong_last_sample)
     monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
@@ -355,14 +411,14 @@ def test_stream_other_than_the_frames_is_solved_again(forks, monkeypatch, odd_sw
 
 def test_partial_last_frame_is_taken(forks, monkeypatch, odd_sweep):
     # the worker checks its own frames; had they been other than 512, 512
-    # and 226 results, it would send nothing, and the caller would solve them
+    # and 452 results, it would send nothing, and the caller would solve them
     n, want = odd_sweep
-    sizes = [MIN_CHUNK, MIN_CHUNK, n // 4 - 2 * MIN_CHUNK]
+    sizes = [MIN_CHUNK, MIN_CHUNK, n // 2 - 4 * MIN_CHUNK]
     worker_sends(monkeypatch, lambda s: s if [len(marshal.loads(f[4:])) for f in frames(s)]
                  == sizes else b"")
     solved = in_caller(monkeypatch)
     assert hexed(curve_samples(trace_locus(family_bipoly("b"), "b", 1.0, n))) == want
-    assert len(forks) == 1 and len(solved) == n // 4
+    assert len(forks) == 1 and len(solved) == 2 * MIN_CHUNK
     assert_no_child_left()
 
 
@@ -375,6 +431,21 @@ def test_split_endpoint_scan_matches_the_loop(forks, monkeypatch, case, plane):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert region_endpoint_angle(family_bipoly(case), plane) == split
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("fail", ["fork", raise_here, die], ids=["no fork", "raises", "killed"])
+def test_endpoint_scan_solved_again_in_the_caller_is_the_same(forks, monkeypatch, fail):
+    # os.fork fails, or the worker fails or dies: the caller solves the
+    # worker's 512 points itself, from its first point on, cold
+    want = one_cpu_angle(family_bipoly("d"), "b")
+    if fail == "fork":
+        monkeypatch.setattr(os, "fork", raise_os_error)
+    else:
+        monkeypatch.setattr(roots_module, "_half_angle_circle", in_worker(fail))
+    solved = in_caller(monkeypatch)
+    assert region_endpoint_angle(family_bipoly("d"), "b") == want
+    assert len(solved) >= 1024 and len(forks) == (fail != "fork")
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("points", [[700], [100, 700]])

@@ -44,6 +44,7 @@ from relzeros import roots as roots_module
 from relzeros import polycore
 from relzeros.polycore import (MIN_PRECISION, _shifted_cyclotomic, _strip_circle_factors,
                                as_complex_point)
+from relzeros.forkmap import MIN_CHUNK
 from relzeros.reference import BRANCH_EXPANSIONS
 from relzeros.roots import (
     MAX_SWEEPS,
@@ -1578,13 +1579,17 @@ def reference_locus_sample(coeffs, lam, generic_degree):
 
 
 def reference_locus(p, swept, lam, n_samples):
-    """The reference samples of the solved first half of an n_samples grid."""
+    """The reference samples of the solved first half of an n_samples grid,
+    each with the float coefficients it solved, as mpc."""
     work = p if swept == "b" else p.transposed()
     rows = _hardware_rows(work)
     thetas = [2 * math.pi * (j + 1) / (n_samples + 1) for j in range((n_samples + 1) // 2)]
-    return [reference_locus_sample(_collapse_hardware(rows, _half_angle_circle(lam, t)),
-                                   lam, work.degree_a)
-            for t in thetas]
+    out = []
+    for t in thetas:
+        coeffs = _collapse_hardware(rows, _half_angle_circle(lam, t))
+        out.append((reference_locus_sample(coeffs, lam, work.degree_a),
+                    [mpc(c) for c in coeffs]))
+    return out
 
 
 def assert_same_sample(got, want):
@@ -1597,14 +1602,22 @@ def assert_same_sample(got, want):
 
 
 def assert_matches_reference(p, swept, lam, n_samples):
-    """The solved first half of the curve is the reference's, bit for bit, and
-    the rest is its exact conjugate, to the sign of every zero part."""
+    """In the solved first half of the curve a sample at a restart point,
+    j a multiple of MIN_CHUNK, is the reference's bit for bit, and every
+    other, warm from the sample before, matches it within the error radii
+    (assert_within_radii); the rest is its exact conjugate, to the sign of
+    every zero part."""
     curve = trace_locus(p, swept, lam, n_samples)
     want = reference_locus(p, swept, float(lam), n_samples)
     samples = list(zip(curve.roots, curve.violation_flags, curve.gaps))
     assert len(want) == (n_samples + 1) // 2 and len(samples) == n_samples
-    for got, ref in zip(samples, want):
-        assert_same_sample(got, ref)
+    for j, (got, (ref, coeffs)) in enumerate(zip(samples, want)):
+        if j % MIN_CHUNK == 0:
+            assert_same_sample(got, ref)
+        else:
+            points, flags, gap = ref
+            assert_within_radii(j, got, ([complex(z) for z in points], flags, gap), coeffs,
+                                lam, MIN_PRECISION)
     assert_mirrored(curve)
 
 
@@ -1614,6 +1627,12 @@ class TestLocusHardwarePath:
     @pytest.mark.parametrize("case", ["a", "b", "c", "d", "e", "k6"])
     def test_curves_match_find_roots_reference(self, families, case, swept, lam):
         assert_matches_reference(families.bipoly(case), swept, lam, 256)
+
+    @pytest.mark.parametrize("case, swept", [("b", "b"), ("k6", "a")])
+    def test_second_run_restarts_cold(self, families, case, swept):
+        # a solved half of MIN_CHUNK + 1 samples: sample MIN_CHUNK, where the
+        # second run of the chain begins, is find_roots' again
+        assert_matches_reference(families.bipoly(case), swept, 1.0, 2 * MIN_CHUNK + 1)
 
     @pytest.mark.parametrize("coeffs", [[2, 1], [1 - 1j, 1]])
     def test_exact_boundary_roots_unflagged(self, coeffs):
@@ -1709,44 +1728,51 @@ def direct_sample(work, lam, j, n, prec):
     return roots_module._locus_sample(coeffs, lam, prec, work.degree_a), coeffs
 
 
+def assert_within_radii(j, got, want, coeffs, lam, prec):
+    """Sample j of a curve, got, has the zero roots, root count and gap of
+    want, a cold solve of the same point's coefficients (mpc), and each
+    nonzero root lies within r + r' of a distinct root of want, r and r'
+    the error radii (_radius, a rigorous bound on the polynomial solved
+    there) of the two roots; a flag may differ only where that bound reaches
+    the circle |lam + x| = lam, and each such case is reported as a warning."""
+    roots, flags, gap = want
+    assert (len(got[0]), got[2]) == (len(roots), gap)
+    zeros = next((i for i, z in enumerate(roots) if z != 0), len(roots))
+    assert got[0][:zeros] == roots[:zeros] and got[1][:zeros] == flags[:zeros] == [False] * zeros
+    gauss = aberth._gaussian_integers(coeffs[zeros:len(roots) + 1])
+
+    def radius(z):
+        return aberth._radius(gauss, ComplexPoint(z.real, z.imag, prec), prec)
+
+    solved = [(mpc(z), radius(z), f) for z, f in zip(got[0][zeros:], got[1][zeros:])]
+    cold = [(mpc(z), radius(z), f) for z, f in zip(roots[zeros:], flags[zeros:])]
+    with mp.workprec(2 * prec):
+        near = [[k for k, (d, rd, _) in enumerate(cold) if abs(m - d) <= rm + rd]
+                for m, rm, _ in solved]
+        partner = matching(near)
+        assert partner is not None, (j, got, roots, near)
+        for k, i in partner.items():
+            (m, rm, fm), (d, rd, fd) = solved[i], cold[k]
+            if fm != fd:
+                assert abs(abs(lam + d) - lam) <= rm + rd, (j, complex(m), complex(d))
+                note("sample %d: flag %s against %s, the bound %s reaching the circle"
+                     % (j, fm, fd, rm + rd))
+                warnings.warn("a flag differs from the cold solve's at a root within its "
+                              "error bound of the circle")
+
+
 @settings(max_examples=100, deadline=None)
 @given(p=bipolys(), swept=st.sampled_from(["a", "b"]), prec=st.sampled_from([53, 80]),
        lam=st.sampled_from([1.0, 0.1]), n_samples=st.integers(16, 48))
 def test_mirrored_samples_match_a_direct_solve(p, swept, prec, lam, n_samples):
-    # each mirrored sample has the zero roots, root count, gap and flags of
-    # the sample solved at its own theta, and each nonzero root lies within
-    # r + r' of a distinct root of it, r and r' the error radii (_radius, a
-    # rigorous bound on the polynomial solved there) of the two roots; a flag
-    # may differ only where that bound reaches the circle |lam + x| = lam,
-    # and each such case is reported as a warning
+    # each mirrored sample matches the sample solved cold at its own theta
+    # within the error radii (assert_within_radii)
     curve = trace_locus(p, swept, lam, n_samples, prec)
     work = p if swept == "b" else p.transposed()
     for j in range((n_samples + 1) // 2, n_samples):
-        (roots, flags, gap), coeffs = direct_sample(work, lam, j, n_samples, prec)
+        want, coeffs = direct_sample(work, lam, j, n_samples, prec)
         got = (curve.roots[j], curve.violation_flags[j], curve.gaps[j])
-        assert (len(got[0]), got[2]) == (len(roots), gap)
-        zeros = next((i for i, z in enumerate(roots) if z != 0), len(roots))
-        assert got[0][:zeros] == roots[:zeros] and got[1][:zeros] == flags[:zeros] == [False] * zeros
-        gauss = aberth._gaussian_integers(coeffs[zeros:len(roots) + 1])
-
-        def radius(z):
-            return aberth._radius(gauss, ComplexPoint(z.real, z.imag, prec), prec)
-
-        mirrored = [(mpc(z), radius(z), f) for z, f in zip(got[0][zeros:], got[1][zeros:])]
-        direct = [(mpc(z), radius(z), f) for z, f in zip(roots[zeros:], flags[zeros:])]
-        with mp.workprec(2 * prec):
-            near = [[k for k, (d, rd, _) in enumerate(direct) if abs(m - d) <= rm + rd]
-                    for m, rm, _ in mirrored]
-            partner = matching(near)
-            assert partner is not None, (j, got, roots, near)
-            for k, i in partner.items():
-                (m, rm, fm), (d, rd, fd) = mirrored[i], direct[k]
-                if fm != fd:
-                    assert abs(abs(lam + d) - lam) <= rm + rd, (j, complex(m), complex(d))
-                    note("sample %d: flag %s against %s, the bound %s reaching the circle"
-                         % (j, fm, fd, rm + rd))
-                    warnings.warn("a mirrored flag differs from the direct solve's at a "
-                                  "root within its error bound of the circle")
+        assert_within_radii(j, got, want, coeffs, lam, prec)
 
 
 PARTS = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0])
