@@ -15,7 +15,7 @@ checkout in turn runs one traced locus-53 run,
 
 whose per-layer metrics (key "traced_locus_53") time the 53-bit locus
 layers, TRACED_LAYERS: the seven sweeps of a pass
-(roots.trace_locus.busy_s) and its four endpoint scans
+(roots.trace_locus.busy_s) and its four region endpoints
 (roots.region_endpoint_angle.busy_s), in the mean traced pass of the run.
 Then each checkout in turn times ten runs of each of
 
@@ -56,14 +56,14 @@ the mp-roots workload's seven family members (MP_MEMBERS, a copy of
 bench/workloads.py's), find_roots at 256 bits, min_disc_distance and
 disc_verdict at lam 1, MP_REPEATS = 20 times, and keeps the best of each
 member (key "mp_members"): the Aberth stages, radii and finalization and
-the disc statistics without the benchmark's own checks.  Last, each
-checkout in turn, the first one rotated on from the timed commands' last
-round, runs the tier-1 suite once,
+the disc statistics without the benchmark's own checks.  Last, in each of
+TIER1_RUNS = 3 rounds, each checkout in turn, the first one rotated on from
+the timed commands' last round, runs the tier-1 suite,
 
     python3 -m pytest -q --continue-on-collection-errors   (key "tier1")
 
 in the checkout, with its src/ on PYTHONPATH; a property test that draws a
-known failing input on that run fails in the record.  Before the first
+known failing input on a run fails in the record.  Before the first
 run, the git-ignored __pycache__ directories under each checkout's src/
 and bench/ are removed, and every subprocess runs with
 PYTHONDONTWRITEBYTECODE=1, so that each process compiles the checkout's
@@ -87,7 +87,8 @@ median per graph, under "split" every round's two best seconds with
 their medians and the median of each round's gain, under "mp_members"
 every round's best seconds per member with their median per member,
 and under "tier1"
-the suite's wall seconds, pytest's summary line and its exit code, and under
+every run's wall seconds, pytest's summary line and exit code, with the
+median seconds and the exit codes seen, and under
 "traced_locus_53" every traced run's metrics, with the median of each of
 TRACED_LAYERS.  A timed command's peak RSS is the
 ru_maxrss that wait4 returns: that of the largest process in its tree,
@@ -97,7 +98,7 @@ sweep's forked workers) into it as a maximum, not a sum.
 Every label after the first also gets "versus_first": the first label,
 and the ratio of each of its runs to the first label's run of the same
 seed (per workload and end-to-end metric of BENCHMARK.json) or of the
-same round (per timed command, of the wall seconds; per enumerated
+same round (per timed command and for tier-1, of the wall seconds; per enumerated
 graph, per split timing and per member, of the best seconds; per workload also of
 raw_pass_wall_s; per traced layer, of its seconds in the run of the same
 seed), with their median and the pairs won: the ratios below 1 for a metric whose better direction
@@ -189,6 +190,7 @@ print(json.dumps(best))
 TRACED_WORKLOAD, TRACED_SECONDS = "locus-53", 15
 TRACED_LAYERS = ("roots.trace_locus.busy_s", "roots.region_endpoint_angle.busy_s")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_RUNS = 3
 BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1",
             "__pycache__": "removed under src/ and bench/ before the first run"}
 ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -235,6 +237,7 @@ def describe(checkout, seeds, seconds):
         "traced_locus_53": {"command": "python3 bench/run.py --workload %s --seed S --seconds "
                                        "%d --trace 1" % (TRACED_WORKLOAD, TRACED_SECONDS),
                             "layers": TRACED_LAYERS, "runs": []},
+        "tier1": {"command": "python3 " + " ".join(TIER1), "runs": []},
     }
 
 
@@ -362,6 +365,8 @@ def versus_first(side, first, first_label, better):
     pairs = list(zip(side["mp_members"]["runs"], first["mp_members"]["runs"]))
     out["mp_members"] = {name: paired([r[name] / f[name] for r, f in pairs], "lower")
                          for name in MP_MEMBERS}
+    out["tier1"] = paired([r["seconds"] / f["seconds"]
+                           for r, f in zip(side["tier1"]["runs"], first["tier1"]["runs"])], "lower")
     pairs = list(zip(side["traced_locus_53"]["runs"], first["traced_locus_53"]["runs"]))
     out["traced_locus_53"] = {name: paired([r["metrics"][name] / f["metrics"][name]
                                             for r, f in pairs], "lower")
@@ -427,9 +432,11 @@ def main(argv=None):
                 run = run_in_process(checkout, workdir, MP_SCRIPT, *MP_MEMBERS)
                 record[label]["mp_members"]["runs"].append(run)
                 print("%s mp_members: %s" % (label, json.dumps(run)), flush=True)
-    for label, checkout in turns(sides, TIMED_RUNS):
-        record[label]["tier1"] = run_tier1(checkout)
-        print("%s tier1: %s" % (label, json.dumps(record[label]["tier1"])), flush=True)
+    for i in range(TIER1_RUNS):
+        for label, checkout in turns(sides, TIMED_RUNS + i):
+            run = run_tier1(checkout)
+            record[label]["tier1"]["runs"].append(run)
+            print("%s tier1: %s" % (label, json.dumps(run)), flush=True)
     for side in record.values():
         side["median"] = {w: medians(runs) for w, runs in side["runs"].items()}
         side["median_clock"] = {w: medians(runs, "clock") for w, runs in side["runs"].items()}
@@ -450,6 +457,9 @@ def main(argv=None):
         members = side["mp_members"]
         members["median_best_s"] = {name: statistics.median(r[name] for r in members["runs"])
                                     for name in MP_MEMBERS}
+        tier1 = side["tier1"]
+        tier1["median_s"] = statistics.median(r["seconds"] for r in tier1["runs"])
+        tier1["exit_codes"] = sorted({r["exit_code"] for r in tier1["runs"]})
         traced = side["traced_locus_53"]
         traced["median"] = {name: statistics.median(r["metrics"][name] for r in traced["runs"])
                             for name in TRACED_LAYERS}

@@ -34,7 +34,9 @@ the point before (_chain_map); above, in mpmath at a point computed at the
 sweep's precision, where a sample runs only _iterate, the Aberth stages of
 find_roots, and computes no radius.  A sweep solves the first half of its
 grid, on all the process's CPUs where that half is large enough, and
-builds the rest as its exact conjugate.
+builds the rest as its exact conjugate.  A violation-region endpoint comes
+from an integer resultant (relzeros.exact, loaded by region_endpoint_angle
+alone), and find_roots at 128 bits checks it.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class UndecidableDiscError(RuntimeError):
 
 
 class NoViolationRegionError(RuntimeError):
-    """The swept plane shows no sign change: no violation region exists."""
+    """No root crosses |1 + root| = 1 as the plane's variable walks its circle: no region ends."""
 
 
 class BranchFitError(RuntimeError):
@@ -582,8 +584,8 @@ def trace_locus(p, swept, lam, n_samples, precision_bits=MIN_PRECISION):
 def _chain_map(fn, n):
     """[fn(j, chain) for j in range(n)] on forkmap, which calls fn in order
     from each multiple of MIN_CHUNK: chain[0] holds the raw float roots that
-    point j-1 left (_solve_hardware), or None at a multiple of MIN_CHUNK."""
-    from .forkmap import MIN_CHUNK, forkmap  # here, so that only a sweep or a scan compiles it
+    sample j-1 left (_solve_hardware), or None at a multiple of MIN_CHUNK."""
+    from .forkmap import MIN_CHUNK, forkmap  # here, so that only a sweep compiles it
 
     chain = [None]
 
@@ -666,58 +668,52 @@ class RegionEndpoint(NamedTuple):
     angle_fraction: float
 
 
-_ENDPOINT_SCAN = 1024
-
-
 def region_endpoint_angle(p, plane):
     """Angle fraction of the violation-region endpoint in the given plane.
 
-    Sweeps the plane's own variable along the unit circle at _ENDPOINT_SCAN
-    points of theta in (0, pi), solved in 53-bit floats on all the process's
-    CPUs, each warm from the point before as in trace_locus (_chain_map),
-    and bisects, with a cold solve at each midpoint, the sign change of min
-    over the other variable's nonzero roots of |1 + root| - 1.  At the
-    crossing both variables sit on their circles, so the swept angle is the
-    endpoint angle.  Analytic cases show no sign change and raise
-    NoViolationRegionError.
+    At an endpoint both variables sit on their circles: relzeros.exact
+    brackets each such theta in (0, pi) of the plane's own variable,
+    e^(i theta) - 1, in integers.  A bracket is kept only where its partner
+    checks out (_region_ends): a root of the other variable crosses its
+    circle within it, and the violation region ends there.  The one kept
+    gives the angle, at its middle; none raises NoViolationRegionError,
+    several a RuntimeError that names them all.
     """
     if not isinstance(p, ExactBiPoly):
         raise TypeError("expected ExactBiPoly")
     if plane not in ("a", "b"):
         raise ValueError("plane must be 'a' or 'b'")
-    overflow = "coefficients overflow the scan's working range"
+    if not p:
+        raise ZeroPolynomialError("polynomial is identically zero")
+    from . import exact  # here, so that only this function loads it
+
     work = p.transposed() if plane == "a" else p
-    rows = _hardware_rows(work)
-    if rows is None:
-        raise ValueError(overflow)
+    rows = _rows(work)
+    angles = sorted(exact.bracket_turns(*b) for b in exact.circle_brackets(
+        work.terms, work.degree_a, work.degree_b) if _region_ends(rows, *b))
+    if not angles:
+        raise NoViolationRegionError("no violation region in the %s-plane" % plane)
+    if len(angles) > 1:
+        raise RuntimeError("%d violation region endpoints in the %s-plane, at angle fractions %s"
+                           % (len(angles), plane, ", ".join("%.12f" % t for t in angles)))
+    return RegionEndpoint(plane, angles[0])
 
-    def indicator(theta, chain=None):
-        coeffs = _collapse_hardware(rows, _half_angle_circle(1.0, theta))
-        try:
-            roots = _solve_hardware(coeffs, list(map(abs, coeffs)), chain)[2]
-            return min(abs(1 + r) for r in roots) - 1.0 if roots else math.inf
-        except OverflowError:  # a finite complex whose modulus is not
-            raise ValueError(overflow) from None
 
-    thetas = [math.pi * (j + 1) / (_ENDPOINT_SCAN + 1) for j in range(_ENDPOINT_SCAN)]
-    values = _chain_map(lambda j, chain: indicator(thetas[j], chain), _ENDPOINT_SCAN)
-    crossing = None
-    for i in range(_ENDPOINT_SCAN - 1):
-        if values[i] < 0 <= values[i + 1]:
-            crossing = i
-    if crossing is None:
-        if not any(v < 0 for v in values):
-            raise NoViolationRegionError("no violation region in the %s-plane" % plane)
-        raise RuntimeError("violation region endpoint not bracketed inside (0, pi)")
-
-    lo, hi = thetas[crossing], thetas[crossing + 1]
-    while (hi - lo) / (2 * math.pi) >= 1e-7:
-        mid = (lo + hi) / 2
-        if indicator(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return RegionEndpoint(plane, (lo + hi) / 2 / (2 * math.pi))
+def _region_ends(rows, lo, hi, n, prec=128):
+    """Whether, at b = e^(i theta) - 1 for 2 cos theta = lo / 2^n and hi / 2^n,
+    find_roots at prec certifies by their radii each root of the polynomial
+    of integer rows (_rows) inside or outside |1 + root| < 1, and finds one
+    inside at exactly one of the two points."""
+    inside = []
+    for k in (lo, hi):
+        with mp.workprec(prec):
+            w = mpc(mp.ldexp(k - (2 << n), -n - 1), mp.ldexp(mp.sqrt((4 << 2 * n) - k * k), -n - 1))
+            rs = find_roots(_collapse_hardware(rows, w), prec)
+            status = {_disc_status(z, e, mpf(1)) for z, e in zip(rs.roots, rs.error_radii)}
+        if "ambiguous" in status:
+            return False
+        inside.append("inside" in status)
+    return inside[0] != inside[1]
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +755,9 @@ def estimate_branch_coefficients(p, leading_hint):
     and Yun's square-free decomposition of T gives t's multiplicity exactly.
     A real simple t starts the analytic branch t b + g2 b^2, g2 = -N(t)/T'(t);
     a double t where N(t) != 0 the half-power branch t b + d b^(3/2), with
-    d^2 = -2 N(t)/T''(t) and Re(conj(d) (hint - t)) > 0, or where that is 0,
-    the larger (Im d, Re d).  BranchFitError where t lies over 0.1 from the
+    d^2 = -2 N(t)/T''(t) and Re(conj(d) (hint - t)) > 0, or where that is 0
+    or the hint is t rounded to a Python complex (a hint meant to be t), the
+    larger (Im d, Re d).  BranchFitError where t lies over 0.1 from the
     hint, where a simple t is not real, and where a further Newton-polygon
     step is needed: multiplicity 3 or more, or a double t where N vanishes."""
     if not isinstance(p, ExactBiPoly):
@@ -792,7 +789,7 @@ def estimate_branch_coefficients(p, leading_hint):
             sub = -n_t / mp.polyval(_derivative(t_poly)[::-1], t.real)
         else:  # d
             sub = mp.sqrt(-2 * n_t / mp.polyval(_derivative(_derivative(t_poly))[::-1], t))
-            side = (sub.conjugate() * (hint - t)).real
+            side = 0 if complex(t) == hint else (sub.conjugate() * (hint - t)).real
             if side < 0 or side == 0 and (sub.imag, sub.real) < (-sub.imag, -sub.real):
                 sub = -sub
         return BranchExpansion(("analytic", "half-power")[i - 1], ComplexPoint.from_mpc(t, prec),

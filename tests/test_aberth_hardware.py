@@ -110,8 +110,10 @@ def test_same_bits_as_reference(cs, max_sweeps):
     [5e-324 + 0j, 1 + 0j, 0j, 4 + 0j],
     # ... and p'(0) = 0 as well
     [5e-324 + 0j, 0j, 0j, 4 + 0j],
-    # (v - 1)^2 (v + 2)^2
+    # v^4 + 2 v^3 - 3 v^2 + 4 v + 4: four simple roots, -3.20, -0.62 and 0.91 +- 1.08i
     [4 + 0j, 4 + 0j, -3 + 0j, 2 + 0j, 1 + 0j],
+    # (v - 1)^2 (v + 2)^2: two double roots
+    [4 + 0j, -4 + 0j, -3 + 0j, 2 + 0j, 1 + 0j],
 ])
 def test_collisions_match_reference(cs):
     assert bits(_aberth_hardware(cs)) == bits(reference_aberth_hardware(cs))

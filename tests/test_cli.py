@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 import time
 import traceback
 from decimal import Context, Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -524,3 +527,42 @@ class TestReproduceCommand:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "--suite", "nope"])
         assert exc.value.code == 2
+
+
+# Prints whether relzeros.exact is loaded after `relzeros ARGS`, or with no
+# ARGS after a bare `import relzeros`
+LOADED_SCRIPT = """
+import sys
+if sys.argv[1:]:
+    from relzeros.cli import main
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+else:
+    import relzeros
+print("relzeros.exact" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["poly", "k4:b:1:1"], ["roots", "k4:b:1:7"],
+                                  ["check", "triangle.graph"]],
+                         ids=["import", "help", "poly", "roots", "check"])
+def test_commands_that_find_no_endpoint_never_load_the_exact_module(tmp_path, argv):
+    # only region_endpoint_angle imports relzeros.exact, so start-up never compiles it
+    (tmp_path / "triangle.graph").write_text(format_graph(cycle_graph(3)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *argv], cwd=tmp_path,
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_an_endpoint_loads_the_exact_module():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = ("import sys\nfrom relzeros import reference, region_endpoint_angle\n"
+              "region_endpoint_angle(reference.family_bipoly('d'), 'b')\n"
+              "print('relzeros.exact' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines()[-1] == "True"

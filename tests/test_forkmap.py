@@ -87,7 +87,7 @@ def one_cpu(p, swept, lam, n, prec=53):
 
 
 def one_cpu_angle(p, plane):
-    """region_endpoint_angle on one CPU: its scan in one chunk, in this process."""
+    """region_endpoint_angle on one CPU."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})
         return region_endpoint_angle(p, plane)
@@ -162,13 +162,13 @@ def test_one_chunk_is_the_chained_loop(forks):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_curve_and_angle_do_not_depend_on_the_cpu_count(forks, monkeypatch, cpus):
     # c over 5,000 samples solves 2,500: one chunk; 1,024 and 1,476; or
-    # 1,024, 512 and 964.  The 1,024-point scan is one chunk or two
+    # 1,024, 512 and 964.  The endpoint, exact, forks nothing
     p = family_bipoly("c")
     want = one_cpu(p, "b", 1.0, 5000), one_cpu_angle(family_bipoly("b"), "a")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     curve = hexed(curve_samples(trace_locus(p, "b", 1.0, 5000)))
     assert (curve, region_endpoint_angle(family_bipoly("b"), "a")) == want
-    assert len(forks) == {1: 0, 2: 2, 3: 3}[cpus]  # the scan forks one worker on 2 or 3
+    assert len(forks) == {1: 0, 2: 1, 3: 2}[cpus]
     assert_no_child_left()
 
 
@@ -419,51 +419,6 @@ def test_partial_last_frame_is_taken(forks, monkeypatch, odd_sweep):
     solved = in_caller(monkeypatch)
     assert hexed(curve_samples(trace_locus(family_bipoly("b"), "b", 1.0, n))) == want
     assert len(forks) == 1 and len(solved) == 2 * MIN_CHUNK
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("case, plane", [("b", "a"), ("b", "b"), ("d", "a"), ("d", "b")])
-def test_split_endpoint_scan_matches_the_loop(forks, monkeypatch, case, plane):
-    # the 1,024 scan points are two chunks of MIN_CHUNK on two CPUs, one on one
-    split = region_endpoint_angle(family_bipoly(case), plane)
-    assert len(forks) == 1
-    assert_no_child_left()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert region_endpoint_angle(family_bipoly(case), plane) == split
-    assert len(forks) == 1
-
-
-@pytest.mark.parametrize("fail", ["fork", raise_here, die], ids=["no fork", "raises", "killed"])
-def test_endpoint_scan_solved_again_in_the_caller_is_the_same(forks, monkeypatch, fail):
-    # os.fork fails, or the worker fails or dies: the caller solves the
-    # worker's 512 points itself, from its first point on, cold
-    want = one_cpu_angle(family_bipoly("d"), "b")
-    if fail == "fork":
-        monkeypatch.setattr(os, "fork", raise_os_error)
-    else:
-        monkeypatch.setattr(roots_module, "_half_angle_circle", in_worker(fail))
-    solved = in_caller(monkeypatch)
-    assert region_endpoint_angle(family_bipoly("d"), "b") == want
-    assert len(solved) >= 1024 and len(forks) == (fail != "fork")
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("points", [[700], [100, 700]])
-def test_scan_error_is_the_loops(forks, monkeypatch, points):
-    # the scan points raise in the worker's chunk alone, or in both: the first
-    # on the grid is the one seen, as in the loop
-    bad = {math.pi * (j + 1) / 1025: j for j in points}
-    half_angle = roots_module._half_angle_circle
-
-    def failing(lam, theta):
-        if theta in bad:
-            raise ArithmeticError("point %d failed" % bad[theta])
-        return half_angle(lam, theta)
-
-    monkeypatch.setattr(roots_module, "_half_angle_circle", failing)
-    with pytest.raises(ArithmeticError, match="^point %d failed$" % points[0]):
-        region_endpoint_angle(family_bipoly("b"), "a")
-    assert len(forks) == 1
     assert_no_child_left()
 
 

@@ -1797,11 +1797,12 @@ def test_mirror_is_the_exact_conjugate(sample):
     assert hexed([roots_module._mirror(sample)]) == hexed([conjugate_sample(sample)])
 
 
-def reference_endpoint_angle(p, plane):
-    """region_endpoint_angle with every angle solved by find_roots at 53 bits
-    (through reference_locus_sample's trim and deflation): the same grid of
-    1,024 angles, last-crossing rule and bisection to 1e-7 of a turn."""
-    scan = 1024
+def reference_endpoint_scan(p, plane, scan=1024):
+    """The float scan that region_endpoint_angle ran before its exact
+    resultant: (the grid of `scan` angles theta in (0, pi), the indicator at
+    each, the indicator), the indicator min over the other variable's nonzero
+    roots of |1 + root| - 1 at e^(i theta) - 1, every angle solved by
+    find_roots at 53 bits (through reference_locus_sample's trim and deflation)."""
     work = p.transposed() if plane == "a" else p
     rows = _hardware_rows(work)
 
@@ -1812,7 +1813,13 @@ def reference_endpoint_angle(p, plane):
         return min(abs(1 + r) for r in roots) - 1.0 if roots else math.inf
 
     thetas = [math.pi * (j + 1) / (scan + 1) for j in range(scan)]
-    values = [indicator(t) for t in thetas]
+    return thetas, [indicator(t) for t in thetas], indicator
+
+
+def reference_endpoint_angle(p, plane, scan=1024):
+    """The float oracle: the last crossing of the indicator from below 0 to
+    0 or above on reference_endpoint_scan's grid, bisected to 1e-7 of a turn."""
+    thetas, values, indicator = reference_endpoint_scan(p, plane, scan)
     last = max(i for i in range(scan - 1) if values[i] < 0 <= values[i + 1])
     lo, hi = thetas[last], thetas[last + 1]
     while (hi - lo) / (2 * math.pi) >= 1e-7:
@@ -1824,14 +1831,46 @@ def reference_endpoint_angle(p, plane):
     return (lo + hi) / 2 / (2 * math.pi)
 
 
+def oracle_tolerance(scan):
+    """The float oracle's grid step, 1 / (2 (scan + 1)) of a turn, plus its 1e-7 bisection."""
+    return 1 / (2 * (scan + 1)) + 1e-7
+
+
+# The irreducible sextic factor of each published plane's resultant
+# Res_x(P, P*), P = C(x - 1, y - 1) less its factors in one variable, as
+# sympy factors it (the rest of the resultant is a constant times
+# (y - 1)^6); y = 1 + the plane's own variable
+SEXTICS = {
+    ("b", "a"): [5, -32, 95, -128, 95, -32, 5],
+    ("b", "b"): [1, 10, 31, -20, 31, 10, 1],
+    ("d", "a"): [1, -24, -156, 250, -156, -24, 1],
+    ("d", "b"): [4, 18, 3, -46, 3, 18, 4],
+}
+
+
+small_bipolys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                st.integers(-4, 4), min_size=2, max_size=16).map(ExactBiPoly)
+
+
 class TestRegionEndpoints:
     def test_case_b_a_plane(self):
         ep = region_endpoint_angle(CASE_POLYS["b"], "a")
         assert ep.plane == "a"
         assert abs(ep.angle_fraction - 0.120692) < 1e-5
 
-    # the published planes' angles to the last bit, as the 53-bit scan gave
-    # them before its start circles and |c| were hoisted
+    @pytest.mark.parametrize("case, plane", SEXTICS)
+    def test_published_planes_match_the_sextic_to_1e_12(self, case, plane):
+        # the sextic's one root on the upper half of the unit circle, at 100 digits
+        with mp.workdps(100):
+            roots = mp.polyroots(SEXTICS[(case, plane)], maxsteps=200, extraprec=300)
+            upper = [y for y in roots if abs(abs(y) - 1) < mpf(10) ** -90 and y.imag > 0]
+            assert len(upper) == 1
+            want = mp.arg(upper[0]) / (2 * mp.pi)
+        got = region_endpoint_angle(CASE_POLYS[case], plane).angle_fraction
+        assert abs(got - want) < 1e-12
+
+    # the float scan's angles to the last bit, as region_endpoint_angle gave
+    # them before the exact resultant, which the oracle still gives
     @pytest.mark.parametrize("case, plane, want", [
         ("b", "a", "0x1.ee5ad14bad14bp-4"),
         ("b", "b", "0x1.51a64a6d64a6ep-3"),
@@ -1839,8 +1878,27 @@ class TestRegionEndpoints:
         ("d", "b", "0x1.f336127b6127bp-6"),
     ])
     def test_published_planes_match_find_roots_scan(self, case, plane, want):
+        scanned = reference_endpoint_angle(CASE_POLYS[case], plane)
+        assert scanned.hex() == want
         got = region_endpoint_angle(CASE_POLYS[case], plane).angle_fraction
-        assert got.hex() == reference_endpoint_angle(CASE_POLYS[case], plane).hex() == want
+        assert abs(got - scanned) <= oracle_tolerance(1024)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=small_bipolys, plane=st.sampled_from("ab"))
+    @example(p=CASE_POLYS["b"], plane="a")
+    @example(p=CASE_POLYS["d"], plane="b")
+    def test_exact_angle_matches_the_float_scan_at_one_clean_crossing(self, p, plane):
+        # wherever a 256-point scan sees the indicator change sign once, from
+        # below 0 to above, and keep 1e-6 or more from 0 at every point
+        scan = 256
+        values = reference_endpoint_scan(p, plane, scan)[1]
+        below = [v < 0 for v in values]
+        changes = [i for i in range(scan - 1) if below[i] != below[i + 1]]
+        if not (len(changes) == 1 and below[changes[0]]
+                and all(1e-6 < abs(v) < math.inf for v in values)):
+            return
+        got = region_endpoint_angle(p, plane).angle_fraction
+        assert abs(got - reference_endpoint_angle(p, plane, scan)) <= oracle_tolerance(scan)
 
     def test_analytic_case_has_no_region(self):
         with pytest.raises(NoViolationRegionError):
@@ -1857,11 +1915,51 @@ class TestRegionEndpoints:
     def test_validation(self):
         with pytest.raises(ValueError):
             region_endpoint_angle(CASE_POLYS["b"], "z")
+        with pytest.raises(ZeroPolynomialError):
+            region_endpoint_angle(ExactBiPoly(), "b")
 
-    def test_modulus_overflowing_a_float_is_rejected(self):
-        # finite float coefficients whose collapse has |c| above the float range
-        with pytest.raises(ValueError, match="overflow the scan's working range"):
+    def test_modulus_overflowing_a_float_gets_an_exact_answer(self):
+        # integers do not overflow: 10^307 (10 b + a) has no region, as 10 b + a
+        # has none, and case d times 10^400 has case d's endpoint to the last bit
+        with pytest.raises(NoViolationRegionError):
             region_endpoint_angle(ExactBiPoly({(0, 1): 10 ** 308, (1, 0): 10 ** 307}), "b")
+        huge = ExactBiPoly({k: c * 10 ** 400 for k, c in CASE_POLYS["d"].terms.items()})
+        assert region_endpoint_angle(huge, "b") == region_endpoint_angle(CASE_POLYS["d"], "b")
+
+    @pytest.mark.parametrize("terms", [
+        {(1, 0): 1, (2, 2): -1},  # a - a^2 b^2: the two roots mirrored in the circle
+        {(0, 2): -2, (1, 0): 1, (2, 0): 3},  # a root crosses while another stays inside
+    ])
+    def test_candidate_whose_partner_ends_no_region_is_dropped(self, terms):
+        # the resultant has a root on the circle, but no region ends there:
+        # the float scan's indicator keeps its sign
+        from relzeros import exact
+
+        p = ExactBiPoly(terms)
+        assert len(exact.circle_brackets(p.terms, p.degree_a, p.degree_b)) == 1
+        values = reference_endpoint_scan(p, "b", 256)[1]
+        assert len({v < 0 for v in values}) == 1
+        with pytest.raises(NoViolationRegionError):
+            region_endpoint_angle(p, "b")
+
+    def test_several_endpoints_are_named_not_picked(self):
+        # -2 - a^2 b^2 has a region from 1/8 to 3/8 of a turn
+        p = ExactBiPoly({(0, 0): -2, (2, 2): -1})
+        with pytest.raises(RuntimeError, match="^2 violation region endpoints in the b-plane, at "
+                                               "angle fractions 0.125000000000, 0.375000000000$"):
+            region_endpoint_angle(p, "b")
+
+    def test_region_that_runs_to_pi_gives_its_start(self):
+        # 3ab - 1: the float scan's indicator changes sign once, from above 0 to below
+        p = ExactBiPoly({(0, 0): -1, (1, 1): 3})
+        thetas, values, _ = reference_endpoint_scan(p, "b", 256)
+        i = next(i for i in range(255) if values[i] >= 0 > values[i + 1])
+        assert thetas[i] < 2 * math.pi * region_endpoint_angle(p, "b").angle_fraction < thetas[i + 1]
+
+    def test_shared_factor_with_the_reciprocal_is_reported(self):
+        # a + b + 2 = x + y is its own reciprocal: the resultant vanishes
+        with pytest.raises(RuntimeError, match="shares a factor with its reciprocal"):
+            region_endpoint_angle(ExactBiPoly({(1, 0): 1, (0, 1): 1, (0, 0): 2}), "b")
 
 
 class TestBranchEstimation:
@@ -1963,12 +2061,12 @@ class TestTangentCone:
     @settings(max_examples=60, deadline=None)
     @given(p=st.integers(-12, 12), q=st.integers(1, 6), c=st.integers(-20, 20).filter(bool),
            side=st.sampled_from([-1, 0, 1]))
-    @example(p=1, q=3, c=-1, side=0)  # the float 1/3 lies below t = 1/3
+    @example(p=1, q=3, c=-1, side=0)  # the float 1/3 lies below t = 1/3, and still ties
     def test_planted_double_root(self, p, q, c, side):
         # (q a - p b)^2 + c b^3: the double root t = p/q of T starts the
         # half-power branch a = t b + d b^(3/2), d^2 = -2 N(t)/T''(t) = -c/q^2;
         # d is the square root on the hint's side of t, or where the hint is
-        # t or d is imaginary, the one with the larger (Im d, Re d)
+        # t rounded to a float or d is imaginary, the one with the larger (Im d, Re d)
         hint = p / q + side * 0.05
         cone = bipoly_product({(1, 0): q, (0, 1): -p}, {(1, 0): q, (0, 1): -p})
         exp = estimate_branch_coefficients(ExactBiPoly({**cone.terms, (0, 3): c}), hint)
@@ -1980,8 +2078,8 @@ class TestTangentCone:
             square = d.to_mpc() ** 2
         assert_near(square.real, Fraction(-c, q * q), 4)
         assert_near(square.imag, 0, 4)
-        if c < 0:  # the float hint's own side of t: p / q may round either way
-            assert d.im == 0 and d.re * ((Fraction(hint) - Fraction(p, q)) or 1) > 0
+        if c < 0:  # the hint's side of t, and for the float p / q, the tie: d > 0
+            assert d.im == 0 and d.re * (side or 1) > 0
         else:
             assert d.re == 0 and d.im > 0
 
