@@ -74,7 +74,7 @@ def shifted_primitive(terms, degree_x, degree_y):
 
 
 def _transposed(rows):
-    """The columns of rows of any lengths, zero-padded, less trailing zero columns."""
+    """The columns of rows of any lengths, read as zero-padded, each without its high zeros."""
     width = max(map(len, rows))
     return [_trimmed(r[j] if j < len(r) else 0 for r in rows) for j in range(width)]
 

@@ -692,7 +692,7 @@ def region_endpoint_angle(p, plane):
     angles = sorted(exact.bracket_turns(*b) for b in exact.circle_brackets(
         work.terms, work.degree_a, work.degree_b) if _region_ends(rows, *b))
     if not angles:
-        raise NoViolationRegionError("no violation region in the %s-plane" % plane)
+        raise NoViolationRegionError("no violation region endpoint in the %s-plane" % plane)
     if len(angles) > 1:
         raise RuntimeError("%d violation region endpoints in the %s-plane, at angle fractions %s"
                            % (len(angles), plane, ", ".join("%.12f" % t for t in angles)))
